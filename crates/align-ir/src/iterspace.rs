@@ -114,6 +114,41 @@ impl IterationSpace {
         }
     }
 
+    /// The first LIV vector in enumeration order (`None` for an empty
+    /// space), found without walking the rest.
+    pub fn first_point(&self) -> Option<Vec<(LivId, i64)>> {
+        let mut current = Vec::with_capacity(self.levels.len());
+        self.extreme_point(0, &mut current, false)
+            .then_some(current)
+    }
+
+    /// The last LIV vector in enumeration order (`None` for an empty space).
+    pub fn last_point(&self) -> Option<Vec<(LivId, i64)>> {
+        let mut current = Vec::with_capacity(self.levels.len());
+        self.extreme_point(0, &mut current, true).then_some(current)
+    }
+
+    /// Depth-first descent to the first (or, with `reverse`, last) point:
+    /// an outer value whose inner ranges turn out empty is skipped, exactly
+    /// as the full enumeration would skip it.
+    fn extreme_point(&self, level: usize, current: &mut Vec<(LivId, i64)>, reverse: bool) -> bool {
+        if level == self.levels.len() {
+            return true;
+        }
+        let lvl = &self.levels[level];
+        let range = lvl.range.at(current);
+        let n = range.count();
+        for t in 0..n {
+            let t = if reverse { n - 1 - t } else { t };
+            current.push((lvl.liv, range.lo + t * range.stride));
+            if self.extreme_point(level + 1, current, reverse) {
+                return true;
+            }
+            current.pop();
+        }
+        false
+    }
+
     /// Total number of points (product of trip counts; evaluated exactly,
     /// including trapezoidal nests).
     pub fn size(&self) -> u64 {
@@ -277,6 +312,34 @@ mod tests {
         assert_eq!(pts.len(), 10);
         assert!(pts.contains(&vec![(k(), 4), (j(), 4)]));
         assert!(!pts.contains(&vec![(k(), 2), (j(), 3)]));
+    }
+
+    #[test]
+    fn first_and_last_point_match_the_enumeration() {
+        let spaces = [
+            IterationSpace::scalar(),
+            IterationSpace::single_loop(k(), 1, 5, 2),
+            IterationSpace::single_loop(k(), 9, 2, -3),
+            IterationSpace::single_loop(k(), 5, 1, 1), // empty
+            IterationSpace::single_loop(k(), 1, 10, 1)
+                .enter_loop(j(), AffineTriplet::constant(Triplet::range(1, 7))),
+            // do k = 0,4 ; do j = 2,k: empty inner ranges at k = 0, 1, so the
+            // first point is at k = 2.
+            IterationSpace::single_loop(k(), 0, 4, 1).enter_loop(
+                j(),
+                AffineTriplet::range(Affine::constant(2), Affine::liv(k())),
+            ),
+            // do k = 0,4 ; do j = k,2: empty inner ranges at the *end*.
+            IterationSpace::single_loop(k(), 0, 4, 1).enter_loop(
+                j(),
+                AffineTriplet::range(Affine::liv(k()), Affine::constant(2)),
+            ),
+        ];
+        for s in &spaces {
+            let pts = s.points();
+            assert_eq!(s.first_point(), pts.first().cloned(), "{s}");
+            assert_eq!(s.last_point(), pts.last().cloned(), "{s}");
+        }
     }
 
     #[test]

@@ -25,6 +25,17 @@ use phases::{align_then_distribute_dynamic, simulate_dynamic, simulate_static, D
 use std::collections::HashSet;
 use std::time::Instant;
 
+// The benchmark's own statistics and workload generators, included by path
+// (the `benchmark` package depends on this one, not the other way round) so
+// E26 profiles exactly the `stage_chain` programs `size_sweep` times and
+// fits growth the way the ledger does.
+#[allow(dead_code)]
+#[path = "../../../../benchmark/src/stats.rs"]
+mod benchmark_stats;
+#[allow(dead_code)]
+#[path = "../../../../benchmark/src/workloads.rs"]
+mod benchmark_workloads;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
     let want = |id: &str| args.is_empty() || args.iter().any(|a| a == id || a == "all");
@@ -86,6 +97,11 @@ fn main() {
             "e25",
             "The flattened planner — re-profiled spans, dominance vs beam, dual-simplex children",
             e25,
+        ),
+        (
+            "e26",
+            "The offset RLPs through their dual — primal oracle vs dual per LP, growth with atoms",
+            e26,
         ),
     ];
 
@@ -1508,4 +1524,148 @@ fn e25() {
     println!("phase 1 stays near zero — cold phase 1 grows with the tree into the");
     println!("tens of thousands of pivots — and the incumbent matches the cold");
     println!("primal path bitwise at every width.");
+}
+
+// --- E26: the offset RLPs through their dual ------------------------------------------------
+
+fn e26() {
+    use alignment_core::mobile_offset::build_offset_l1;
+    use benchmark_workloads::{stage_chain, StageChain};
+
+    /// Counter delta and best-of-three wall time of `solve`.
+    fn measured<T>(mut solve: impl FnMut() -> T) -> (T, trace::CounterSnapshot, f64) {
+        let before = trace::CounterSnapshot::now();
+        let out = solve();
+        let delta = trace::CounterSnapshot::now().delta_since(&before);
+        let mut best = f64::INFINITY;
+        for _ in 0..3 {
+            let t0 = Instant::now();
+            std::hint::black_box(solve());
+            best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+        }
+        (out, delta, best)
+    }
+
+    let cfg = PipelineConfig::default();
+    let chains: Vec<(String, usize, Program)> = [2usize, 4, 8, 16, 32]
+        .iter()
+        .map(|&stages| {
+            let program = stage_chain(StageChain {
+                n: 32,
+                trips: 8,
+                arrays: 2,
+                stages,
+                seed: 11,
+            });
+            (format!("stage_chain-{}", 2 * stages), 2 * stages, program)
+        })
+        .collect();
+    let suite: Vec<(String, usize, Program)> = programs::phase_workloads()
+        .into_iter()
+        .map(|(name, program)| (name.to_string(), 0, program))
+        .collect();
+
+    let mut t = Table::new(&[
+        "program",
+        "axis",
+        "primal rows",
+        "primal cols",
+        "primal pivots",
+        "primal ms",
+        "dual rows",
+        "dual cols",
+        "dual pivots",
+        "dual ms",
+        "objectives agree",
+    ]);
+    let mut primal_growth = Vec::new();
+    let mut dual_growth = Vec::new();
+    for (name, atoms, program) in chains.iter().chain(&suite) {
+        let (adg, aligned) = align_program(program, &cfg);
+        let alignment = &aligned.alignment;
+        let (mut primal_total, mut dual_total) = (0.0, 0.0);
+        for axis in 0..alignment.template_rank {
+            let replicated: HashSet<_> = adg
+                .port_ids()
+                .filter(|&p| alignment.port(p).offsets[axis].is_replicated())
+                .collect();
+            let l1 = build_offset_l1(&adg, alignment, axis, &replicated, cfg.offset).l1;
+            let primal = l1.to_primal();
+            // What the simplex sees of the primal: the presolved problem.
+            let reduced = lp::presolve::Presolve::new(&primal)
+                .expect("node constraints are consistent")
+                .reduced;
+            let (p_sol, p_delta, p_ms) = measured(|| primal.solve());
+            let (d_sol, d_delta, d_ms) = measured(|| l1.solve());
+            let p_obj = p_sol.expect("primal oracle solves").objective;
+            let d_obj = d_sol.expect("dual route solves").objective;
+            assert_eq!(
+                d_delta.get("lp.l1.primal_fallback"),
+                0,
+                "{name} axis {axis}"
+            );
+            primal_total += p_ms;
+            dual_total += d_ms;
+            t.row(vec![
+                name.clone(),
+                axis.to_string(),
+                reduced.num_constraints().to_string(),
+                reduced.num_vars().to_string(),
+                p_delta.get("lp.pivots").to_string(),
+                format!("{p_ms:.2}"),
+                d_delta.get("lp.l1.dual_rows").to_string(),
+                d_delta.get("lp.l1.dual_cols").to_string(),
+                d_delta.get("lp.pivots").to_string(),
+                format!("{d_ms:.2}"),
+                if (p_obj - d_obj).abs() <= 1e-6 * (1.0 + p_obj.abs()) {
+                    "yes".into()
+                } else {
+                    format!("NO ({p_obj} vs {d_obj})")
+                },
+            ]);
+        }
+        if *atoms > 0 {
+            primal_growth.push((*atoms as f64, primal_total));
+            dual_growth.push((*atoms as f64, dual_total));
+        }
+    }
+    println!("{t}");
+    println!(
+        "Whole-program offset solve (both axes) over 4..64 atoms grows as atoms^{:.2} \
+         through the primal oracle and atoms^{:.2} through the dual.\n",
+        benchmark_stats::log_log_slope(&primal_growth),
+        benchmark_stats::log_log_slope(&dual_growth)
+    );
+
+    // Where the time goes now, on the 32-atom case the issue quotes.
+    let (name, _, program) = &chains[3];
+    let dyn_cfg = DynamicConfig::default();
+    let _ = align_then_distribute_dynamic(program, 8, &dyn_cfg);
+    trace::reset();
+    trace::configure(trace::TraceConfig::enabled());
+    let _ = align_then_distribute_dynamic(program, 8, &dyn_cfg);
+    trace::configure(trace::TraceConfig::default());
+    let spans = trace::take();
+    println!("### {name} at P=8 — top 12 exclusive-time spans\n");
+    println!("{}", trace::profile::report(&spans, 12));
+    let profile = trace::profile::Profile::from_trace(&spans);
+    let inclusive = |span: &str| {
+        profile
+            .rows
+            .iter()
+            .find(|r| r.name == span)
+            .map_or(0, |r| r.inclusive_ns)
+    };
+    let (solve_ns, drive_ns) = (inclusive("lp.solve"), inclusive("lp.drive_out"));
+    println!(
+        "`lp.solve` inclusive {}; `lp.drive_out` {} ({:.1} % of it).\n",
+        trace::profile::fmt_ns(solve_ns),
+        trace::profile::fmt_ns(drive_ns),
+        100.0 * drive_ns as f64 / solve_ns.max(1) as f64
+    );
+    println!("Read against e25: the surrogate row pairs are gone from the basis — it");
+    println!("has one row per surviving offset unknown, the subrange terms are boxed");
+    println!("columns, and a surrogate swap is a bound flip in the ratio test. The");
+    println!("primal columns time `to_primal()`, the differential oracle and counted");
+    println!("fallback, through the same presolve and simplex.");
 }

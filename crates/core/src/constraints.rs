@@ -239,6 +239,20 @@ impl OffsetVars {
         Some(out)
     }
 
+    /// Diagnostic name of an offset variable — `off[p3].c` for port 3's
+    /// constant slot, `off[p3].k` for its coefficient of LIV `k` — or `None`
+    /// for a variable this layout does not own. Derived on demand: the LP
+    /// itself carries no names.
+    pub fn var_name(&self, v: VarId) -> Option<String> {
+        self.port_vars.iter().enumerate().find_map(|(p, slots)| {
+            let slot = slots.as_ref()?.iter().position(|&s| s == v)?;
+            Some(match slot {
+                0 => format!("off[p{p}].c"),
+                _ => format!("off[p{p}].{}", self.port_livs[p][slot - 1]),
+            })
+        })
+    }
+
     /// The LP value vector induced by a concrete alignment: every port's
     /// offset coefficients on `axis` written into its variable slots. Ports
     /// without variables (replicated on the axis) contribute nothing. The
@@ -341,11 +355,11 @@ pub fn build_node_constraints(
             port_vars.push(None);
             continue;
         }
-        let mut vars = Vec::with_capacity(livs.len() + 1);
-        vars.push(problem.add_free_var(format!("off[p{}][ax{axis}].c", pid.0), 0.0));
-        for l in &livs {
-            vars.push(problem.add_free_var(format!("off[p{}][ax{axis}].{l}", pid.0), 0.0));
-        }
+        // Unnamed in the LP — this runs several times per axis solve; see
+        // [`OffsetVars::var_name`] for the diagnostic name.
+        let vars = (0..=livs.len())
+            .map(|_| problem.add_free_var("", 0.0))
+            .collect();
         port_vars.push(Some(vars));
     }
 
@@ -665,6 +679,30 @@ mod tests {
                 assert!(sol.is_ok(), "{name} axis {axis}: {:?}", sol.err());
             }
         }
+    }
+
+    #[test]
+    fn offset_variables_are_named_on_demand() {
+        let adg = build_adg(&programs::figure1(8));
+        let ranks: Vec<usize> = adg.port_ids().map(|p| adg.port(p).rank).collect();
+        let alignment = ProgramAlignment::identity(2, &ranks);
+        let sys = build_node_constraints(&adg, &alignment, 0, &HashSet::new());
+        // The LP carries no names; the layout derives them.
+        assert_eq!(sys.problem.var_name(VarId(0)), "");
+        let (p, slots) = sys
+            .vars
+            .port_vars
+            .iter()
+            .enumerate()
+            .find_map(|(p, s)| s.as_ref().filter(|s| s.len() > 1).map(|s| (p, s)))
+            .expect("figure1 has in-loop ports");
+        assert_eq!(sys.vars.var_name(slots[0]), Some(format!("off[p{p}].c")));
+        let liv = sys.vars.port_livs[p][0];
+        assert_eq!(
+            sys.vars.var_name(slots[1]),
+            Some(format!("off[p{p}].{liv}"))
+        );
+        assert_eq!(sys.vars.var_name(VarId(sys.problem.num_vars())), None);
     }
 
     #[test]

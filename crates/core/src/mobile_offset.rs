@@ -4,11 +4,15 @@
 //! offset of every non-replicated port is an affine function of the LIVs of
 //! its iteration space, `a0 + a1·i1 + ... + ak·ik`. The hard node constraints
 //! come from [`crate::constraints`]; this module adds the objective: for each
-//! edge and each *subrange* of its iteration space, a surrogate variable
-//! bounds the absolute value of the weighted span
-//! `Σ_{i∈subrange} w(i)·(off_src(i) − off_dst(i))` (Equation 3), assuming the
-//! span does not change sign inside the subrange. Choosing subranges is what
-//! distinguishes the five strategies of Section 4.2:
+//! edge and each *subrange* of its iteration space, the absolute value of
+//! the weighted span `Σ_{i∈subrange} w(i)·(off_src(i) − off_dst(i))`
+//! (Equation 3), assuming the span does not change sign inside the
+//! subrange. The result is an [`lp::L1Problem`] — free coefficients,
+//! equalities, a sum of absolute values — which `lp` solves through its
+//! dual: Equation 3's surrogate variable per subrange never becomes a pair
+//! of LP rows, it is a boxed dual *column* `−w ≤ y ≤ w`, and the basis has
+//! one row per offset unknown instead of two per subrange. Choosing
+//! subranges is what distinguishes the five strategies of Section 4.2:
 //!
 //! * [`OffsetStrategy::Unrolling`] — every iteration its own subrange (exact,
 //!   impractical for long loops);
@@ -27,12 +31,12 @@
 //! After the LP solves, the fractional coefficients are rounded to integers
 //! (RLP) and written into the [`ProgramAlignment`].
 
-use crate::constraints::{build_offset_constraints, OffsetLp};
+use crate::constraints::{build_offset_constraints, OffsetLp, OffsetVars};
 use crate::cost::CostModel;
 use crate::position::{OffsetAlign, ProgramAlignment};
 use adg::{Adg, Edge, EdgeId, PortId};
 use align_ir::{Affine, IterationSpace, LivId};
-use lp::{Problem, Relation};
+use lp::{L1Problem, Relation};
 use std::collections::{BTreeMap, HashSet};
 
 /// How often the rounding safety-net ladder of [`solve_axis_offsets`] has
@@ -171,9 +175,10 @@ pub struct OffsetSolveReport {
     pub lp_objective: f64,
     /// Exact shift cost on this axis after rounding.
     pub exact_cost: f64,
-    /// Number of LP variables (offsets plus surrogates).
+    /// Size of the RLP as posed: offset unknowns plus absolute-value terms
+    /// (the surrogates of Equation 3).
     pub num_vars: usize,
-    /// Number of LP constraints.
+    /// Number of hard equality constraints of the RLP as posed.
     pub num_constraints: usize,
     /// Total number of subranges across all edges.
     pub num_subranges: usize,
@@ -276,16 +281,8 @@ pub fn solve_axis_offsets(
 ) -> OffsetSolveReport {
     let _span = trace::span("align.solve_axis_offsets");
     trace::count(strategy_counter_name(config.strategy), 1);
-    // Edges participating in the objective: both endpoints non-replicated.
-    let cost_edges: Vec<(EdgeId, &Edge)> = adg
-        .edges()
-        .filter(|(_, e)| !replicated.contains(&e.src) && !replicated.contains(&e.dst))
-        .collect();
-
-    let mut subranges: BTreeMap<EdgeId, Vec<Subrange>> = cost_edges
-        .iter()
-        .map(|(id, e)| (*id, initial_subranges(e, config.strategy)))
-        .collect();
+    let cost_edges = objective_edges(adg, replicated);
+    let mut subranges = all_initial_subranges(&cost_edges, config.strategy);
 
     let max_rounds = match config.strategy {
         OffsetStrategy::ZeroCrossing { max_rounds }
@@ -401,10 +398,7 @@ pub fn solve_axis_offsets(
             if matches!(alt, OffsetStrategy::SingleRange) {
                 trace::count("align.single_range_engaged", 1);
             }
-            let alt_subranges: BTreeMap<EdgeId, Vec<Subrange>> = cost_edges
-                .iter()
-                .map(|(id, e)| (*id, initial_subranges(e, alt)))
-                .collect();
+            let alt_subranges = all_initial_subranges(&cost_edges, alt);
             let alt_config = MobileOffsetConfig {
                 forbid_mobile: config.forbid_mobile || force_static,
                 pricing,
@@ -433,30 +427,78 @@ pub fn solve_axis_offsets(
         }
     }
 
-    // Write the best offsets into the alignment.
+    // Write the best offsets into the alignment. The winning candidate's
+    // exact cost already prices exactly what is written here; when only an
+    // infeasible fallback was available, its violation penalty keeps the
+    // cost honestly huge (the cost model prices broken node constraints, so
+    // no infinity marker is needed).
     let offsets = best_offsets.expect("at least one solve ran");
-    for pid in adg.port_ids() {
-        if replicated.contains(&pid) {
-            alignment.port_mut(pid).offsets[axis] = OffsetAlign::Replicated;
-        } else if let Some(a) = &offsets[pid.0] {
-            alignment.port_mut(pid).offsets[axis] = OffsetAlign::Fixed(a.clone());
-        }
-    }
+    write_offsets(adg, alignment, axis, replicated, &offsets);
     let mut report = best_report.expect("at least one solve ran");
     report.rounds = rounds;
-    // Re-price what was actually written. When only an infeasible fallback
-    // was available, the violation penalty keeps the cost honestly huge (the
-    // cost model prices broken node constraints, so no infinity marker is
-    // needed any more).
-    let model = CostModel::new(adg);
-    report.exact_cost =
-        model.shift_cost_on_axis(alignment, axis) + model.offset_violation_on_axis(alignment, axis);
+    debug_assert_eq!(report.exact_cost, {
+        let model = CostModel::new(adg);
+        model.shift_cost_on_axis(alignment, axis) + model.offset_violation_on_axis(alignment, axis)
+    });
     report
 }
 
-/// Build the LP for the current subranges, solve, round, and return the
-/// per-port offsets plus statistics (without mutating `alignment`).
-fn solve_once(
+/// The per-axis offset RLP in L1 form (Equation 3 over the hard node
+/// constraints), with the variable layout that maps its unknowns back to
+/// port offsets.
+pub struct OffsetL1 {
+    /// Hard node constraints as equalities, one abs term per subrange (plus
+    /// the endpoint tie-breakers).
+    pub l1: L1Problem,
+    /// Variable layout.
+    pub vars: OffsetVars,
+    /// Subranges that contributed a term (nonzero weight moment).
+    pub num_subranges: usize,
+}
+
+/// The offset RLP of template axis `axis` under `config`'s strategy, as
+/// [`solve_axis_offsets`] first poses it (initial subranges, before any
+/// refinement round). Exposed so experiments and the solver differential
+/// tests can take the production LPs apart.
+pub fn build_offset_l1(
+    adg: &Adg,
+    alignment: &ProgramAlignment,
+    axis: usize,
+    replicated: &HashSet<PortId>,
+    config: MobileOffsetConfig,
+) -> OffsetL1 {
+    let cost_edges = objective_edges(adg, replicated);
+    let subranges = all_initial_subranges(&cost_edges, config.strategy);
+    assemble_l1(
+        adg,
+        alignment,
+        axis,
+        replicated,
+        &subranges,
+        &cost_edges,
+        config,
+    )
+}
+
+/// Edges participating in the objective: both endpoints non-replicated.
+fn objective_edges<'a>(adg: &'a Adg, replicated: &HashSet<PortId>) -> Vec<(EdgeId, &'a Edge)> {
+    adg.edges()
+        .filter(|(_, e)| !replicated.contains(&e.src) && !replicated.contains(&e.dst))
+        .collect()
+}
+
+fn all_initial_subranges(
+    cost_edges: &[(EdgeId, &Edge)],
+    strategy: OffsetStrategy,
+) -> BTreeMap<EdgeId, Vec<Subrange>> {
+    cost_edges
+        .iter()
+        .map(|(id, e)| (*id, initial_subranges(e, strategy)))
+        .collect()
+}
+
+/// Build the L1 problem for the given subranges.
+fn assemble_l1(
     adg: &Adg,
     alignment: &ProgramAlignment,
     axis: usize,
@@ -464,14 +506,10 @@ fn solve_once(
     subranges: &BTreeMap<EdgeId, Vec<Subrange>>,
     cost_edges: &[(EdgeId, &Edge)],
     config: MobileOffsetConfig,
-) -> (OffsetSolveReport, Vec<Option<Affine>>) {
+) -> OffsetL1 {
     let OffsetLp { mut problem, vars } = build_offset_constraints(adg, alignment, axis, replicated);
     problem.set_pricing(config.pricing);
     problem.set_kernel(config.kernel);
-    // Snapshot of the hard node constraints (used only to cross-check the
-    // cost model's violation pricing in debug builds — see below).
-    #[cfg(debug_assertions)]
-    let hard_constraints = problem.clone();
 
     if config.forbid_mobile {
         // Static baseline: the *homes* of the declared arrays may not move —
@@ -507,6 +545,7 @@ fn solve_once(
             }
         }
     }
+    let mut l1 = L1Problem::new(problem);
 
     // Tie-breaking weight: when several solutions minimise the subrange
     // objective (e.g. when the optimum is communication-free), a small
@@ -527,26 +566,49 @@ fn solve_once(
             }
             num_subranges += 1;
             let expr = span.weighted_sum(sub.const_moment, &sub.liv_moments);
-            add_abs_surrogate(&mut problem, &expr, 1.0);
+            l1.add_abs_term(1.0, expr.terms, expr.constant);
             // Endpoint tie-breakers (pointless for single-iteration subranges,
-            // whose main surrogate is already exact).
+            // whose main term is already exact).
             if sub.space.size() > 1 {
-                let pts = sub.space.points();
-                if let (Some(first), Some(last)) = (pts.first(), pts.last()) {
-                    for pt in [first, last] {
-                        let at: Vec<(LivId, f64)> =
-                            pt.iter().map(|&(l, v)| (l, v as f64)).collect();
-                        let e = span.eval_point(&at);
-                        add_abs_surrogate(&mut problem, &e, tie_eps * sub.const_moment.max(1.0));
-                    }
+                for pt in [sub.space.first_point(), sub.space.last_point()]
+                    .into_iter()
+                    .flatten()
+                {
+                    let at: Vec<(LivId, f64)> = pt.iter().map(|&(l, v)| (l, v as f64)).collect();
+                    let e = span.eval_point(&at);
+                    l1.add_abs_term(tie_eps * sub.const_moment.max(1.0), e.terms, e.constant);
                 }
             }
         }
     }
+    OffsetL1 {
+        l1,
+        vars,
+        num_subranges,
+    }
+}
 
-    let num_vars = problem.num_vars();
-    let num_constraints = problem.num_constraints();
-    let solution = problem.solve();
+/// Build the L1 problem for the current subranges, solve, round, and return
+/// the per-port offsets plus statistics (without mutating `alignment`).
+fn solve_once(
+    adg: &Adg,
+    alignment: &ProgramAlignment,
+    axis: usize,
+    replicated: &HashSet<PortId>,
+    subranges: &BTreeMap<EdgeId, Vec<Subrange>>,
+    cost_edges: &[(EdgeId, &Edge)],
+    config: MobileOffsetConfig,
+) -> (OffsetSolveReport, Vec<Option<Affine>>) {
+    let OffsetL1 {
+        l1,
+        vars,
+        num_subranges,
+    } = assemble_l1(
+        adg, alignment, axis, replicated, subranges, cost_edges, config,
+    );
+    let num_vars = l1.num_vars() + l1.num_terms();
+    let num_constraints = l1.equalities().num_constraints();
+    let solution = l1.solve();
 
     let mut offsets: Vec<Option<Affine>> = vec![None; adg.num_ports()];
     let lp_objective = match &solution {
@@ -577,26 +639,21 @@ fn solve_once(
     // win when no feasible candidate exists at all.
     let exact_cost = {
         let mut candidate = alignment.clone();
-        for pid in adg.port_ids() {
-            if replicated.contains(&pid) {
-                candidate.port_mut(pid).offsets[axis] = OffsetAlign::Replicated;
-            } else if let Some(a) = &offsets[pid.0] {
-                candidate.port_mut(pid).offsets[axis] = OffsetAlign::Fixed(a.clone());
-            }
-        }
+        write_offsets(adg, &mut candidate, axis, replicated, &offsets);
         let model = CostModel::new(adg);
         let violation = model.offset_violation_on_axis(&candidate, axis);
 
         // Cross-check (the old post-hoc gate, demoted to an assertion): a
         // candidate the LP's own hard-constraint system accepts must price
-        // violation-free. The converse need not hold — the LP snapshot also
-        // carries the deterministic translation pin, which is not a
-        // semantic constraint.
+        // violation-free. The converse need not hold — the LP system also
+        // carries the deterministic translation pin (and the static pins),
+        // which are not semantic constraints.
         #[cfg(debug_assertions)]
         {
-            let values = vars.values_from(&candidate, axis, hard_constraints.num_vars());
+            let hard = l1.equalities();
+            let values = vars.values_from(&candidate, axis, hard.num_vars());
             debug_assert!(
-                !hard_constraints.is_feasible(&values, 1e-6) || violation == 0.0,
+                !hard.is_feasible(&values, 1e-6) || violation == 0.0,
                 "cost model charges violation {violation} for an LP-feasible candidate on axis {axis}"
             );
         }
@@ -619,17 +676,22 @@ fn solve_once(
     )
 }
 
-/// Add `z >= |expr|` with objective coefficient `weight` on `z`.
-fn add_abs_surrogate(problem: &mut Problem, expr: &crate::constraints::LinExpr, weight: f64) {
-    let z = problem.add_nonneg_var("z", weight);
-    // z - expr >= 0
-    let mut terms = vec![(z, 1.0)];
-    terms.extend(expr.terms.iter().map(|&(v, c)| (v, -c)));
-    problem.add_constraint(terms, Relation::Ge, expr.constant);
-    // z + expr >= 0
-    let mut terms = vec![(z, 1.0)];
-    terms.extend(expr.terms.iter().copied());
-    problem.add_constraint(terms, Relation::Ge, -expr.constant);
+/// Write per-port offsets on `axis` into `alignment` (replicated ports get
+/// [`OffsetAlign::Replicated`]).
+fn write_offsets(
+    adg: &Adg,
+    alignment: &mut ProgramAlignment,
+    axis: usize,
+    replicated: &HashSet<PortId>,
+    offsets: &[Option<Affine>],
+) {
+    for pid in adg.port_ids() {
+        if replicated.contains(&pid) {
+            alignment.port_mut(pid).offsets[axis] = OffsetAlign::Replicated;
+        } else if let Some(a) = &offsets[pid.0] {
+            alignment.port_mut(pid).offsets[axis] = OffsetAlign::Fixed(a.clone());
+        }
+    }
 }
 
 /// Split subranges at zero crossings of the solved span. Returns the number

@@ -29,10 +29,17 @@
 //! two-phase method. The original dense two-phase tableau simplex
 //! ([`simplex`]) is retained as a differential-testing oracle behind
 //! [`Problem::solve_tableau`], and as a last-resort fallback when the
-//! revised solver reports numerical failure. Both are designed for the
-//! problem sizes the alignment phase produces (a handful of variables per
-//! port plus one surrogate variable per edge-subrange — hundreds to a few
-//! thousand variables), not for industrial LPs.
+//! revised solver reports numerical failure (counted:
+//! `lp.fallback.tableau`). Both are designed for the problem sizes the
+//! alignment phase produces (a handful of variables per port plus one
+//! absolute-value term per edge-subrange — hundreds to a few thousand
+//! variables), not for industrial LPs.
+//!
+//! The mobile-offset RLPs themselves are not posed as a [`Problem`] but in
+//! the **L1 form** ([`L1Problem`]): free unknowns, equalities, and a
+//! weighted sum of absolute values, solved through the LP dual so the basis
+//! has one row per unknown rather than two per absolute value — see the
+//! [`l1`] module.
 //!
 //! # Example
 //!
@@ -53,6 +60,7 @@
 
 pub mod branch_bound;
 mod factor;
+pub mod l1;
 pub mod model;
 pub mod presolve;
 pub mod revised;
@@ -60,6 +68,7 @@ pub mod simplex;
 mod sparse;
 
 pub use branch_bound::{solve_milp, solve_milp_with};
+pub use l1::L1Problem;
 pub use model::{Problem, Relation, Solution, SolveError, VarId};
 #[doc(hidden)]
 pub use revised::KernelBench;

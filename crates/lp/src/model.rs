@@ -349,7 +349,10 @@ impl Problem {
     /// tried as a last resort before giving up.
     pub fn solve(&self) -> Result<Solution, SolveError> {
         self.solve_with(|reduced| match revised::solve(reduced) {
-            Err(SolveError::IterationLimit) => simplex::solve(reduced),
+            Err(SolveError::IterationLimit) => {
+                trace::count("lp.fallback.tableau", 1);
+                simplex::solve(reduced)
+            }
             other => other,
         })
     }

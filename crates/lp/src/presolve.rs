@@ -23,7 +23,7 @@
 //! what the simplex actually solves; the eliminated variables are restored
 //! by back-substitution.
 
-use crate::model::{Constraint, Problem, Relation, SolveError};
+use crate::model::{Problem, Relation, SolveError};
 use crate::EPS;
 use std::collections::BTreeMap;
 
@@ -44,6 +44,8 @@ pub struct Presolve {
     subs: Vec<Option<Sub>>,
     /// Original index of each reduced-problem variable.
     reduced_vars: Vec<usize>,
+    /// Reduced-problem index of each surviving original variable.
+    reduced_index: Vec<Option<usize>>,
     /// The reduced problem.
     pub reduced: Problem,
     /// Constant objective contribution of the eliminated variables.
@@ -97,7 +99,7 @@ impl Presolve {
                 if c.relation != Relation::Eq {
                     continue;
                 }
-                let (combined, rhs) = combine(&mut subs, c);
+                let (combined, rhs) = combine(&mut subs, &c.terms, c.rhs);
                 let scale = 1.0 + rhs.abs();
                 match combined.len() {
                     0 if rhs.abs() > 1e-6 * scale => {
@@ -178,7 +180,7 @@ impl Presolve {
             }
         }
         for c in &problem.constraints {
-            let (combined, rhs) = combine(&mut subs, c);
+            let (combined, rhs) = combine(&mut subs, &c.terms, c.rhs);
             if combined.is_empty() {
                 let ok = match c.relation {
                     Relation::Eq => rhs.abs() <= 1e-6 * (1.0 + rhs.abs()),
@@ -212,9 +214,32 @@ impl Presolve {
         Ok(Presolve {
             subs,
             reduced_vars,
+            reduced_index,
             reduced,
             objective_offset,
         })
+    }
+
+    /// Rewrite the linear form `Σ coeff·var + constant` over the original
+    /// variables onto the reduced problem's variables: eliminated variables
+    /// are replaced by their substitutions, pins fold into the constant.
+    /// This is how an objective that is not a plain linear function of the
+    /// variables (the absolute-value terms of [`crate::L1Problem`]) follows
+    /// the problem through the presolve.
+    pub fn rewrite(
+        &mut self,
+        terms: &[(crate::VarId, f64)],
+        constant: f64,
+    ) -> (Vec<(crate::VarId, f64)>, f64) {
+        let (combined, rhs) = combine(&mut self.subs, terms, -constant);
+        let terms = combined
+            .into_iter()
+            .map(|(v, a)| {
+                let rid = self.reduced_index[v].expect("root var survives");
+                (crate::VarId(rid), a)
+            })
+            .collect();
+        (terms, -rhs)
     }
 
     /// Expand a reduced-problem solution back to the full variable vector.
@@ -238,12 +263,15 @@ impl Presolve {
     }
 }
 
-/// Combine a constraint's terms through the current substitution: returns the
-/// per-root coefficients and the adjusted right-hand side.
-fn combine(subs: &mut [Option<Sub>], c: &Constraint) -> (BTreeMap<usize, f64>, f64) {
+/// Combine the terms of `Σ coeff·var = rhs` through the current substitution:
+/// returns the per-root coefficients and the adjusted right-hand side.
+fn combine(
+    subs: &mut [Option<Sub>],
+    terms: &[(crate::VarId, f64)],
+    mut rhs: f64,
+) -> (BTreeMap<usize, f64>, f64) {
     let mut combined: BTreeMap<usize, f64> = BTreeMap::new();
-    let mut rhs = c.rhs;
-    for &(v, a) in &c.terms {
+    for &(v, a) in terms {
         let s = resolve(subs, v.0);
         rhs -= a * s.offset;
         if s.root != CONST && (a * s.mult).abs() > 0.0 {
@@ -316,6 +344,27 @@ mod tests {
         // min x = y - 5 with y >= 0 -> y = 0, x = -5.
         assert!((full[y.0] - 0.0).abs() < 1e-7);
         assert!((full[x.0] + 5.0).abs() < 1e-7);
+    }
+
+    #[test]
+    fn rewrite_carries_a_linear_form_through_the_substitutions() {
+        // x0 = 2·x1 + 1 (chain), x2 = 5 (pin); x1 survives as reduced var 0.
+        let mut p = Problem::new();
+        let x0 = p.add_free_var("x0", 0.0);
+        let x1 = p.add_nonneg_var("x1", 0.0);
+        let x2 = p.add_free_var("x2", 0.0);
+        p.add_constraint(vec![(x0, 1.0), (x1, -2.0)], Relation::Eq, 1.0);
+        p.add_constraint(vec![(x2, 1.0)], Relation::Eq, 5.0);
+        let mut pre = Presolve::new(&p).unwrap();
+        assert_eq!(pre.reduced.num_vars(), 1);
+        // 3·x0 + x1 − x2 + 4  =  7·x1 + 2
+        let (terms, constant) = pre.rewrite(&[(x0, 3.0), (x1, 1.0), (x2, -1.0)], 4.0);
+        assert_eq!(terms, vec![(crate::VarId(0), 7.0)]);
+        assert!((constant - 2.0).abs() < 1e-12);
+        // A form over eliminated variables only reduces to a constant.
+        let (terms, constant) = pre.rewrite(&[(x2, 2.0)], -1.0);
+        assert!(terms.is_empty());
+        assert!((constant - 9.0).abs() < 1e-12);
     }
 
     #[test]

@@ -314,6 +314,8 @@ struct Revised {
     x: Vec<f64>,
     /// Right-hand side after row equilibration.
     b: Vec<f64>,
+    /// The equilibration factor each original row was multiplied by.
+    row_scale: Vec<f64>,
     /// Column basic in each row.
     basis: Vec<usize>,
     in_basis: Vec<bool>,
@@ -341,6 +343,7 @@ impl Revised {
         m: usize,
         cols: Vec<Vec<(usize, f64)>>,
         b: Vec<f64>,
+        row_scale: Vec<f64>,
         lower: Vec<f64>,
         upper: Vec<f64>,
         x: Vec<f64>,
@@ -368,6 +371,7 @@ impl Revised {
             upper,
             x,
             b,
+            row_scale,
             basis,
             in_basis,
             sign,
@@ -1104,42 +1108,75 @@ impl Revised {
 
     /// Pivot zero-valued basic artificials out of the basis where a
     /// non-artificial column can replace them (post phase 1).
+    ///
+    /// A column `j` can take over slot `r` exactly when `(B⁻¹a_j)[r] =
+    /// ρ·a_j ≠ 0` for the pivot row `ρ = B⁻ᵀe_r`, so one BTRAN per
+    /// artificial prices every candidate and only the chosen column pays an
+    /// FTRAN (which the kernel update needs anyway). Candidates are the
+    /// columns meeting `ρ`'s support, tried in ascending order.
     fn drive_out_artificials(&mut self) {
         let _span = trace::span("lp.drive_out");
         let mut d = IndexedVec::new(self.m);
+        let mut rho = IndexedVec::new(self.m);
+        let mut cand: Vec<usize> = Vec::new();
         for r in 0..self.m {
             if self.basis[r] < self.art0 || self.x[self.basis[r]].abs() > 1e-7 {
                 continue;
             }
-            // Any nonbasic non-artificial column with a usable pivot in this
-            // row will do; the pivot is degenerate (θ = 0) so values do not
-            // move.
-            for j in 0..self.art0 {
-                if self.in_basis[j] {
-                    continue;
-                }
-                self.ftran_col(j, &mut d);
-                if d.get(r).abs() > PIVOT_TOL {
-                    let art = self.basis[r];
-                    let art_x = self.x[art];
-                    self.in_basis[art] = false;
-                    self.x[art] = 0.0;
-                    self.in_basis[j] = true;
-                    self.basis[r] = j;
-                    if !self.apply_pivot(r, &d) && !self.refactorize() {
-                        // Numerically unusable replacement: restore the
-                        // artificial (the kernel still matches the old
-                        // basis) and stop driving out.
-                        self.basis[r] = art;
-                        self.in_basis[art] = true;
-                        self.in_basis[j] = false;
-                        self.x[art] = art_x;
-                        return;
-                    }
-                    break;
+            self.btran_unit(r, &mut rho);
+            cand.clear();
+            for &i in rho.support() {
+                if rho.get(i) != 0.0 {
+                    cand.extend(self.csr.row(i).iter().filter(|&&j| !self.in_basis[j]));
                 }
             }
+            cand.sort_unstable();
+            cand.dedup();
+            for &j in &cand {
+                let (rows, vals) = self.csc.col(j);
+                let alpha: f64 = rows.iter().zip(vals).map(|(&i, &a)| rho.get(i) * a).sum();
+                if alpha.abs() <= PIVOT_TOL {
+                    continue;
+                }
+                // The row view prices, the column view decides: the pivot is
+                // taken on the FTRAN'd element, like every other pivot. It
+                // is degenerate (θ = 0), so values do not move.
+                self.ftran_col(j, &mut d);
+                if d.get(r).abs() <= PIVOT_TOL {
+                    continue;
+                }
+                let art = self.basis[r];
+                let art_x = self.x[art];
+                self.in_basis[art] = false;
+                self.x[art] = 0.0;
+                self.in_basis[j] = true;
+                self.basis[r] = j;
+                if !self.apply_pivot(r, &d) && !self.refactorize() {
+                    // Numerically unusable replacement: restore the
+                    // artificial (the kernel still matches the old
+                    // basis) and stop driving out.
+                    self.basis[r] = art;
+                    self.in_basis[art] = true;
+                    self.in_basis[j] = false;
+                    self.x[art] = art_x;
+                    return;
+                }
+                break;
+            }
         }
+    }
+
+    /// Row duals `π = B⁻ᵀc_B` of the current basis under `cost`, in the
+    /// units of the caller's rows (the solver's internal row equilibration
+    /// undone). At an optimal basis these are the LP's dual values.
+    fn row_duals(&mut self, cost: &[f64]) -> Vec<f64> {
+        let cb: Vec<f64> = self.basis.iter().map(|&j| cost[j]).collect();
+        let mut y = vec![0.0; self.m];
+        self.btran_costs(&cb, &mut y);
+        for (yi, s) in y.iter_mut().zip(&self.row_scale) {
+            *yi *= s;
+        }
+        y
     }
 
     /// The reusable snapshot of the current basis (see [`BasisSnapshot`]).
@@ -1259,6 +1296,7 @@ struct Standard {
     n: usize,
     cols: Vec<Vec<(usize, f64)>>,
     b: Vec<f64>,
+    row_scale: Vec<f64>,
     lower: Vec<f64>,
     upper: Vec<f64>,
     x: Vec<f64>,
@@ -1330,6 +1368,7 @@ fn standard_form(problem: &Problem) -> Standard {
         n,
         cols,
         b,
+        row_scale,
         lower,
         upper,
         x,
@@ -1345,6 +1384,7 @@ fn cold_start(sf: Standard, kernel: Kernel) -> Revised {
         n,
         mut cols,
         b,
+        row_scale,
         mut lower,
         mut upper,
         mut x,
@@ -1484,7 +1524,7 @@ fn cold_start(sf: Standard, kernel: Kernel) -> Revised {
     }
 
     Revised::assemble(
-        m, cols, b, lower, upper, x, basis, in_basis, sign, art0, kernel,
+        m, cols, b, row_scale, lower, upper, x, basis, in_basis, sign, art0, kernel,
     )
 }
 
@@ -1501,6 +1541,7 @@ fn install_snapshot(sf: Standard, snap: &BasisSnapshot, kernel: Kernel) -> Optio
         n: _,
         mut cols,
         b,
+        row_scale,
         mut lower,
         mut upper,
         mut x,
@@ -1552,7 +1593,7 @@ fn install_snapshot(sf: Standard, snap: &BasisSnapshot, kernel: Kernel) -> Optio
     }
 
     let mut solver = Revised::assemble(
-        m, cols, b, lower, upper, x, basis, in_basis, sign, art0, kernel,
+        m, cols, b, row_scale, lower, upper, x, basis, in_basis, sign, art0, kernel,
     );
 
     let mut installed = false;
@@ -1645,7 +1686,7 @@ fn warm_start(sf: Standard, snap: &BasisSnapshot, kernel: Kernel) -> Option<Revi
 
 /// Solve `problem` with the bounded-variable revised simplex.
 pub fn solve(problem: &Problem) -> Result<Solution, SolveError> {
-    solve_with_start(problem, None).map(|(sol, _)| sol)
+    optimise(problem, None).map(|(sol, _)| sol)
 }
 
 /// Solve `problem`, optionally resuming from the final basis of a previous
@@ -1657,6 +1698,53 @@ pub fn solve_with_start(
     problem: &Problem,
     warm: Option<&BasisSnapshot>,
 ) -> Result<(Solution, BasisSnapshot), SolveError> {
+    let (solution, solver) = optimise(problem, warm)?;
+    let snapshot = match solver {
+        Some(solver) => solver.snapshot(),
+        None => BasisSnapshot {
+            m: 0,
+            art0: problem.vars.len(),
+            rows: Vec::new(),
+            x: solution.values.clone(),
+            sign: Vec::new(),
+            lu: None,
+        },
+    };
+    Ok((solution, snapshot))
+}
+
+/// Solve `problem` and also return its optimal row duals `B⁻ᵀc_B`, one per
+/// constraint in the caller's (un-equilibrated) row units: the reduced cost
+/// of column `j` is `c_j − π·a_j`. This is how [`crate::L1Problem`] reads
+/// its primal unknowns off the dual LP it actually solves.
+pub(crate) fn solve_with_row_duals(problem: &Problem) -> Result<(Solution, Vec<f64>), SolveError> {
+    let (solution, solver) = optimise(problem, None)?;
+    let duals = match solver {
+        Some(mut solver) => {
+            let cost = structural_cost(problem, solver.csc.ncols());
+            solver.row_duals(&cost)
+        }
+        None => Vec::new(),
+    };
+    Ok((solution, duals))
+}
+
+/// The user objective over the solver's columns (slacks and artificials
+/// cost nothing).
+fn structural_cost(problem: &Problem, ncols: usize) -> Vec<f64> {
+    let mut cost = vec![0.0; ncols];
+    for (c, v) in cost.iter_mut().zip(&problem.vars) {
+        *c = v.obj;
+    }
+    cost
+}
+
+/// Both phases of a solve. Returns the optimum and — unless the problem
+/// has no rows — the solver parked at the optimal basis.
+fn optimise(
+    problem: &Problem,
+    warm: Option<&BasisSnapshot>,
+) -> Result<(Solution, Option<Revised>), SolveError> {
     let n = problem.vars.len();
     let m = problem.constraints.len();
 
@@ -1680,15 +1768,7 @@ pub fn solve_with_start(
             };
         }
         let objective = problem.eval_objective(&values);
-        let snapshot = BasisSnapshot {
-            m: 0,
-            art0: n,
-            rows: Vec::new(),
-            x: values.clone(),
-            sign: Vec::new(),
-            lu: None,
-        };
-        return Ok((Solution { values, objective }, snapshot));
+        return Ok((Solution { values, objective }, None));
     }
 
     let rule = problem.pricing();
@@ -1715,10 +1795,7 @@ pub fn solve_with_start(
                     s.x[j] = 0.0;
                 }
             }
-            let mut cost = vec![0.0; ncols];
-            for (j, c) in cost.iter_mut().enumerate().take(n) {
-                *c = problem.vars[j].obj;
-            }
+            let cost = structural_cost(problem, ncols);
             let budget = 100 + 4 * (s.m + 10);
             if s.dual_run(&cost, budget) {
                 trace::count("lp.warm_starts", 1);
@@ -1809,10 +1886,7 @@ pub fn solve_with_start(
         }
     }
 
-    let mut phase2_cost = vec![0.0; ncols];
-    for (j, c) in phase2_cost.iter_mut().enumerate().take(n) {
-        *c = problem.vars[j].obj;
-    }
+    let phase2_cost = structural_cost(problem, ncols);
     match solver.run(&phase2_cost, max_iters, 1, rule) {
         // A stalled phase 2 is accepted as optimal: the vertex is feasible
         // and the callers this solver serves re-price the result exactly.
@@ -1823,9 +1897,9 @@ pub fn solve_with_start(
 
     let values: Vec<f64> = solver.x[..n].to_vec();
     let objective = problem.eval_objective(&values);
-    let snapshot = solver.snapshot();
-    Ok((Solution { values, objective }, snapshot))
+    Ok((Solution { values, objective }, Some(solver)))
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2343,6 +2417,48 @@ mod tests {
             "chain FTRANs should stay hypersparse"
         );
         trace::reset();
+    }
+
+    #[test]
+    fn driving_out_artificials_ftrans_only_the_chosen_columns() {
+        // Row 0 seats x0; rows 1..=K hold x0 (taken) and a coefficient too
+        // small for the crash, so each gets a zero-valued artificial that
+        // only its own x_i can replace. The decoy columns — lower-indexed,
+        // nonbasic, in a row of their own — are what a scan that FTRANs
+        // every nonbasic column until one fits would pay for, K times over.
+        const DECOYS: usize = 12;
+        const K: usize = 6;
+        for kernel in [Kernel::SparseLu, Kernel::EtaFile] {
+            let mut p = Problem::new();
+            p.set_kernel(kernel);
+            let decoys: Vec<_> = (0..DECOYS).map(|_| p.add_free_var("", 0.0)).collect();
+            let x0 = p.add_free_var("", 0.0);
+            let xs: Vec<_> = (0..K).map(|_| p.add_free_var("", 0.0)).collect();
+            p.add_constraint(vec![(x0, 1.0)], Relation::Eq, 0.0);
+            for &x in &xs {
+                p.add_constraint(vec![(x0, 1.0), (x, 0.05)], Relation::Eq, 0.0);
+            }
+            p.add_constraint(
+                decoys.iter().map(|&d| (d, 1.0)).collect(),
+                Relation::Eq,
+                0.0,
+            );
+
+            let mut solver = cold_start(standard_form(&p), kernel);
+            assert!(solver.refactorize());
+            let basic_artificials = |s: &Revised| s.basis.iter().filter(|&&j| j >= s.art0).count();
+            assert_eq!(basic_artificials(&solver), K, "{kernel:?}: crash shape");
+            let ftrans = || trace::counter("lp.ftran.sparse") + trace::counter("lp.ftran.dense");
+            let before = ftrans();
+            solver.drive_out_artificials();
+            let driven_out = K - basic_artificials(&solver);
+            assert_eq!(driven_out, K, "{kernel:?}: every artificial is replaceable");
+            assert!(
+                ftrans() - before <= 2 * driven_out as u64,
+                "{kernel:?}: {} FTRANs for {driven_out} artificials",
+                ftrans() - before
+            );
+        }
     }
 
     #[test]
