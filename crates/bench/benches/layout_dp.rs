@@ -1,7 +1,7 @@
 //! The layout DP in isolation: real candidate layers captured from the
 //! phase-flip workloads (`layout_dp_problem` — the exact layers and
 //! reference sets the pipeline hands `solve_layout_dp`), solved under the
-//! dominance pruner vs the legacy beam. The capture (atom analysis,
+//! dominance pruner. The capture (atom analysis,
 //! distribution search, layer pricing) happens once outside the timed
 //! region, so the rows isolate the DP's own transition product — the span
 //! the ISSUE-10 tentpole flattens.
@@ -32,11 +32,6 @@ fn main() {
             problem
                 .solve(cfg.switch_margin, DpPruning::Dominance { trigger: 64 })
                 .expect("dominance DP solve failed")
-        });
-        group.bench(format!("{name}/beam4096/8p"), || {
-            problem
-                .solve(cfg.switch_margin, DpPruning::Beam { cap: 4096 })
-                .expect("beam DP solve failed")
         });
     }
     group.finish();

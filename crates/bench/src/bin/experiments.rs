@@ -85,17 +85,12 @@ fn main() {
         ),
         (
             "e23",
-            "Hot-path levers — Devex vs Dantzig, warm vs cold starts, pool sweep",
+            "The pricing thread pool — worker-count sweep, counters identical at every width",
             e23,
         ),
         (
-            "e24",
-            "Basis kernels — sparse LU vs product-form eta file across machine sizes",
-            e24,
-        ),
-        (
             "e25",
-            "The flattened planner — re-profiled spans, dominance vs beam, dual-simplex children",
+            "The flattened planner — re-profiled spans, dominance vs exhaustive DP",
             e25,
         ),
         (
@@ -1091,108 +1086,18 @@ fn e22() {
     println!("profile blamed are gone — the hypersparse FTRAN/BTRAN only touch the");
     println!("nonzero pattern. What remains of `lp.solve`'s exclusive share is pricing");
     println!("and ratio-test bookkeeping, with the planner, per-candidate simulation");
-    println!("and placement-cache builds still orders of magnitude behind (E24");
-    println!("quantifies the kernel swap head-to-head).");
+    println!("and placement-cache builds still orders of magnitude behind.");
 }
 
-// --- E23: hot-path levers — pricing rules, warm starts, pool sweep ----------------------------
+// --- E23: the pricing thread pool, swept over worker counts -----------------------------------
 
 fn e23() {
-    use alignment_core::PricingRule;
-
-    // Table 1: the simplex pricing rule across the phase suite. Work
-    // counters move, plans don't — `crates/phases/tests/pricing_ab.rs`
-    // locks the plan bit-for-bit; this table shows what the freedom buys.
-    let mut t = Table::new(&[
-        "workload",
-        "Dantzig pivots",
-        "Dantzig ms",
-        "Devex pivots",
-        "Devex ms",
-        "plan cost equal",
-    ]);
-    for (name, program) in programs::phase_workloads() {
-        let run = |rule: PricingRule| {
-            let mut cfg = DynamicConfig::default();
-            cfg.alignment.offset.pricing = rule;
-            let before = trace::CounterSnapshot::now();
-            let t0 = Instant::now();
-            let result = align_then_distribute_dynamic(&program, 8, &cfg);
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            let delta = trace::CounterSnapshot::now().delta_since(&before);
-            let pivots = delta.counters.get("lp.pivots").copied().unwrap_or(0);
-            (pivots, ms, result.dynamic.planned_cost)
-        };
-        let (dantzig_pivots, dantzig_ms, dantzig_cost) = run(PricingRule::Dantzig);
-        let (devex_pivots, devex_ms, devex_cost) = run(PricingRule::Devex);
-        t.row(vec![
-            name.to_string(),
-            dantzig_pivots.to_string(),
-            format!("{dantzig_ms:.1}"),
-            devex_pivots.to_string(),
-            format!("{devex_ms:.1}"),
-            if dantzig_cost.to_bits() == devex_cost.to_bits() {
-                "yes".into()
-            } else {
-                "NO".into()
-            },
-        ]);
-    }
-    println!("{t}");
-
-    // Table 2: basis warm starts in branch-and-bound. The alignment LPs
-    // are pure (no integrality), so the warm path is measured where it
-    // fires: MILPs whose equality rows defeat the crash basis, at growing
-    // depth — every cold node re-pays phase 1, every warm child resumes
-    // from its parent's factorised basis one bound-change away.
-    let mut t = Table::new(&[
-        "MILP vars",
-        "cold phase-1 pivots",
-        "warm phase-1 pivots",
-        "cold ms",
-        "warm ms",
-        "warm starts",
-        "incumbent equal",
-    ]);
-    for n in [10usize, 12, 16] {
-        let p = deep_milp(n);
-        let run = |warm: bool| {
-            let before = trace::CounterSnapshot::now();
-            let t0 = Instant::now();
-            let s = lp::solve_milp_with(&p, 100_000, warm).expect("MILP solves");
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            let delta = trace::CounterSnapshot::now().delta_since(&before);
-            let get = |k: &str| delta.counters.get(k).copied().unwrap_or(0);
-            (
-                get("lp.phase1_pivots"),
-                ms,
-                get("lp.warm_starts"),
-                s.objective,
-            )
-        };
-        let (cold_p1, cold_ms, _, cold_obj) = run(false);
-        let (warm_p1, warm_ms, warm_hits, warm_obj) = run(true);
-        t.row(vec![
-            n.to_string(),
-            cold_p1.to_string(),
-            warm_p1.to_string(),
-            format!("{cold_ms:.2}"),
-            format!("{warm_ms:.2}"),
-            warm_hits.to_string(),
-            if cold_obj.to_bits() == warm_obj.to_bits() {
-                "yes".into()
-            } else {
-                "NO".into()
-            },
-        ]);
-    }
-    println!("{t}");
-
-    // Table 3: the pricing thread pool, swept over worker counts on the
-    // two heaviest workloads. The counters column is the contract: totals
-    // must be bitwise-identical at every width (worker deltas are absorbed,
-    // counter addition commutes). Wall time is machine-dependent — on a
-    // single-core host every width degenerates to the serial inline path.
+    // The pool sweep on the two heaviest workloads (the verdict on the
+    // pool is still open in ROADMAP). The counters column is the contract:
+    // totals must be bitwise-identical at every width (worker deltas are
+    // absorbed, counter addition commutes). Wall time is machine-dependent
+    // — on a single-core host every width degenerates to the serial inline
+    // path.
     let mut t = Table::new(&[
         "workload",
         "1 worker ms",
@@ -1226,141 +1131,13 @@ fn e23() {
         t.row(row);
     }
     println!("{t}");
-    println!("Devex pricing cuts pivot counts on the degenerate offset LPs without");
-    println!("touching any plan (the `plan cost equal` column is the A/B lock rerun");
-    println!("live). Warm-started branch-and-bound lands bitwise on the cold path's");
-    println!("incumbent while paying a fraction of its phase-1 bill once the tree is");
-    println!("deep; on the smallest instance the relation inverts — the warm path");
-    println!("skips the equality-chain presolve, so when the crash basis is already");
-    println!("near-feasible a cold node's phase 1 is almost free. The pool sweep's");
-    println!("point is the last column: parallel pricing is observationally");
-    println!("equivalent to serial — same plans, same counters — so worker count is");
-    println!("purely a wall-clock knob (its benefit scales with the host's cores;");
-    println!("this table was generated on whatever CI gave us).");
+    println!("The sweep's point is the last column: parallel pricing is");
+    println!("observationally equivalent to serial — same plans, same counters — so");
+    println!("worker count is purely a wall-clock knob (its benefit scales with the");
+    println!("host's cores; this table was generated on whatever CI gave us).");
 }
 
-/// A branch-and-bound workload at parametric width: equality rows whose
-/// RHS no single column can absorb within its box (so phase 1 does real
-/// work at every cold node) over integer variables with fractional LP
-/// optima (so the tree has depth).
-fn deep_milp(n: usize) -> lp::Problem {
-    let mut p = lp::Problem::new();
-    let vars: Vec<_> = (0..n)
-        .map(|i| {
-            let v = p.add_var(format!("x{i}"), 0.0, 7.0, 1.0 + 0.1 * i as f64);
-            p.set_integer(v);
-            v
-        })
-        .collect();
-    let half = n / 2;
-    let row = |ix: std::ops::Range<usize>, c0: f64, c1: f64| -> Vec<(lp::VarId, f64)> {
-        ix.map(|i| (vars[i], if i % 2 == 0 { c0 } else { c1 }))
-            .collect()
-    };
-    p.add_constraint(
-        row(0..half, 2.0, 3.0),
-        lp::Relation::Eq,
-        (4 * half + 1) as f64,
-    );
-    p.add_constraint(
-        row(half..n, 3.0, 2.0),
-        lp::Relation::Eq,
-        (4 * (n - half) - 1) as f64,
-    );
-    let all: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
-    p.add_constraint(all, lp::Relation::Le, (3 * n + 2) as f64);
-    p
-}
-
-// --- E24: basis kernels — sparse LU vs product-form eta file ------------------
-
-fn e24() {
-    use alignment_core::Kernel;
-
-    // The tentpole A/B, run live: the same end-to-end solve under the
-    // sparse-LU kernel (CSC matrix, Markowitz LU, Forrest–Tomlin updates,
-    // hypersparse FTRAN/BTRAN) and under the historical product-form eta
-    // file, across machine sizes. The last column is the
-    // `crates/phases/tests/kernel_ab.rs` lock rerun live: the kernels may
-    // take different pivot routes through degenerate ties (the pivot
-    // columns can differ — their roundoff does), but the plan must be
-    // bitwise-identical. `sparse FTRAN share` is
-    // lp.ftran.sparse / (lp.ftran.sparse + lp.ftran.dense) under the LU
-    // kernel: how often the hypersparse path kept the right-hand side's
-    // support small enough to skip the dense fallback.
-    let mut t = Table::new(&[
-        "workload",
-        "P",
-        "eta pivots",
-        "LU pivots",
-        "eta ms",
-        "LU ms",
-        "sparse FTRAN share",
-        "plan cost equal",
-    ]);
-    for (name, program) in [
-        (
-            "multi_array_pipeline",
-            programs::multi_array_pipeline(32, 8),
-        ),
-        ("reduction_tree", programs::reduction_tree(24, 24)),
-    ] {
-        for nprocs in [8usize, 32, 128] {
-            let run = |kernel: Kernel| {
-                let mut cfg = DynamicConfig::default();
-                cfg.alignment.offset.kernel = kernel;
-                let before = trace::CounterSnapshot::now();
-                let t0 = Instant::now();
-                let result = align_then_distribute_dynamic(&program, nprocs, &cfg);
-                let ms = t0.elapsed().as_secs_f64() * 1e3;
-                let delta = trace::CounterSnapshot::now().delta_since(&before);
-                let get = |k: &str| delta.counters.get(k).copied().unwrap_or(0);
-                (
-                    get("lp.pivots"),
-                    ms,
-                    get("lp.ftran.sparse"),
-                    get("lp.ftran.dense"),
-                    result.dynamic.planned_cost,
-                )
-            };
-            let (eta_pivots, eta_ms, _, _, eta_cost) = run(Kernel::EtaFile);
-            let (lu_pivots, lu_ms, sparse, dense, lu_cost) = run(Kernel::SparseLu);
-            let share = if sparse + dense > 0 {
-                format!("{:.1}%", 100.0 * sparse as f64 / (sparse + dense) as f64)
-            } else {
-                "—".into()
-            };
-            t.row(vec![
-                name.to_string(),
-                nprocs.to_string(),
-                eta_pivots.to_string(),
-                lu_pivots.to_string(),
-                format!("{eta_ms:.1}"),
-                format!("{lu_ms:.1}"),
-                share,
-                if eta_cost.to_bits() == lu_cost.to_bits() {
-                    "yes".into()
-                } else {
-                    "NO".into()
-                },
-            ]);
-        }
-    }
-    println!("{t}");
-    println!("The pivot columns can differ by a few percent — the two kernels'");
-    println!("roundoff differs, so degenerate ties occasionally break differently and");
-    println!("the simplex takes a different *route* — but the `plan cost equal`");
-    println!("column is the invariant the counter gate rests on: both routes land on");
-    println!("the same optima and the same rounded offsets, so plans and every");
-    println!("`phases.*`/`commsim.*` counter are bitwise-identical and only `lp.*`");
-    println!("work counters move. The wall-clock gap is the cost per pivot: the eta");
-    println!("file re-runs a dense O(m) sweep per eta term, while the LU kernel");
-    println!("factors once, applies Forrest–Tomlin updates, and keeps FTRAN on the");
-    println!("hypersparse path for the overwhelming share of solves — the offset");
-    println!("LPs' 2–4-nonzero rows are exactly the shape hypersparsity rewards.");
-}
-
-// --- E25: the flattened planner — profile, pruning, dual simplex --------------
+// --- E25: the flattened planner — profile and DP pruning ----------------------
 
 fn e25() {
     use phases::{layout_dp_problem, DpPruning};
@@ -1388,22 +1165,20 @@ fn e25() {
         println!("{}", trace::profile::report(&t, 10));
     }
 
-    // Table 2: the dominance pruner vs the legacy beam vs the exhaustive
-    // ground truth, on the real candidate layers the pipeline hands the
-    // DP, across machine sizes. Width columns are max states in any layer;
+    // Table 2: the dominance pruner vs the exhaustive ground truth, on
+    // the real candidate layers the pipeline hands the DP, across machine
+    // sizes. Width columns are max states in any layer;
     // the cost columns are the plan-identity contract run live (the
     // property test pins it bitwise over the whole suite plus random
     // programs — `crates/bench/tests/layout_dp_property.rs`).
-    println!("### layout DP — dominance pruning vs the legacy 4096-state beam\n");
+    println!("### layout DP — dominance pruning vs the exhaustive DP\n");
     let mut t = Table::new(&[
         "workload",
         "P",
         "exhaustive max width",
         "dominance max width",
         "dominated states",
-        "beam max width",
         "dominance cost == exhaustive",
-        "beam cost == exhaustive",
     ]);
     for (name, program) in [
         (
@@ -1430,7 +1205,6 @@ fn e25() {
             };
             let (exhaustive, _) = solve(DpPruning::Exhaustive);
             let (dominance, dominated) = solve(DpPruning::Dominance { trigger: 1 });
-            let (beam, _) = solve(DpPruning::Beam { cap: 4096 });
             let width = |plan: &phases::LayoutDpPlan| {
                 plan.states_per_layer.iter().copied().max().unwrap_or(0)
             };
@@ -1440,13 +1214,7 @@ fn e25() {
                 width(&exhaustive).to_string(),
                 width(&dominance).to_string(),
                 dominated.to_string(),
-                width(&beam).to_string(),
                 if dominance.cost.to_bits() == exhaustive.cost.to_bits() {
-                    "yes".into()
-                } else {
-                    "NO".into()
-                },
-                if beam.cost.to_bits() == exhaustive.cost.to_bits() {
                     "yes".into()
                 } else {
                     "NO".into()
@@ -1456,74 +1224,13 @@ fn e25() {
     }
     println!("{t}");
 
-    // Table 3: warm branch-and-bound children under the dual simplex vs
-    // the cold primal two-phase path, on the parametric MILP family from
-    // e23 swept to widths whose trees run complete (hundreds to thousands
-    // of nodes) so incumbent equality is a theorem, not a truncation
-    // artifact. A warm child's parent basis is one bound flip away from
-    // optimal — still dual-feasible — so the repair runs as dual pivots
-    // and phase 1 never fires; every cold child re-pays the crash-basis
-    // two-phase bill.
-    println!("### branch-and-bound children — dual-simplex repair vs primal cold start\n");
-    let mut t = Table::new(&[
-        "MILP vars",
-        "nodes",
-        "cold phase-1 pivots",
-        "warm phase-1 pivots",
-        "warm dual pivots",
-        "cold ms",
-        "warm ms",
-        "incumbent equal",
-    ]);
-    for n in [8usize, 12, 16, 22, 28] {
-        let p = deep_milp(n);
-        let run = |warm: bool| {
-            let before = trace::CounterSnapshot::now();
-            let t0 = Instant::now();
-            let s = lp::solve_milp_with(&p, 100_000, warm).expect("MILP solves");
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            let delta = trace::CounterSnapshot::now().delta_since(&before);
-            let get = |k: &str| delta.counters.get(k).copied().unwrap_or(0);
-            (
-                get("lp.milp_nodes"),
-                get("lp.phase1_pivots"),
-                get("lp.dual.pivots"),
-                ms,
-                s.objective,
-            )
-        };
-        let (nodes, cold_p1, _, cold_ms, cold_obj) = run(false);
-        let (_, warm_p1, warm_dual, warm_ms, warm_obj) = run(true);
-        t.row(vec![
-            n.to_string(),
-            nodes.to_string(),
-            cold_p1.to_string(),
-            warm_p1.to_string(),
-            warm_dual.to_string(),
-            format!("{cold_ms:.2}"),
-            format!("{warm_ms:.2}"),
-            if cold_obj.to_bits() == warm_obj.to_bits() {
-                "yes".into()
-            } else {
-                "NO".into()
-            },
-        ]);
-    }
-    println!("{t}");
     println!("Read against e22: the planner's own spans have left the top of the");
     println!("profile — what remains is simplex tail work (`lp.pivot_tail`, the raw");
     println!("`lp.ftran`/`lp.btran` kernel solves) plus alignment assembly, which is");
-    println!("what the ROADMAP's raw-speed item now points at. The DP table shows the");
-    println!("two prunings' character: the 4096-state beam never fires on these");
-    println!("layers (its width column *is* the exhaustive one — the cap was pure");
-    println!("insurance), while dominance shrinks the widest layers by 5–18x and is");
-    println!("*exact* while doing it (its cost column must read yes by theorem; the");
-    println!("beam's yes would be luck on a program wide enough to hit the cap). The");
-    println!("branch-and-bound table shows the dual simplex carrying the warm path:");
-    println!("child repairs run as dual pivots from the parent basis while warm");
-    println!("phase 1 stays near zero — cold phase 1 grows with the tree into the");
-    println!("tens of thousands of pivots — and the incumbent matches the cold");
-    println!("primal path bitwise at every width.");
+    println!("what the ROADMAP's raw-speed item now points at. The DP table shows");
+    println!("dominance shrinking the widest layers by 5–18x while staying *exact*");
+    println!("(its cost column must read yes by theorem; the property test pins it");
+    println!("bitwise over the whole suite plus random programs).");
 }
 
 // --- E26: the offset RLPs through their dual ------------------------------------------------

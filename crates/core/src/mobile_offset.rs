@@ -122,17 +122,6 @@ pub struct MobileOffsetConfig {
     /// zero, leaving only static offsets. This is the static-alignment
     /// baseline of the Figure 1 experiment.
     pub forbid_mobile: bool,
-    /// Simplex pricing rule for the offset LPs. Alternate optima of a flat
-    /// LP round differently, so the fallback ladder retries a blown-up
-    /// rounding under the other rule before reaching for coarser subranges.
-    pub pricing: lp::PricingRule,
-    /// Basis-inverse kernel for the offset LPs. The kernels may take
-    /// different pivot routes through degenerate ties (their roundoff
-    /// differs), but they land on the same optima and the same rounded
-    /// offsets — every plan-visible output is bitwise-identical (the
-    /// `kernel_ab` lock) — so this knob exists for plan-identity A/B locks
-    /// and the e24 experiment, not for tuning.
-    pub kernel: lp::Kernel,
 }
 
 impl Default for MobileOffsetConfig {
@@ -142,8 +131,6 @@ impl Default for MobileOffsetConfig {
         MobileOffsetConfig {
             strategy: OffsetStrategy::FixedPartition(3),
             forbid_mobile: false,
-            pricing: lp::PricingRule::default(),
-            kernel: lp::Kernel::default(),
         }
     }
 }
@@ -336,13 +323,6 @@ pub fn solve_axis_offsets(
     // that happens, retry with other subrange configurations — every retry
     // goes through the same hard node constraints, so feasibility is kept —
     // and keep whichever candidate is exact-best.
-    //
-    // Since the revised simplex took over the offset LPs the ladder is
-    // shorter and `SingleRange` is a true last resort: the figure1-style
-    // degenerate axis-0 systems that used to stall the tableau and lean on
-    // the single-range rung now solve outright, and the thread-local
-    // [`fallback_stats`] counters prove it (no built-in workload reaches the
-    // last rung any more — locked in by tests).
     let blown_up = |r: &OffsetSolveReport| {
         !r.exact_cost.is_finite()
             || !r.lp_objective.is_finite()
@@ -351,47 +331,56 @@ pub fn solve_axis_offsets(
     if best_report.as_ref().is_some_and(blown_up) {
         trace::count("align.ladder_engaged", 1);
         let total_points: u64 = cost_edges.iter().map(|(_, e)| e.space.size()).sum();
-        // Rung order: the *other* pricing rule first — it is the cheapest
-        // retry of all (same subranges, same LP; a flat optimum has many
-        // vertices and a different pricing path usually parks on one whose
-        // coefficients round cleanly); then a finer fixed partition (cheap,
-        // usually enough) under each rule in turn — rounding fragility is a
-        // property of the (subranges, pricing-path) pair, so every strategy
-        // rung gets both rules before the ladder escalates; the static
-        // restriction next — pinning the array homes removes most of the
-        // degeneracy that defeats the solver on hard mobile instances, so a
-        // mobile solve that keeps failing degrades to the (always
+        // Rung order is cheapest-and-closest first. A finer fixed partition
+        // keeps the mobile formulation and only changes where the rounding
+        // lands; the static restriction next — pinning the array homes
+        // removes most of the degeneracy behind a vertex that rounds badly,
+        // so a mobile solve that keeps failing degrades to the (always
         // meaningful) static solution instead of to garbage; exact
         // unrolling after that and only for small iteration spaces — its LP
-        // has one surrogate pair per iteration *point* and is by far the
-        // most expensive thing the ladder can do. `SingleRange` comes dead
-        // last: its one-subrange objective is the coarsest approximation of
-        // the lot (error bound 3x) and it only ever mattered as a crutch
-        // for the tableau solver's stalls.
-        let other_rule = match config.pricing {
-            lp::PricingRule::Devex => lp::PricingRule::Dantzig,
-            lp::PricingRule::Dantzig => lp::PricingRule::Devex,
-        };
+        // has one term per iteration *point* and is by far the most
+        // expensive thing the ladder can do; `SingleRange` dead last, its
+        // one-subrange objective being the coarsest approximation of the
+        // lot (error bound 3x).
+        //
+        // Measured record (PR 13): the ladder engages 23 times over the
+        // test suite and once per pass of the benchmark's `lp_bound`
+        // workload (`example5`, axis 0). The retries under a second pricing
+        // rule (rungs deleted with that rule) returned the primary's own
+        // candidate 20 times and another blown-up one 3 times; m = 5 always
+        // rounds to a candidate as blown up as the primary's (exact cost
+        // 1e7–1e9 against an LP objective of 1e2–1e3; three times
+        // marginally lower, never usable); the `static` rung's candidate
+        // is the one written every time, and the two rungs after it never
+        // ran. `align.ladder.adopted.*` counts the
+        // rung whose candidate is written, so the unproven rungs can be
+        // judged from the counter gate.
         let m5 = OffsetStrategy::FixedPartition(5);
         let ladder = [
-            (config.strategy, false, other_rule, "other-pricing"),
-            (m5, false, config.pricing, "fixed-partition(m=5)"),
-            (m5, false, other_rule, "fixed-partition(m=5)+other-pricing"),
-            (m5, true, config.pricing, "static"),
+            (
+                m5,
+                false,
+                "fixed-partition(m=5)",
+                "align.ladder.adopted.fixed_partition_5",
+            ),
+            (m5, true, "static", "align.ladder.adopted.static"),
             (
                 OffsetStrategy::Unrolling,
                 false,
-                config.pricing,
                 "unrolling",
+                "align.ladder.adopted.unrolling",
             ),
             (
                 OffsetStrategy::SingleRange,
                 false,
-                config.pricing,
                 "single-range",
+                "align.ladder.adopted.single_range",
             ),
         ];
-        for (alt, force_static, pricing, label) in ladder {
+        // The rung whose candidate ends up written (none if the primary's
+        // stands): counted once per engagement, after the ladder settles.
+        let mut adopted: Option<&'static str> = None;
+        for (alt, force_static, label, counter) in ladder {
             if matches!(alt, OffsetStrategy::Unrolling) && total_points > 1024 {
                 continue;
             }
@@ -401,7 +390,6 @@ pub fn solve_axis_offsets(
             let alt_subranges = all_initial_subranges(&cost_edges, alt);
             let alt_config = MobileOffsetConfig {
                 forbid_mobile: config.forbid_mobile || force_static,
-                pricing,
                 ..config
             };
             let (mut report, offsets) = solve_once(
@@ -418,12 +406,16 @@ pub fn solve_axis_offsets(
                 .as_ref()
                 .is_none_or(|b| report.exact_cost < b.exact_cost - 1e-9);
             if improved {
+                adopted = Some(counter);
                 best_report = Some(report);
                 best_offsets = Some(offsets);
             }
             if !best_report.as_ref().is_some_and(blown_up) {
                 break;
             }
+        }
+        if let Some(counter) = adopted {
+            trace::count(counter, 1);
         }
     }
 
@@ -508,8 +500,6 @@ fn assemble_l1(
     config: MobileOffsetConfig,
 ) -> OffsetL1 {
     let OffsetLp { mut problem, vars } = build_offset_constraints(adg, alignment, axis, replicated);
-    problem.set_pricing(config.pricing);
-    problem.set_kernel(config.kernel);
 
     if config.forbid_mobile {
         // Static baseline: the *homes* of the declared arrays may not move —
@@ -620,7 +610,10 @@ fn solve_once(
         }
         Err(_) => {
             // Hard constraints should always be satisfiable; if the solver
-            // gives up we fall back to all-zero offsets.
+            // gives up we fall back to all-zero offsets, whose priced
+            // violations send the caller down the ladder. Counted, so a
+            // numerical failure reaches the counter gate.
+            trace::count("align.offset_lp_failed", 1);
             for pid in adg.port_ids() {
                 if !replicated.contains(&pid) {
                     offsets[pid.0] = Some(Affine::zero());

@@ -1,15 +1,12 @@
 //! Sparse LU factorisation of the simplex basis with Forrest–Tomlin
 //! product-form updates.
 //!
-//! Replaces the from-scratch "reinversion eta file" of the historical
-//! kernel: the basis `B` (columns of the CSC constraint matrix) is
-//! factorised once as `L·U` with approximate-Markowitz column ordering and
-//! threshold partial pivoting, and each simplex pivot then *updates* the
-//! factorisation in place (a Forrest–Tomlin row eta plus a spike column)
-//! instead of growing a solve-through-everything eta file. Refactorisation
-//! still happens every `REFACTOR_INTERVAL` pivots, but it rebuilds from the
-//! sparse columns in `O(nnz)`-ish work rather than `O(m)` dense solves per
-//! basis column.
+//! The basis `B` (columns of the CSC constraint matrix) is factorised once
+//! as `L·U` with approximate-Markowitz column ordering and threshold
+//! partial pivoting, and each simplex pivot then *updates* the
+//! factorisation in place (a Forrest–Tomlin row eta plus a spike column).
+//! The simplex refactorises every `REFACTOR_INTERVAL` updates, rebuilding
+//! from the sparse columns in `O(nnz)`-ish work.
 //!
 //! Representation (all in the original row/slot index spaces — the row and
 //! column permutations `P`, `Q` live implicitly in `prow`/`pcol`):
@@ -47,7 +44,7 @@ const PIVOT_THRESHOLD: f64 = 0.1;
 const DENSE_RATIO: usize = 4;
 
 /// A sparse LU factorisation of the current basis, updatable in place.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct LuFactor {
     m: usize,
     /// `L` eta per elimination id: `(row, multiplier)` entries; the eta's

@@ -29,9 +29,8 @@
 //!
 //! [`L1Problem::solve`] takes that route: equality-chain presolve (the same
 //! one [`Problem::solve`] runs, with the abs terms rewritten onto the
-//! surviving unknowns), dual LP through [`crate::revised`] under the
-//! problem's pricing rule and kernel, `x` read off the row duals. The
-//! answer is *certified* before it is returned — `E x = f` to `1e-6`, and
+//! surviving unknowns), dual LP through [`crate::revised`], `x` read off
+//! the row duals. The answer is *certified* before it is returned — `E x = f` to `1e-6`, and
 //! the duality gap between `Σ w|a·x + c|` and the dual objective closed —
 //! and an uncertified solve falls back, counted
 //! (`lp.l1.primal_fallback`), to the surrogate expansion
@@ -40,7 +39,7 @@
 
 use crate::model::{Problem, Relation, Solution, SolveError, VarId};
 use crate::presolve::Presolve;
-use crate::revised::{self, Kernel, PricingRule};
+use crate::revised;
 
 /// Certificate tolerance on `|E x − f|`, per equality.
 const FEAS_TOL: f64 = 1e-6;
@@ -83,8 +82,7 @@ pub struct L1Problem {
 
 impl L1Problem {
     /// An L1 problem over the variables and constraints of `hard`, with no
-    /// objective terms yet. The pricing rule and kernel set on `hard` are
-    /// the ones every solve of this problem uses.
+    /// objective terms yet.
     ///
     /// # Panics
     ///
@@ -126,16 +124,6 @@ impl L1Problem {
             coeffs,
             constant,
         });
-    }
-
-    /// Select the pricing rule of every solve of this problem.
-    pub fn set_pricing(&mut self, rule: PricingRule) {
-        self.hard.set_pricing(rule);
-    }
-
-    /// Select the basis kernel of every solve of this problem.
-    pub fn set_kernel(&mut self, kernel: Kernel) {
-        self.hard.set_kernel(kernel);
     }
 
     /// The unknowns and the equality constraints (objective all-zero).
@@ -213,8 +201,6 @@ impl L1Problem {
         // The dual LP: a boxed column per surviving term, a free column per
         // surviving equality, a row per surviving unknown.
         let mut dual = Problem::new();
-        dual.set_pricing(self.hard.pricing());
-        dual.set_kernel(self.hard.kernel());
         let mut rows: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); n_free];
         // Terms the presolve reduced to constants cost the same at every x.
         let mut fixed_cost = 0.0;

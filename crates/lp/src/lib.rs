@@ -6,34 +6,27 @@
 //! offsets. The original work assumed an external LP package; this crate is
 //! that substrate, rebuilt from scratch.
 //!
-//! The production path ([`Problem::solve`]) is an equality-chain presolve
-//! followed by a bounded-variable *revised* simplex ([`revised`]). The
-//! constraint matrix is held in compressed sparse column form, and the
-//! basis inverse is a Markowitz sparse LU factorisation with threshold
-//! partial pivoting, kept current across pivots by Forrest–Tomlin updates
-//! and periodically refactorised; FTRAN and BTRAN walk only the nonzero
-//! pattern (hypersparse solves), falling back to dense sweeps when a
-//! right-hand side fills in. The historical product-form kernel (an eta
-//! file over a ±1 start basis) is retained behind [`Kernel::EtaFile`]
-//! (see [`Problem::set_kernel`]) for A/B locks and experiments — the two
-//! kernels may take different pivot routes through degenerate ties (their
-//! roundoff differs) but land on the same optima, so swapping them never
-//! changes a plan. Box bounds are handled by the ratio test instead of
-//! explicit rows, the entering column is chosen by a configurable
-//! [`PricingRule`] (Devex by default, Dantzig as fallback — see
-//! [`Problem::set_pricing`]), and Bland's rule takes over as an
-//! anti-cycling fallback after a run of degenerate pivots. Solves can
-//! resume from a previous solve's basis ([`solve_with_start`]); the
-//! branch-and-bound wrapper ([`solve_milp`]) uses this so child nodes
-//! warm-start from their parent's vertex instead of re-running the
-//! two-phase method. The original dense two-phase tableau simplex
-//! ([`simplex`]) is retained as a differential-testing oracle behind
-//! [`Problem::solve_tableau`], and as a last-resort fallback when the
-//! revised solver reports numerical failure (counted:
-//! `lp.fallback.tableau`). Both are designed for the problem sizes the
-//! alignment phase produces (a handful of variables per port plus one
-//! absolute-value term per edge-subrange — hundreds to a few thousand
-//! variables), not for industrial LPs.
+//! There is one route through the crate ([`Problem::solve`]): an
+//! equality-chain presolve followed by a bounded-variable *revised* simplex
+//! ([`revised`]), started cold from a crash basis. The constraint matrix is
+//! held in compressed sparse column form, and the basis inverse is a
+//! Markowitz sparse LU factorisation with threshold partial pivoting, kept
+//! current across pivots by Forrest–Tomlin updates and periodically
+//! refactorised; FTRAN and BTRAN walk only the nonzero pattern
+//! (hypersparse solves), falling back to dense sweeps when a right-hand
+//! side fills in. Box bounds are handled by the ratio test instead of
+//! explicit rows, the entering column is chosen by Devex pricing, and
+//! Bland's rule takes over as the anti-cycling safeguard after a run of
+//! degenerate pivots. A solve that fails numerically reports
+//! [`SolveError::IterationLimit`] — there is no second solver behind it.
+//! The original dense two-phase tableau simplex ([`simplex`]) survives only
+//! as the differential-testing oracle behind [`Problem::solve_tableau`]; it
+//! is known to mis-solve some of the production offset LPs, which is why it
+//! is an oracle for the tests that bound its disagreement and not a
+//! fallback. Both are designed for the problem sizes the alignment phase
+//! produces (a handful of variables per port plus one absolute-value term
+//! per edge-subrange — hundreds to a few thousand variables), not for
+//! industrial LPs.
 //!
 //! The mobile-offset RLPs themselves are not posed as a [`Problem`] but in
 //! the **L1 form** ([`L1Problem`]): free unknowns, equalities, and a
@@ -58,7 +51,6 @@
 //! assert!((sol.objective - 4.0).abs() < 1e-7);
 //! ```
 
-pub mod branch_bound;
 mod factor;
 pub mod l1;
 pub mod model;
@@ -67,12 +59,10 @@ pub mod revised;
 pub mod simplex;
 mod sparse;
 
-pub use branch_bound::{solve_milp, solve_milp_with};
 pub use l1::L1Problem;
 pub use model::{Problem, Relation, Solution, SolveError, VarId};
 #[doc(hidden)]
-pub use revised::KernelBench;
-pub use revised::{solve_with_start, BasisSnapshot, Kernel, PricingRule};
+pub use revised::{Kernel, KernelBench};
 
 /// Numerical tolerance used throughout the solver.
 pub const EPS: f64 = 1e-9;

@@ -46,7 +46,6 @@ pub(crate) struct Variable {
     pub(crate) lower: f64,
     pub(crate) upper: f64,
     pub(crate) obj: f64,
-    pub(crate) integer: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -61,8 +60,6 @@ pub(crate) struct Constraint {
 pub struct Problem {
     pub(crate) vars: Vec<Variable>,
     pub(crate) constraints: Vec<Constraint>,
-    pub(crate) pricing: crate::revised::PricingRule,
-    pub(crate) kernel: crate::revised::Kernel,
 }
 
 /// Errors reported by the solver.
@@ -72,7 +69,8 @@ pub enum SolveError {
     Infeasible,
     /// The objective is unbounded below over the feasible region.
     Unbounded,
-    /// The simplex did not converge within its iteration budget
+    /// The simplex gave up: its iteration budget ran out, a phase-1 stall
+    /// left artificials in the basis, or a basis went numerically singular
     /// (should not happen with Bland's rule; indicates numerical trouble).
     IterationLimit,
 }
@@ -130,7 +128,6 @@ impl Problem {
             lower,
             upper,
             obj,
-            integer: false,
         });
         id
     }
@@ -147,17 +144,6 @@ impl Problem {
         self.add_var(name, 0.0, f64::INFINITY, obj)
     }
 
-    /// Mark a variable as integer for the branch-and-bound solver
-    /// ([`crate::solve_milp`]). The plain [`Problem::solve`] ignores the flag.
-    pub fn set_integer(&mut self, v: VarId) {
-        self.vars[v.0].integer = true;
-    }
-
-    /// True if the variable was marked integral.
-    pub fn is_integer(&self, v: VarId) -> bool {
-        self.vars[v.0].integer
-    }
-
     /// Change a variable's objective coefficient.
     pub fn set_objective(&mut self, v: VarId, obj: f64) {
         self.vars[v.0].obj = obj;
@@ -166,33 +152,6 @@ impl Problem {
     /// Current objective coefficient of a variable.
     pub fn objective_coeff(&self, v: VarId) -> f64 {
         self.vars[v.0].obj
-    }
-
-    /// Select the simplex pricing rule ([`crate::PricingRule`]) used by
-    /// every solve of this problem (and, via [`Clone`], of any problem
-    /// derived from it — branch-and-bound children inherit the rule). The
-    /// default is Devex; Dantzig is kept as the simple fallback.
-    pub fn set_pricing(&mut self, rule: crate::revised::PricingRule) {
-        self.pricing = rule;
-    }
-
-    /// The pricing rule solves of this problem will use.
-    pub fn pricing(&self) -> crate::revised::PricingRule {
-        self.pricing
-    }
-
-    /// Select the basis-inverse kernel ([`crate::Kernel`]) used by every
-    /// solve of this problem (and, via [`Clone`], of any problem derived
-    /// from it — branch-and-bound children inherit the kernel). The default
-    /// is the sparse LU kernel; the historical eta file is kept for A/B
-    /// plan-identity comparisons.
-    pub fn set_kernel(&mut self, kernel: crate::revised::Kernel) {
-        self.kernel = kernel;
-    }
-
-    /// The basis-inverse kernel solves of this problem will use.
-    pub fn kernel(&self) -> crate::revised::Kernel {
-        self.kernel
     }
 
     /// Tighten (replace) the bounds of a variable.
@@ -240,8 +199,7 @@ impl Problem {
         });
     }
 
-    /// Evaluate the objective at a candidate point (used by tests and by the
-    /// branch-and-bound wrapper).
+    /// Evaluate the objective at a candidate point.
     pub fn eval_objective(&self, values: &[f64]) -> f64 {
         self.vars.iter().zip(values).map(|(v, x)| v.obj * x).sum()
     }
@@ -319,11 +277,7 @@ impl Problem {
     ) -> Result<Solution, SolveError> {
         let _span = trace::span("lp.solve");
         trace::count("lp.solves", 1);
-        let mut pre = crate::presolve::Presolve::new(self)?;
-        // The reduced problem is rebuilt variable-by-variable; carry the
-        // pricing rule and kernel over so the configured ones actually run.
-        pre.reduced.pricing = self.pricing;
-        pre.reduced.kernel = self.kernel;
+        let pre = crate::presolve::Presolve::new(self)?;
         trace::count(
             "lp.presolve_eliminated",
             (self.num_vars() - pre.reduced.num_vars()) as u64,
@@ -340,21 +294,14 @@ impl Problem {
         })
     }
 
-    /// Solve the LP relaxation (integrality flags ignored): equality-chain
-    /// presolve first (the hard node constraints of the alignment RLPs are
-    /// mostly pairwise equalities, which would otherwise bloat and
-    /// destabilise the solver), then the bounded-variable revised simplex
-    /// ([`crate::revised`]) on what remains. If the revised solver reports
-    /// numerical failure (`IterationLimit`), the dense tableau simplex is
-    /// tried as a last resort before giving up.
+    /// Solve the LP: equality-chain presolve first (the hard node
+    /// constraints of the alignment RLPs are mostly pairwise equalities,
+    /// which would otherwise bloat and destabilise the solver), then the
+    /// bounded-variable revised simplex ([`crate::revised`]) on what
+    /// remains. Numerical failure of the simplex is reported as
+    /// [`SolveError::IterationLimit`]; no second solver is tried.
     pub fn solve(&self) -> Result<Solution, SolveError> {
-        self.solve_with(|reduced| match revised::solve(reduced) {
-            Err(SolveError::IterationLimit) => {
-                trace::count("lp.fallback.tableau", 1);
-                simplex::solve(reduced)
-            }
-            other => other,
-        })
+        self.solve_with(revised::solve)
     }
 
     /// Solve with the dense two-phase *tableau* simplex (same equality-chain
@@ -410,15 +357,6 @@ mod tests {
     fn bad_bounds_panic() {
         let mut p = Problem::new();
         p.add_var("x", 1.0, 0.0, 0.0);
-    }
-
-    #[test]
-    fn integer_flag_roundtrip() {
-        let mut p = Problem::new();
-        let x = p.add_nonneg_var("x", 1.0);
-        assert!(!p.is_integer(x));
-        p.set_integer(x);
-        assert!(p.is_integer(x));
     }
 
     #[test]

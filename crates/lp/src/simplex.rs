@@ -1,11 +1,12 @@
 //! Dense two-phase primal simplex (tableau form).
 //!
-//! Since the revised simplex ([`crate::revised`]) became the production
-//! path, this solver is kept as the *differential-testing oracle* behind
+//! The revised simplex ([`crate::revised`]) is the solver; this one is kept
+//! only as the *differential-testing oracle* behind
 //! [`Problem::solve_tableau`] — the two implementations share no pivoting
 //! code, so agreement on random LPs (see `tests/solver_differential.rs`)
-//! is strong evidence both are right — and as the last-resort fallback when
-//! the revised solver reports numerical failure.
+//! is strong evidence both are right. Nothing falls back to it: it
+//! mis-solves some of the large degenerate offset LPs (`tests/l1_differential.rs`
+//! bounds how it may disagree there).
 //!
 //! The solver converts the user-facing [`Problem`] into standard form
 //! (`min c'x`, `Ax = b`, `x >= 0`):

@@ -62,14 +62,6 @@ impl CscMatrix {
     pub fn col_nnz(&self, j: usize) -> usize {
         self.col_ptr[j + 1] - self.col_ptr[j]
     }
-
-    /// Overwrite the value of a single-entry column (used when a warm start
-    /// flips the sign of a row's artificial). Panics if `j` is not a
-    /// singleton column.
-    pub fn set_singleton_value(&mut self, j: usize, value: f64) {
-        assert_eq!(self.col_nnz(j), 1, "column {j} is not a singleton");
-        self.values[self.col_ptr[j]] = value;
-    }
 }
 
 /// Row-pattern index over the leading `limit` columns of a [`CscMatrix`]
@@ -118,7 +110,7 @@ impl CsrIndex {
 /// *superset* of the nonzeros (cancellation can zero a touched entry), so
 /// consumers re-check `!= 0.0` — exactly the check the historical dense
 /// sweeps performed, which keeps the comparison sequence identical.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct IndexedVec {
     vals: Vec<f64>,
     mark: Vec<bool>,
@@ -141,15 +133,6 @@ impl IndexedVec {
             self.mark[i] = false;
         }
         self.touched.clear();
-    }
-
-    /// Clear, then mark the whole index range as support (ascending). Used
-    /// by the dense fallback paths: values may then be written directly
-    /// through [`values_mut`](Self::values_mut).
-    pub fn reset_dense(&mut self) {
-        self.clear();
-        self.touched.extend(0..self.vals.len());
-        self.mark.fill(true);
     }
 
     #[inline]
@@ -182,17 +165,6 @@ impl IndexedVec {
     pub fn sort_support(&mut self) {
         self.touched.sort_unstable();
     }
-
-    pub fn values(&self) -> &[f64] {
-        &self.vals
-    }
-
-    /// Raw value access for dense passes. Contract: only entries currently
-    /// in the support may be made nonzero (use [`reset_dense`](Self::reset_dense)
-    /// first when the whole range will be written).
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.vals
-    }
 }
 
 #[cfg(test)]
@@ -213,14 +185,6 @@ mod tests {
         assert_eq!(csc.col(0), (&[0usize, 2][..], &[1.0, -3.0][..]));
         assert_eq!(csc.col_nnz(1), 0);
         assert_eq!(csc.col(2), (&[1usize][..], &[2.0][..]));
-    }
-
-    #[test]
-    fn csc_singleton_update() {
-        let cols = vec![vec![(0, 1.0), (1, 1.0)], vec![(1, 1.0)]];
-        let mut csc = CscMatrix::from_cols(2, &cols);
-        csc.set_singleton_value(1, -1.0);
-        assert_eq!(csc.col(1), (&[1usize][..], &[-1.0][..]));
     }
 
     #[test]
@@ -249,8 +213,6 @@ mod tests {
         assert_eq!(v.support(), &[1, 3]);
         v.clear();
         assert!(v.support().is_empty());
-        assert_eq!(v.values(), &[0.0; 5]);
-        v.reset_dense();
-        assert_eq!(v.support(), &[0, 1, 2, 3, 4]);
+        assert!((0..5).all(|i| v.get(i) == 0.0));
     }
 }

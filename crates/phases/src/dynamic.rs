@@ -21,9 +21,7 @@
 //! state provably reaches every continuation at least as cheaply (exact
 //! per-candidate move totals for the arrays the next phase prices, a
 //! per-array move-cost upper bound for the arrays that carry through), so
-//! pruning never changes the chosen plan — unlike the old fixed-size beam,
-//! which silently lost optima on wide programs and survives only as the
-//! explicit [`DpPruning::Beam`] ablation mode.
+//! pruning never changes the chosen plan.
 
 use crate::redist::RedistCost;
 use align_ir::ArrayId;
@@ -146,8 +144,9 @@ pub enum LayoutDpError {
         /// The offending phase index.
         phase: usize,
     },
-    /// A state layer was empty at backtrack time (can only happen with a
-    /// pathological `Beam { cap: 0 }`).
+    /// A state layer was empty at backtrack time. Every layer is non-empty
+    /// and no pruning mode empties one, so this marks a broken invariant —
+    /// reported as an error rather than a panic.
     BacktrackFailed {
         /// The layer whose states ran out.
         phase: usize,
@@ -229,9 +228,9 @@ impl<F: FnMut(usize, ArrayId, SigId, SigId) -> f64> DpPricer for F {
     }
 }
 
-/// Default width at which [`DpPruning::Dominance`] starts spending effort
-/// (and at which the legacy beam used to truncate). Real workloads stay far
-/// below; the trigger only guards adversarial inputs.
+/// Default width at which [`DpPruning::Dominance`] starts spending effort.
+/// Real workloads stay far below; the trigger only guards adversarial
+/// inputs.
 const MAX_STATES_PER_LAYER: usize = 4096;
 
 /// How many of the cheapest states are tried as dominators against each
@@ -248,16 +247,11 @@ pub enum DpPruning {
     /// arrays, with a strict epsilon so ties always survive). Never changes
     /// the chosen plan. Runs only when a layer exceeds `trigger` states,
     /// and only on the structured pricer path ([`DpPricer::wants_prefill`]);
-    /// a plain closure pricer falls back to a beam at `trigger`.
+    /// a plain closure pricer has no price tables to bound dominance with
+    /// and runs unpruned.
     Dominance {
         /// Layer width above which the pruning pass runs.
         trigger: usize,
-    },
-    /// The legacy safety cap: keep the `cap` cheapest states of each layer.
-    /// Can lose optima; retained as an ablation baseline.
-    Beam {
-        /// Maximum states kept per layer.
-        cap: usize,
     },
     /// No pruning at all — the ground truth the property tests compare
     /// against.
@@ -365,14 +359,6 @@ pub fn solve_layout_dp_with(
 
     let n = layers.len();
     let structured = move_cost.wants_prefill();
-    // The beam that still applies post-transition: explicit in Beam mode;
-    // the legacy fallback when a closure pricer (no structured path, so no
-    // price tables to bound dominance with) outgrows the trigger.
-    let beam = match pruning {
-        DpPruning::Beam { cap } => Some(cap),
-        DpPruning::Dominance { trigger } if !structured => Some(trigger),
-        _ => None,
-    };
 
     // Per-phase array membership as bitsets: refs_bits[b] the arrays phase
     // b references, future_bits[b] the arrays any phase after b references
@@ -416,7 +402,7 @@ pub fn solve_layout_dp_with(
             k: j,
         })
         .collect();
-    arena.dedup(&mut first, beam);
+    arena.dedup(&mut first);
     state_layers.push(first);
 
     // Reusable per-layer scratch (the structured path's dedup arena spirit
@@ -498,7 +484,7 @@ pub fn solve_layout_dp_with(
             let _ = k_count;
             next
         };
-        arena.dedup(&mut next, beam);
+        arena.dedup(&mut next);
         state_layers.push(next);
     }
 
@@ -776,12 +762,12 @@ impl DedupArena {
         }
     }
 
-    /// Merge states with identical resting maps keeping the cheapest, then
-    /// apply the optional beam cap. Future costs depend only on the resting
-    /// map, so of two paths that park every still-live array in the same
-    /// layout only the cheaper can be part of an optimal continuation — the
-    /// survivor keeps its own `(k, back)` for backtracking.
-    fn dedup(&mut self, states: &mut Vec<DpState>, beam: Option<usize>) {
+    /// Merge states with identical resting maps keeping the cheapest.
+    /// Future costs depend only on the resting map, so of two paths that
+    /// park every still-live array in the same layout only the cheaper can
+    /// be part of an optimal continuation — the survivor keeps its own
+    /// `(k, back)` for backtracking.
+    fn dedup(&mut self, states: &mut Vec<DpState>) {
         let before = states.len();
         // Bucket by resting-map hash so no state's resting vec is cloned
         // into a map key; collisions compare the actual maps.
@@ -805,13 +791,6 @@ impl DedupArena {
             }
         }
         trace::count("phases.dp.states_merged", (before - keep.len()) as u64);
-        if let Some(cap) = beam {
-            if keep.len() > cap {
-                trace::count("phases.dp.states_pruned", (keep.len() - cap) as u64);
-                keep.sort_by(|a, b| a.cost.total_cmp(&b.cost));
-                keep.truncate(cap);
-            }
-        }
         *states = keep;
     }
 }

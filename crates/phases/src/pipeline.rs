@@ -89,14 +89,6 @@ pub struct DynamicConfig {
     /// redistribution — are coalesced away and the adjacent phases merged.
     /// The equal-cover requirement makes every merge exactly cost-neutral.
     pub coalesce_phases: bool,
-    /// Memoise redistribution pricing in the layout-state DP (the
-    /// `MovePricer` cache). On by default; turning it off re-prices every
-    /// `(phase, array, src, dst)` query from scratch. The plan is
-    /// unchanged — this is an ablation/diagnostic knob, and the canonical
-    /// "injected algorithmic regression" the counter gate's tests use:
-    /// disabling it shifts `phases.pricer.*` and the downstream `commsim.*`
-    /// pricing counters without moving any cost.
-    pub pricer_memo: bool,
 }
 
 impl Default for DynamicConfig {
@@ -110,7 +102,6 @@ impl Default for DynamicConfig {
             sim: SimOptions::default(),
             switch_margin: 0.0,
             coalesce_phases: true,
-            pricer_memo: true,
         }
     }
 }
@@ -473,7 +464,6 @@ struct MovePricer<'a> {
     pool: &'a [Sig],
     program: &'a Program,
     sim: SimOptions,
-    use_memo: bool,
     memo: HashMap<(usize, ArrayId, SigId, SigId), RedistCost>,
     /// Cells priced ahead of demand by [`MovePricer::prefill`] and not yet
     /// queried. The first `price` of such a cell books a **miss** (as the
@@ -494,14 +484,12 @@ impl<'a> MovePricer<'a> {
         pool: &'a [Sig],
         program: &'a Program,
         sim: SimOptions,
-        use_memo: bool,
     ) -> Self {
         MovePricer {
             phases,
             pool,
             program,
             sim,
-            use_memo,
             memo: HashMap::new(),
             fresh: HashSet::new(),
             resting: HashMap::new(),
@@ -525,17 +513,15 @@ impl<'a> MovePricer<'a> {
     /// Exact price of moving `array` into phase `q` from resting signature
     /// `src` to the destination phase's signature `dst`.
     fn price(&mut self, q: usize, array: ArrayId, src: SigId, dst: SigId) -> RedistCost {
-        if self.use_memo {
-            if let Some(c) = self.memo.get(&(q, array, src, dst)) {
-                if self.fresh.remove(&(q, array, src, dst)) {
-                    // Prefilled, first query: serial on-demand pricing
-                    // would have missed here.
-                    trace::count("phases.pricer.misses", 1);
-                } else {
-                    trace::count("phases.pricer.hits", 1);
-                }
-                return *c;
+        if let Some(c) = self.memo.get(&(q, array, src, dst)) {
+            if self.fresh.remove(&(q, array, src, dst)) {
+                // Prefilled, first query: serial on-demand pricing would
+                // have missed here.
+                trace::count("phases.pricer.misses", 1);
+            } else {
+                trace::count("phases.pricer.hits", 1);
             }
+            return *c;
         }
         trace::count("phases.pricer.misses", 1);
         let cost = match (
@@ -563,9 +549,7 @@ impl<'a> MovePricer<'a> {
             }
             _ => RedistCost::default(),
         };
-        if self.use_memo {
-            self.memo.insert((q, array, src, dst), cost);
-        }
+        self.memo.insert((q, array, src, dst), cost);
         cost
     }
 
@@ -579,9 +563,6 @@ impl<'a> MovePricer<'a> {
     /// run would have priced, merged from the workers' deltas — identical
     /// totals in any worker count.
     fn prefill(&mut self, q: usize, cells: &[(ArrayId, SigId, SigId)]) {
-        if !self.use_memo {
-            return;
-        }
         let todo: Vec<(ArrayId, SigId, SigId)> = cells
             .iter()
             .copied()
@@ -647,7 +628,7 @@ impl DpPricer for MovePricer<'_> {
         // Worker-count independent on purpose: the structured DP path (and
         // the pruning decisions it feeds) must be identical whether
         // `pool::map` runs the prefill inline or across workers.
-        self.use_memo
+        true
     }
 
     fn move_bound(&mut self, array: ArrayId) -> f64 {
@@ -1021,13 +1002,8 @@ impl LayoutDpProblem {
         switch_margin: f64,
         pruning: DpPruning,
     ) -> Result<LayoutDpPlan, LayoutDpError> {
-        let mut pricer = MovePricer::new(
-            &self.phases,
-            &self.sig_pool,
-            &self.program,
-            self.config.sim,
-            self.config.pricer_memo,
-        );
+        let mut pricer =
+            MovePricer::new(&self.phases, &self.sig_pool, &self.program, self.config.sim);
         solve_layout_dp_with(
             &self.layers,
             &self.phase_refs,
@@ -1135,8 +1111,7 @@ pub fn try_align_then_distribute_dynamic(
             } = build_dp_inputs(atoms, nprocs, config);
             let live = build_live(program, &phase_refs);
             let cap = config.max_candidates_per_phase.max(1);
-            let mut pricer =
-                MovePricer::new(&phases, &sig_pool, program, config.sim, config.pricer_memo);
+            let mut pricer = MovePricer::new(&phases, &sig_pool, program, config.sim);
             let plan = solve_layout_dp(&layers, &phase_refs, config.switch_margin, &mut pricer)?;
             let peak_dp_layer_width = plan.states_per_layer.iter().copied().max().unwrap_or(0);
             let chosen_sigs: Vec<SigId> = plan
@@ -1170,7 +1145,6 @@ pub fn try_align_then_distribute_dynamic(
                         program,
                         cap,
                         config.sim,
-                        config.pricer_memo,
                     )
                 } else {
                     (
@@ -1305,7 +1279,6 @@ fn coalesce(
     program: &Program,
     cap: usize,
     sim: SimOptions,
-    pricer_memo: bool,
 ) -> (
     Vec<PhaseResult>,
     Vec<Vec<(ArrayId, String, Vec<i64>)>>,
@@ -1381,7 +1354,7 @@ fn coalesce(
 
     let phase_refs: Vec<BTreeSet<ArrayId>> = new_phases.iter().map(|p| p.referenced()).collect();
     let live = build_live(program, &phase_refs);
-    let mut pricer = MovePricer::new(&new_phases, pool, program, sim, pricer_memo);
+    let mut pricer = MovePricer::new(&new_phases, pool, program, sim);
     let steps = build_steps(&new_phases, &live, &new_sigs, &mut pricer);
     drop(pricer);
     (

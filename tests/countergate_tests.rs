@@ -63,32 +63,43 @@ fn baseline_roundtrips_through_the_committed_json_format() {
 }
 
 #[test]
-fn bypassing_the_move_pricer_memo_fails_the_gate_naming_the_counter() {
+fn drained_pricer_hits_fail_the_gate_naming_the_counters() {
     let baseline = run_subset(&countergate::suite_config());
 
-    // The injected algorithmic regression: disable the MovePricer memo.
-    // The plan is unchanged, but every repeated (phase, array, src, dst)
-    // query is re-priced — exactly the class of silent slow-down the
-    // wall-time gate would miss at this scale.
-    let mut regressed_config = countergate::suite_config();
-    regressed_config.pricer_memo = false;
-    let regressed = run_subset(&regressed_config);
+    // The injected algorithmic regression, applied to the recorded
+    // snapshot: what a bypassed MovePricer memo leaves behind. The plan is
+    // unchanged, but every repeated (phase, array, src, dst) query is
+    // re-priced — hits drain into misses on one workload — exactly the
+    // class of silent slow-down the wall-time gate would miss at this
+    // scale.
+    let mut regressed = baseline.clone();
+    let victim = regressed
+        .workloads
+        .iter_mut()
+        .find(|w| w.counters.get("phases.pricer.hits").is_some_and(|&h| h > 0))
+        .expect("some workload of the subset re-queries the pricer");
+    let hits = victim
+        .counters
+        .remove("phases.pricer.hits")
+        .expect("the victim was chosen for its hits");
+    *victim
+        .counters
+        .entry("phases.pricer.misses".to_owned())
+        .or_insert(0) += hits;
+    let victim_name = victim.name.clone();
 
     let diffs: Vec<CounterDiff> = countergate::compare(&baseline, &regressed)
         .expect_err("a bypassed cache must not pass the counter gate");
-    assert!(
-        diffs
-            .iter()
-            .any(|d| d.counter.starts_with("phases.pricer.")),
-        "the offending pricer counter must be named: {diffs:?}"
+    let drifted: Vec<&str> = diffs.iter().map(|d| d.counter.as_str()).collect();
+    assert_eq!(
+        drifted,
+        ["phases.pricer.hits", "phases.pricer.misses"],
+        "exactly the two drained counters must be named: {diffs:?}"
     );
-    // The memo bypass never changes the plan, only the work: hits drain to
-    // zero somewhere and the repricing shows up as extra misses.
-    let pricer_drift = diffs
-        .iter()
-        .find(|d| d.counter == "phases.pricer.hits" || d.counter == "phases.pricer.misses")
-        .unwrap();
-    assert_ne!(pricer_drift.baseline, pricer_drift.current);
+    for d in &diffs {
+        assert_eq!(d.workload, victim_name);
+        assert_ne!(d.baseline, d.current);
+    }
     // And the rendered table carries the name for the CI log.
     assert!(
         countergate::render_diffs(&diffs).contains("phases.pricer."),

@@ -380,3 +380,44 @@ fn switch_margin_pins_the_plan_and_stays_exact() {
         sim.total_elements()
     );
 }
+
+/// The paper's Example 5 through the dynamic pipeline at P = 8 (the
+/// benchmark's `lp_bound` case): the mobile LP's axis-0 vertex rounds onto
+/// a violated node constraint, so the rounding ladder engages — exactly
+/// once — and the `static` rung's candidate is the one adopted. No offset
+/// LP fails outright, and the plan and its price are pinned.
+#[test]
+fn example5_engages_the_ladder_once_and_adopts_the_static_rung() {
+    trace::reset();
+    let program = programs::example5_default();
+    let result = align_then_distribute_dynamic(&program, 8, &DynamicConfig::default());
+
+    assert_eq!(trace::counter("align.ladder_engaged"), 1);
+    assert_eq!(trace::counter("align.ladder.adopted.static"), 1);
+    for rung in ["fixed_partition_5", "unrolling", "single_range"] {
+        assert_eq!(
+            trace::counter(&format!("align.ladder.adopted.{rung}")),
+            0,
+            "{rung}"
+        );
+    }
+    assert_eq!(trace::counter("align.offset_lp_failed"), 0);
+
+    let reports: Vec<_> = result
+        .phases
+        .iter()
+        .flat_map(|p| &p.atoms)
+        .flat_map(|a| &a.alignment.offset_reports)
+        .collect();
+    assert_eq!(reports.len(), 1, "one atom, one template axis");
+    assert_eq!(reports[0].fallback, Some("static"));
+    assert_eq!(reports[0].exact_cost, 25_000.0);
+
+    assert_eq!(result.dynamic.planned_cost, 358.0);
+    assert_eq!(result.static_planned_cost, 358.0);
+    assert_eq!(result.dynamic.chosen, [0]);
+    assert_eq!(
+        result.dynamic.per_phase[0].to_string(),
+        "(BLOCK) on 8 processors"
+    );
+}
