@@ -3,7 +3,7 @@
 
 use crate::machine::TemplateDistribution;
 use adg::{Adg, Edge, EdgeId};
-use align_ir::LivId;
+use align_ir::{Affine, LivId};
 use alignment_core::position::{OffsetAlign, PortAlignment, ProgramAlignment};
 use std::collections::HashSet;
 
@@ -197,51 +197,148 @@ fn simulate_edge<D: TemplateDistribution + ?Sized>(
     machine: &D,
     opts: SimOptions,
 ) -> EdgeTraffic {
-    let src_port = adg.port(edge.src);
-    let src_align = alignment.port(edge.src);
-    let dst_align = alignment.port(edge.dst);
-
     let mut traffic = EdgeTraffic::default();
-    let num_points = edge.space.size() as usize;
-    if num_points == 0 {
+    let Some(walk) = EdgeWalk::new(adg, edge, alignment, opts) else {
         return traffic;
-    }
-    // Sample iterations if the loop is long, streaming the points rather
-    // than materialising the whole enumeration.
-    let iter_stride = num_points
-        .div_ceil(opts.iteration_budget(num_points))
-        .max(1);
-    if iter_stride > 1 {
+    };
+    if walk.iter_stride > 1 {
         trace::count("commsim.sampling_events", 1);
     }
-    let iter_scale = iter_stride as f64;
-    let mut idx = 0usize;
+    let iter_scale = walk.iter_stride as f64;
     let mut pairs = PairSet::new(machine.num_processors());
+    let mut per_iter = EdgeTraffic::default();
 
-    edge.space.for_each_point(|point| {
-        let take = idx.is_multiple_of(iter_stride);
-        idx += 1;
-        if !take {
-            return;
+    walk.for_each_point(|fresh| {
+        // A repeated placement moves what the previous point moved.
+        if let Some(placement) = fresh {
+            per_iter = element_traffic(placement, walk.dst_replicated, machine, opts, &mut pairs);
         }
-        let extents: Vec<i64> = src_port
-            .extents
-            .iter()
-            .map(|a| a.eval_assoc(point).max(0))
-            .collect();
-        let total_elements: i64 = extents.iter().product::<i64>().max(0);
-        if total_elements == 0 {
-            return;
-        }
-        let per_iter = element_traffic(
-            &extents, src_align, dst_align, machine, point, opts, &mut pairs,
-        );
         traffic.element_moves += per_iter.element_moves * iter_scale * edge.control_weight;
         traffic.messages += per_iter.messages * iter_scale * edge.control_weight;
         traffic.broadcast_elements +=
             per_iter.broadcast_elements * iter_scale * edge.control_weight;
     });
     traffic
+}
+
+/// Where one sampled iteration point of an edge puts its object: the
+/// object's extents and the two position evaluators at that point. Two equal
+/// placements traverse the same element lattice over the same template
+/// cells, so they move the same elements under every distribution.
+#[derive(PartialEq)]
+struct PointPlacement {
+    extents: Vec<i64>,
+    src: PosEval,
+    dst: PosEval,
+}
+
+impl PointPlacement {
+    fn lattice(&self, opts: SimOptions) -> SampleLattice {
+        let total = self.extents.iter().product::<i64>().max(1) as usize;
+        SampleLattice::new(&self.extents, opts.element_budget(total))
+    }
+}
+
+/// The sampled iteration points of one edge — the one walk [`simulate`] and
+/// [`PlacementCache::new`] share, so both stride the iteration space, skip
+/// empty objects and collapse repeated placements identically.
+///
+/// An alignment is mobile only where an offset or stride depends on a loop
+/// induction variable; everywhere else consecutive points place the object
+/// identically. The walk compares each point's [`PointPlacement`] with the
+/// previous one's and tells the visitor whether there is anything new to
+/// traverse.
+struct EdgeWalk<'a> {
+    edge: &'a Edge,
+    extents: &'a [Affine],
+    src: &'a PortAlignment,
+    dst: &'a PortAlignment,
+    opts: SimOptions,
+    /// Every `iter_stride`-th iteration point is visited.
+    iter_stride: usize,
+    /// Destination replicated while the source is not: every element is a
+    /// broadcast.
+    dst_replicated: bool,
+}
+
+impl<'a> EdgeWalk<'a> {
+    /// `None` when the edge is never traversed.
+    fn new(
+        adg: &'a Adg,
+        edge: &'a Edge,
+        alignment: &'a ProgramAlignment,
+        opts: SimOptions,
+    ) -> Option<EdgeWalk<'a>> {
+        let num_points = edge.space.size() as usize;
+        if num_points == 0 {
+            return None;
+        }
+        let src = alignment.port(edge.src);
+        let dst = alignment.port(edge.dst);
+        Some(EdgeWalk {
+            edge,
+            extents: &adg.port(edge.src).extents,
+            src,
+            dst,
+            opts,
+            // Sample iterations if the loop is long, streaming the points
+            // rather than materialising the whole enumeration.
+            iter_stride: num_points
+                .div_ceil(opts.iteration_budget(num_points))
+                .max(1),
+            dst_replicated: dst.offsets.iter().any(OffsetAlign::is_replicated)
+                && !src.offsets.iter().any(OffsetAlign::is_replicated),
+        })
+    }
+
+    /// Call `visit` once per sampled iteration point that can move data:
+    /// with `Some(placement)` when the point must be traversed, with `None`
+    /// when it places the object exactly as the previous point did (the
+    /// visitor reuses what it derived there). Points the visitor does not
+    /// traverse still book their traversal's `commsim.elements_priced` /
+    /// `commsim.sampling_events`, so the counters read as if every point had
+    /// been walked; `commsim.iterations_collapsed` counts the repeats the
+    /// visitor was spared.
+    ///
+    /// Not visited at all: points whose object is empty, and perfectly
+    /// aligned points (identical position evaluators, no replication
+    /// asymmetry) — every element's copies sit on one owner under every
+    /// distribution, so they contribute nothing.
+    fn for_each_point(&self, mut visit: impl FnMut(Option<&PointPlacement>)) {
+        let mut idx = 0usize;
+        let mut prev: Option<PointPlacement> = None;
+        self.edge.space.for_each_point(|point| {
+            let take = idx.is_multiple_of(self.iter_stride);
+            idx += 1;
+            if !take {
+                return;
+            }
+            let extents: Vec<i64> = self
+                .extents
+                .iter()
+                .map(|a| a.eval_assoc(point).max(0))
+                .collect();
+            if extents.iter().product::<i64>() <= 0 {
+                return;
+            }
+            let here = PointPlacement {
+                extents,
+                src: PosEval::new(self.src, point),
+                dst: PosEval::new(self.dst, point),
+            };
+            let aligned = !self.dst_replicated && here.src == here.dst;
+            if aligned {
+                here.lattice(self.opts).count();
+            } else if prev.as_ref() == Some(&here) {
+                here.lattice(self.opts).count();
+                trace::count("commsim.iterations_collapsed", 1);
+                visit(None);
+            } else {
+                visit(Some(&here));
+            }
+            prev = Some(here);
+        });
+    }
 }
 
 /// The sampling lattice of one element traversal: per-axis strides chosen so
@@ -290,18 +387,17 @@ impl SampleLattice {
     }
 }
 
-/// Visit a bounded sample of the (1-based) element indices of an object with
-/// the given extents: every axis is strided so the sampled count stays within
-/// `budget`, and each visited index represents `scale` real elements.
-fn for_each_sampled_index(extents: &[i64], budget: usize, mut visit: impl FnMut(&[i64], f64)) {
-    let lattice = SampleLattice::new(extents, budget);
+/// Visit the (1-based) element indices `lattice` samples of an object with
+/// the given extents, booking the traversal's counters: every axis is strided
+/// so the sampled count stays within the lattice's budget, and each visited
+/// index represents `lattice.scale` real elements.
+fn for_each_sampled_index(extents: &[i64], lattice: &SampleLattice, mut visit: impl FnMut(&[i64])) {
     lattice.count();
     let strides = &lattice.strides;
-    let scale = lattice.scale;
 
     let mut index = vec![1i64; extents.len()];
     loop {
-        visit(&index, scale);
+        visit(&index);
         // Advance the multi-index (last axis fastest), stepping by the
         // sampling stride.
         let mut carry = true;
@@ -405,30 +501,15 @@ impl PairSet {
 /// and compare owners under the two alignments. `pairs` is caller-provided
 /// workspace (reused across the iteration points of an edge).
 fn element_traffic<D: TemplateDistribution + ?Sized>(
-    extents: &[i64],
-    src: &PortAlignment,
-    dst: &PortAlignment,
+    placement: &PointPlacement,
+    dst_replicated: bool,
     machine: &D,
-    point: &[(LivId, i64)],
     opts: SimOptions,
     pairs: &mut PairSet,
 ) -> EdgeTraffic {
-    let dst_replicated = dst.offsets.iter().any(OffsetAlign::is_replicated)
-        && !src.offsets.iter().any(OffsetAlign::is_replicated);
-
     pairs.begin();
-
-    let src_eval = PosEval::new(src, point);
-    let dst_eval = PosEval::new(dst, point);
-    let total: usize = extents.iter().product::<i64>().max(1) as usize;
-
-    // A perfectly aligned traversal (identical position evaluators, no
-    // replication asymmetry) puts every element's copies on the same owner:
-    // book the traversal's sampling counters and skip the element loop.
-    if !dst_replicated && src_eval == dst_eval {
-        SampleLattice::new(extents, opts.element_budget(total)).count();
-        return EdgeTraffic::default();
-    }
+    let PointPlacement { extents, src, dst } = placement;
+    let lattice = placement.lattice(opts);
 
     // Compiled fast path — the same owner tables the redistribution loop
     // uses ([`RedistOwnerLut`]). Both sides share the machine, and
@@ -437,26 +518,12 @@ fn element_traffic<D: TemplateDistribution + ?Sized>(
     // through to the per-element evaluation when an owner map does not
     // decompose per lattice axis; both paths visit the identical sample and
     // book identical counters.
-    if let Some(traffic) = element_traffic_compiled(
-        extents,
-        &src_eval,
-        &dst_eval,
-        machine,
-        dst_replicated,
-        opts.element_budget(total),
-        pairs,
-    ) {
+    if let Some(traffic) =
+        element_traffic_compiled(extents, src, dst, machine, dst_replicated, &lattice, pairs)
+    {
         return traffic;
     }
-    element_traffic_evaluated(
-        extents,
-        &src_eval,
-        &dst_eval,
-        machine,
-        dst_replicated,
-        opts.element_budget(total),
-        pairs,
-    )
+    element_traffic_evaluated(extents, src, dst, machine, dst_replicated, &lattice, pairs)
 }
 
 /// The per-element owner evaluation of [`element_traffic`] — the historical
@@ -467,15 +534,16 @@ fn element_traffic_evaluated<D: TemplateDistribution + ?Sized>(
     dst_eval: &PosEval,
     machine: &D,
     dst_replicated: bool,
-    budget: usize,
+    lattice: &SampleLattice,
     pairs: &mut PairSet,
 ) -> EdgeTraffic {
+    let scale = lattice.scale;
     let mut moves = 0.0;
     let mut broadcast = 0.0;
     let mut src_buf = Vec::new();
     let mut dst_buf = Vec::new();
 
-    for_each_sampled_index(extents, budget, |index, scale| {
+    for_each_sampled_index(extents, lattice, |index| {
         src_eval.write(index, &mut src_buf);
         if dst_replicated {
             broadcast += scale;
@@ -514,14 +582,13 @@ fn element_traffic_compiled<D: TemplateDistribution + ?Sized>(
     dst_eval: &PosEval,
     machine: &D,
     dst_replicated: bool,
-    budget: usize,
+    lattice: &SampleLattice,
     pairs: &mut PairSet,
 ) -> Option<EdgeTraffic> {
     let dims = machine.grid_dims();
     if dims.contains(&0) {
         return None;
     }
-    let lattice = SampleLattice::new(extents, budget);
     let counts: Vec<usize> = extents
         .iter()
         .zip(&lattice.strides)
@@ -627,6 +694,13 @@ impl PosEval {
 /// `d`: `cache.price(&d)` reports the **identical** traffic to
 /// `simulate(adg, alignment, &d, opts)` — locked in by the
 /// `cache_matches_simulate` test.
+///
+/// Storage is per *distinct* traversal, not per iteration point: consecutive
+/// sampled iteration points of an edge whose `(extents, source evaluator,
+/// destination evaluator)` are equal — every point of a loop the alignment
+/// is not mobile in — share one stored traversal with a repeat count, and
+/// pricing applies the count so that every reported value is bit-identical
+/// to walking each point.
 #[derive(Debug, Clone)]
 pub struct PlacementCache {
     edges: Vec<CachedEdge>,
@@ -718,19 +792,43 @@ struct CachedEdge {
     iterations: Vec<CachedIteration>,
 }
 
+/// One traversal and the run of consecutive sampled iteration points that
+/// share it.
 #[derive(Debug, Clone)]
 struct CachedIteration {
+    /// Length of the run (at least 1).
+    repeat: usize,
+    /// Element-sampling scale of every sample ([`SampleLattice::scale`]).
+    scale: f64,
     /// Flat-packed coords per sample: `src_rank` source coordinates then
     /// (unless the edge broadcasts) `dst_rank` destination coordinates,
     /// with [`REPLICATED_COORD`] standing in for `None`.
     coords: Vec<i64>,
-    /// Element-sampling scale per sample.
-    scales: Vec<f64>,
+}
+
+/// `acc` after adding `scale` to it `n` times, bit for bit.
+///
+/// When both are multiples of 2⁻¹² (every exact traversal, and a sampled one
+/// whose sample count is a power of two up to the default element budget)
+/// and the sum stays below 2⁴¹, every partial sum has at most 53 significant
+/// bits, so no addition rounds and one multiply-add gives the same value.
+/// Any other scale replays the additions, each of which may round.
+fn repeat_add(acc: f64, scale: f64, n: u64) -> f64 {
+    const GRID: f64 = 4096.0; // 2¹²
+    const LIMIT: f64 = (1u64 << 41) as f64;
+    let on_grid = |x: f64| x >= 0.0 && (x * GRID).fract() == 0.0;
+    // Rounding is monotone, so a sum at or above the limit cannot compute
+    // to a value below it.
+    let sum = acc + n as f64 * scale;
+    if on_grid(acc) && on_grid(scale) && sum < LIMIT {
+        return sum;
+    }
+    (0..n).fold(acc, |acc, _| acc + scale)
 }
 
 impl PlacementCache {
-    /// Evaluate every sampled (edge, iteration, element) placement of the
-    /// aligned program once.
+    /// Evaluate every distinct sampled (edge, iteration, element) placement
+    /// of the aligned program once.
     pub fn new(adg: &Adg, alignment: &ProgramAlignment, opts: SimOptions) -> Self {
         let _span = trace::span("commsim.cache.build");
         trace::count("commsim.cache.builds", 1);
@@ -751,59 +849,27 @@ impl PlacementCache {
             }
         }
         for (eid, edge) in adg.edges() {
-            let src_port = adg.port(edge.src);
-            let src_align = alignment.port(edge.src);
-            let dst_align = alignment.port(edge.dst);
-            let num_points = edge.space.size() as usize;
-            if num_points == 0 {
+            let Some(walk) = EdgeWalk::new(adg, edge, alignment, opts) else {
                 continue;
-            }
-            let dst_replicated = dst_align.offsets.iter().any(OffsetAlign::is_replicated)
-                && !src_align.offsets.iter().any(OffsetAlign::is_replicated);
-            let src_rank = src_align.template_rank();
-            let dst_rank = dst_align.template_rank();
-            let iter_stride = num_points
-                .div_ceil(opts.iteration_budget(num_points))
-                .max(1);
-            let mut iterations = Vec::new();
-            let mut idx = 0usize;
-            edge.space.for_each_point(|point| {
-                let take = idx.is_multiple_of(iter_stride);
-                idx += 1;
-                if !take {
+            };
+            let dst_replicated = walk.dst_replicated;
+            let mut iterations: Vec<CachedIteration> = Vec::new();
+            let mut src_buf = Vec::new();
+            let mut dst_buf = Vec::new();
+            walk.for_each_point(|fresh| {
+                let Some(placement) = fresh else {
+                    iterations
+                        .last_mut()
+                        .expect("a repeated point follows the point it repeats")
+                        .repeat += 1;
                     return;
-                }
-                let extents: Vec<i64> = src_port
-                    .extents
-                    .iter()
-                    .map(|a| a.eval_assoc(point).max(0))
-                    .collect();
-                let total_elements: i64 = extents.iter().product::<i64>().max(0);
-                if total_elements == 0 {
-                    return;
-                }
-                let budget = opts.element_budget(total_elements as usize);
-                let src_eval = PosEval::new(src_align, point);
-                let dst_eval = PosEval::new(dst_align, point);
-                // Identical evaluators: every sample would be dropped as
-                // position-identical below — book the sampling counters and
-                // store the (empty) iteration without enumerating.
-                if !dst_replicated && src_eval == dst_eval {
-                    SampleLattice::new(&extents, budget).count();
-                    iterations.push(CachedIteration {
-                        coords: Vec::new(),
-                        scales: Vec::new(),
-                    });
-                    return;
-                }
+                };
+                let lattice = placement.lattice(opts);
                 let mut coords = Vec::new();
-                let mut scales = Vec::new();
-                let mut src_buf = Vec::new();
-                let mut dst_buf = Vec::new();
-                for_each_sampled_index(&extents, budget, |index, scale| {
-                    src_eval.write(index, &mut src_buf);
+                for_each_sampled_index(&placement.extents, &lattice, |index| {
+                    placement.src.write(index, &mut src_buf);
                     if !dst_replicated {
-                        dst_eval.write(index, &mut dst_buf);
+                        placement.dst.write(index, &mut dst_buf);
                         if dst_buf == src_buf {
                             // Identical positions have identical owners
                             // under EVERY distribution: the sample can
@@ -821,16 +887,19 @@ impl PlacementCache {
                         note_range(&mut coord_lo, &mut coord_hi, &src_buf);
                         coords.extend_from_slice(&src_buf);
                     }
-                    scales.push(scale);
                 });
-                iterations.push(CachedIteration { coords, scales });
+                iterations.push(CachedIteration {
+                    repeat: 1,
+                    scale: lattice.scale,
+                    coords,
+                });
             });
             edges.push(CachedEdge {
                 id: eid,
-                weight: iter_stride as f64 * edge.control_weight,
+                weight: walk.iter_stride as f64 * edge.control_weight,
                 dst_replicated,
-                src_rank,
-                dst_rank,
+                src_rank: walk.src.template_rank(),
+                dst_rank: walk.dst.template_rank(),
                 iterations,
             });
         }
@@ -841,9 +910,25 @@ impl PlacementCache {
         }
     }
 
+    /// `(iteration points, stored traversals, stored samples)`: what the
+    /// cache stands for against what it holds (experiment E27's columns).
+    #[doc(hidden)]
+    pub fn footprint(&self) -> (usize, usize, usize) {
+        let mut totals = (0, 0, 0);
+        for edge in &self.edges {
+            for run in &edge.iterations {
+                totals.0 += run.repeat;
+                totals.1 += 1;
+                totals.2 += run.coords.len() / edge.sample_width();
+            }
+        }
+        totals
+    }
+
     /// Price one candidate distribution: identical traffic to running
     /// [`simulate`] with the same options the cache was built with.
     pub fn price<D: TemplateDistribution + ?Sized>(&self, machine: &D) -> SimReport {
+        let _span = trace::span("commsim.cache.price");
         self.run(machine)
     }
 
@@ -852,33 +937,36 @@ impl PlacementCache {
     /// (sender, receiver) message sets (whose counts the element totals do
     /// not depend on).
     pub fn total_elements<D: TemplateDistribution + ?Sized>(&self, machine: &D) -> f64 {
+        let _span = trace::span("commsim.cache.price");
         trace::count("commsim.cache.prices", 1);
         let tables = OwnerTables::build(machine, &self.coord_lo, &self.coord_hi);
         let mut total = 0.0;
         for edge in &self.edges {
+            // The per-iteration walk adds `scale` once per moved sample of
+            // every point, in order; within a run those are consecutive
+            // additions of one value.
             let mut edge_elems = 0.0;
             let sample_width = edge.sample_width();
             for iteration in &edge.iterations {
-                for (s, chunk) in iteration.coords.chunks_exact(sample_width).enumerate() {
-                    let scale = iteration.scales[s];
-                    if edge.dst_replicated {
-                        edge_elems += scale;
-                        continue;
-                    }
-                    let (src_owner, dst_owner) = match &tables {
-                        Some(t) => (
-                            t.owner(&chunk[..edge.src_rank]),
-                            t.owner(&chunk[edge.src_rank..]),
-                        ),
-                        None => (
-                            machine.owner_flat(&chunk[..edge.src_rank]),
-                            machine.owner_flat(&chunk[edge.src_rank..]),
-                        ),
-                    };
-                    if src_owner != dst_owner {
-                        edge_elems += scale;
-                    }
-                }
+                let samples = iteration.coords.chunks_exact(sample_width);
+                let moved = if edge.dst_replicated {
+                    samples.len()
+                } else {
+                    samples
+                        .filter(|chunk| {
+                            let (src, dst) = chunk.split_at(edge.src_rank);
+                            match &tables {
+                                Some(t) => t.owner(src) != t.owner(dst),
+                                None => machine.owner_flat(src) != machine.owner_flat(dst),
+                            }
+                        })
+                        .count()
+                };
+                edge_elems = repeat_add(
+                    edge_elems,
+                    iteration.scale,
+                    (moved * iteration.repeat) as u64,
+                );
             }
             total += edge_elems * edge.weight;
         }
@@ -900,8 +988,8 @@ impl PlacementCache {
                 let mut moves = 0.0;
                 let mut broadcast = 0.0;
                 pairs.begin();
-                for (s, chunk) in iteration.coords.chunks_exact(sample_width).enumerate() {
-                    let scale = iteration.scales[s];
+                let scale = iteration.scale;
+                for chunk in iteration.coords.chunks_exact(sample_width) {
                     let src_owner = match &tables {
                         Some(t) => t.owner(&chunk[..edge.src_rank]),
                         None => machine.owner_flat(&chunk[..edge.src_rank]),
@@ -920,9 +1008,13 @@ impl PlacementCache {
                         }
                     }
                 }
-                traffic.element_moves += moves * edge.weight;
-                traffic.broadcast_elements += broadcast * edge.weight;
-                traffic.messages += pairs.len() as f64 * edge.weight;
+                // The walk accumulates per iteration point, so a run adds its
+                // traversal's traffic once per point it stands for.
+                for _ in 0..iteration.repeat {
+                    traffic.element_moves += moves * edge.weight;
+                    traffic.broadcast_elements += broadcast * edge.weight;
+                    traffic.messages += pairs.len() as f64 * edge.weight;
+                }
             }
             if !traffic.is_zero() {
                 report.per_edge.push((edge.id, traffic));
@@ -943,21 +1035,6 @@ impl CachedEdge {
     }
 }
 
-/// Exact (sampled) traffic of redistributing one object between two
-/// (alignment, distribution) pairs over the *same* physical processors — the
-/// inter-phase step of a dynamic distribution.
-///
-/// For every element the destination owner is computed under the target
-/// alignment and distribution; the element moves unless some copy of it
-/// already lives on that processor under the source pair. Replication is
-/// handled per axis: a position replicated along a source axis is held at
-/// every processor coordinate of that grid dimension (a *collapse* into a
-/// single position is therefore free), while a destination that replicates a
-/// previously single position charges a broadcast of the object (*spread*).
-///
-/// `extents` are the object's per-axis element counts, `point` the iteration
-/// point at which mobile offsets are evaluated (boundary objects are loop
-/// invariant, so this is usually the empty point).
 /// The traffic of redistributing an object between two placements a caller
 /// has already proven **identical** (equal alignments and equal
 /// distributions): zero, without enumerating the elements. Books exactly
@@ -1087,6 +1164,21 @@ fn for_each_lattice_pos(counts: &[usize], mut visit: impl FnMut(&[usize])) {
     }
 }
 
+/// Exact (sampled) traffic of redistributing one object between two
+/// (alignment, distribution) pairs over the *same* physical processors — the
+/// inter-phase step of a dynamic distribution.
+///
+/// For every element the destination owner is computed under the target
+/// alignment and distribution; the element moves unless some copy of it
+/// already lives on that processor under the source pair. Replication is
+/// handled per axis: a position replicated along a source axis is held at
+/// every processor coordinate of that grid dimension (a *collapse* into a
+/// single position is therefore free), while a destination that replicates a
+/// previously single position charges a broadcast of the object (*spread*).
+///
+/// `extents` are the object's per-axis element counts, `point` the iteration
+/// point at which mobile offsets are evaluated (boundary objects are loop
+/// invariant, so this is usually the empty point).
 pub fn redistribution_traffic<S, D>(
     extents: &[i64],
     src: &PortAlignment,
@@ -1254,7 +1346,9 @@ where
     let mut dst_buf = Vec::new();
     let mut dst_in_src = vec![0usize; src_dims.len()];
 
-    for_each_sampled_index(extents, budget, |index, scale| {
+    let lattice = SampleLattice::new(extents, budget);
+    let scale = lattice.scale;
+    for_each_sampled_index(extents, &lattice, |index| {
         src_eval.write(index, &mut src_buf);
         if spread {
             broadcast += scale;
@@ -1553,58 +1647,243 @@ mod tests {
     #[test]
     fn cache_matches_simulate() {
         // The placement cache must reproduce simulate() traffic exactly —
-        // same sampling, same scales, same message sets — for any candidate
-        // distribution, under exact and sampled options alike.
-        use alignment_core::pipeline::{align_program, PipelineConfig};
-        for program in [
-            programs::example1(200),
-            programs::figure1(24),
-            programs::figure4(16, 8, 4),
-            programs::stencil2d(24, 3),
-        ] {
+        // same sampling, same scales, same message sets, the same bits —
+        // for any candidate distribution, under exact and sampled options
+        // alike.
+        let aligned = |program: align_ir::Program| {
             let (adg, result) = align_program(&program, &PipelineConfig::default());
+            (program.name, adg, result.alignment)
+        };
+        let mut cases = vec![
+            aligned(programs::example1(200)),
+            aligned(programs::figure1(24)),
+            aligned(programs::figure4(16, 8, 4)),
+            aligned(programs::stencil2d(24, 3)),
+        ];
+        // Loop invariant and sampled at a scale that is not dyadic
+        // (6111/1568): 64 trips collapse into one run whose additions round.
+        let (adg, alignment) = atom(&programs::reduction_tree(64, 64), 2);
+        cases.push(("reduction_tree(64,64) atom 2".into(), adg, alignment));
+        // Several runs per edge, each longer than one point.
+        let (adg, alignment) = shifted_nest(true);
+        cases.push(("shifted_nest".into(), adg, alignment));
+
+        for (name, adg, alignment) in &cases {
+            let rank = alignment.ports[0].template_rank();
+            let machines = if rank == 2 {
+                vec![
+                    Machine::new(vec![2, 2], vec![8, 8]),
+                    Machine::new(vec![4, 1], vec![8, 32]),
+                    Machine::cyclic(vec![2, 2]),
+                    Machine::block_distribution(vec![4, 8], &[64, 64]),
+                ]
+            } else {
+                vec![
+                    Machine::new(vec![4; rank], vec![8; rank]),
+                    Machine::cyclic(vec![32; rank]),
+                ]
+            };
             for opts in [
                 SimOptions::default(),
                 SimOptions::exact(),
                 SimOptions::sampled(64, 32),
             ] {
-                let cache = PlacementCache::new(&adg, &result.alignment, opts);
-                for machine in [
-                    Machine::new(vec![2, 2], vec![8, 8]),
-                    Machine::new(vec![4, 1], vec![8, 32]),
-                    Machine::cyclic(vec![2, 2]),
-                ] {
-                    let direct = simulate(&adg, &result.alignment, &machine, opts);
-                    let cached = cache.price(&machine);
+                let cache = PlacementCache::new(adg, alignment, opts);
+                for machine in &machines {
+                    let direct = simulate(adg, alignment, machine, opts);
+                    let cached = cache.price(machine);
                     assert_eq!(
-                        direct.total.element_moves, cached.total.element_moves,
-                        "{}: moves",
-                        program.name
+                        direct.total.element_moves.to_bits(),
+                        cached.total.element_moves.to_bits(),
+                        "{name}: moves"
                     );
                     assert_eq!(
-                        direct.total.broadcast_elements, cached.total.broadcast_elements,
-                        "{}: broadcast",
-                        program.name
+                        direct.total.broadcast_elements.to_bits(),
+                        cached.total.broadcast_elements.to_bits(),
+                        "{name}: broadcast"
                     );
                     assert_eq!(
-                        direct.total.messages, cached.total.messages,
-                        "{}: messages",
-                        program.name
+                        direct.total.messages.to_bits(),
+                        cached.total.messages.to_bits(),
+                        "{name}: messages"
                     );
-                    assert_eq!(
-                        direct.per_edge.len(),
-                        cached.per_edge.len(),
-                        "{}",
-                        program.name
-                    );
-                    assert_eq!(
-                        cached.total_elements(),
-                        cache.total_elements(&machine),
-                        "{}: fast path",
-                        program.name
-                    );
+                    assert_eq!(direct.per_edge.len(), cached.per_edge.len(), "{name}");
+                    // The ranking fast path sums per sample across the
+                    // iteration points; check it against that walk spelled
+                    // out, one addition per moved sample per point.
+                    let mut unrolled = 0.0;
+                    for edge in &cache.edges {
+                        let mut edge_elems = 0.0;
+                        for run in &edge.iterations {
+                            for _ in 0..run.repeat {
+                                for chunk in run.coords.chunks_exact(edge.sample_width()) {
+                                    let (src, dst) = chunk.split_at(edge.src_rank);
+                                    if edge.dst_replicated
+                                        || machine.owner_flat(src) != machine.owner_flat(dst)
+                                    {
+                                        edge_elems += run.scale;
+                                    }
+                                }
+                            }
+                        }
+                        unrolled += edge_elems * edge.weight;
+                    }
+                    let fast = cache.total_elements(machine);
+                    assert_eq!(fast.to_bits(), unrolled.to_bits(), "{name}: fast path");
+                    // The two summation orders agree to the bit only while
+                    // no addition rounds.
+                    if !name.starts_with("reduction_tree") {
+                        assert_eq!(fast.to_bits(), cached.total_elements().to_bits(), "{name}");
+                    } else {
+                        assert!(
+                            (fast - cached.total_elements()).abs() <= 1e-9 * fast,
+                            "{name}"
+                        );
+                    }
                 }
             }
+        }
+    }
+
+    /// `(repeat, stored samples)` of every run, edge by edge.
+    fn runs(cache: &PlacementCache) -> Vec<Vec<(usize, usize)>> {
+        cache
+            .edges
+            .iter()
+            .map(|e| {
+                e.iterations
+                    .iter()
+                    .map(|it| (it.repeat, it.coords.len() / e.sample_width()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `program`'s `i`-th distributable atom, aligned on its own (what the
+    /// phase pipeline builds one cache per).
+    fn atom(program: &align_ir::Program, i: usize) -> (Adg, ProgramAlignment) {
+        let atoms = program.distributable_atoms();
+        let sub = program.from_atoms(std::slice::from_ref(&atoms[i]));
+        let (adg, result) = align_program(&sub, &PipelineConfig::default());
+        (adg, result.alignment)
+    }
+
+    /// `do k = 1, 3; do j = 1, 5; A(1:16,1:15) = A(1:16,1:15) + A(1:16,2:16)`
+    /// under the identity alignment, except that the shifted operand's
+    /// axis-1 offset is the outer (`k`) or the inner (`j`) induction
+    /// variable.
+    fn shifted_nest(offset_follows_outer: bool) -> (Adg, ProgramAlignment) {
+        use align_ir::builder::{add, rng, ProgramBuilder};
+        let mut b = ProgramBuilder::new("shifted_nest");
+        let a = b.array("A", &[16, 16]);
+        let k = b.begin_loop(1, 3);
+        let j = b.begin_loop(1, 5);
+        let near = b.sec_ref(a, vec![rng(1, 16), rng(1, 15)]);
+        let far = b.sec_ref(a, vec![rng(1, 16), rng(2, 16)]);
+        let lhs = align_ir::Section::new(vec![rng(1, 16), rng(1, 15)]);
+        b.assign(a, lhs, add(near, far));
+        b.end_loop();
+        b.end_loop();
+        let adg = build_adg(&b.finish());
+        let mut alignment = identity(&adg, 2);
+        let liv = if offset_follows_outer { k } else { j };
+        for (pid, port) in adg.ports() {
+            if port.label.contains("2:16") {
+                alignment.ports[pid.0].offsets[1] = OffsetAlign::Fixed(Affine::liv(liv));
+            }
+        }
+        (adg, alignment)
+    }
+
+    #[test]
+    fn loop_invariant_points_share_one_stored_traversal() {
+        // Not mobile in the loop: forty trips, one traversal.
+        let (adg, a) = atom(&programs::fft_like(128, 40), 0);
+        let collapsed = || trace::counter("commsim.iterations_collapsed");
+        let before = collapsed();
+        let cache = PlacementCache::new(&adg, &a, SimOptions::default());
+        let stored: Vec<_> = runs(&cache).into_iter().flatten().collect();
+        assert_eq!(stored, [(40, 4096)]);
+        assert_eq!(collapsed() - before, 39);
+
+        // Mobile in the outer loop only: one run per outer trip, as long as
+        // the inner loop — and the uncached walk folds the same points.
+        let (adg, a) = shifted_nest(true);
+        let before = collapsed();
+        let cache = PlacementCache::new(&adg, &a, SimOptions::default());
+        let per_edge: Vec<_> = runs(&cache).into_iter().filter(|r| !r.is_empty()).collect();
+        assert!(!per_edge.is_empty());
+        for edge_runs in &per_edge {
+            assert_eq!(edge_runs.len(), 3, "{edge_runs:?}");
+            assert!(edge_runs.iter().all(|&(repeat, _)| repeat == 5));
+        }
+        let folded = (per_edge.len() * 3 * 4) as u64;
+        assert_eq!(collapsed() - before, folded);
+        let m = Machine::new(vec![2, 2], vec![4, 4]);
+        simulate(&adg, &a, &m, SimOptions::default());
+        assert_eq!(collapsed() - before, 2 * folded);
+
+        // Mobile in the innermost loop: nothing to share, one run per point.
+        let (adg, a) = shifted_nest(false);
+        let before = collapsed();
+        let cache = PlacementCache::new(&adg, &a, SimOptions::default());
+        let per_edge: Vec<_> = runs(&cache).into_iter().filter(|r| !r.is_empty()).collect();
+        assert!(!per_edge.is_empty());
+        for edge_runs in per_edge {
+            assert_eq!(edge_runs.len(), 15, "{edge_runs:?}");
+            assert!(edge_runs.iter().all(|&(repeat, _)| repeat == 1));
+        }
+        assert_eq!(collapsed(), before);
+    }
+
+    #[test]
+    fn repeat_add_equals_the_addition_loop_bitwise() {
+        // SplitMix64, seeded.
+        let mut state = 14u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let naive = |acc: f64, scale: f64, n: u64| (0..n).fold(acc, |a, _| a + scale);
+        for case in 0..1000 {
+            let n = next() % 3000;
+            let scale = match case % 4 {
+                0 => (1 + next() % 64) as f64,            // exact traversals
+                1 => (1 + next() % 8192) as f64 / 32.0,   // dyadic (127/32)
+                2 => (1 + next() % 8192) as f64 / 4096.0, // the grid itself
+                _ => (1 + next() % 8192) as f64 / 1568.0, // 6111/1568 = 3.897…
+            };
+            // Start on or off the grid, far below or straddling the limit.
+            let acc = match (case / 4) % 4 {
+                0 => 0.0,
+                1 => (next() % (1 << 30)) as f64 / 4096.0,
+                2 => (next() % (1 << 30)) as f64 / 1568.0,
+                _ => (1u64 << 41) as f64 - ((next() % 4096) as f64 * scale).floor(),
+            };
+            let want = naive(acc, scale, n);
+            assert_eq!(
+                repeat_add(acc, scale, n).to_bits(),
+                want.to_bits(),
+                "acc {acc} scale {scale} n {n}"
+            );
+        }
+        // The edge itself: the last sum the multiply arm may produce, and
+        // the first it may not (above 2⁴¹ an odd multiple of 2⁻¹² rounds).
+        let limit = (1u64 << 41) as f64;
+        let step = 1.0 / 4096.0;
+        for (acc, n) in [
+            (limit - 4.0 * step, 3),
+            (limit - 4.0 * step, 4),
+            (limit - step, 7),
+        ] {
+            assert_eq!(
+                repeat_add(acc, step, n).to_bits(),
+                naive(acc, step, n).to_bits(),
+                "acc {acc} n {n}"
+            );
         }
     }
 
@@ -1793,7 +2072,7 @@ mod tests {
                         let src_eval = PosEval::new(src_align, &[]);
                         let dst_eval = PosEval::new(dst_align, &[]);
                         let total: usize = extents.iter().product::<i64>().max(1) as usize;
-                        let budget = opts.element_budget(total);
+                        let lattice = SampleLattice::new(&extents, opts.element_budget(total));
 
                         let mut ref_pairs = PairSet::new(machine.num_processors());
                         ref_pairs.begin();
@@ -1804,7 +2083,7 @@ mod tests {
                             &dst_eval,
                             machine,
                             dst_replicated,
-                            budget,
+                            &lattice,
                             &mut ref_pairs,
                         );
                         let ref_priced = trace::counter("commsim.elements_priced") - before;
@@ -1818,7 +2097,7 @@ mod tests {
                             &dst_eval,
                             machine,
                             dst_replicated,
-                            budget,
+                            &lattice,
                             &mut pairs,
                         )
                         .unwrap_or_else(|| panic!("{label}: separable scenario fell back"));

@@ -831,28 +831,36 @@ fn build_layers(
     // over read-only inputs), so the phases fan out over the pool; results
     // land in phase order and worker counter deltas are absorbed, keeping
     // every `commsim.*` total identical to a serial build.
-    let built = pool::map(phases.len(), |i| {
-        layer_from_report(&phases[i], pool, cap, &retained, sim)
-    });
-    built
-        .into_iter()
-        .map(|(layer, caches)| (layer, Arc::new(caches)))
-        .unzip()
+    // The caches are kept so `simulate_dynamic` can replay the chosen plan
+    // by owner lookups instead of re-walking every position.
+    pool::map(phases.len(), |i| {
+        let p = &phases[i];
+        let caches: Vec<commsim::PlacementCache> = p
+            .atoms
+            .iter()
+            .map(|a| commsim::PlacementCache::new(&a.adg, &a.alignment.alignment, sim))
+            .collect();
+        let layer = layer_from_report(p, pool, cap, &retained, &caches);
+        (layer, Arc::new(caches))
+    })
+    .into_iter()
+    .unzip()
 }
 
 /// One phase's candidate layer: the `cap` cheapest of its pool-priced
 /// ranking plus every `retained` signature, with in-phase simulated-element
 /// costs. Placements depend on the alignment, not the candidate, so the
-/// per-atom placement caches are built once and every candidate is priced
-/// by owner lookups alone ([`commsim::PlacementCache`] reproduces
-/// `simulate()` exactly, so these costs equal the final plan pricing).
+/// per-atom placement caches (`caches`, in atom order) are built once and
+/// every candidate is priced by owner lookups alone
+/// ([`commsim::PlacementCache`] reproduces `simulate()` exactly, so these
+/// costs equal the final plan pricing).
 fn layer_from_report(
     p: &PhaseResult,
     pool: &[Sig],
     cap: usize,
     retained: &[Sig],
-    sim: SimOptions,
-) -> (PhaseCandidates, Vec<commsim::PlacementCache>) {
+    caches: &[commsim::PlacementCache],
+) -> PhaseCandidates {
     let sig_id = |sig: &Sig| -> SigId {
         pool.iter()
             .position(|s| s == sig)
@@ -866,12 +874,7 @@ fn layer_from_report(
         .filter(|(i, r)| *i < cap || retained.contains(&sig_of(&r.distribution)))
         .map(|(_, r)| r)
         .collect();
-    let caches: Vec<commsim::PlacementCache> = p
-        .atoms
-        .iter()
-        .map(|a| commsim::PlacementCache::new(&a.adg, &a.alignment.alignment, sim))
-        .collect();
-    let layer = PhaseCandidates {
+    PhaseCandidates {
         costs: keep
             .iter()
             .map(|r| {
@@ -886,10 +889,7 @@ fn layer_from_report(
             .map(|r| sig_id(&sig_of(&r.distribution)))
             .collect(),
         dists: keep.iter().map(|r| r.distribution.clone()).collect(),
-    };
-    // The caches are handed back so `simulate_dynamic` can replay the
-    // chosen plan by owner lookups instead of re-walking every position.
-    (layer, caches)
+    }
 }
 
 /// Materialise the per-array redistribution steps of the chosen plan: at
@@ -1263,7 +1263,8 @@ pub fn try_align_then_distribute_dynamic(
 /// Only the merged groups are rebuilt: their reports are the signature-wise
 /// sums of the members' pool-priced rankings (same cover ⇒ same candidate
 /// instances ⇒ model costs add; no re-search, no new cost models), and
-/// their layers are re-simulated with the chosen signature forced in.
+/// their layers are re-priced on the members' placement caches with the
+/// chosen signature forced in.
 /// Untouched phases keep their reports, layers and chosen indices.
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
 fn coalesce(
@@ -1339,7 +1340,13 @@ fn coalesce(
             continue;
         }
         let merged = merge_phase_group(members, solve_cfg.nprocs);
-        let (layer, caches) = layer_from_report(&merged, pool, cap, &[pool[sig].clone()], sim);
+        // The merged phase's atoms are the members' atoms in order, so its
+        // caches are the members' caches in order.
+        let caches: Vec<commsim::PlacementCache> = member_caches
+            .into_iter()
+            .flat_map(Arc::unwrap_or_clone)
+            .collect();
+        let layer = layer_from_report(&merged, pool, cap, &[pool[sig].clone()], &caches);
         new_chosen.push(
             layer
                 .sigs
