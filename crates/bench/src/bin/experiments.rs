@@ -103,6 +103,11 @@ fn main() {
             "Run-collapsed placements — iteration points vs stored traversals on the benchmark cases",
             e27,
         ),
+        (
+            "e28",
+            "Boundary moves priced as a matrix — cells, compiled sides and the DP pricing span on the benchmark cases",
+            e28,
+        ),
     ];
 
     for (id, title, run) in experiments {
@@ -1469,4 +1474,70 @@ fn e27() {
     println!("keeps a traversal per point. Reports, layer costs and every pre-existing");
     println!("counter are bit-identical to the per-point walk");
     println!("(`tests/placement_collapse.rs`).");
+}
+
+// --- E28: a DP layer's boundary moves as one matrix ---------------------------------------------
+
+fn e28() {
+    use benchmark_workloads::{Kind, Workload};
+
+    // The thirteen planning cases of the benchmark (`lp_bound`,
+    // `planner_bound`, `size_sweep` at seed 11), solved exactly as an op
+    // solves them. Per case: the boundary-move cells the layout DP priced
+    // (`phases.pricer.misses`), the sides compiled to price them, the cells
+    // that fell back to the per-element evaluation, and the exclusive time
+    // of the DP's pricing span in one traced solve.
+    let mut t = Table::new(&[
+        "case",
+        "cells priced",
+        "sides compiled",
+        "evaluated cells",
+        "dp.price excl ms",
+        "us / cell",
+        "solve ms",
+    ]);
+    for kind in [Kind::LpBound, Kind::PlannerBound, Kind::SizeSweep] {
+        let workload = Workload::build(kind, 11).expect("benchmark workload builds");
+        for case in &workload.cases {
+            let cfg = &workload.config;
+            let _ = align_then_distribute_dynamic(&case.program, case.nprocs, cfg);
+            trace::reset();
+            trace::configure(trace::TraceConfig::enabled());
+            let _ = align_then_distribute_dynamic(&case.program, case.nprocs, cfg);
+            trace::configure(trace::TraceConfig::default());
+            let cells = trace::counter("phases.pricer.misses");
+            let sides = trace::counter("commsim.redist.sides_compiled");
+            let evaluated = trace::counter("commsim.redist.evaluated_cells");
+            let profile = trace::profile::Profile::from_trace(&trace::take());
+            let price_ns = profile
+                .rows
+                .iter()
+                .find(|r| r.name == "phases.dp.price")
+                .map_or(0, |r| r.exclusive_ns);
+            t.row(vec![
+                case.name.clone(),
+                cells.to_string(),
+                sides.to_string(),
+                evaluated.to_string(),
+                format!("{:.2}", price_ns as f64 / 1e6),
+                if cells == 0 {
+                    "-".into()
+                } else {
+                    format!("{:.2}", price_ns as f64 / 1e3 / cells as f64)
+                },
+                format!("{:.2}", profile.total_ns as f64 / 1e6),
+            ]);
+        }
+    }
+    println!("{t}");
+    println!("A DP layer asks for every (resting signature, candidate) pair of every");
+    println!("array it touches: a matrix over a dozen sides per resting spot. Each side");
+    println!("(`commsim::RestingOwners`: the owner coordinate of every sampled position");
+    println!("along each array axis) is compiled once, spots are interned by content so");
+    println!("later layers reuse them, and a cell combines two sides by classing each");
+    println!("axis's positions by their (source, destination) owner coordinates — no");
+    println!("element is visited. Where boundaries coalesce, the count includes the");
+    println!("sides the final steps are re-priced from (a second, short-lived pricer).");
+    println!("Costs, plans and every pre-existing counter are bit-identical to pricing");
+    println!("cell by cell (`tests/move_matrix.rs`).");
 }

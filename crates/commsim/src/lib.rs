@@ -26,6 +26,6 @@ pub mod simulate;
 
 pub use machine::{Machine, TemplateDistribution, REPLICATED_COORD};
 pub use simulate::{
-    identical_placement_traffic, redistribution_traffic, simulate, simulate_redistribution,
-    EdgeTraffic, PlacementCache, RedistSpec, RestingPlacement, SimOptions, SimReport,
+    redistribution_traffic, simulate, simulate_redistribution, EdgeTraffic, PlacementCache,
+    RedistSpec, RestingOwners, RestingPlacement, SimOptions, SimReport, TrafficScratch,
 };

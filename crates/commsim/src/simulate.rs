@@ -205,13 +205,21 @@ fn simulate_edge<D: TemplateDistribution + ?Sized>(
         trace::count("commsim.sampling_events", 1);
     }
     let iter_scale = walk.iter_stride as f64;
-    let mut pairs = PairSet::new(machine.num_processors());
+    let mut pairs = None;
+    let mut scratch = TrafficScratch::default();
     let mut per_iter = EdgeTraffic::default();
 
     walk.for_each_point(|fresh| {
         // A repeated placement moves what the previous point moved.
         if let Some(placement) = fresh {
-            per_iter = element_traffic(placement, walk.dst_replicated, machine, opts, &mut pairs);
+            per_iter = element_traffic(
+                placement,
+                walk.dst_replicated,
+                machine,
+                opts,
+                &mut pairs,
+                &mut scratch,
+            );
         }
         traffic.element_moves += per_iter.element_moves * iter_scale * edge.control_weight;
         traffic.messages += per_iter.messages * iter_scale * edge.control_weight;
@@ -348,6 +356,13 @@ impl<'a> EdgeWalk<'a> {
 /// `commsim.elements_priced` / `commsim.sampling_events` counts.
 struct SampleLattice {
     strides: Vec<i64>,
+    size: SampleSize,
+}
+
+/// How many of an object's elements a traversal visits, and what each visit
+/// stands for.
+#[derive(Debug, Clone, Copy)]
+struct SampleSize {
     sampled: i64,
     total: i64,
     scale: f64,
@@ -371,14 +386,22 @@ impl SampleLattice {
         let scale = total as f64 / sampled as f64;
         SampleLattice {
             strides,
-            sampled,
-            total,
-            scale,
+            size: SampleSize {
+                sampled,
+                total,
+                scale,
+            },
         }
     }
 
     /// Book the traversal's counters (identical whether or not the element
     /// loop actually runs).
+    fn count(&self) {
+        self.size.count();
+    }
+}
+
+impl SampleSize {
     fn count(&self) {
         trace::count("commsim.elements_priced", self.sampled as u64);
         if self.sampled < self.total {
@@ -390,7 +413,7 @@ impl SampleLattice {
 /// Visit the (1-based) element indices `lattice` samples of an object with
 /// the given extents, booking the traversal's counters: every axis is strided
 /// so the sampled count stays within the lattice's budget, and each visited
-/// index represents `lattice.scale` real elements.
+/// index represents `lattice.size.scale` real elements.
 fn for_each_sampled_index(extents: &[i64], lattice: &SampleLattice, mut visit: impl FnMut(&[i64])) {
     lattice.count();
     let strides = &lattice.strides;
@@ -498,31 +521,38 @@ impl PairSet {
 }
 
 /// Traffic of one traversal: enumerate (or sample) the elements of the object
-/// and compare owners under the two alignments. `pairs` is caller-provided
-/// workspace (reused across the iteration points of an edge).
+/// and compare owners under the two alignments. `pairs` and `scratch` are
+/// caller-provided workspace (reused across the iteration points of an
+/// edge); the pair set is only built if the evaluation has to run.
 fn element_traffic<D: TemplateDistribution + ?Sized>(
     placement: &PointPlacement,
     dst_replicated: bool,
     machine: &D,
     opts: SimOptions,
-    pairs: &mut PairSet,
+    pairs: &mut Option<PairSet>,
+    scratch: &mut TrafficScratch,
 ) -> EdgeTraffic {
-    pairs.begin();
     let PointPlacement { extents, src, dst } = placement;
     let lattice = placement.lattice(opts);
 
-    // Compiled fast path — the same owner tables the redistribution loop
-    // uses ([`RedistOwnerLut`]). Both sides share the machine, and
-    // `owner_flat` pins replicated/missing axes to coordinate 0 exactly as
-    // the compiler does, so "moved" reduces to table-fold inequality. Falls
-    // through to the per-element evaluation when an owner map does not
-    // decompose per lattice axis; both paths visit the identical sample and
-    // book identical counters.
-    if let Some(traffic) =
-        element_traffic_compiled(extents, src, dst, machine, dst_replicated, &lattice, pairs)
-    {
+    // Compiled fast path — the same per-axis owner tables a resting move
+    // is priced from ([`RestingOwners`]). Falls through to the per-element
+    // evaluation when an owner map does not decompose per lattice axis;
+    // both paths stand for the identical sample and book identical
+    // counters.
+    if let Some(traffic) = element_traffic_compiled(
+        extents,
+        src,
+        dst,
+        machine,
+        dst_replicated,
+        &lattice,
+        scratch,
+    ) {
         return traffic;
     }
+    let pairs = pairs.get_or_insert_with(|| PairSet::new(machine.num_processors()));
+    pairs.begin();
     element_traffic_evaluated(extents, src, dst, machine, dst_replicated, &lattice, pairs)
 }
 
@@ -537,7 +567,7 @@ fn element_traffic_evaluated<D: TemplateDistribution + ?Sized>(
     lattice: &SampleLattice,
     pairs: &mut PairSet,
 ) -> EdgeTraffic {
-    let scale = lattice.scale;
+    let scale = lattice.size.scale;
     let mut moves = 0.0;
     let mut broadcast = 0.0;
     let mut src_buf = Vec::new();
@@ -573,9 +603,9 @@ fn element_traffic_evaluated<D: TemplateDistribution + ?Sized>(
     }
 }
 
-/// The table-driven element loop of [`element_traffic`]; `None` when an
-/// owner map does not decompose per sampling-lattice axis (the caller then
-/// runs the per-element evaluation on an untouched `pairs`).
+/// [`element_traffic`] from compiled sides; `None` when an owner map does not
+/// decompose per sampling-lattice axis (the caller then runs the per-element
+/// evaluation).
 fn element_traffic_compiled<D: TemplateDistribution + ?Sized>(
     extents: &[i64],
     src_eval: &PosEval,
@@ -583,50 +613,19 @@ fn element_traffic_compiled<D: TemplateDistribution + ?Sized>(
     machine: &D,
     dst_replicated: bool,
     lattice: &SampleLattice,
-    pairs: &mut PairSet,
+    scratch: &mut TrafficScratch,
 ) -> Option<EdgeTraffic> {
-    let dims = machine.grid_dims();
-    if dims.contains(&0) {
-        return None;
-    }
-    let counts: Vec<usize> = extents
-        .iter()
-        .zip(&lattice.strides)
-        .map(|(&e, &s)| ((e + s - 1) / s) as usize)
-        .collect();
-    let scale = lattice.scale;
-
-    let mut moves = 0.0;
-    let mut broadcast = 0.0;
-    let w = fold_weights(&dims, |_| true);
-    let src_lut = RedistOwnerLut::compile(src_eval, machine, &w, &counts, &lattice.strides)?;
+    let src = RestingOwners::build(src_eval, machine, extents, lattice)?;
     if dst_replicated {
         lattice.count();
-        for_each_lattice_pos(&counts, |pos| {
-            broadcast += scale;
-            pairs.insert(src_lut.eval(pos), usize::MAX);
-        });
-        return Some(EdgeTraffic {
-            element_moves: moves,
-            messages: pairs.len() as f64,
-            broadcast_elements: broadcast,
-        });
+        return Some(src.broadcast());
     }
-    let dst_lut = RedistOwnerLut::compile(dst_eval, machine, &w, &counts, &lattice.strides)?;
+    let dst = RestingOwners::build(dst_eval, machine, extents, lattice)?;
     lattice.count();
-    for_each_lattice_pos(&counts, |pos| {
-        let src_owner = src_lut.eval(pos);
-        let dst_owner = dst_lut.eval(pos);
-        if src_owner != dst_owner {
-            moves += scale;
-            pairs.insert(src_owner, dst_owner);
-        }
-    });
-    Some(EdgeTraffic {
-        element_moves: moves,
-        messages: pairs.len() as f64,
-        broadcast_elements: broadcast,
-    })
+    // Both sides share the machine, and `owner_flat` pins replicated and
+    // missing axes to coordinate 0 exactly as the compiler does, so "moved"
+    // is flat-id inequality: no axis is exempt.
+    Some(src.moved_to(&dst, false, scratch))
 }
 
 use crate::machine::REPLICATED_COORD;
@@ -890,7 +889,7 @@ impl PlacementCache {
                 });
                 iterations.push(CachedIteration {
                     repeat: 1,
-                    scale: lattice.scale,
+                    scale: lattice.size.scale,
                     coords,
                 });
             });
@@ -1035,132 +1034,371 @@ impl CachedEdge {
     }
 }
 
-/// The traffic of redistributing an object between two placements a caller
-/// has already proven **identical** (equal alignments and equal
-/// distributions): zero, without enumerating the elements. Books exactly
-/// the sampling counters (`commsim.elements_priced`,
-/// `commsim.sampling_events`) the full [`redistribution_traffic`] traversal
-/// would have booked — with identical placements every element is held in
-/// place, so this is the traversal's result, not an approximation of it.
-pub fn identical_placement_traffic(extents: &[i64], opts: SimOptions) -> EdgeTraffic {
-    let total: usize = extents.iter().product::<i64>().max(1) as usize;
-    SampleLattice::new(extents, opts.element_budget(total)).count();
-    EdgeTraffic::default()
-}
-
-/// One side's owner computation of [`redistribution_traffic`], compiled
-/// against the element-sampling lattice: the flat owner id of the element
-/// at lattice position `pos` is `base + Σ tables[k][pos[bₖ]]`.
+/// One side of a resting move — an object's alignment under one
+/// distribution — compiled against the object's element-sampling lattice.
 ///
 /// The compilation exploits that both maps in the composition
 /// `owner_flat ∘ PosEval` are per-axis: a grid axis's template coordinate
 /// is affine in at most one body-axis index (replicated and missing axes
 /// pin to cell 0), and `owner` is the mixed-radix fold of the per-axis
 /// owner coordinates ([`TemplateDistribution::owner_coord`]'s composition
-/// contract). Each grid axis therefore contributes either a constant or a
-/// per-sampled-position table of weighted `owner_coord` values, and the
-/// two euclidean divisions per grid axis per element collapse to one load
-/// and add per body axis. The looked-up ids are exactly the evaluated
-/// `owner_flat` values — traffic, message pairs, and sampling counters are
-/// bit-identical to the uncompiled loop.
-struct RedistOwnerLut {
-    /// Weighted fold of the pinned axes (replicated, missing, or driven by
-    /// no body axis).
+/// contract). The flat owner id of the element at lattice position `pos` is
+/// therefore `base + Σ_b coords_b[pos[b]] · weight_b`: each body axis holds
+/// the owner coordinate its grid axis takes at each of its sampled
+/// positions, and how many positions take each coordinate. That is all a
+/// move's traffic depends on, so a side is compiled once and combined with
+/// any number of opposite sides ([`RestingOwners::traffic`]) — the ids are
+/// exactly the evaluated `owner_flat` values, and traffic, message pairs
+/// and sampling counters are bit-identical to the per-element loop.
+#[derive(Debug, Clone)]
+pub struct RestingOwners {
+    size: SampleSize,
+    nprocs: usize,
+    /// The processor grid: the radix of the flat owner id.
+    dims: Vec<usize>,
+    /// Axes of the template the alignment places the object on (at most 64).
+    template_rank: usize,
+    /// Bit `t`: the alignment replicates the object along template axis `t`.
+    replicated: u64,
+    /// Weighted fold of the grid axes no body axis drives.
     base: usize,
-    /// `(body axis, weighted contribution per sampled position)` for each
-    /// axis some body axis drives.
-    tables: Vec<(usize, Vec<usize>)>,
+    /// Per body axis of the object.
+    axes: Vec<AxisOwners>,
 }
 
-impl RedistOwnerLut {
-    /// Compile `dist`'s owner map under `eval`, weighting grid axis `t` by
-    /// `weights[t]`; weight 0 drops the axis (the masked folds of the
-    /// replicated-source held test use this). `counts` and `strides`
-    /// describe the sampling lattice. `None` when some counted grid axis is
-    /// driven by two body axes (a skewed alignment like `i + j`): its owner
-    /// coordinate is then not a function of a single lattice axis.
-    fn compile<D: TemplateDistribution + ?Sized>(
+/// What one body axis contributes to a side's flat owner ids.
+#[derive(Debug, Clone)]
+struct AxisOwners {
+    /// Sampled positions along the axis (at least 1).
+    count: usize,
+    /// Mixed-radix weight of the grid axis this body axis drives.
+    weight: usize,
+    /// Extent of that grid axis; 0 when the body axis drives none (the
+    /// owner does not depend on it).
+    grid: usize,
+    /// `grid` entries counting the sampled positions at each owner
+    /// coordinate, then the owner coordinate of each sampled position.
+    table: Vec<u32>,
+}
+
+impl AxisOwners {
+    /// Sampled positions per owner coordinate.
+    fn hist(&self) -> &[u32] {
+        &self.table[..self.grid]
+    }
+
+    /// Owner coordinate per sampled position.
+    fn coords(&self) -> &[u32] {
+        &self.table[self.grid..]
+    }
+
+    /// `(weighted owner coordinate, positions)` of each coordinate taken.
+    /// (Flat owner ids fit 32 bits: [`RestingOwners::build`] checks.)
+    fn classes(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        (self.hist().iter().enumerate())
+            .filter(|(_, &n)| n > 0)
+            .map(|(oc, &n)| ((oc * self.weight) as u32, n))
+    }
+}
+
+/// Reusable workspace of [`RestingOwners::traffic`]; one per caller, handed
+/// to every call, so pricing a layer of moves allocates nothing per move.
+#[derive(Debug, Default)]
+pub struct TrafficScratch {
+    /// Joint histogram of one body axis, zero between uses.
+    joint: Vec<u32>,
+    /// `(source contribution, destination contribution, positions)` of every
+    /// class of every body axis, axis after axis.
+    classes: Vec<(u32, u32, u32)>,
+    /// `classes[bounds[b]..bounds[b + 1]]` are body axis `b`'s.
+    bounds: Vec<usize>,
+    /// The class of each body axis in the product being visited.
+    cursor: Vec<usize>,
+}
+
+impl RestingOwners {
+    /// Widest grid axis compiled. Two sides' owner coordinates along one
+    /// body axis are classed in a dense `g × g` table, so this caps the
+    /// workspace at 4 MiB; wider axes take the per-element evaluation.
+    const MAX_AXIS_OWNERS: usize = 1 << 10;
+
+    /// Compile the side `alignment` ∘ `distribution` of moving an object
+    /// with the given `extents`, sampled as `opts` says, with mobile offsets
+    /// evaluated at `point` (see [`redistribution_traffic`]). `None` when
+    /// the owner map does not decompose per lattice axis — a skewed
+    /// alignment such as `i + j` on one template axis, whose owner
+    /// coordinate is not a function of a single body index; such a move is
+    /// priced by [`redistribution_traffic`]'s per-element route.
+    pub fn compile<D: TemplateDistribution + ?Sized>(
+        extents: &[i64],
+        alignment: &PortAlignment,
+        distribution: &D,
+        point: &[(LivId, i64)],
+        opts: SimOptions,
+    ) -> Option<RestingOwners> {
+        let total: usize = extents.iter().product::<i64>().max(1) as usize;
+        Self::redist_side(
+            &PosEval::new(alignment, point),
+            distribution,
+            extents,
+            &SampleLattice::new(extents, opts.element_budget(total)),
+        )
+    }
+
+    /// [`RestingOwners::build`], counted.
+    fn redist_side<D: TemplateDistribution + ?Sized>(
         eval: &PosEval,
         dist: &D,
-        weights: &[usize],
-        counts: &[usize],
-        strides: &[i64],
-    ) -> Option<RedistOwnerLut> {
-        let mut base = 0usize;
-        let mut tables: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (t, &w) in weights.iter().enumerate() {
-            if w == 0 {
+        extents: &[i64],
+        lattice: &SampleLattice,
+    ) -> Option<RestingOwners> {
+        let side = Self::build(eval, dist, extents, lattice)?;
+        trace::count("commsim.redist.sides_compiled", 1);
+        Some(side)
+    }
+
+    fn build<D: TemplateDistribution + ?Sized>(
+        eval: &PosEval,
+        dist: &D,
+        extents: &[i64],
+        lattice: &SampleLattice,
+    ) -> Option<RestingOwners> {
+        let dims = dist.grid_dims();
+        let nprocs = dist.num_processors();
+        // Owner ids and per-axis position counts are kept in 32 bits, the
+        // replication mask in 64.
+        if dims.iter().any(|&g| g == 0 || g > Self::MAX_AXIS_OWNERS)
+            || eval.base.len() > 64
+            || u32::try_from(nprocs).is_err()
+            || extents.iter().any(|&e| u32::try_from(e).is_err())
+        {
+            return None;
+        }
+        let replicated = (eval.base.iter().enumerate())
+            .filter(|(_, &c)| c == REPLICATED_COORD)
+            .fold(0u64, |mask, (t, _)| mask | 1 << t);
+        let mut side = RestingOwners {
+            size: lattice.size,
+            nprocs,
+            dims,
+            template_rank: eval.base.len(),
+            replicated,
+            base: 0,
+            axes: (extents.iter().zip(&lattice.strides))
+                .map(|(&e, &s)| AxisOwners {
+                    // An empty axis is still visited once, at its origin
+                    // ([`for_each_sampled_index`]).
+                    count: (((e + s - 1) / s) as usize).max(1),
+                    weight: 0,
+                    grid: 0,
+                    table: Vec::new(),
+                })
+                .collect(),
+        };
+        // Mixed-radix weights, axis 0 most significant — `owner_flat`'s.
+        let mut weight = 1usize;
+        for (t, &g) in side.dims.iter().enumerate().rev() {
+            let w = weight;
+            weight *= g;
+            if g == 1 {
+                // One owner coordinate, 0: nothing to add or to tabulate.
                 continue;
             }
-            let c0 = eval.base.get(t).copied().unwrap_or(REPLICATED_COORD);
-            if c0 == REPLICATED_COORD {
-                base += dist.owner_coord(t, 0) * w;
+            if side.pinned(t) {
+                side.base += dist.owner_coord(t, 0) * w;
                 continue;
             }
+            let c0 = eval.base[t];
             let mut driver: Option<(usize, i64)> = None;
             for (b, &(tb, stride)) in eval.terms.iter().enumerate() {
                 if tb == t && stride != 0 && driver.replace((b, stride)).is_some() {
+                    // Two body axes on one grid axis (a skewed alignment).
                     return None;
                 }
             }
-            match driver {
-                None => base += dist.owner_coord(t, c0) * w,
-                Some((b, stride)) => tables.push((
-                    b,
-                    (0..counts[b].max(1) as i64)
-                        .map(|j| dist.owner_coord(t, c0 + stride * (1 + j * strides[b])) * w)
-                        .collect(),
-                )),
+            let Some((b, stride)) = driver else {
+                side.base += dist.owner_coord(t, c0) * w;
+                continue;
+            };
+            let axis = &mut side.axes[b];
+            let step = lattice.strides[b];
+            axis.weight = w;
+            axis.grid = g;
+            axis.table = vec![0u32; g + axis.count];
+            for j in 0..axis.count {
+                let oc = dist.owner_coord(t, c0 + stride * (1 + j as i64 * step));
+                // An owner coordinate outside the grid breaks the trait's
+                // contract; leave such a map to the evaluation.
+                if oc >= g {
+                    return None;
+                }
+                axis.table[oc] += 1;
+                axis.table[g + j] = oc as u32;
             }
         }
-        Some(RedistOwnerLut { base, tables })
+        Some(side)
     }
 
-    #[inline]
-    fn eval(&self, pos: &[usize]) -> usize {
-        let mut id = self.base;
-        for (b, table) in &self.tables {
-            id += table[pos[*b]];
+    /// Grid axis `t` is replicated or missing in the alignment: a copy sits
+    /// at every coordinate, and the flat id pins to coordinate 0's owner.
+    fn pinned(&self, t: usize) -> bool {
+        t >= self.template_rank || self.replicated >> t & 1 == 1
+    }
+
+    /// The processor grid the side was compiled on.
+    pub fn grid_dims(&self) -> &[usize] {
+        &self.dims
+    }
+
+    /// Exact (sampled) traffic of moving the object from `src` to `dst` —
+    /// two sides of one object under one `SimOptions` over the same
+    /// processors. Bit-identical, sampling counters included, to the
+    /// per-element owner comparison [`redistribution_traffic`] documents,
+    /// without visiting the elements: the sampled positions of each body
+    /// axis fall into classes by their `(source, destination)` owner
+    /// coordinates, every element of one product of per-axis classes has
+    /// the same `(sender, receiver)` pair — and distinct products have
+    /// distinct pairs, the flat id being injective in the coordinates — so
+    /// the moved count and the message count are sums over the products.
+    pub fn traffic(
+        src: &RestingOwners,
+        dst: &RestingOwners,
+        scratch: &mut TrafficScratch,
+    ) -> EdgeTraffic {
+        assert_eq!(
+            src.nprocs, dst.nprocs,
+            "redistribution keeps the machine; only the mapping changes"
+        );
+        debug_assert!(
+            src.size.total == dst.size.total
+                && (src.axes.iter().map(|a| a.count)).eq(dst.axes.iter().map(|a| a.count)),
+            "two sides of one move share the object and its sampling"
+        );
+        src.size.count();
+        if src.spreads_into(dst) {
+            return src.broadcast();
         }
-        id
+        src.moved_to(dst, true, scratch)
     }
-}
 
-/// Mixed-radix fold weights (axis 0 most significant) over the axes `keep`
-/// selects; dropped axes get weight 0. With every axis kept this reproduces
-/// `owner_flat`'s positional weights.
-fn fold_weights(dims: &[usize], keep: impl Fn(usize) -> bool) -> Vec<usize> {
-    let mut weights = vec![0usize; dims.len()];
-    let mut acc = 1usize;
-    for t in (0..dims.len()).rev() {
-        if keep(t) {
-            weights[t] = acc;
-            acc *= dims[t].max(1);
+    /// Every sampled element broadcast from its source owner.
+    fn broadcast(&self) -> EdgeTraffic {
+        let sampled: u64 = self.axes.iter().map(|a| a.count as u64).product();
+        let senders: u64 = (self.axes.iter())
+            .map(|a| a.classes().count().max(1) as u64)
+            .product();
+        EdgeTraffic {
+            element_moves: 0.0,
+            messages: senders as f64,
+            broadcast_elements: repeat_add(0.0, self.size.scale, sampled),
         }
     }
-    weights
-}
 
-/// Visit every position of the sampling lattice (`counts` per axis, last
-/// axis fastest) in exactly [`for_each_sampled_index`]'s element order —
-/// including its quirk of visiting the origin once even when an axis has a
-/// zero count.
-fn for_each_lattice_pos(counts: &[usize], mut visit: impl FnMut(&[usize])) {
-    let mut pos = vec![0usize; counts.len()];
-    loop {
-        visit(&pos);
-        let mut carry = true;
-        for a in (0..counts.len()).rev() {
-            pos[a] += 1;
-            if pos[a] < counts[a] {
-                carry = false;
-                break;
+    /// The point-to-point traffic of moving the object from `self` to `dst`.
+    /// With `copies_hold`, an element stays put when *some* source copy sits
+    /// on its destination owner (a replicated source axis holds one at every
+    /// coordinate); without, only when the two flat owner ids are equal.
+    fn moved_to(
+        &self,
+        dst: &RestingOwners,
+        copies_hold: bool,
+        scratch: &mut TrafficScratch,
+    ) -> EdgeTraffic {
+        let TrafficScratch {
+            joint,
+            classes,
+            bounds,
+            cursor,
+        } = scratch;
+        classes.clear();
+        bounds.clear();
+        bounds.push(0);
+        for (s, d) in self.axes.iter().zip(&dst.axes) {
+            match (s.grid, d.grid) {
+                (0, 0) => classes.push((0, 0, s.count as u32)),
+                (_, 0) => classes.extend(s.classes().map(|(oc, n)| (oc, 0, n))),
+                (0, _) => classes.extend(d.classes().map(|(oc, n)| (0, oc, n))),
+                (gs, gd) => {
+                    if joint.len() < gs * gd {
+                        joint.resize(gs * gd, 0);
+                    }
+                    let cell = |a: u32, b: u32| a as usize * gd + b as usize;
+                    for (&a, &b) in s.coords().iter().zip(d.coords()) {
+                        joint[cell(a, b)] += 1;
+                    }
+                    // Second pass: collect each class at its first position
+                    // and leave the table zero for the next axis.
+                    for (&a, &b) in s.coords().iter().zip(d.coords()) {
+                        let n = std::mem::take(&mut joint[cell(a, b)]);
+                        if n > 0 {
+                            let (ws, wd) = (s.weight as u32, d.weight as u32);
+                            classes.push((a * ws, b * wd, n));
+                        }
+                    }
+                }
             }
-            pos[a] = 0;
+            bounds.push(classes.len());
         }
-        if carry || counts.is_empty() {
+
+        // Does a source copy already live on the destination owner?
+        // Decompose both flat ids in the source grid's radix and compare
+        // axis by axis; pinned source axes hold copies at every coordinate.
+        // With none pinned that is equality of the ids, both being below
+        // the shared processor count.
+        let any_pinned =
+            copies_hold && (0..self.dims.len()).any(|t| self.dims[t] > 1 && self.pinned(t));
+        let held = |mut s: usize, mut d: usize| {
+            if !any_pinned {
+                return s == d;
+            }
+            for (t, &g) in self.dims.iter().enumerate().rev() {
+                if !self.pinned(t) && s % g != d % g {
+                    return false;
+                }
+                s /= g;
+                d /= g;
+            }
+            true
+        };
+
+        let rank = self.axes.len();
+        cursor.clear();
+        cursor.extend_from_slice(&bounds[..rank]);
+        let mut moved = 0u64;
+        let mut pairs = 0u64;
+        'products: loop {
+            let (mut s, mut d, mut n) = (self.base, dst.base, 1u64);
+            for &c in cursor.iter() {
+                let (cs, cd, cn) = classes[c];
+                s += cs as usize;
+                d += cd as usize;
+                n *= cn as u64;
+            }
+            if !held(s, d) {
+                moved += n;
+                pairs += 1;
+            }
+            for b in (0..rank).rev() {
+                cursor[b] += 1;
+                if cursor[b] < bounds[b + 1] {
+                    continue 'products;
+                }
+                cursor[b] = bounds[b];
+            }
             break;
         }
+        EdgeTraffic {
+            element_moves: repeat_add(0.0, self.size.scale, moved),
+            messages: pairs as f64,
+            broadcast_elements: 0.0,
+        }
+    }
+
+    /// A spread happens on any axis the destination replicates but the
+    /// source does not — judged per axis, so a source replicated along some
+    /// *other* axis still pays for the newly replicated one.
+    fn spreads_into(&self, dst: &RestingOwners) -> bool {
+        dst.replicated & !self.replicated != 0
     }
 }
 
@@ -1209,24 +1447,25 @@ where
     let total: usize = extents.iter().product::<i64>().max(1) as usize;
     let budget = opts.element_budget(total);
 
-    // Compiled fast path — see [`RedistOwnerLut`]. Falls through to the
-    // per-element evaluation when an owner map does not decompose per
-    // lattice axis, or when a replicated source must be compared across
-    // differently-shaped grids. Both paths visit the identical element
-    // sample and book identical counters; the `compiled_and_evaluated_*`
-    // tests lock their agreement bit for bit.
+    // The 1 × 1 case of pricing a matrix of moves: compile the two sides
+    // ([`RestingOwners`]) and combine them. An owner map that does not
+    // decompose per lattice axis does not compile; that move, counted, takes
+    // the per-element evaluation. Both routes sample identically and book
+    // identical counters; the `compiled_and_evaluated_*` tests lock their
+    // agreement bit for bit.
     if let Some(traffic) = redistribution_compiled(
         extents, &src_eval, src_dist, &dst_eval, dst_dist, spread, budget,
     ) {
         return traffic;
     }
+    trace::count("commsim.redist.evaluated_cells", 1);
     redistribution_evaluated(
         extents, &src_eval, src_dist, &dst_eval, dst_dist, spread, budget,
     )
 }
 
-/// The table-driven element loop of [`redistribution_traffic`]; `None` when
-/// the owner maps cannot be compiled against the sampling lattice.
+/// [`redistribution_traffic`] from compiled sides; `None` when a side's
+/// owner map cannot be compiled against the sampling lattice.
 fn redistribution_compiled<S, D>(
     extents: &[i64],
     src_eval: &PosEval,
@@ -1240,84 +1479,15 @@ where
     S: TemplateDistribution + ?Sized,
     D: TemplateDistribution + ?Sized,
 {
-    let src_dims = src_dist.grid_dims();
-    let dst_dims = dst_dist.grid_dims();
-    if src_dims.iter().chain(&dst_dims).any(|&g| g == 0) {
-        return None;
-    }
     let lattice = SampleLattice::new(extents, budget);
-    let counts: Vec<usize> = extents
-        .iter()
-        .zip(&lattice.strides)
-        .map(|(&e, &s)| ((e + s - 1) / s) as usize)
-        .collect();
-    let scale = lattice.scale;
-
-    let mut moves = 0.0;
-    let mut broadcast = 0.0;
-    let mut pairs = PairSet::new(src_dist.num_processors());
-    pairs.begin();
-
-    let src_w = fold_weights(&src_dims, |_| true);
-    let src_lut = RedistOwnerLut::compile(src_eval, src_dist, &src_w, &counts, &lattice.strides)?;
-    if spread {
-        lattice.count();
-        for_each_lattice_pos(&counts, |pos| {
-            broadcast += scale;
-            pairs.insert(src_lut.eval(pos), usize::MAX);
-        });
-        return Some(EdgeTraffic {
-            element_moves: moves,
-            messages: pairs.len() as f64,
-            broadcast_elements: broadcast,
-        });
-    }
-    let dst_w = fold_weights(&dst_dims, |_| true);
-    let dst_lut = RedistOwnerLut::compile(dst_eval, dst_dist, &dst_w, &counts, &lattice.strides)?;
-    // Axes the held test skips: replicated (or missing) source axes hold a
-    // copy at every grid coordinate.
-    let pinned: Vec<bool> = (0..src_dims.len())
-        .map(|t| src_eval.base.get(t).copied().unwrap_or(REPLICATED_COORD) == REPLICATED_COORD)
-        .collect();
-    if pinned.iter().any(|&p| p) {
-        // Masked comparison: with equal grid shapes the destination owner's
-        // decomposition in the source radix recovers exactly the
-        // destination's per-axis owner coordinates, so "held" reduces to
-        // equal mixed-radix folds over the unpinned axes.
-        if src_dims != dst_dims {
-            return None;
-        }
-        let held_w = fold_weights(&src_dims, |t| !pinned[t]);
-        let src_held =
-            RedistOwnerLut::compile(src_eval, src_dist, &held_w, &counts, &lattice.strides)?;
-        let dst_held =
-            RedistOwnerLut::compile(dst_eval, dst_dist, &held_w, &counts, &lattice.strides)?;
-        lattice.count();
-        for_each_lattice_pos(&counts, |pos| {
-            if src_held.eval(pos) != dst_held.eval(pos) {
-                moves += scale;
-                pairs.insert(src_lut.eval(pos), dst_lut.eval(pos));
-            }
-        });
-    } else {
-        // No replicated source axes: every per-axis coordinate is
-        // constrained, and the mixed-radix fold is a bijection below the
-        // (shared) processor count — "held" is flat-id equality.
-        lattice.count();
-        for_each_lattice_pos(&counts, |pos| {
-            let src_owner = src_lut.eval(pos);
-            let dst_owner = dst_lut.eval(pos);
-            if src_owner != dst_owner {
-                moves += scale;
-                pairs.insert(src_owner, dst_owner);
-            }
-        });
-    }
-    Some(EdgeTraffic {
-        element_moves: moves,
-        messages: pairs.len() as f64,
-        broadcast_elements: broadcast,
-    })
+    let src = RestingOwners::redist_side(src_eval, src_dist, extents, &lattice)?;
+    let dst = RestingOwners::redist_side(dst_eval, dst_dist, extents, &lattice)?;
+    debug_assert_eq!(spread, src.spreads_into(&dst));
+    Some(RestingOwners::traffic(
+        &src,
+        &dst,
+        &mut TrafficScratch::default(),
+    ))
 }
 
 /// The original per-element owner evaluation of [`redistribution_traffic`] —
@@ -1347,7 +1517,7 @@ where
     let mut dst_in_src = vec![0usize; src_dims.len()];
 
     let lattice = SampleLattice::new(extents, budget);
-    let scale = lattice.scale;
+    let scale = lattice.size.scale;
     for_each_sampled_index(extents, &lattice, |index| {
         src_eval.write(index, &mut src_buf);
         if spread {
@@ -1994,12 +2164,11 @@ mod tests {
         }
         // The compiled path must take every separable scenario — a silent
         // fallback would invalidate the speedup. Rank-2 pairs all compile
-        // (4² aligns x 4² machines x 2 options = 512). Of the rank-1 pairs,
-        // collapsed sources and spreads compile everywhere (16 machine
-        // pairs each), while a replicated source compiles only across
-        // equal-shaped grids (3² same-shape + 1 flipped² = 10 pairs):
-        // (16 + 16 + 10 + 10) x 2 options = 104.
-        assert_eq!(compiled_hits, 512 + 104, "fast-path coverage");
+        // (4² aligns x 4² machines x 2 options = 512), and so do the rank-1
+        // pairs (2² aligns x 4² machines x 2 options = 128): the held test
+        // compares owner coordinates in the source grid's radix, so a
+        // replicated source compiles across differently-shaped grids too.
+        assert_eq!(compiled_hits, 512 + 128, "fast-path coverage");
 
         // A skewed alignment (two body axes on one template axis) is the
         // documented fallback: the owner coordinate is not a function of a
@@ -2018,6 +2187,238 @@ mod tests {
             13 * 9,
         )
         .is_none());
+    }
+
+    /// Price one move through [`RestingOwners`] and through the
+    /// per-element evaluation; every field and both sampling counters must
+    /// agree to the bit. Returns the traffic.
+    fn sides_match_evaluation(
+        label: &str,
+        extents: &[i64],
+        (src, src_dist): (&PortAlignment, &Machine),
+        (dst, dst_dist): (&PortAlignment, &Machine),
+        point: &[(LivId, i64)],
+        opts: SimOptions,
+    ) -> EdgeTraffic {
+        let sampling = || {
+            (
+                trace::counter("commsim.elements_priced"),
+                trace::counter("commsim.sampling_events"),
+            )
+        };
+        let spread = dst.offsets.iter().enumerate().any(|(t, o)| {
+            o.is_replicated() && !src.offsets.get(t).is_some_and(OffsetAlign::is_replicated)
+        });
+        let total: usize = extents.iter().product::<i64>().max(1) as usize;
+        let before = sampling();
+        let want = redistribution_evaluated(
+            extents,
+            &PosEval::new(src, point),
+            src_dist,
+            &PosEval::new(dst, point),
+            dst_dist,
+            spread,
+            opts.element_budget(total),
+        );
+        let mid = sampling();
+        let from = RestingOwners::compile(extents, src, src_dist, point, opts)
+            .unwrap_or_else(|| panic!("{label}: source side did not compile"));
+        let to = RestingOwners::compile(extents, dst, dst_dist, point, opts)
+            .unwrap_or_else(|| panic!("{label}: destination side did not compile"));
+        assert_eq!(sampling(), mid, "{label}: compiling books no sampling");
+        let got = RestingOwners::traffic(&from, &to, &mut TrafficScratch::default());
+        let after = sampling();
+        assert_eq!(
+            (after.0 - mid.0, after.1 - mid.1),
+            (mid.0 - before.0, mid.1 - before.1),
+            "{label}: sampling counters"
+        );
+        for (field, got, want) in [
+            ("element_moves", got.element_moves, want.element_moves),
+            ("messages", got.messages, want.messages),
+            (
+                "broadcast_elements",
+                got.broadcast_elements,
+                want.broadcast_elements,
+            ),
+        ] {
+            assert_eq!(got.to_bits(), want.to_bits(), "{label}: {field}");
+        }
+        got
+    }
+
+    #[test]
+    fn compiled_sides_price_every_separable_move_like_the_evaluation() {
+        let opts = SimOptions::default();
+        // BLOCK, CYCLIC and BLOCK-CYCLIC(2, 4, 8) on every factorisation of
+        // 8, 16 and 32 processors into a grid of the object's rank, each
+        // against each — grids of different shapes included
+        // (`[8,1]`→`[1,8]`, `[4,2]`→`[2,4]`).
+        fn grids(nprocs: usize, rank: usize) -> Vec<Vec<usize>> {
+            if rank == 1 {
+                return vec![vec![nprocs]];
+            }
+            (0..=nprocs.trailing_zeros())
+                .flat_map(|k| {
+                    grids(nprocs >> k, rank - 1).into_iter().map(move |mut g| {
+                        g.insert(0, 1 << k);
+                        g
+                    })
+                })
+                .collect()
+        }
+        let mut moved_somewhere = 0;
+        for extents in [vec![96], vec![24, 40], vec![6, 10, 12]] {
+            let align = PortAlignment::identity(extents.len(), extents.len());
+            for nprocs in [8, 16, 32] {
+                let machines: Vec<Machine> = grids(nprocs, extents.len())
+                    .into_iter()
+                    .flat_map(|grid| {
+                        let rank = grid.len();
+                        [
+                            Machine::block_distribution(grid.clone(), &extents),
+                            Machine::cyclic(grid.clone()),
+                            Machine::new(grid.clone(), vec![2; rank]),
+                            Machine::new(grid.clone(), vec![4; rank]),
+                            Machine::new(grid, vec![8; rank]),
+                        ]
+                    })
+                    .collect();
+                for from in &machines {
+                    for to in &machines {
+                        let label = format!("{extents:?}: {from:?} -> {to:?}");
+                        let t = sides_match_evaluation(
+                            &label,
+                            &extents,
+                            (&align, from),
+                            (&align, to),
+                            &[],
+                            opts,
+                        );
+                        moved_somewhere += usize::from(t.element_moves > 0.0);
+                    }
+                }
+            }
+        }
+        assert!(moved_somewhere > 1000, "the sweep moves data");
+
+        // A replicated source axis holds a copy at every coordinate of its
+        // grid dimension, across equal and across different grid shapes; a
+        // newly replicated destination axis is a spread.
+        let single = PortAlignment::identity(1, 2);
+        let mut replicated = PortAlignment::identity(1, 2);
+        replicated.offsets[1] = OffsetAlign::Replicated;
+        let square = Machine::new(vec![4, 4], vec![3, 5]);
+        let flipped = Machine::new(vec![2, 8], vec![7, 2]);
+        let wide = Machine::new(vec![16, 1], vec![2, 9]);
+        for (to_name, to) in [("square", &square), ("flipped", &flipped), ("wide", &wide)] {
+            let label = format!("collapse square -> {to_name}");
+            let collapse = sides_match_evaluation(
+                &label,
+                &[50],
+                (&replicated, &square),
+                (&single, to),
+                &[],
+                opts,
+            );
+            assert_eq!(collapse.broadcast_elements, 0.0, "{label}");
+            let label = format!("spread square -> {to_name}");
+            let spread = sides_match_evaluation(
+                &label,
+                &[50],
+                (&single, &square),
+                (&replicated, to),
+                &[],
+                opts,
+            );
+            assert_eq!(spread.broadcast_elements, 50.0, "{label}");
+        }
+        let same = sides_match_evaluation(
+            "collapse in place",
+            &[50],
+            (&replicated, &square),
+            (&single, &square),
+            &[],
+            opts,
+        );
+        assert!(same.is_zero(), "every column already holds a copy");
+
+        // Sampled objects: a dyadic scale (`lookup_table`'s 2048 × 512, 256
+        // elements a sample) and one that is not (`reduction_tree(64,64)`'s
+        // 63 × 97, 6111/1568 a sample — every addition rounds).
+        let align = PortAlignment::identity(2, 2);
+        for (extents, nprocs) in [([2048, 512], 16), ([63, 97], 32)] {
+            let rows = Machine::block_distribution(vec![nprocs, 1], &extents);
+            let cols = Machine::block_distribution(vec![1, nprocs], &extents);
+            let cyclic = Machine::cyclic(vec![4, nprocs / 4]);
+            for (from, to) in [(&rows, &cols), (&cols, &cyclic), (&cyclic, &rows)] {
+                let label = format!("{extents:?}: {from:?} -> {to:?}");
+                let t = sides_match_evaluation(
+                    &label,
+                    &extents,
+                    (&align, from),
+                    (&align, to),
+                    &[],
+                    opts,
+                );
+                assert!(t.element_moves > 0.0, "{label}");
+                assert!(trace::counter("commsim.sampling_events") > 0);
+            }
+        }
+
+        // A transposed, strided source whose offset follows a loop index,
+        // evaluated away from the origin.
+        let k = LivId(0);
+        let mut mobile = PortAlignment::identity(2, 2);
+        mobile.axis_map = vec![1, 0];
+        mobile.strides[0] = Affine::constant(2);
+        mobile.strides[1] = Affine::new(1, [(k, 1)]);
+        mobile.offsets[0] = OffsetAlign::Fixed(Affine::new(-3, [(k, 2)]));
+        let block = Machine::block_distribution(vec![2, 4], &[40, 60]);
+        let cyclic = Machine::new(vec![4, 2], vec![3, 1]);
+        for point in [vec![], vec![(k, 3)]] {
+            let t = sides_match_evaluation(
+                &format!("mobile at {point:?}"),
+                &[13, 9],
+                (&mobile, &block),
+                (&align, &cyclic),
+                &point,
+                SimOptions::sampled(24, 512),
+            );
+            assert!(t.element_moves > 0.0);
+        }
+    }
+
+    #[test]
+    fn a_skewed_side_does_not_compile_and_the_move_is_evaluated() {
+        // `i + j` on template axis 0: the owner coordinate is not a function
+        // of one body index.
+        let mut skewed = PortAlignment::identity(2, 2);
+        skewed.axis_map = vec![0, 0];
+        let plain = PortAlignment::identity(2, 2);
+        let block = Machine::block_distribution(vec![4, 2], &[22, 9]);
+        let cyclic = Machine::cyclic(vec![4, 2]);
+        let opts = SimOptions::default();
+        assert!(RestingOwners::compile(&[13, 9], &skewed, &block, &[], opts).is_none());
+        assert!(RestingOwners::compile(&[13, 9], &plain, &cyclic, &[], opts).is_some());
+
+        let evaluated = || trace::counter("commsim.redist.evaluated_cells");
+        let before = evaluated();
+        let t = redistribution_traffic(&[13, 9], &skewed, &block, &plain, &cyclic, &[], opts);
+        assert_eq!(evaluated() - before, 1);
+        // Counted by hand: element (i, j) sits at template cell (i + j, 0)
+        // before the move and at (i, j) after it.
+        let moved = (1..=13)
+            .flat_map(|i| (1..=9).map(move |j| (i, j)))
+            .filter(|&(i, j)| {
+                block.owner(&[Some(i + j), Some(0)]) != cyclic.owner(&[Some(i), Some(j)])
+            })
+            .count();
+        assert_eq!(t.element_moves, moved as f64);
+
+        let before = evaluated();
+        redistribution_traffic(&[13, 9], &plain, &block, &plain, &cyclic, &[], opts);
+        assert_eq!(evaluated(), before, "a separable move is not evaluated");
     }
 
     #[test]
@@ -2088,8 +2489,6 @@ mod tests {
                         );
                         let ref_priced = trace::counter("commsim.elements_priced") - before;
 
-                        let mut pairs = PairSet::new(machine.num_processors());
-                        pairs.begin();
                         let before = trace::counter("commsim.elements_priced");
                         let compiled = element_traffic_compiled(
                             &extents,
@@ -2098,7 +2497,7 @@ mod tests {
                             machine,
                             dst_replicated,
                             &lattice,
-                            &mut pairs,
+                            &mut TrafficScratch::default(),
                         )
                         .unwrap_or_else(|| panic!("{label}: separable scenario fell back"));
                         compiled_hits += 1;

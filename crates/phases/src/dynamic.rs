@@ -184,10 +184,10 @@ impl std::error::Error for LayoutDpError {}
 /// layer's **complete query set up front**: the transition loop enumerates
 /// every (previous state, candidate) pair unconditionally, so the distinct
 /// `(array, src, dst)` cells it will ask about are known before the loop
-/// runs, and a pricer can compute them in parallel (each cell is an
-/// independent owner-comparison) while keeping its hit/miss accounting —
-/// and therefore every trace counter — bitwise-identical to serial
-/// on-demand pricing. [`DpPricer::wants_prefill`] also opts the pricer into
+/// runs, and a pricer can price them together (the pipeline's compiles each
+/// distinct side of the layer's moves once and combines two per cell) while
+/// keeping its hit/miss accounting — and therefore every trace counter —
+/// bitwise-identical to serial on-demand pricing. [`DpPricer::wants_prefill`] also opts the pricer into
 /// the structured layer path: the DP then prices each distinct cell exactly
 /// once, reports the collapsed duplicate queries through
 /// [`DpPricer::note_repeat_queries`], and runs the transition loop itself in

@@ -36,13 +36,13 @@ use crate::dynamic::{
     solve_layout_dp, solve_layout_dp_with, DpPricer, DpPruning, DynamicDistribution, LayoutDpError,
     LayoutDpPlan, PhaseCandidates, RedistStep, SigId,
 };
-use crate::redist::{price_resting, RedistCost};
+use crate::redist::{price_resting, spread_stages, RedistCost};
 use crate::segment::{analyze_atoms, detect_boundaries, AtomAnalysis, SegmentationConfig};
 use adg::{Adg, NodeKind, PortId};
 use align_ir::{ArrayId, Program};
 use alignment_core::pipeline::PipelineConfig;
 use alignment_core::position::PortAlignment;
-use commsim::{identical_placement_traffic, simulate, RestingPlacement, SimOptions, SimReport};
+use commsim::{simulate, RestingOwners, RestingPlacement, SimOptions, SimReport, TrafficScratch};
 use distrib::{
     align_then_distribute, distribute_alignment, solve_distribution_pooled, DistributionCost,
     DistributionCostModel, DistributionReport, FullPipelineConfig, FullPipelineResult, Layout,
@@ -420,14 +420,14 @@ fn resting_before(
     phases: &[PhaseResult],
     b: usize,
     array: ArrayId,
-) -> Option<(PortAlignment, Vec<i64>, usize)> {
+) -> Option<(&PortAlignment, &[i64], usize)> {
     for (p, phase) in phases.iter().enumerate().take(b + 1).rev() {
         for atom in phase.atoms.iter().rev() {
             if atom.references(array) {
                 let port = resting_port(&atom.adg, array, true)?;
                 return Some((
-                    atom.alignment.alignment.port(port).clone(),
-                    phase.cover_extents().to_vec(),
+                    atom.alignment.alignment.port(port),
+                    phase.cover_extents(),
                     p,
                 ));
             }
@@ -439,26 +439,35 @@ fn resting_before(
 /// The resting placement of `array` at the start of phase `b`: its source
 /// alignment in the first of the phase's atoms that references it, plus the
 /// phase's covering template.
-fn resting_at_start(phase: &PhaseResult, array: ArrayId) -> Option<(PortAlignment, Vec<i64>)> {
+fn resting_at_start(phase: &PhaseResult, array: ArrayId) -> Option<(&PortAlignment, &[i64])> {
     phase
         .atoms
         .iter()
         .find(|atom| atom.references(array))
         .and_then(|atom| {
             let port = resting_port(&atom.adg, array, false)?;
-            Some((
-                atom.alignment.alignment.port(port).clone(),
-                phase.cover_extents().to_vec(),
-            ))
+            Some((atom.alignment.alignment.port(port), phase.cover_extents()))
         })
 }
 
-/// Memoised exact pricing of per-array boundary moves: one owner-comparison
-/// per distinct `(destination phase, array, source signature, destination
-/// signature)` quadruple, shared between every DP state that asks and the
-/// final step materialisation. (The source/destination alignments of a
-/// given (phase, array) pair are fixed by the program structure; only the
-/// signatures vary with the path.)
+/// Memoised exact pricing of per-array boundary moves, shared between every
+/// DP state that asks and the final step materialisation.
+///
+/// A move is a pair of *sides* — where the array rests before the boundary
+/// and where the next phase needs it, each an (alignment, covering template)
+/// spot under one pool signature — and its cost is a function of the two
+/// sides alone. A DP layer asks about every (resting signature, candidate)
+/// pair of every array it touches, a matrix over a dozen sides per spot, so
+/// the pricer compiles each distinct side once
+/// ([`commsim::RestingOwners::compile`]: the side's owner coordinates per
+/// array axis) and combines two compiled sides per cell
+/// ([`commsim::RestingOwners::traffic`]: no element is visited). Spots are
+/// interned by content, so a later layer whose array rests the same way
+/// finds its sides compiled. The source/destination spots of a given
+/// (phase, array) pair are fixed by the program structure; only the
+/// signatures vary with the path. Costs and counters are bit-identical to
+/// pricing every cell by [`price_resting`], which remains the route of a
+/// side that does not compile.
 struct MovePricer<'a> {
     phases: &'a [PhaseResult],
     pool: &'a [Sig],
@@ -471,12 +480,39 @@ struct MovePricer<'a> {
     /// queries book hits — so `phases.pricer.{hits,misses}` are
     /// bitwise-identical whether or not prefill ran.
     fresh: HashSet<(usize, ArrayId, SigId, SigId)>,
-    resting: HashMap<(usize, ArrayId), Option<RestingSpot>>,
+    endpoints: HashMap<(usize, ArrayId), Endpoints>,
+    /// The distinct resting spots seen so far, by content.
+    spots: Vec<Spot<'a>>,
+    /// `sides[spot * pool.len() + sig]`, compiled on first use.
+    sides: Vec<Option<Box<Side>>>,
+    scratch: TrafficScratch,
 }
 
-/// Where an array rests entering a phase: its resting alignment, the cover
-/// extents of the phase it rests in, and that phase's index.
-type RestingSpot = (PortAlignment, Vec<i64>, usize);
+/// Where an array moves between entering a phase: the spot it rests at
+/// (with the index of the phase that last used it) and the spot the phase
+/// needs it at, as indices into [`MovePricer::spots`].
+#[derive(Clone, Copy)]
+struct Endpoints {
+    src: Option<(usize, usize)>,
+    dst: Option<usize>,
+}
+
+/// Where an array can rest: its extents, its alignment onto the template,
+/// and the covering template of the phase it rests in.
+#[derive(PartialEq)]
+struct Spot<'a> {
+    extents: &'a [i64],
+    alignment: &'a PortAlignment,
+    cover: &'a [i64],
+}
+
+/// One spot under one signature: the signature instantiated on the spot's
+/// cover, and the side compiled from it (`None` when the owner map does not
+/// compile and the move is priced element by element).
+struct Side {
+    dist: ProgramDistribution,
+    owners: Option<RestingOwners>,
+}
 
 impl<'a> MovePricer<'a> {
     fn new(
@@ -492,22 +528,50 @@ impl<'a> MovePricer<'a> {
             sim,
             memo: HashMap::new(),
             fresh: HashSet::new(),
-            resting: HashMap::new(),
+            endpoints: HashMap::new(),
+            spots: Vec::new(),
+            sides: Vec::new(),
+            scratch: TrafficScratch::default(),
         }
     }
 
-    /// Where `array` rests entering phase `q` (memoised): alignment, cover
-    /// extents and index of its last-use phase.
-    fn resting_before_phase(
-        &mut self,
-        q: usize,
-        array: ArrayId,
-    ) -> Option<(PortAlignment, Vec<i64>, usize)> {
+    /// The two spots of `array`'s move into phase `q` (memoised).
+    fn endpoints(&mut self, q: usize, array: ArrayId) -> Endpoints {
+        if let Some(&ends) = self.endpoints.get(&(q, array)) {
+            return ends;
+        }
+        let extents: &'a [i64] = &self.program.decl(array).extents;
         let phases = self.phases;
-        self.resting
-            .entry((q, array))
-            .or_insert_with(|| resting_before(phases, q - 1, array))
-            .clone()
+        let src = resting_before(phases, q - 1, array).map(|(alignment, cover, p)| {
+            let spot = Spot {
+                extents,
+                alignment,
+                cover,
+            };
+            (self.intern(spot), p)
+        });
+        let dst = resting_at_start(&phases[q], array).map(|(alignment, cover)| {
+            self.intern(Spot {
+                extents,
+                alignment,
+                cover,
+            })
+        });
+        let ends = Endpoints { src, dst };
+        self.endpoints.insert((q, array), ends);
+        ends
+    }
+
+    fn intern(&mut self, spot: Spot<'a>) -> usize {
+        self.spots
+            .iter()
+            .position(|s| *s == spot)
+            .unwrap_or_else(|| {
+                self.spots.push(spot);
+                self.sides
+                    .resize_with(self.spots.len() * self.pool.len(), || None);
+                self.spots.len() - 1
+            })
     }
 
     /// Exact price of moving `array` into phase `q` from resting signature
@@ -524,93 +588,70 @@ impl<'a> MovePricer<'a> {
             return *c;
         }
         trace::count("phases.pricer.misses", 1);
-        let cost = match (
-            self.resting_before_phase(q, array),
-            resting_at_start(&self.phases[q], array),
-        ) {
-            (Some((src_align, src_cover, _)), Some((dst_align, dst_cover))) => {
-                let src_dist = instantiate(&self.pool[src], &src_cover);
-                let dst_dist = instantiate(&self.pool[dst], &dst_cover);
-                if src_align == dst_align && src_dist == dst_dist {
-                    // Identical placements: a "stay put" transition (common
-                    // in the DP's query set). The traversal's result is
-                    // known — nothing moves — so book its counters and skip
-                    // the enumeration.
-                    identical_placement_traffic(&self.program.decl(array).extents, self.sim);
-                    RedistCost::default()
-                } else {
-                    price_resting(
-                        &self.program.decl(array).extents,
-                        &RestingPlacement::new(&src_align, &src_dist),
-                        &RestingPlacement::new(&dst_align, &dst_dist),
-                        self.sim,
-                    )
-                }
-            }
-            _ => RedistCost::default(),
-        };
+        let ends = self.endpoints(q, array);
+        let cost = self.cell(ends, src, dst);
         self.memo.insert((q, array, src, dst), cost);
         cost
     }
 
-    /// Price the missing cells of one DP layer's query set in parallel
-    /// (each `(array, src, dst)` cell is an independent owner-comparison
-    /// over shared read-only inputs). Resting spots are resolved serially
-    /// first (they mutate the memo); the priced cells enter the memo
-    /// flagged *fresh* so [`MovePricer::price`]'s hit/miss accounting
-    /// stays bitwise-identical to serial on-demand pricing. Counters the
-    /// pricing itself emits (`commsim.*`) cover exactly the cells a serial
-    /// run would have priced, merged from the workers' deltas — identical
-    /// totals in any worker count.
-    fn prefill(&mut self, q: usize, cells: &[(ArrayId, SigId, SigId)]) {
-        let todo: Vec<(ArrayId, SigId, SigId)> = cells
-            .iter()
-            .copied()
-            .filter(|&(a, src, dst)| !self.memo.contains_key(&(q, a, src, dst)))
-            .collect();
-        if todo.is_empty() {
-            return;
+    /// The slot in [`MovePricer::sides`] of `spot` under `sig`, compiled if
+    /// this is its first use.
+    fn side(&mut self, spot: usize, sig: SigId) -> usize {
+        let slot = spot * self.pool.len() + sig;
+        if self.sides[slot].is_none() {
+            let Spot {
+                extents,
+                alignment,
+                cover,
+            } = self.spots[spot];
+            let dist = instantiate(&self.pool[sig], cover);
+            let owners = RestingOwners::compile(extents, alignment, &dist, &[], self.sim);
+            self.sides[slot] = Some(Box::new(Side { dist, owners }));
         }
-        let jobs: Vec<_> = todo
-            .iter()
-            .map(|&(a, src, dst)| {
-                let endpoints = match (
-                    self.resting_before_phase(q, a),
-                    resting_at_start(&self.phases[q], a),
-                ) {
-                    (Some((sa, sc, _)), Some((da, dc))) => Some((sa, sc, da, dc)),
-                    _ => None,
-                };
-                (a, src, dst, endpoints)
-            })
-            .collect();
-        let sigs = self.pool;
-        let program = self.program;
-        let sim = self.sim;
-        let priced: Vec<RedistCost> = pool::map(jobs.len(), |i| {
-            let (a, src, dst, ref endpoints) = jobs[i];
-            match endpoints {
-                Some((src_align, src_cover, dst_align, dst_cover)) => {
-                    let src_dist = instantiate(&sigs[src], src_cover);
-                    let dst_dist = instantiate(&sigs[dst], dst_cover);
-                    if src_align == dst_align && src_dist == dst_dist {
-                        identical_placement_traffic(&program.decl(a).extents, sim);
-                        RedistCost::default()
-                    } else {
-                        price_resting(
-                            &program.decl(a).extents,
-                            &RestingPlacement::new(src_align, &src_dist),
-                            &RestingPlacement::new(dst_align, &dst_dist),
-                            sim,
-                        )
-                    }
-                }
-                None => RedistCost::default(),
+        slot
+    }
+
+    /// The cost of one cell, from its two sides.
+    fn cell(&mut self, ends: Endpoints, src: SigId, dst: SigId) -> RedistCost {
+        let (Some((src_spot, _)), Some(dst_spot)) = (ends.src, ends.dst) else {
+            return RedistCost::default();
+        };
+        let (from, to) = (self.side(src_spot, src), self.side(dst_spot, dst));
+        let [from, to] = [from, to].map(|slot| self.sides[slot].as_deref().expect("compiled"));
+        let (src_spot, dst_spot) = (&self.spots[src_spot], &self.spots[dst_spot]);
+        match (&from.owners, &to.owners) {
+            (Some(src_owners), Some(dst_owners)) => RedistCost::priced(
+                RestingOwners::traffic(src_owners, dst_owners, &mut self.scratch),
+                spread_stages(
+                    src_spot.alignment,
+                    dst_spot.alignment,
+                    dst_owners.grid_dims(),
+                ),
+            ),
+            _ => price_resting(
+                src_spot.extents,
+                &RestingPlacement::new(src_spot.alignment, &from.dist),
+                &RestingPlacement::new(dst_spot.alignment, &to.dist),
+                self.sim,
+            ),
+        }
+    }
+
+    /// Price the missing cells of one DP layer's query set — the layer's
+    /// matrix of moves — ahead of demand, inline: with every side compiled
+    /// once a cell costs well under a microsecond, less than handing it to
+    /// another thread would. The priced cells enter the memo flagged
+    /// *fresh* so [`MovePricer::price`]'s hit/miss accounting stays
+    /// bitwise-identical to serial on-demand pricing.
+    fn prefill(&mut self, q: usize, cells: &[(ArrayId, SigId, SigId)]) {
+        for &(array, src, dst) in cells {
+            let key = (q, array, src, dst);
+            if !self.memo.contains_key(&key) {
+                let ends = self.endpoints(q, array);
+                let cost = self.cell(ends, src, dst);
+                self.memo.insert(key, cost);
+                self.fresh.insert(key);
             }
-        });
-        for (&(a, src, dst), cost) in todo.iter().zip(priced) {
-            self.memo.insert((q, a, src, dst), cost);
-            self.fresh.insert((q, a, src, dst));
         }
     }
 }
@@ -625,9 +666,8 @@ impl DpPricer for MovePricer<'_> {
     }
 
     fn wants_prefill(&self) -> bool {
-        // Worker-count independent on purpose: the structured DP path (and
-        // the pruning decisions it feeds) must be identical whether
-        // `pool::map` runs the prefill inline or across workers.
+        // Unconditionally: the structured DP path (and the pruning
+        // decisions it feeds) must not depend on the worker count.
         true
     }
 
@@ -906,7 +946,7 @@ fn build_steps(
             live[b]
                 .iter()
                 .filter_map(|(array, name, extents)| {
-                    let (_, _, src_phase) = pricer.resting_before_phase(b + 1, *array)?;
+                    let (_, src_phase) = pricer.endpoints(b + 1, *array).src?;
                     let cost =
                         pricer.price(b + 1, *array, chosen_sigs[src_phase], chosen_sigs[b + 1]);
                     Some(RedistStep {
@@ -1495,12 +1535,12 @@ pub fn simulate_dynamic(result: &DynamicPipelineResult, opts: SimOptions) -> Dyn
                     let (src_align, src_cover, src_phase) =
                         resting_before(&result.phases, b, *array)?;
                     let (dst_align, dst_cover) = resting_at_start(&result.phases[b + 1], *array)?;
-                    let src_dist = instantiate(&chosen_sigs[src_phase], &src_cover);
-                    let dst_dist = instantiate(&chosen_sigs[b + 1], &dst_cover);
+                    let src_dist = instantiate(&chosen_sigs[src_phase], src_cover);
+                    let dst_dist = instantiate(&chosen_sigs[b + 1], dst_cover);
                     let spec = commsim::RedistSpec {
                         extents,
-                        src: RestingPlacement::new(&src_align, &src_dist),
-                        dst: RestingPlacement::new(&dst_align, &dst_dist),
+                        src: RestingPlacement::new(src_align, &src_dist),
+                        dst: RestingPlacement::new(dst_align, &dst_dist),
                     };
                     Some(
                         commsim::simulate_redistribution(std::slice::from_ref(&spec), opts)

@@ -16,7 +16,9 @@
 //!   processor already holds its part).
 
 use alignment_core::position::PortAlignment;
-use commsim::{redistribution_traffic, RestingPlacement, SimOptions, TemplateDistribution};
+use commsim::{
+    redistribution_traffic, EdgeTraffic, RestingPlacement, SimOptions, TemplateDistribution,
+};
 use distrib::DistribCostParams;
 
 /// The modelled cost of redistributing one object between phases.
@@ -48,6 +50,17 @@ impl RedistCost {
         self.moved == 0.0 && self.broadcast == 0.0
     }
 
+    /// The cost of a move whose owner comparison measured `traffic` and
+    /// whose spread needs `stages` tree stages ([`spread_stages`]).
+    pub(crate) fn priced(traffic: EdgeTraffic, stages: f64) -> RedistCost {
+        RedistCost {
+            moved: traffic.element_moves,
+            broadcast: traffic.broadcast_elements,
+            stages,
+            messages: traffic.messages,
+        }
+    }
+
     /// Raw element traffic of the move (point-to-point plus broadcast) —
     /// the same units the communication simulator counts, and therefore the
     /// scalar the per-array layout-state DP sums. Exactly
@@ -63,10 +76,7 @@ impl std::fmt::Display for RedistCost {
         write!(
             f,
             "moved={:.1} broadcast={:.1}x{:.0} messages={:.0}",
-            self.moved,
-            self.broadcast,
-            self.stages.max(0.0),
-            self.messages
+            self.moved, self.broadcast, self.stages, self.messages
         )
     }
 }
@@ -119,10 +129,20 @@ where
 {
     let traffic =
         redistribution_traffic(extents, src_align, src_dist, dst_align, dst_dist, &[], opts);
-    // Tree stages of the spread: one doubling per processor along each axis
-    // the destination replicates but the source does not.
-    let dst_dims = dst_dist.grid_dims();
-    let stages: f64 = dst_align
+    RedistCost::priced(
+        traffic,
+        spread_stages(src_align, dst_align, &dst_dist.grid_dims()),
+    )
+}
+
+/// Tree stages of a spread: one doubling per processor along each axis the
+/// destination replicates but the source does not (0 when nothing spreads).
+pub(crate) fn spread_stages(
+    src_align: &PortAlignment,
+    dst_align: &PortAlignment,
+    dst_dims: &[usize],
+) -> f64 {
+    dst_align
         .offsets
         .iter()
         .enumerate()
@@ -134,13 +154,8 @@ where
                 .log2()
                 .ceil()
         })
-        .sum();
-    RedistCost {
-        moved: traffic.element_moves,
-        broadcast: traffic.broadcast_elements,
-        stages,
-        messages: traffic.messages,
-    }
+        // From +0.0: an empty `f64` sum is -0.0.
+        .fold(0.0, |stages, s| stages + s)
 }
 
 #[cfg(test)]
@@ -182,6 +197,20 @@ mod tests {
         // Exactly 1/4 of the cells keep their owner under a 4-way
         // block->cyclic remap.
         assert!((c.moved - 48.0).abs() < 1e-9, "{c}");
+    }
+
+    #[test]
+    fn a_move_that_spreads_nothing_has_positive_zero_stages() {
+        let a = PortAlignment::identity(1, 1);
+        let blk = ProgramDistribution::new(&[64], &[4], &[Layout::Block]);
+        let cyc = ProgramDistribution::new(&[64], &[4], &[Layout::Cyclic]);
+        let remap = price_redistribution(&[64], &a, &blk, &a, &cyc, SimOptions::default());
+        let stay = price_redistribution(&[64], &a, &blk, &a, &blk, SimOptions::default());
+        assert!(remap.moved > 0.0 && stay.is_zero());
+        for c in [remap, stay] {
+            assert_eq!(c.stages.to_bits(), 0.0f64.to_bits(), "{c:?}");
+            assert!(c.to_string().contains("x0 "), "{c}");
+        }
     }
 
     #[test]
