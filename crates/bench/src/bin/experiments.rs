@@ -108,6 +108,11 @@ fn main() {
             "Boundary moves priced as a matrix — cells, compiled sides and the DP pricing span on the benchmark cases",
             e28,
         ),
+        (
+            "e29",
+            "The block as the unit of an offset-RLP solve — blocks posed, repeated and solved on the benchmark cases",
+            e29,
+        ),
     ];
 
     for (id, title, run) in experiments {
@@ -1540,4 +1545,128 @@ fn e28() {
     println!("sides the final steps are re-priced from (a second, short-lived pricer).");
     println!("Costs, plans and every pre-existing counter are bit-identical to pricing");
     println!("cell by cell (`tests/move_matrix.rs`).");
+}
+
+fn e29() {
+    use alignment_core::mobile_offset::build_offset_l1;
+    use alignment_core::replication::label_all;
+    use benchmark_workloads::{Kind, Workload};
+
+    /// The first-round offset RLP of every template axis of `program`, as
+    /// `align_adg` poses them.
+    fn offset_rlps(program: &Program, cfg: &PipelineConfig) -> Vec<lp::L1Problem> {
+        let adg = build_adg(program);
+        let rank = template_rank(&adg);
+        let ranks: Vec<usize> = adg.port_ids().map(|p| adg.port(p).rank).collect();
+        let mut alignment = ProgramAlignment::identity(rank, &ranks);
+        solve_axes(&adg, &mut alignment);
+        solve_strides(&adg, &mut alignment);
+        let labeling = label_all(&adg, &alignment, &[], &cfg.replication);
+        (0..rank)
+            .map(|axis| {
+                let replicated = labeling.replicated_ports(axis);
+                build_offset_l1(&adg, &alignment, axis, &replicated, cfg.offset).l1
+            })
+            .collect()
+    }
+
+    // The thirteen planning cases of the benchmark (`lp_bound`,
+    // `planner_bound`, `size_sweep` at seed 11). Structure first, from the
+    // RLPs themselves: the blocks of every atom's and of the whole program's
+    // RLPs, how many couple two unknowns or more, and how many of those are
+    // distinct within one sharing scope (the atoms together; the whole
+    // program). Then the work of one solve as an op runs it: blocks posed
+    // and answered from a memo, simplex runs, pivots and dual rows, and the
+    // inclusive time of the three spans the change is about.
+    let mut t = Table::new(&[
+        "case",
+        "RLPs",
+        "blocks",
+        "coupled",
+        "distinct coupled",
+        "lp.l1.blocks",
+        "block_hits",
+        "lp.solves",
+        "lp.pivots",
+        "dual rows",
+        "analyze ms",
+        "baseline ms",
+        "lp.solve ms",
+        "solve ms",
+    ]);
+    for kind in [Kind::LpBound, Kind::PlannerBound, Kind::SizeSweep] {
+        let workload = Workload::build(kind, 11).expect("benchmark workload builds");
+        for case in &workload.cases {
+            let cfg = &workload.config;
+            let atoms = case.program.distributable_atoms();
+            let atom_rlps: Vec<lp::L1Problem> = atoms
+                .iter()
+                .flat_map(|a| {
+                    let sub = case.program.from_atoms(std::slice::from_ref(a));
+                    offset_rlps(&sub, &cfg.alignment)
+                })
+                .collect();
+            // A single-atom program's baseline reuses its atom's alignment.
+            let whole_rlps = if atoms.len() > 1 {
+                offset_rlps(&case.program, &cfg.alignment)
+            } else {
+                Vec::new()
+            };
+            let (mut blocks, mut coupled, mut distinct) = (0, 0, 0);
+            for scope in [&atom_rlps, &whole_rlps] {
+                let mut seen = HashSet::new();
+                for block in scope.iter().flat_map(|rlp| rlp.blocks()) {
+                    blocks += 1;
+                    if block.num_vars() >= 2 {
+                        coupled += 1;
+                        distinct += usize::from(seen.insert(format!("{block:?}")));
+                    }
+                }
+            }
+
+            let _ = align_then_distribute_dynamic(&case.program, case.nprocs, cfg);
+            trace::reset();
+            trace::configure(trace::TraceConfig::enabled());
+            let _ = align_then_distribute_dynamic(&case.program, case.nprocs, cfg);
+            trace::configure(trace::TraceConfig::default());
+            let counters = [
+                "lp.l1.blocks",
+                "lp.l1.block_hits",
+                "lp.solves",
+                "lp.pivots",
+                "lp.l1.dual_rows",
+            ]
+            .map(trace::counter);
+            let profile = trace::profile::Profile::from_trace(&trace::take());
+            let inclusive_ms = |span: &str| {
+                let row = profile.rows.iter().find(|r| r.name == span);
+                format!("{:.2}", row.map_or(0, |r| r.inclusive_ns) as f64 / 1e6)
+            };
+            let mut row = vec![
+                case.name.clone(),
+                (atom_rlps.len() + whole_rlps.len()).to_string(),
+                blocks.to_string(),
+                coupled.to_string(),
+                distinct.to_string(),
+            ];
+            row.extend(counters.map(|c| c.to_string()));
+            row.extend(
+                ["phases.analyze_atoms", "phases.static_baseline", "lp.solve"].map(inclusive_ms),
+            );
+            row.push(format!("{:.2}", profile.total_ns as f64 / 1e6));
+            t.row(row);
+        }
+    }
+    println!("{t}");
+    println!("An offset RLP couples two unknowns only along an ADG edge or inside a node");
+    println!("constraint, so it falls apart into one block per group of arrays that meet");
+    println!("in an expression (plus a one-unknown block per declared array an atom does");
+    println!("not touch). `L1Problem::solve` poses the blocks one at a time — a simplex");
+    println!("over one block scans and refactorises that block's columns only — and the");
+    println!("atoms of one `analyze_atoms` call share a memo keyed by the block itself, so");
+    println!("statements that repeat a shape run the simplex once (`lp.solves` counts");
+    println!("simplex runs; `lp.l1.blocks` − `lp.l1.block_hits` of them are L1 blocks, the");
+    println!("counted columns include the rounding ladder's retries). Plans, costs, offsets");
+    println!("and every non-`lp.*` counter are those of the monolithic solve");
+    println!("(`tests/block_solve.rs`).");
 }

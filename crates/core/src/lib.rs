@@ -37,7 +37,8 @@ pub mod replication;
 pub mod stride;
 
 pub use cost::{CommCost, CostModel};
+pub use lp::BlockMemo;
 pub use mobile_offset::{MobileOffsetConfig, OffsetStrategy};
-pub use pipeline::{align_program, AlignmentResult, PipelineConfig};
+pub use pipeline::{align_program, align_program_sharing, AlignmentResult, PipelineConfig};
 pub use position::{OffsetAlign, PortAlignment, ProgramAlignment};
 pub use replication::ReplicationLabeling;

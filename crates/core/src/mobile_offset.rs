@@ -36,7 +36,7 @@ use crate::cost::CostModel;
 use crate::position::{OffsetAlign, ProgramAlignment};
 use adg::{Adg, Edge, EdgeId, PortId};
 use align_ir::{Affine, IterationSpace, LivId};
-use lp::{L1Problem, Relation};
+use lp::{BlockMemo, L1Problem, Relation};
 use std::collections::{BTreeMap, HashSet};
 
 /// How often the rounding safety-net ladder of [`solve_axis_offsets`] has
@@ -165,6 +165,10 @@ pub struct OffsetSolveReport {
     /// Size of the RLP as posed: offset unknowns plus absolute-value terms
     /// (the surrogates of Equation 3).
     pub num_vars: usize,
+    /// Number of independent blocks the RLP fell apart into
+    /// ([`lp::L1Problem::num_blocks`]): one per group of ports whose offsets
+    /// an edge or a node constraint couples, each solved on its own.
+    pub num_blocks: usize,
     /// Number of hard equality constraints of the RLP as posed.
     pub num_constraints: usize,
     /// Total number of subranges across all edges.
@@ -172,9 +176,10 @@ pub struct OffsetSolveReport {
     /// Number of refinement rounds actually used.
     pub rounds: usize,
     /// Label of the safety-net rung that produced the final offsets, or
-    /// `None` when the configured strategy's own solution stood. Stays
-    /// `None` on the built-in workloads now that the revised simplex solves
-    /// the degenerate axis-0 systems directly.
+    /// `None` when the configured strategy's own solution stood. Of the
+    /// built-in workloads only Example 5's axis 0 reports a rung
+    /// (`Some("static")`: its mobile vertex rounds onto a violated node
+    /// constraint).
     pub fallback: Option<&'static str>,
 }
 
@@ -242,9 +247,6 @@ fn initial_subranges(edge: &Edge, strategy: OffsetStrategy) -> Vec<Subrange> {
     }
 }
 
-/// Solve the offsets of one template axis and write them (rounded) into
-/// `alignment`. Ports in `replicated` get [`OffsetAlign::Replicated`] on this
-/// axis instead. Returns solve statistics.
 /// The trace counter tracking how often each offset strategy is chosen as
 /// the primary solve (`align.strategy.*`; ladder retries count their own
 /// rung separately via `align.ladder_engaged`).
@@ -259,12 +261,18 @@ fn strategy_counter_name(strategy: OffsetStrategy) -> &'static str {
     }
 }
 
+/// Solve the offsets of one template axis and write them (rounded) into
+/// `alignment`. Ports in `replicated` get [`OffsetAlign::Replicated`] on this
+/// axis instead. Returns solve statistics. Every RLP posed on the way — the
+/// refinement rounds, the ladder's rungs — is solved against `memo`, so a
+/// block that an earlier solve sharing it already answered is not run again.
 pub fn solve_axis_offsets(
     adg: &Adg,
     alignment: &mut ProgramAlignment,
     axis: usize,
     replicated: &HashSet<PortId>,
     config: MobileOffsetConfig,
+    memo: &BlockMemo,
 ) -> OffsetSolveReport {
     let _span = trace::span("align.solve_axis_offsets");
     trace::count(strategy_counter_name(config.strategy), 1);
@@ -284,7 +292,7 @@ pub fn solve_axis_offsets(
     let mut rounds = 0;
     loop {
         rounds += 1;
-        let (report, offsets) = solve_once(
+        let posed = assemble_l1(
             adg,
             alignment,
             axis,
@@ -293,6 +301,7 @@ pub fn solve_axis_offsets(
             &cost_edges,
             config,
         );
+        let (report, offsets) = solve_once(adg, alignment, axis, replicated, posed, memo);
         let improved = best_report
             .as_ref()
             .is_none_or(|b| report.exact_cost < b.exact_cost - 1e-9);
@@ -392,7 +401,7 @@ pub fn solve_axis_offsets(
                 forbid_mobile: config.forbid_mobile || force_static,
                 ..config
             };
-            let (mut report, offsets) = solve_once(
+            let posed = assemble_l1(
                 adg,
                 alignment,
                 axis,
@@ -401,6 +410,7 @@ pub fn solve_axis_offsets(
                 &cost_edges,
                 alt_config,
             );
+            let (mut report, offsets) = solve_once(adg, alignment, axis, replicated, posed, memo);
             report.fallback = Some(label);
             let improved = best_report
                 .as_ref()
@@ -578,27 +588,25 @@ fn assemble_l1(
     }
 }
 
-/// Build the L1 problem for the current subranges, solve, round, and return
-/// the per-port offsets plus statistics (without mutating `alignment`).
+/// Solve the posed L1 problem, round, and return the per-port offsets plus
+/// statistics (without mutating `alignment`).
 fn solve_once(
     adg: &Adg,
     alignment: &ProgramAlignment,
     axis: usize,
     replicated: &HashSet<PortId>,
-    subranges: &BTreeMap<EdgeId, Vec<Subrange>>,
-    cost_edges: &[(EdgeId, &Edge)],
-    config: MobileOffsetConfig,
+    posed: OffsetL1,
+    memo: &BlockMemo,
 ) -> (OffsetSolveReport, Vec<Option<Affine>>) {
     let OffsetL1 {
         l1,
         vars,
         num_subranges,
-    } = assemble_l1(
-        adg, alignment, axis, replicated, subranges, cost_edges, config,
-    );
+    } = posed;
     let num_vars = l1.num_vars() + l1.num_terms();
+    let num_blocks = l1.num_blocks();
     let num_constraints = l1.equalities().num_constraints();
-    let solution = l1.solve();
+    let solution = l1.solve_sharing(memo);
 
     let mut offsets: Vec<Option<Affine>> = vec![None; adg.num_ports()];
     let lp_objective = match &solution {
@@ -660,6 +668,7 @@ fn solve_once(
             lp_objective,
             exact_cost,
             num_vars,
+            num_blocks,
             num_constraints,
             num_subranges,
             rounds: 1,
@@ -804,18 +813,31 @@ fn split_space_at(space: &IterationSpace, at: i64) -> Vec<IterationSpace> {
 }
 
 /// Solve the offsets of every template axis with the same configuration.
-/// Returns one report per axis.
+/// Returns one report per axis. The axes share RLP blocks among themselves
+/// (a memo of this call's own).
 pub fn solve_all_offsets(
     adg: &Adg,
     alignment: &mut ProgramAlignment,
     replicated_per_axis: &[HashSet<PortId>],
     config: MobileOffsetConfig,
 ) -> Vec<OffsetSolveReport> {
+    let memo = BlockMemo::default();
+    solve_all_offsets_sharing(adg, alignment, replicated_per_axis, config, &memo)
+}
+
+/// [`solve_all_offsets`] against the caller's memo of RLP blocks.
+pub(crate) fn solve_all_offsets_sharing(
+    adg: &Adg,
+    alignment: &mut ProgramAlignment,
+    replicated_per_axis: &[HashSet<PortId>],
+    config: MobileOffsetConfig,
+    memo: &BlockMemo,
+) -> Vec<OffsetSolveReport> {
     (0..alignment.template_rank)
         .map(|axis| {
             let empty = HashSet::new();
             let replicated = replicated_per_axis.get(axis).unwrap_or(&empty);
-            solve_axis_offsets(adg, alignment, axis, replicated, config)
+            solve_axis_offsets(adg, alignment, axis, replicated, config, memo)
         })
         .collect()
 }
@@ -978,6 +1000,7 @@ mod tests {
             0,
             &HashSet::new(),
             MobileOffsetConfig::with_strategy(OffsetStrategy::FixedPartition(3)),
+            &BlockMemo::default(),
         );
         let stats = fallback_stats();
         assert_eq!(
@@ -1044,6 +1067,7 @@ mod tests {
             0,
             &HashSet::new(),
             MobileOffsetConfig::default(),
+            &BlockMemo::default(),
         );
         assert_eq!(report.fallback, None);
     }
@@ -1059,6 +1083,7 @@ mod tests {
             0,
             &HashSet::new(),
             MobileOffsetConfig::with_strategy(OffsetStrategy::FixedPartition(3)),
+            &BlockMemo::default(),
         );
         assert!(report.num_vars > 0);
         assert!(report.num_constraints > 0);
@@ -1080,6 +1105,7 @@ mod tests {
             1,
             &replicated,
             MobileOffsetConfig::default(),
+            &BlockMemo::default(),
         );
         for p in &replicated {
             assert!(alignment.port(*p).offsets[1].is_replicated());

@@ -13,12 +13,13 @@
 
 use crate::axis::{solve_axes, template_rank};
 use crate::cost::{CommCost, CostModel};
-use crate::mobile_offset::{solve_all_offsets, MobileOffsetConfig, OffsetSolveReport};
+use crate::mobile_offset::{solve_all_offsets_sharing, MobileOffsetConfig, OffsetSolveReport};
 use crate::position::ProgramAlignment;
 use crate::replication::{label_all, ReplicationConfig, ReplicationLabeling};
 use crate::stride::solve_strides;
 use adg::{build_adg, Adg, NodeKind, PortId};
 use align_ir::Program;
+use lp::BlockMemo;
 use std::collections::HashSet;
 
 /// How many times [`align_program`] has run on the current thread since the
@@ -85,15 +86,33 @@ pub struct AlignmentResult {
 /// Run the full alignment analysis on a program. Returns the ADG (so callers
 /// can evaluate or simulate) and the result.
 pub fn align_program(program: &Program, config: &PipelineConfig) -> (Adg, AlignmentResult) {
+    align_program_sharing(program, config, &BlockMemo::default())
+}
+
+/// [`align_program`] against the caller's memo of offset-RLP blocks: a block
+/// an earlier analysis posed to `memo` — another statement of the same
+/// shape, say — is not solved again. The result is the one
+/// [`align_program`] returns.
+pub fn align_program_sharing(
+    program: &Program,
+    config: &PipelineConfig,
+    memo: &BlockMemo,
+) -> (Adg, AlignmentResult) {
     let _span = trace::span("align.program");
     trace::count("align.calls", 1);
     let adg = build_adg(program);
-    let result = align_adg(&adg, config);
+    let result = align_adg_sharing(&adg, config, memo);
     (adg, result)
 }
 
-/// Run the alignment analysis on an already-built ADG.
+/// Run the alignment analysis on an already-built ADG. The template axes
+/// and the replication ⇄ offset iterations share offset-RLP blocks among
+/// themselves.
 pub fn align_adg(adg: &Adg, config: &PipelineConfig) -> AlignmentResult {
+    align_adg_sharing(adg, config, &BlockMemo::default())
+}
+
+fn align_adg_sharing(adg: &Adg, config: &PipelineConfig, memo: &BlockMemo) -> AlignmentResult {
     let t = template_rank(adg);
     let ranks: Vec<usize> = adg.port_ids().map(|p| adg.port(p).rank).collect();
     let mut alignment = ProgramAlignment::identity(t, &ranks);
@@ -122,8 +141,13 @@ pub fn align_adg(adg: &Adg, config: &PipelineConfig) -> AlignmentResult {
             sets
         };
 
-        offset_reports =
-            solve_all_offsets(adg, &mut alignment, &replicated_per_axis, config.offset);
+        offset_reports = solve_all_offsets_sharing(
+            adg,
+            &mut alignment,
+            &replicated_per_axis,
+            config.offset,
+            memo,
+        );
 
         if config.disable_replication || iterations >= max_iters {
             break;

@@ -36,10 +36,36 @@
 //! (`lp.l1.primal_fallback`), to the surrogate expansion
 //! [`L1Problem::to_primal`], which otherwise serves as the differential
 //! oracle.
+//!
+//! # Blocks
+//!
+//! The unit of that solve is not the problem but the *block*: a connected
+//! component of the unknowns, two unknowns being connected when a
+//! non-zero-weight term or an equality mentions both. Blocks share nothing,
+//! so the optimum of the problem is the blocks' optima side by side, and
+//! [`L1Problem::solve`] poses them one at a time — each as the L1 problem
+//! of its own terms and equalities over its own unknowns, renumbered in
+//! ascending order — through the route above, certificate and fallback
+//! included. A simplex over one block scans, prices and refactorises that
+//! block's columns only; the offset RLP of a program whose arrays never meet
+//! in an expression costs what its largest interaction group costs.
+//!
+//! A block's answer depends on the block's numbers and on nothing else —
+//! not on the problem it was cut from, not on what was solved before it.
+//! [`BlockMemo`] rests on that: the block the solver is handed is itself
+//! the key under which its certified answer is kept, compared number by
+//! number, bit for bit, never through a digest. Problems solved against one
+//! memo ([`L1Problem::solve_sharing`]) run the simplex once per distinct
+//! block, however many of them pose it and from however many threads: the
+//! statements of a program that repeat a shape, the template axes, the
+//! refinement rounds.
 
-use crate::model::{Problem, Relation, Solution, SolveError, VarId};
+use crate::model::{Constraint, Problem, Relation, Solution, SolveError, VarId, Variable};
 use crate::presolve::Presolve;
 use crate::revised;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Certificate tolerance on `|E x − f|`, per equality.
 const FEAS_TOL: f64 = 1e-6;
@@ -52,6 +78,143 @@ struct AbsTerm {
     weight: f64,
     coeffs: Vec<(VarId, f64)>,
     constant: f64,
+}
+
+/// Positions grouped by block: block `b`'s are
+/// `items[starts[b]..starts[b + 1]]`, in ascending order.
+#[derive(Debug)]
+struct Grouped {
+    starts: Vec<usize>,
+    items: Vec<usize>,
+}
+
+impl Grouped {
+    /// Counting sort of `(block, position)` pairs that come in ascending
+    /// position.
+    fn new(blocks: usize, pairs: impl Iterator<Item = (usize, usize)> + Clone) -> Grouped {
+        let mut starts = vec![0; blocks + 1];
+        for (b, _) in pairs.clone() {
+            starts[b + 1] += 1;
+        }
+        for b in 0..blocks {
+            starts[b + 1] += starts[b];
+        }
+        let mut items = vec![0; starts[blocks]];
+        let mut next = starts.clone();
+        for (b, position) in pairs {
+            items[next[b]] = position;
+            next[b] += 1;
+        }
+        Grouped { starts, items }
+    }
+
+    fn blocks(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    fn of(&self, block: usize) -> &[usize] {
+        &self.items[self.starts[block]..self.starts[block + 1]]
+    }
+}
+
+/// A problem's blocks, by reference: per block its unknowns and the
+/// positions of its terms and equalities, and per unknown its index inside
+/// its block.
+#[derive(Debug)]
+struct Split {
+    members: Grouped,
+    terms: Grouped,
+    equalities: Grouped,
+    local: Vec<usize>,
+}
+
+/// A block as a map key: the block's own problem, equal to another when
+/// every number of the two has the same bits.
+#[derive(Debug)]
+struct BlockKey(L1Problem);
+
+impl BlockKey {
+    /// The block spelled as words — every number as its IEEE bit pattern,
+    /// every list behind its length, so the spelling is injective:
+    ///
+    /// ```text
+    ///   unknowns, terms,  { weight, constant, n, (unknown, coefficient)·n }·terms,
+    ///                     { rhs, n, (unknown, coefficient)·n }·equalities
+    /// ```
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        fn form(coeffs: &[(VarId, f64)]) -> impl Iterator<Item = u64> + '_ {
+            let pairs = coeffs.iter().flat_map(|&(v, a)| [v.0 as u64, a.to_bits()]);
+            std::iter::once(coeffs.len() as u64).chain(pairs)
+        }
+        let BlockKey(block) = self;
+        let terms = block.terms.iter().flat_map(|t| {
+            let head = [t.weight.to_bits(), t.constant.to_bits()];
+            head.into_iter().chain(form(&t.coeffs))
+        });
+        let equalities = block.hard.constraints.iter();
+        let equalities =
+            equalities.flat_map(|c| std::iter::once(c.rhs.to_bits()).chain(form(&c.terms)));
+        let counts = [block.num_vars() as u64, block.terms.len() as u64];
+        counts.into_iter().chain(terms).chain(equalities)
+    }
+}
+
+impl Hash for BlockKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.words().for_each(|word| state.write_u64(word));
+    }
+}
+
+impl PartialEq for BlockKey {
+    fn eq(&self, other: &BlockKey) -> bool {
+        self.words().eq(other.words())
+    }
+}
+
+impl Eq for BlockKey {}
+
+/// The certified answer to a block, computed by whoever asks first.
+type Answer = Arc<OnceLock<Result<Solution, SolveError>>>;
+
+/// Answers to the blocks posed so far, kept under the blocks themselves:
+/// the map key is the block's whole problem, compared number by number —
+/// never a digest of it — so two blocks share an answer exactly when the
+/// solver could not tell them apart. An answer is computed exactly once
+/// even when several threads pose its block at the same time (the others
+/// wait for it), so the `lp.*` counter totals of a run do not depend on how
+/// its solves were scheduled.
+///
+/// Scope a memo to the solves that can share: nothing is ever evicted, and
+/// an entry is as large as its block.
+#[derive(Debug, Default)]
+pub struct BlockMemo {
+    answers: Mutex<HashMap<Arc<BlockKey>, Answer>>,
+}
+
+impl BlockMemo {
+    /// Number of distinct blocks posed so far.
+    pub fn distinct_blocks(&self) -> usize {
+        self.lock().len()
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<Arc<BlockKey>, Answer>> {
+        // Held for map lookups and inserts only, never across a solve.
+        self.answers
+            .lock()
+            .expect("the block map is not touched while anything can panic")
+    }
+
+    /// The memo's copy of `block` — `block` itself when it is new — and its
+    /// answer slot.
+    fn entry(&self, block: BlockKey) -> (Arc<BlockKey>, Answer) {
+        let mut answers = self.lock();
+        if let Some((shared, answer)) = answers.get_key_value(&block) {
+            return (Arc::clone(shared), Arc::clone(answer));
+        }
+        let (shared, answer) = (Arc::new(block), Answer::default());
+        answers.insert(Arc::clone(&shared), Arc::clone(&answer));
+        (shared, answer)
+    }
 }
 
 /// An L1 problem: free variables, equality constraints, and a weighted sum
@@ -178,8 +341,181 @@ impl L1Problem {
     /// L1 problem can have is [`SolveError::Infeasible`] (inconsistent
     /// equalities) — the objective is bounded below by zero — short of
     /// numerical failure of both routes.
+    ///
+    /// The problem is solved [block by block](self#blocks), against a
+    /// [`BlockMemo`] of its own: two blocks of this problem that are the
+    /// same block are solved once.
     pub fn solve(&self) -> Result<Solution, SolveError> {
+        self.solve_sharing(&BlockMemo::default())
+    }
+
+    /// [`L1Problem::solve`] against the caller's memo: a block some earlier
+    /// problem already posed to `memo` — from this thread or another — is
+    /// answered from it, bit for bit, without a simplex run
+    /// (`lp.l1.block_hits`). `lp.solves` counts the blocks that were run.
+    pub fn solve_sharing(&self, memo: &BlockMemo) -> Result<Solution, SolveError> {
         let _span = trace::span("lp.solve");
+        // `0 = rhs` belongs to no block; the presolve's own tolerance.
+        let inconsistent =
+            |c: &Constraint| c.terms.is_empty() && c.rhs.abs() > FEAS_TOL * (1.0 + c.rhs.abs());
+        if self.hard.constraints.iter().any(inconsistent) {
+            return Err(SolveError::Infeasible);
+        }
+        let split = self.split();
+        let blocks = split.members.blocks();
+        trace::count("lp.l1.blocks", blocks as u64);
+        // An unknown nothing mentions is in no block and stays at zero.
+        let mut values = vec![0.0; self.num_vars()];
+        for b in 0..blocks {
+            let (block, answer) = memo.entry(BlockKey(self.block(&split, b)));
+            let mut hit = true;
+            let solution = answer.get_or_init(|| {
+                hit = false;
+                block.0.solve_block()
+            });
+            if hit {
+                trace::count("lp.l1.block_hits", 1);
+            }
+            let solution = solution.as_ref().map_err(SolveError::clone)?;
+            for (&v, &x) in split.members.of(b).iter().zip(&solution.values) {
+                values[v] = x;
+            }
+        }
+        let objective = self.objective_at(&values);
+        Ok(Solution { values, objective })
+    }
+
+    /// How many blocks [`L1Problem::solve`] poses: the connected components
+    /// of the unknowns under "a non-zero-weight term or an equality mentions
+    /// both", not counting unknowns nothing mentions.
+    pub fn num_blocks(&self) -> usize {
+        self.components().1
+    }
+
+    /// The blocks [`L1Problem::solve`] poses, in the order it poses them,
+    /// each as the problem the solver is handed. Exposed so experiments and
+    /// tests can take a decomposition apart.
+    pub fn blocks(&self) -> Vec<L1Problem> {
+        let split = self.split();
+        let blocks = 0..split.members.blocks();
+        blocks.map(|b| self.block(&split, b)).collect()
+    }
+
+    /// Connected components of the unknowns: the block of every unknown
+    /// (`usize::MAX` for one nothing mentions) and the number of blocks.
+    /// Blocks are numbered by their smallest unknown.
+    fn components(&self) -> (Vec<usize>, usize) {
+        let n = self.num_vars();
+        let mut parent: Vec<usize> = (0..n).collect();
+        fn find(parent: &mut [usize], mut v: usize) -> usize {
+            while parent[v] != v {
+                parent[v] = parent[parent[v]];
+                v = parent[v];
+            }
+            v
+        }
+        let mut mentioned = vec![false; n];
+        let weighted = self.terms.iter().filter(|t| t.weight != 0.0);
+        let forms = weighted
+            .map(|t| &t.coeffs)
+            .chain(self.hard.constraints.iter().map(|c| &c.terms));
+        for form in forms {
+            let Some(&(first, _)) = form.first() else {
+                continue;
+            };
+            let root = find(&mut parent, first.0);
+            for &(v, _) in form {
+                mentioned[v.0] = true;
+                let other = find(&mut parent, v.0);
+                parent[other] = root;
+            }
+        }
+
+        let mut block_of_root = vec![usize::MAX; n];
+        let mut block_of = vec![usize::MAX; n];
+        let mut count = 0;
+        for v in (0..n).filter(|&v| mentioned[v]) {
+            let root = find(&mut parent, v);
+            if block_of_root[root] == usize::MAX {
+                block_of_root[root] = count;
+                count += 1;
+            }
+            block_of[v] = block_of_root[root];
+        }
+        (block_of, count)
+    }
+
+    /// The blocks by reference. Zero-weight terms (which neither connect nor
+    /// cost) and terms and equalities over no unknown belong to no block.
+    fn split(&self) -> Split {
+        let (block_of, count) = self.components();
+        let in_block = |v: usize| (block_of[v] != usize::MAX).then_some((block_of[v], v));
+        let members = Grouped::new(count, (0..block_of.len()).filter_map(in_block));
+        // A form lies in the block of its first unknown, if it has one.
+        let block_of_form = |form: &[(VarId, f64)]| form.first().map(|&(v, _)| block_of[v.0]);
+        let terms = self.terms.iter().enumerate();
+        let terms = terms.filter(|(_, t)| t.weight != 0.0);
+        let terms = terms.filter_map(|(k, t)| Some((block_of_form(&t.coeffs)?, k)));
+        let equalities = self.hard.constraints.iter().enumerate();
+        let equalities = equalities.filter_map(|(k, c)| Some((block_of_form(&c.terms)?, k)));
+        let mut local = vec![0; block_of.len()];
+        for b in 0..count {
+            for (i, &v) in members.of(b).iter().enumerate() {
+                local[v] = i;
+            }
+        }
+        Split {
+            terms: Grouped::new(count, terms),
+            equalities: Grouped::new(count, equalities),
+            members,
+            local,
+        }
+    }
+
+    /// Block `b` as a problem of its own, its unknowns renumbered in
+    /// ascending order — so the block reads the same whatever problem it was
+    /// cut from.
+    fn block(&self, split: &Split, b: usize) -> L1Problem {
+        let renumber = |form: &[(VarId, f64)]| -> Vec<(VarId, f64)> {
+            let local = |&(v, a): &(VarId, f64)| (VarId(split.local[v.0]), a);
+            form.iter().map(local).collect()
+        };
+        // Sized exactly: the memo keeps the block as long as it lives.
+        let free = Variable {
+            name: String::new(),
+            lower: f64::NEG_INFINITY,
+            upper: f64::INFINITY,
+            obj: 0.0,
+        };
+        let equalities = split.equalities.of(b).iter().map(|&k| {
+            let c = &self.hard.constraints[k];
+            Constraint {
+                terms: renumber(&c.terms),
+                relation: Relation::Eq,
+                rhs: c.rhs,
+            }
+        });
+        let hard = Problem {
+            vars: vec![free; split.members.of(b).len()],
+            constraints: equalities.collect(),
+        };
+        let terms = split.terms.of(b).iter().map(|&k| {
+            let t = &self.terms[k];
+            AbsTerm {
+                weight: t.weight,
+                coeffs: renumber(&t.coeffs),
+                constant: t.constant,
+            }
+        });
+        L1Problem {
+            terms: terms.collect(),
+            hard,
+        }
+    }
+
+    /// Solve this problem as one block: the dual route, and behind its
+    /// certificate the counted fallback to the surrogate expansion.
+    fn solve_block(&self) -> Result<Solution, SolveError> {
         trace::count("lp.solves", 1);
         if let Some(solution) = self.solve_dual()? {
             return Ok(solution);
@@ -371,6 +707,117 @@ mod tests {
         let sol = l1.solve().unwrap();
         assert_close(sol.value(x), 0.0);
         assert_close(sol.objective, 0.0);
+    }
+
+    #[test]
+    fn disjoint_unknowns_are_posed_as_separate_blocks_in_ascending_numbering() {
+        // x0 — x2 coupled by an equality, x1 — x3 by a term, x4 idle, and a
+        // zero-weight term across the two groups that must not join them.
+        let mut hard = Problem::new();
+        let x: Vec<_> = (0..5).map(|_| hard.add_free_var("", 0.0)).collect();
+        hard.add_constraint(vec![(x[2], 1.0), (x[0], -1.0)], Relation::Eq, 3.0);
+        let mut l1 = L1Problem::new(hard);
+        l1.add_abs_term(1.0, vec![(x[3], 1.0), (x[1], -1.0)], -4.0);
+        l1.add_abs_term(0.0, vec![(x[0], 1.0), (x[1], 1.0)], 7.0);
+        l1.add_abs_term(2.0, vec![(x[0], 1.0)], -1.0);
+        l1.add_abs_term(1.0, vec![(x[1], 1.0)], 0.0);
+
+        assert_eq!(l1.num_blocks(), 2);
+        let blocks = l1.blocks();
+        assert_eq!(blocks[0].num_vars(), 2, "x0, x2");
+        assert_eq!(blocks[0].num_terms(), 1);
+        assert_eq!(blocks[0].equalities().num_constraints(), 1);
+        // The equality `x2 − x0 = 3` reads `x1 − x0 = 3` inside the block.
+        assert!(blocks[0].equalities().is_feasible(&[1.0, 4.0], 1e-12));
+        assert_eq!(blocks[1].num_vars(), 2, "x1, x3");
+        assert_eq!(blocks[1].num_terms(), 2, "the zero-weight term is left out");
+
+        let sol = l1.solve().unwrap();
+        assert_close(sol.objective, 0.0);
+        for (v, want) in [1.0, 0.0, 4.0, 4.0, 0.0].into_iter().enumerate() {
+            assert_close(sol.values[v], want);
+        }
+        assert_close(l1.to_primal().solve().unwrap().objective, 0.0);
+    }
+
+    #[test]
+    fn memo_keys_are_the_blocks_themselves() {
+        // One shape, one constant one bit apart: two blocks, two answers.
+        let pose = |target: f64| {
+            let mut hard = Problem::new();
+            let x = hard.add_free_var("", 0.0);
+            let mut l1 = L1Problem::new(hard);
+            l1.add_abs_term(1.0, vec![(x, 1.0)], -target);
+            l1
+        };
+        let next = f64::from_bits(3.0f64.to_bits() + 1);
+        let memo = BlockMemo::default();
+        let hits = trace::counter("lp.l1.block_hits");
+        let a = pose(3.0).solve_sharing(&memo).unwrap();
+        let b = pose(next).solve_sharing(&memo).unwrap();
+        assert_eq!(memo.distinct_blocks(), 2);
+        assert_eq!(trace::counter("lp.l1.block_hits"), hits);
+        assert_eq!(a.values, [3.0]);
+        assert_eq!(b.values, [next]);
+        pose(3.0).solve_sharing(&memo).unwrap();
+        assert_eq!(memo.distinct_blocks(), 2);
+        assert_eq!(trace::counter("lp.l1.block_hits"), hits + 1);
+
+        // The key is compared number by number — whatever the hasher says.
+        let key = |l1: L1Problem| BlockKey(l1.blocks().remove(0));
+        assert!(key(pose(3.0)) == key(pose(3.0)));
+        assert!(key(pose(3.0)) != key(pose(next)));
+        assert!(key(pose(0.0)) != key(pose(-0.0)), "bits, not values");
+        // The same numbers as an equality instead of a term: the lists are
+        // delimited, so the spelling differs.
+        let mut hard = Problem::new();
+        let x = hard.add_free_var("", 0.0);
+        hard.add_constraint(vec![(x, 1.0)], Relation::Eq, 1.0);
+        let as_equality = key(L1Problem::new(hard));
+        let as_term = key(pose(-1.0));
+        assert!(as_equality != as_term);
+        assert!(as_equality.words().ne(as_term.words()));
+    }
+
+    #[test]
+    fn concurrent_posers_of_one_block_run_one_simplex() {
+        // Four threads released together onto the same block: whoever gets
+        // there first solves it, the rest wait for that answer.
+        let memo = BlockMemo::default();
+        let barrier = std::sync::Barrier::new(4);
+        let pose_and_solve = || {
+            let mut hard = Problem::new();
+            let x = hard.add_free_var("", 0.0);
+            let y = hard.add_free_var("", 0.0);
+            hard.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Eq, 6.0);
+            let mut l1 = L1Problem::new(hard);
+            l1.add_abs_term(1.0, vec![(x, 1.0)], -1.0);
+            l1.add_abs_term(3.0, vec![(y, 2.0)], -4.0);
+            barrier.wait();
+            let before = ["lp.solves", "lp.l1.block_hits"].map(trace::counter);
+            let solution = l1.solve_sharing(&memo).unwrap();
+            let after = ["lp.solves", "lp.l1.block_hits"].map(trace::counter);
+            (
+                after[0] - before[0],
+                after[1] - before[1],
+                solution
+                    .values
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>(),
+            )
+        };
+        let outcomes: Vec<_> = std::thread::scope(|scope| {
+            let posers: Vec<_> = (0..4).map(|_| scope.spawn(pose_and_solve)).collect();
+            posers
+                .into_iter()
+                .map(|poser| poser.join().expect("a poser panicked"))
+                .collect()
+        });
+        assert_eq!(outcomes.iter().map(|o| o.0).sum::<u64>(), 1, "one simplex");
+        assert_eq!(outcomes.iter().map(|o| o.1).sum::<u64>(), 3, "three hits");
+        assert!(outcomes.iter().all(|o| o.2 == outcomes[0].2));
+        assert_eq!(memo.distinct_blocks(), 1);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod revised;
 pub mod simplex;
 mod sparse;
 
-pub use l1::L1Problem;
+pub use l1::{BlockMemo, L1Problem};
 pub use model::{Problem, Relation, Solution, SolveError, VarId};
 #[doc(hidden)]
 pub use revised::{Kernel, KernelBench};

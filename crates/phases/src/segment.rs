@@ -28,8 +28,10 @@
 use adg::{Adg, NodeKind};
 use align_ir::fission::{arrays_assigned, arrays_read};
 use align_ir::{ArrayId, Program};
-use alignment_core::pipeline::{align_program, AlignmentResult, PipelineConfig};
-use alignment_core::CostModel;
+use alignment_core::pipeline::{
+    align_program, align_program_sharing, AlignmentResult, PipelineConfig,
+};
+use alignment_core::{BlockMemo, CostModel};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration of the phase detector.
@@ -164,11 +166,15 @@ pub fn analyze_atoms(program: &Program, config: &PipelineConfig) -> Vec<AtomAnal
     // Atoms are aligned independently, so the per-atom alignment passes fan
     // out over the pool. Results come back in atom order and each worker's
     // counter delta (`lp.*`, `adg.*`) is absorbed, so every gated counter
-    // total is bitwise-identical to a serial run at any worker count.
+    // total is bitwise-identical to a serial run at any worker count. The
+    // atoms share one memo of offset-RLP blocks — statements of one shape
+    // pose the same blocks — which answers each block exactly once whichever
+    // worker asks first, and is gone when this call returns.
+    let memo = BlockMemo::default();
     pool::map(atoms.len(), |i| {
         let atom = &atoms[i];
         let sub = program.from_atoms(std::slice::from_ref(atom));
-        let (adg, alignment) = align_program(&sub, config);
+        let (adg, alignment) = align_program_sharing(&sub, config, &memo);
         let signature = PhaseSignature::from_parts(&adg, &alignment);
         let mut referenced = arrays_read(&sub.body, &sub);
         referenced.extend(arrays_assigned(&sub.body));

@@ -56,17 +56,113 @@ fn check_dual_against_revised(label: &str, l1: &L1Problem) -> Result<Option<f64>
     Ok(Some(dual.objective))
 }
 
+/// A linear form over unknowns named by index.
+type Form = Vec<(usize, f64)>;
+
+/// An L1 problem as data — `n` unknowns, equalities `(form, rhs)`, terms
+/// `(weight, form, constant)` — so several can be laid side by side over
+/// disjoint unknowns before anything is built.
+#[derive(Clone)]
+struct L1Spec {
+    n: usize,
+    rows: Vec<(Form, f64)>,
+    terms: Vec<(f64, Form, f64)>,
+}
+
+impl L1Spec {
+    fn build(&self) -> L1Problem {
+        let ids = |form: &Form| form.iter().map(|&(v, a)| (lp::VarId(v), a)).collect();
+        let mut hard = Problem::new();
+        for _ in 0..self.n {
+            hard.add_free_var("", 0.0);
+        }
+        for (form, rhs) in &self.rows {
+            hard.add_constraint(ids(form), Relation::Eq, *rhs);
+        }
+        let mut l1 = L1Problem::new(hard);
+        for (weight, form, constant) in &self.terms {
+            l1.add_abs_term(*weight, ids(form), *constant);
+        }
+        l1
+    }
+
+    /// The specs side by side: unknown `v` of `specs[i]` becomes unknown
+    /// `place(i, v)`, and the equalities and the terms come in the order
+    /// `order` deals them (`order(k)` picks among the `k` specs that still
+    /// have one to give).
+    fn compose(
+        specs: &[L1Spec],
+        place: impl Fn(usize, usize) -> usize,
+        mut order: impl FnMut(usize) -> usize,
+    ) -> L1Spec {
+        let moved = |i: usize, form: &Form| -> Form {
+            form.iter().map(|&(v, a)| (place(i, v), a)).collect()
+        };
+        let mut deal = |lens: Vec<usize>| -> Vec<(usize, usize)> {
+            let mut next = vec![0; lens.len()];
+            let mut dealt = Vec::new();
+            loop {
+                let open: Vec<usize> = (0..lens.len()).filter(|&i| next[i] < lens[i]).collect();
+                if open.is_empty() {
+                    return dealt;
+                }
+                let i = open[order(open.len())];
+                dealt.push((i, next[i]));
+                next[i] += 1;
+            }
+        };
+        let rows = deal(specs.iter().map(|s| s.rows.len()).collect());
+        let terms = deal(specs.iter().map(|s| s.terms.len()).collect());
+        L1Spec {
+            n: specs.iter().map(|s| s.n).sum(),
+            rows: rows
+                .into_iter()
+                .map(|(i, k)| (moved(i, &specs[i].rows[k].0), specs[i].rows[k].1))
+                .collect(),
+            terms: terms
+                .into_iter()
+                .map(|(i, k)| {
+                    let (weight, form, constant) = &specs[i].terms[k];
+                    (*weight, moved(i, form), *constant)
+                })
+                .collect(),
+        }
+    }
+
+    /// The specs over disjoint unknowns scattered by a random permutation,
+    /// all their equalities and all their terms shuffled.
+    fn interleave(specs: &[L1Spec], rng: &mut Rng) -> L1Spec {
+        let shuffle = |rng: &mut Rng, n: usize| -> Vec<usize> {
+            let mut perm: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                perm.swap(i, rng.range_usize(0, i + 1));
+            }
+            perm
+        };
+        let starts: Vec<usize> = specs
+            .iter()
+            .scan(0, |at, s| Some(std::mem::replace(at, *at + s.n)))
+            .collect();
+        let perm = shuffle(rng, specs.iter().map(|s| s.n).sum());
+        let mut mixed = L1Spec::compose(specs, |i, v| perm[starts[i] + v], |_| 0);
+        let rows = shuffle(rng, mixed.rows.len());
+        mixed.rows = rows.iter().map(|&k| mixed.rows[k].clone()).collect();
+        let terms = shuffle(rng, mixed.terms.len());
+        mixed.terms = terms.iter().map(|&k| mixed.terms[k].clone()).collect();
+        mixed
+    }
+}
+
 /// A random L1 problem exercising every shape the dual construction has a
 /// branch for: unknowns no term mentions, duplicated and zero-constant
 /// terms, zero weights, weights across seven decades, equality chains (the
 /// presolve's food), wide equalities (the dual's free columns), redundant
 /// copies of equalities, and — on request — an inconsistent one.
-fn random_l1(seed: u64, inconsistent: bool) -> L1Problem {
-    type Form = Vec<(lp::VarId, f64)>;
+fn random_spec(seed: u64, inconsistent: bool) -> L1Spec {
     /// Each variable with probability `p`, integer coefficient in `±span`.
-    fn random_form(rng: &mut Rng, vars: &[lp::VarId], p: f64, span: i64) -> Form {
+    fn random_form(rng: &mut Rng, vars: std::ops::Range<usize>, p: f64, span: i64) -> Form {
         let mut form = Vec::new();
-        for &v in vars {
+        for v in vars {
             if rng.bool_with(p) {
                 form.push((v, rng.range_i64(-span, span) as f64));
             }
@@ -76,22 +172,20 @@ fn random_l1(seed: u64, inconsistent: bool) -> L1Problem {
 
     let mut rng = Rng::new(seed);
     let n = rng.range_usize(2, 10);
-    let mut hard = Problem::new();
-    let vars: Vec<_> = (0..n).map(|_| hard.add_free_var("", 0.0)).collect();
     // The last unknown stays out of every term on half the seeds.
     let mentioned = if rng.bool_with(0.5) { n - 1 } else { n };
 
     let mut rows: Vec<(Form, f64)> = Vec::new();
     for _ in 0..rng.range_usize(0, 4) {
-        let a = vars[rng.range_usize(0, n)];
-        let b = vars[rng.range_usize(0, n)];
+        let a = rng.range_usize(0, n);
+        let b = rng.range_usize(0, n);
         if a != b {
             let coef = [-2.0, -1.0, 1.0, 3.0][rng.range_usize(0, 4)];
             rows.push((vec![(a, 1.0), (b, coef)], rng.range_i64(-3, 3) as f64));
         }
     }
     for _ in 0..rng.range_usize(0, 3) {
-        let mut terms = random_form(&mut rng, &vars, 0.6, 3);
+        let mut terms = random_form(&mut rng, 0..n, 0.6, 3);
         terms.retain(|&(_, a)| a != 0.0);
         if terms.len() >= 3 {
             rows.push((terms, rng.range_i64(-5, 5) as f64));
@@ -107,18 +201,14 @@ fn random_l1(seed: u64, inconsistent: bool) -> L1Problem {
     }
     if inconsistent {
         // Two wide equalities no chain elimination can see through.
-        let all = |s: f64| vars.iter().map(|&v| (v, s)).collect::<Vec<_>>();
+        let all = |s: f64| (0..n).map(|v| (v, s)).collect::<Vec<_>>();
         rows.push((all(1.0), 1.0));
         rows.push((all(-2.0), 4.0));
     }
-    for (terms, rhs) in rows {
-        hard.add_constraint(terms, Relation::Eq, rhs);
-    }
 
-    let mut l1 = L1Problem::new(hard);
     let mut terms: Vec<(f64, Form, f64)> = Vec::new();
     for _ in 0..rng.range_usize(1, 3 * n) {
-        let coeffs = random_form(&mut rng, &vars[..mentioned], 0.4, 4);
+        let coeffs = random_form(&mut rng, 0..mentioned, 0.4, 4);
         let weight = match rng.range_usize(0, 8) {
             0 => 0.0,
             _ => 10f64.powf(rng.range_f64(-3.0, 4.0)),
@@ -134,10 +224,11 @@ fn random_l1(seed: u64, inconsistent: bool) -> L1Problem {
         let dup = terms[rng.range_usize(0, terms.len())].clone();
         terms.push(dup);
     }
-    for (weight, coeffs, constant) in terms {
-        l1.add_abs_term(weight, coeffs, constant);
-    }
-    l1
+    L1Spec { n, rows, terms }
+}
+
+fn random_l1(seed: u64, inconsistent: bool) -> L1Problem {
+    random_spec(seed, inconsistent).build()
 }
 
 #[test]
@@ -174,6 +265,188 @@ fn dual_route_agrees_with_both_oracles_on_random_l1_problems() {
     // Every answer above came from the dual itself, not from the fallback
     // re-solving the oracle's own formulation.
     assert_eq!(trace::counter("lp.l1.primal_fallback"), 0);
+}
+
+/// `lp.solves`, `lp.l1.blocks`, `lp.l1.block_hits` and
+/// `lp.l1.primal_fallback` booked by `f`.
+fn block_counters<R>(f: impl FnOnce() -> R) -> (R, [u64; 4]) {
+    let names = [
+        "lp.solves",
+        "lp.l1.blocks",
+        "lp.l1.block_hits",
+        "lp.l1.primal_fallback",
+    ];
+    let before = names.map(trace::counter);
+    let out = f();
+    let after = names.map(trace::counter);
+    (out, std::array::from_fn(|i| after[i] - before[i]))
+}
+
+#[test]
+fn interleaved_blocks_solve_to_the_sum_of_the_blocks_alone() {
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-7 * (1.0 + a.abs().max(b.abs()));
+    let mut failures = Vec::new();
+    let mut seen_blocks = 0;
+    for seed in 0..200u64 {
+        let mut rng = Rng::new(0xb10c + seed);
+        let k = rng.range_usize(1, 6);
+        let specs: Vec<L1Spec> = (0..k as u64)
+            .map(|i| random_spec(0x5eed + 8 * seed + i, false))
+            .collect();
+        let mixed = L1Spec::interleave(&specs, &mut rng).build();
+        let alone: Result<Vec<f64>, _> = specs
+            .iter()
+            .map(|s| s.build().solve().map(|sol| sol.objective))
+            .collect();
+        match (mixed.solve(), mixed.to_primal().solve(), alone) {
+            (Ok(blockwise), Ok(oracle), Ok(alone)) => {
+                seen_blocks += mixed.num_blocks();
+                let sum: f64 = alone.iter().sum();
+                if !close(blockwise.objective, oracle.objective) {
+                    failures.push(format!(
+                        "seed {seed}: block-wise {} but the surrogate expansion {}",
+                        blockwise.objective, oracle.objective
+                    ));
+                }
+                if !close(blockwise.objective, sum) {
+                    failures.push(format!(
+                        "seed {seed}: block-wise {} but the blocks alone sum to {sum}",
+                        blockwise.objective
+                    ));
+                }
+                if !mixed.equalities().is_feasible(&blockwise.values, 1e-6) {
+                    failures.push(format!("seed {seed}: assembled point violates E x = f"));
+                }
+            }
+            // A consistent-looking seed can still draw contradictory rows;
+            // then every route must say so.
+            (Err(SolveError::Infeasible), Err(SolveError::Infeasible), Err(_)) => {}
+            (b, o, a) => failures.push(format!(
+                "seed {seed}: statuses differ: block-wise {:?}, expansion {:?}, alone {a:?}",
+                b.map(|s| s.objective),
+                o.map(|s| s.objective)
+            )),
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+    assert!(
+        seen_blocks >= 400,
+        "the suite must pose many blocks ({seen_blocks})"
+    );
+}
+
+#[test]
+fn one_inconsistent_block_makes_the_problem_infeasible() {
+    for seed in 0..40u64 {
+        let mut rng = Rng::new(0xbad + seed);
+        let mut specs: Vec<L1Spec> = (0..3)
+            .map(|i| random_spec(0xfee + 4 * seed + i, false))
+            .collect();
+        specs.insert(
+            rng.range_usize(0, 4),
+            random_spec(0xfee + 4 * seed + 3, true),
+        );
+        let mixed = L1Spec::interleave(&specs, &mut rng).build();
+        let (status, [.., fallback]) = block_counters(|| mixed.solve().map(|s| s.objective));
+        assert_eq!(status, Err(SolveError::Infeasible), "seed {seed}");
+        assert_eq!(
+            fallback, 0,
+            "seed {seed}: infeasibility is the dual's verdict"
+        );
+    }
+}
+
+#[test]
+fn equalities_and_unknowns_outside_every_block() {
+    // min |x − 2|  with an unknown nothing mentions and the equality 0 = rhs.
+    let with_empty_row = |rhs: f64| {
+        let mut hard = Problem::new();
+        let x = hard.add_free_var("", 0.0);
+        let _idle = hard.add_free_var("", 0.0);
+        hard.add_constraint(Vec::new(), Relation::Eq, rhs);
+        let mut l1 = L1Problem::new(hard);
+        l1.add_abs_term(1.0, vec![(x, 1.0)], -2.0);
+        l1
+    };
+    let (status, [solves, blocks, _, fallback]) =
+        block_counters(|| with_empty_row(1.0).solve().map(|s| s.objective));
+    assert_eq!(status, Err(SolveError::Infeasible), "0 = 1");
+    assert_eq!(
+        [solves, blocks, fallback],
+        [0, 0, 0],
+        "no block is posed for it"
+    );
+    assert_eq!(
+        with_empty_row(1.0).to_primal().solve().unwrap_err(),
+        SolveError::Infeasible
+    );
+
+    let l1 = with_empty_row(0.0);
+    assert_eq!(
+        l1.num_blocks(),
+        1,
+        "0 = 0 and the idle unknown are in no block"
+    );
+    let sol = l1.solve().expect("0 = 0 is ignored");
+    assert_eq!(
+        sol.values,
+        [2.0, 0.0],
+        "the idle unknown stays at exactly 0"
+    );
+    assert_eq!(sol.objective, 0.0);
+}
+
+#[test]
+fn a_distinct_block_is_solved_once_and_answered_bit_for_bit() {
+    let mut checked = 0;
+    for seed in 0..60u64 {
+        let spec = random_spec(0x70_0000 + seed, false);
+        let single = spec.build();
+        let memo = lp::BlockMemo::default();
+        let Ok(alone) = single.solve_sharing(&memo) else {
+            continue;
+        };
+        // Blocks posed, and how many of them differ (two lone unknowns can
+        // draw the same term).
+        let blocks = single.num_blocks() as u64;
+        let distinct = memo.distinct_blocks() as u64;
+        if blocks == 0 {
+            continue;
+        }
+        checked += 1;
+        let bits = |values: &[f64]| values.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        // Posed again by a second problem sharing the memo: no simplex runs.
+        let again = spec.build();
+        let (second, [solves, posed, hits, _]) =
+            block_counters(|| again.solve_sharing(&memo).unwrap());
+        assert_eq!([solves, posed, hits], [0, blocks, blocks], "seed {seed}");
+        assert_eq!(memo.distinct_blocks() as u64, distinct, "seed {seed}");
+        assert_eq!(bits(&second.values), bits(&alone.values), "seed {seed}");
+
+        // Twice in one problem, order-preserving (even / odd unknowns, terms
+        // alternating): the two copies are the same blocks.
+        let mut turn = 0;
+        let twice = L1Spec::compose(
+            &[spec.clone(), spec.clone()],
+            |copy, v| 2 * v + copy,
+            |open| {
+                turn += 1;
+                (turn - 1) % open
+            },
+        )
+        .build();
+        let (sol, [solves, posed, hits, _]) = block_counters(|| twice.solve().unwrap());
+        assert_eq!(
+            [solves, posed, hits],
+            [distinct, 2 * blocks, 2 * blocks - distinct],
+            "seed {seed}"
+        );
+        let (even, odd): (Vec<_>, Vec<_>) = sol.values.chunks(2).map(|p| (p[0], p[1])).unzip();
+        assert_eq!(bits(&even), bits(&alone.values), "seed {seed}");
+        assert_eq!(bits(&odd), bits(&alone.values), "seed {seed}");
+    }
+    assert!(checked >= 40, "most seeds are feasible ({checked})");
 }
 
 /// The alignment state the offset phase starts from.
