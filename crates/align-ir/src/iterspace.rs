@@ -9,6 +9,7 @@
 use crate::affine::{Affine, LivId};
 use crate::triplet::{AffineTriplet, Triplet};
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// One level of a loop nest: `do liv = range`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,27 +92,39 @@ impl IterationSpace {
     /// walks over long loops dominated the profile when every point was a
     /// fresh heap vector.
     pub fn for_each_point(&self, mut visit: impl FnMut(&[(LivId, i64)])) {
+        let _ = self.try_for_each_point(|point| {
+            visit(point);
+            ControlFlow::Continue(())
+        });
+    }
+
+    /// [`IterationSpace::for_each_point`] for a visitor that may have seen
+    /// enough: the walk stops at the first `Break`, which is returned.
+    pub fn try_for_each_point(
+        &self,
+        mut visit: impl FnMut(&[(LivId, i64)]) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         let mut current: Vec<(LivId, i64)> = Vec::with_capacity(self.levels.len());
-        self.enumerate(0, &mut current, &mut visit);
+        self.enumerate(0, &mut current, &mut visit)
     }
 
     fn enumerate(
         &self,
         level: usize,
         current: &mut Vec<(LivId, i64)>,
-        visit: &mut impl FnMut(&[(LivId, i64)]),
-    ) {
+        visit: &mut impl FnMut(&[(LivId, i64)]) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         if level == self.levels.len() {
-            visit(current);
-            return;
+            return visit(current);
         }
         let lvl = &self.levels[level];
         let range = lvl.range.at(current);
         for v in range.iter() {
             current.push((lvl.liv, v));
-            self.enumerate(level + 1, current, visit);
+            self.enumerate(level + 1, current, visit)?;
             current.pop();
         }
+        ControlFlow::Continue(())
     }
 
     /// The first LIV vector in enumeration order (`None` for an empty
@@ -397,6 +410,27 @@ mod tests {
             count += 1;
         });
         assert_eq!(count, 1);
+    }
+
+    #[test]
+    fn a_break_stops_the_walk_in_the_middle_of_an_inner_loop() {
+        let s = IterationSpace::single_loop(k(), 1, 4, 1).enter_loop(
+            j(),
+            AffineTriplet::range(Affine::constant(1), Affine::liv(k())),
+        );
+        let mut seen = Vec::new();
+        let stopped = s.try_for_each_point(|p| {
+            seen.push(p.to_vec());
+            if seen.len() == 5 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert_eq!(stopped, ControlFlow::Break(()));
+        assert_eq!(seen, s.points()[..5]);
+        let walked = s.try_for_each_point(|_| ControlFlow::Continue(()));
+        assert_eq!(walked, ControlFlow::Continue(()));
     }
 
     #[test]

@@ -113,6 +113,11 @@ fn main() {
             "The block as the unit of an offset-RLP solve — blocks posed, repeated and solved on the benchmark cases",
             e29,
         ),
+        (
+            "e30",
+            "Evaluating an aligned ADG in place — the planner's tail by span, solve time and allocations on the benchmark cases",
+            e30,
+        ),
     ];
 
     for (id, title, run) in experiments {
@@ -1669,4 +1674,84 @@ fn e29() {
     println!("counted columns include the rounding ladder's retries). Plans, costs, offsets");
     println!("and every non-`lp.*` counter are those of the monolithic solve");
     println!("(`tests/block_solve.rs`).");
+}
+
+fn e30() {
+    use benchmark_workloads::{Kind, Workload};
+
+    // The thirteen planning cases of the benchmark (`lp_bound`,
+    // `planner_bound`, `size_sweep` at seed 11), solved exactly as an op
+    // solves them, on one worker. Per case: the exclusive time in one traced
+    // solve of the six spans that name the evaluation tail, then of the
+    // three umbrella spans it used to hide in; the median wall time of nine
+    // untraced solves; and the allocations of one.
+    const TAIL: [&str; 6] = [
+        "align.subranges",
+        "align.assemble",
+        "align.price",
+        "align.total_cost",
+        "distrib.model.build",
+        "distrib.template_extents",
+    ];
+    const UMBRELLAS: [&str; 3] = [
+        "phases.search",
+        "phases.static_baseline",
+        "align.solve_axis_offsets",
+    ];
+    pool::set_workers(1);
+    let mut header = vec!["case"];
+    header.extend(TAIL.iter().chain(&UMBRELLAS));
+    header.extend(["solve ms", "allocations"]);
+    let mut t = Table::new(&header);
+    for kind in [Kind::LpBound, Kind::PlannerBound, Kind::SizeSweep] {
+        let workload = Workload::build(kind, 11).expect("benchmark workload builds");
+        for case in &workload.cases {
+            let cfg = &workload.config;
+            let solve = || align_then_distribute_dynamic(&case.program, case.nprocs, cfg);
+            drop(solve());
+            let before = bench::alloc::stats().allocations;
+            drop(solve());
+            let allocations = bench::alloc::stats().allocations - before;
+            let mut times: Vec<f64> = (0..9)
+                .map(|_| {
+                    let start = Instant::now();
+                    drop(solve());
+                    start.elapsed().as_secs_f64() * 1e3
+                })
+                .collect();
+            times.sort_by(f64::total_cmp);
+
+            trace::reset();
+            trace::configure(trace::TraceConfig::enabled());
+            drop(solve());
+            trace::configure(trace::TraceConfig::default());
+            let profile = trace::profile::Profile::from_trace(&trace::take());
+            let exclusive_ms = |span: &&str| match profile.rows.iter().find(|r| r.name == *span) {
+                Some(row) => format!("{:.2}", row.exclusive_ns as f64 / 1e6),
+                None => "-".into(),
+            };
+            let mut row = vec![case.name.clone()];
+            row.extend(TAIL.iter().chain(&UMBRELLAS).map(exclusive_ms));
+            row.push(format!("{:.2}", times[times.len() / 2]));
+            row.push(allocations.to_string());
+            t.row(row);
+        }
+    }
+    pool::set_workers(0);
+    println!("{t}");
+    println!("Everything the planner asks of an alignment once it exists has a closed or");
+    println!("a once-derived form, because positions are affine: an object's span along a");
+    println!("template axis is its offset plus, per body axis, the nearer and the farther");
+    println!("of its first and last element (`distrib.template_extents`; no corner is");
+    println!("enumerated, and an edge that follows no LIV is settled by its first point");
+    println!("that holds data); an axis solve derives its node-constraint rows once");
+    println!("(`align.assemble`) and every RLP and every rounded candidate (`align.price`)");
+    println!("reads them; subrange moments are taken once per `solve_all_offsets`");
+    println!("(`align.subranges`); `align_adg` prices the edges only, the violation units");
+    println!("being the ones its last axis solves measured (`align.total_cost`); and each");
+    println!("atom's distribution model is built once (`distrib.model.build`) for the phase");
+    println!("search and the pool re-pricing both. The umbrella spans keep what no span");
+    println!("names. Template extents, RLPs, costs, rankings, plans and every counter are");
+    println!("bit-identical to rebuilding (`tests/evaluation_tail.rs`,");
+    println!("`tests/template_extents.rs`, `tests/node_constraints.rs`).");
 }

@@ -18,186 +18,18 @@
 //!   `k := l` at entry, `k := last` at exit), tying the in-loop mobile
 //!   function to the loop-invariant positions outside.
 //!
-//! The result is an [`lp::Problem`] containing only the *hard* constraints;
-//! the objective (per-edge subrange surrogates) is added by
-//! [`crate::mobile_offset`].
+//! The rows are **derived once and evaluated many times**: an axis solve
+//! derives its [`NodeConstraints`] and every RLP it poses is those rows plus
+//! pins ([`NodeConstraints::pinned`]), every rounded candidate is priced
+//! against the same rows ([`NodeConstraints::violation_units`]), and the
+//! cost model's from-scratch violation check reads them the same way. The
+//! objective (per-edge subrange terms) is added by [`crate::mobile_offset`].
 
 use crate::position::ProgramAlignment;
 use adg::{Adg, NodeId, NodeKind, PortId, TransformerRole};
 use align_ir::{Affine, LivId, SectionSpec};
 use lp::{Problem, Relation, VarId};
-use std::collections::{BTreeMap, HashSet};
-
-/// A linear expression over LP variables plus a constant.
-#[derive(Debug, Clone, Default)]
-pub struct LinExpr {
-    /// `(variable, coefficient)` terms.
-    pub terms: Vec<(VarId, f64)>,
-    /// Constant term.
-    pub constant: f64,
-}
-
-impl LinExpr {
-    /// The zero expression.
-    pub fn zero() -> Self {
-        LinExpr::default()
-    }
-
-    /// A single variable.
-    pub fn var(v: VarId) -> Self {
-        LinExpr {
-            terms: vec![(v, 1.0)],
-            constant: 0.0,
-        }
-    }
-
-    /// A constant.
-    pub fn constant(c: f64) -> Self {
-        LinExpr {
-            terms: Vec::new(),
-            constant: c,
-        }
-    }
-
-    /// `self + other`.
-    pub fn add(&self, other: &LinExpr) -> LinExpr {
-        let mut terms = self.terms.clone();
-        terms.extend(other.terms.iter().copied());
-        LinExpr {
-            terms,
-            constant: self.constant + other.constant,
-        }
-    }
-
-    /// `self - other`.
-    pub fn sub(&self, other: &LinExpr) -> LinExpr {
-        self.add(&other.scale(-1.0))
-    }
-
-    /// `self * s`.
-    pub fn scale(&self, s: f64) -> LinExpr {
-        LinExpr {
-            terms: self.terms.iter().map(|&(v, c)| (v, c * s)).collect(),
-            constant: self.constant * s,
-        }
-    }
-
-    /// True if the expression has no variable terms.
-    pub fn is_constant(&self) -> bool {
-        self.terms.iter().all(|&(_, c)| c == 0.0)
-    }
-
-    /// Evaluate given variable values.
-    pub fn eval(&self, values: &[f64]) -> f64 {
-        self.constant
-            + self
-                .terms
-                .iter()
-                .map(|&(v, c)| c * values[v.index()])
-                .sum::<f64>()
-    }
-}
-
-/// An affine function of the LIVs whose coefficients are linear expressions
-/// over LP variables: the symbolic form of a port's (unknown) mobile offset.
-#[derive(Debug, Clone, Default)]
-pub struct SymAffine {
-    /// Coefficient of 1.
-    pub constant: LinExpr,
-    /// Coefficient of each LIV.
-    pub per_liv: BTreeMap<LivId, LinExpr>,
-}
-
-impl SymAffine {
-    /// A fully known affine function (no LP variables).
-    pub fn known(a: &Affine) -> Self {
-        SymAffine {
-            constant: LinExpr::constant(a.constant_part() as f64),
-            per_liv: a
-                .terms()
-                .map(|(l, c)| (l, LinExpr::constant(c as f64)))
-                .collect(),
-        }
-    }
-
-    /// The zero function.
-    pub fn zero() -> Self {
-        SymAffine::default()
-    }
-
-    /// `self + other`.
-    pub fn add(&self, other: &SymAffine) -> SymAffine {
-        let mut per_liv = self.per_liv.clone();
-        for (l, e) in &other.per_liv {
-            let cur = per_liv.entry(*l).or_insert_with(LinExpr::zero);
-            *cur = cur.add(e);
-        }
-        SymAffine {
-            constant: self.constant.add(&other.constant),
-            per_liv,
-        }
-    }
-
-    /// `self - other`.
-    pub fn sub(&self, other: &SymAffine) -> SymAffine {
-        self.add(&other.scale(-1.0))
-    }
-
-    /// `self * s` for a scalar.
-    pub fn scale(&self, s: f64) -> SymAffine {
-        SymAffine {
-            constant: self.constant.scale(s),
-            per_liv: self.per_liv.iter().map(|(l, e)| (*l, e.scale(s))).collect(),
-        }
-    }
-
-    /// Substitute `liv := replacement` where `replacement` is a *known*
-    /// affine function (loop transformer semantics).
-    pub fn substitute(&self, liv: LivId, replacement: &Affine) -> SymAffine {
-        let Some(coef) = self.per_liv.get(&liv).cloned() else {
-            return self.clone();
-        };
-        let mut out = self.clone();
-        out.per_liv.remove(&liv);
-        // coef * replacement = coef * (c0 + Σ ci · liv_i)
-        out.constant = out
-            .constant
-            .add(&coef.scale(replacement.constant_part() as f64));
-        for (l, c) in replacement.terms() {
-            let cur = out.per_liv.entry(l).or_insert_with(LinExpr::zero);
-            *cur = cur.add(&coef.scale(c as f64));
-        }
-        out
-    }
-
-    /// Evaluate at a (possibly fractional) iteration point, producing a
-    /// linear expression over the LP variables.
-    pub fn eval_point(&self, point: &[(LivId, f64)]) -> LinExpr {
-        let mut out = self.constant.clone();
-        for (l, e) in &self.per_liv {
-            let v = point
-                .iter()
-                .find(|(k, _)| k == l)
-                .map(|(_, v)| *v)
-                .unwrap_or(0.0);
-            out = out.add(&e.scale(v));
-        }
-        out
-    }
-
-    /// Weighted moment combination: `Σ_slot coeff_slot * moment_slot`, where
-    /// `moments` gives the moment of the constant slot (`Σ w(i)`) and of each
-    /// LIV slot (`Σ w(i)·i_liv`). This is the closed form of
-    /// `Σ_i w(i)·self(i)` used by Equation (3).
-    pub fn weighted_sum(&self, const_moment: f64, liv_moments: &BTreeMap<LivId, f64>) -> LinExpr {
-        let mut out = self.constant.scale(const_moment);
-        for (l, e) in &self.per_liv {
-            let m = liv_moments.get(l).copied().unwrap_or(0.0);
-            out = out.add(&e.scale(m));
-        }
-        out
-    }
-}
+use std::collections::HashSet;
 
 /// Known-by-known affine product. Returns `None` when both factors depend on
 /// LIVs (the product would be quadratic); callers fall back to evaluating at
@@ -212,31 +44,119 @@ pub fn affine_mul(a: &Affine, b: &Affine) -> Option<Affine> {
     }
 }
 
-/// The variable layout of the per-axis offset LP.
+/// The variable layout of the per-axis offset LP: every port that is not
+/// replicated on the axis owns a run of consecutive variables, its constant
+/// slot first, then one slot per LIV of its iteration space, outermost
+/// first.
 #[derive(Debug, Clone)]
 pub struct OffsetVars {
-    /// For each port (by index): `None` if the port has no offset variable on
-    /// this axis (replicated there), otherwise the variable of each slot
-    /// (constant first, then one per LIV in `port_livs`).
-    pub port_vars: Vec<Option<Vec<VarId>>>,
-    /// LIV ordering per port (the LIVs of the port's iteration space).
-    pub port_livs: Vec<Vec<LivId>>,
+    /// Per port, the variable of its constant slot (`None` if the port is
+    /// replicated on this axis and has no variables).
+    constant_slots: Vec<Option<VarId>>,
+    /// Per port, where its LIV slots start in `liv_slots`; one more entry
+    /// closes the last port's run.
+    starts: Vec<usize>,
+    /// Every port's `(LIV, variable)` slots, port after port, ascending by
+    /// LIV within a port.
+    liv_slots: Vec<(LivId, VarId)>,
+    /// Number of variables laid out.
+    num_vars: usize,
 }
 
 impl OffsetVars {
-    /// The symbolic offset of a port, or `None` if it is replicated on the
-    /// axis under construction.
-    pub fn sym(&self, p: PortId) -> Option<SymAffine> {
-        let vars = self.port_vars[p.0].as_ref()?;
-        let livs = &self.port_livs[p.0];
-        let mut out = SymAffine {
-            constant: LinExpr::var(vars[0]),
-            per_liv: BTreeMap::new(),
+    /// Lay out the variables of every port outside `replicated`, in port
+    /// order.
+    fn lay_out(adg: &Adg, replicated: &HashSet<PortId>) -> OffsetVars {
+        let mut vars = OffsetVars {
+            constant_slots: Vec::with_capacity(adg.num_ports()),
+            starts: Vec::with_capacity(adg.num_ports() + 1),
+            liv_slots: Vec::new(),
+            num_vars: 0,
         };
-        for (i, &l) in livs.iter().enumerate() {
-            out.per_liv.insert(l, LinExpr::var(vars[i + 1]));
+        for (pid, port) in adg.ports() {
+            let next = vars.num_vars;
+            let start = vars.liv_slots.len();
+            vars.starts.push(start);
+            if replicated.contains(&pid) {
+                vars.constant_slots.push(None);
+                continue;
+            }
+            vars.constant_slots.push(Some(VarId(next)));
+            let levels = port.space.levels();
+            vars.liv_slots.extend(
+                levels
+                    .iter()
+                    .enumerate()
+                    .map(|(i, level)| (level.liv, VarId(next + 1 + i))),
+            );
+            vars.liv_slots[start..].sort_unstable_by_key(|&(liv, _)| liv);
+            vars.num_vars += 1 + levels.len();
         }
-        Some(out)
+        vars.starts.push(vars.liv_slots.len());
+        vars
+    }
+
+    /// Number of variables in the layout.
+    pub fn num_vars(&self) -> usize {
+        self.num_vars
+    }
+
+    /// The variable of port `p`'s constant slot, or `None` if the port is
+    /// replicated on the axis under construction.
+    pub fn constant_slot(&self, p: PortId) -> Option<VarId> {
+        self.constant_slots[p.0]
+    }
+
+    /// Port `p`'s `(LIV, variable)` slots, ascending by LIV (empty for a
+    /// replicated port).
+    pub fn liv_slots(&self, p: PortId) -> &[(LivId, VarId)] {
+        &self.liv_slots[self.starts[p.0]..self.starts[p.0 + 1]]
+    }
+
+    /// Every variable of port `p` — the constant slot's, then the LIV
+    /// slots' — in variable order.
+    pub fn slots(&self, p: PortId) -> impl Iterator<Item = VarId> {
+        let run = self.constant_slots[p.0].map(|c| c.0..=c.0 + self.liv_slots(p).len());
+        run.into_iter().flatten().map(VarId)
+    }
+
+    /// The variable of port `p`'s slot for `liv`, if it has one.
+    fn liv_slot(&self, p: PortId, liv: LivId) -> Option<VarId> {
+        self.liv_slots(p)
+            .iter()
+            .find(|&&(l, _)| l == liv)
+            .map(|&(_, v)| v)
+    }
+
+    /// The terms of `Σ_slot weight(slot) · (src_slot − dst_slot)`: the span
+    /// between two ports' symbolic offsets with every coefficient slot
+    /// weighted — by the coordinates of an iteration point to evaluate the
+    /// span there, by a subrange's weight moments (`Σ w(i)` for the constant
+    /// slot, `Σ w(i)·i_liv` per LIV) for the closed form of `Σ_i w(i)·span(i)`
+    /// that Equation (3) uses. Constant slots first, then the LIVs either
+    /// port has a slot for, ascending, source before destination; `None` if
+    /// either port is replicated on the axis.
+    pub fn span_terms(
+        &self,
+        src: PortId,
+        dst: PortId,
+        constant: f64,
+        liv: impl Fn(LivId) -> f64,
+    ) -> Option<Vec<(VarId, f64)>> {
+        let (s, d) = (self.liv_slots(src), self.liv_slots(dst));
+        let mut terms = Vec::with_capacity(2 + s.len() + d.len());
+        terms.push((self.constant_slot(src)?, constant));
+        terms.push((self.constant_slot(dst)?, -constant));
+        let (mut s, mut d) = (s.iter().peekable(), d.iter().peekable());
+        while let Some(l) = match (s.peek(), d.peek()) {
+            (Some(a), Some(b)) => Some(a.0.min(b.0)),
+            (a, b) => a.or(b).map(|x| x.0),
+        } {
+            let weight = liv(l);
+            terms.extend(s.next_if(|a| a.0 == l).map(|a| (a.1, weight)));
+            terms.extend(d.next_if(|b| b.0 == l).map(|b| (b.1, -weight)));
+        }
+        Some(terms)
     }
 
     /// Diagnostic name of an offset variable — `off[p3].c` for port 3's
@@ -244,51 +164,23 @@ impl OffsetVars {
     /// for a variable this layout does not own. Derived on demand: the LP
     /// itself carries no names.
     pub fn var_name(&self, v: VarId) -> Option<String> {
-        self.port_vars.iter().enumerate().find_map(|(p, slots)| {
-            let slot = slots.as_ref()?.iter().position(|&s| s == v)?;
-            Some(match slot {
-                0 => format!("off[p{p}].c"),
-                _ => format!("off[p{p}].{}", self.port_livs[p][slot - 1]),
-            })
-        })
-    }
-
-    /// The LP value vector induced by a concrete alignment: every port's
-    /// offset coefficients on `axis` written into its variable slots. Ports
-    /// without variables (replicated on the axis) contribute nothing. The
-    /// vector is sized to `num_vars` so it can cover problems that appended
-    /// extra variables after the layout was built.
-    pub fn values_from(
-        &self,
-        alignment: &ProgramAlignment,
-        axis: usize,
-        num_vars: usize,
-    ) -> Vec<f64> {
-        let mut values = vec![0.0; num_vars];
-        for (idx, slots) in self.port_vars.iter().enumerate() {
-            let Some(slots) = slots else { continue };
-            let crate::position::OffsetAlign::Fixed(a) = &alignment.ports[idx].offsets[axis] else {
-                continue;
-            };
-            values[slots[0].0] = a.constant_part() as f64;
-            for (slot, liv) in slots[1..].iter().zip(&self.port_livs[idx]) {
-                values[slot.0] = a.coeff(*liv) as f64;
+        (0..self.constant_slots.len()).find_map(|p| {
+            if self.constant_slots[p] == Some(v) {
+                return Some(format!("off[p{p}].c"));
             }
-        }
-        values
+            let (liv, _) = self.liv_slots(PortId(p)).iter().find(|&&(_, s)| s == v)?;
+            Some(format!("off[p{p}].{liv}"))
+        })
     }
 
     /// Read the solved offset of a port back as an [`Affine`] with rounded
     /// integer coefficients (the "R" of RLP).
     pub fn rounded_offset(&self, p: PortId, solution: &lp::Solution) -> Option<Affine> {
-        let vars = self.port_vars[p.0].as_ref()?;
-        let livs = &self.port_livs[p.0];
-        let constant = solution.value(vars[0]).round() as i64;
-        let coeffs: Vec<(LivId, i64)> = livs
+        let constant = solution.value(self.constant_slot(p)?).round() as i64;
+        let coeffs = self
+            .liv_slots(p)
             .iter()
-            .enumerate()
-            .map(|(i, &l)| (l, solution.value(vars[i + 1]).round() as i64))
-            .collect();
+            .map(|&(l, v)| (l, solution.value(v).round() as i64));
         Some(Affine::new(constant, coeffs))
     }
 }
@@ -315,121 +207,235 @@ pub fn build_offset_constraints(
     axis: usize,
     replicated: &HashSet<PortId>,
 ) -> OffsetLp {
-    let OffsetLp { mut problem, vars } = build_node_constraints(adg, alignment, axis, replicated);
-    // Pin the first source-node definition port to offset 0 on this axis, so
-    // the (translation-invariant) solution is deterministic.
-    if let Some((_, node)) = adg
-        .nodes()
-        .find(|(_, n)| matches!(n.kind, NodeKind::Source { .. }))
-    {
-        if let Some(&p) = node.output_ports().first() {
-            if let Some(vs) = &vars.port_vars[p.0] {
-                for &v in vs {
-                    problem.add_constraint(vec![(v, 1.0)], Relation::Eq, 0.0);
-                }
+    let sys = NodeConstraints::derive(adg, alignment, axis, replicated);
+    OffsetLp {
+        problem: sys.pinned(adg),
+        vars: sys.vars,
+    }
+}
+
+/// The hard node constraints of one template axis: the variable layout and
+/// one equality row per constrained coefficient slot, without the
+/// deterministic source pin. A valid alignment may sit at any translation,
+/// so the pin must not count as a violation — and the rows depend only on
+/// the axis maps and strides, so whoever derives them can go on evaluating
+/// them against any number of candidate offsets.
+pub struct NodeConstraints {
+    /// Variable layout.
+    pub vars: OffsetVars,
+    /// Every row's `(variable, coefficient)` terms, row after row.
+    terms: Vec<(VarId, f64)>,
+    /// Per row, where its terms end in `terms` (they start where the
+    /// previous row's end) and its right-hand side.
+    rows: Vec<(usize, f64)>,
+}
+
+impl NodeConstraints {
+    /// Derive the rows of template axis `axis` from the node kinds, the axis
+    /// maps and the strides of `alignment`; ports in `replicated` get no
+    /// variables and drop out of every row.
+    pub fn derive(
+        adg: &Adg,
+        alignment: &ProgramAlignment,
+        axis: usize,
+        replicated: &HashSet<PortId>,
+    ) -> NodeConstraints {
+        let mut gen = ConstraintGen {
+            adg,
+            alignment,
+            axis,
+            sys: NodeConstraints {
+                vars: OffsetVars::lay_out(adg, replicated),
+                terms: Vec::new(),
+                rows: Vec::new(),
+            },
+            livs: Vec::new(),
+        };
+        for nid in adg.node_ids() {
+            gen.node_constraints(nid);
+        }
+        gen.sys
+    }
+
+    /// The rows as `(terms, right-hand side)`, in the order derived.
+    fn rows(&self) -> impl Iterator<Item = (&[(VarId, f64)], f64)> {
+        let starts = std::iter::once(0).chain(self.rows.iter().map(|&(end, _)| end));
+        starts
+            .zip(&self.rows)
+            .map(|(start, &(end, rhs))| (&self.terms[start..end], rhs))
+    }
+
+    /// The rows as an LP over free, objective-less variables, plus the pin
+    /// of the first source node's definition port to offset 0, which makes
+    /// the (translation-invariant) solution deterministic: the hard part of
+    /// every RLP posed on this axis.
+    pub fn pinned(&self, adg: &Adg) -> Problem {
+        let mut problem = Problem::new();
+        for _ in 0..self.vars.num_vars() {
+            // Unnamed in the LP; see [`OffsetVars::var_name`] for the
+            // diagnostic name.
+            problem.add_free_var("", 0.0);
+        }
+        for (terms, rhs) in self.rows() {
+            problem.add_constraint(terms.to_vec(), Relation::Eq, rhs);
+        }
+        let first_source = adg
+            .nodes()
+            .find(|(_, n)| matches!(n.kind, NodeKind::Source { .. }));
+        if let Some(&p) = first_source.and_then(|(_, node)| node.output_ports().first()) {
+            for v in self.vars.slots(p) {
+                problem.add_constraint(vec![(v, 1.0)], Relation::Eq, 0.0);
+            }
+        }
+        problem
+    }
+
+    /// The LP value vector of concrete offsets: `offset_of(p)`'s
+    /// coefficients written into port `p`'s variable slots. Ports without
+    /// variables (replicated on the axis) are never asked for.
+    pub fn values<'o>(&self, offset_of: impl Fn(PortId) -> Option<&'o Affine>) -> Vec<f64> {
+        let mut values = vec![0.0; self.vars.num_vars()];
+        for p in (0..self.vars.constant_slots.len()).map(PortId) {
+            let Some(constant) = self.vars.constant_slot(p) else {
+                continue;
+            };
+            let Some(offset) = offset_of(p) else { continue };
+            values[constant.0] = offset.constant_part() as f64;
+            for &(liv, slot) in self.vars.liv_slots(p) {
+                values[slot.0] = offset.coeff(liv) as f64;
+            }
+        }
+        values
+    }
+
+    /// How far `values` (see [`NodeConstraints::values`]) are from
+    /// satisfying the rows — the sum of the equality residuals beyond 1e-6,
+    /// what [`lp::Problem::violation`] charges the rows of
+    /// [`NodeConstraints::pinned`] before the pin: zero exactly when the
+    /// offsets are realisable on this axis.
+    pub fn violation_units(&self, values: &[f64]) -> f64 {
+        let mut total = 0.0;
+        for (terms, rhs) in self.rows() {
+            let lhs: f64 = terms.iter().map(|(v, a)| a * values[v.0]).sum();
+            let residual = (lhs - rhs).abs();
+            if residual > 1e-6 {
+                total += residual;
+            }
+        }
+        total
+    }
+}
+
+/// One side of a node equation: a port's symbolic offset — its slot
+/// variables as the coefficients of an affine function of the LIVs — with
+/// `liv := replacement` substituted when the port is seen across a loop
+/// transformer.
+#[derive(Clone, Copy)]
+struct Side<'a> {
+    port: PortId,
+    bind: Option<(LivId, &'a Affine)>,
+}
+
+impl<'a> Side<'a> {
+    /// The port's offset as it stands.
+    fn of(port: PortId) -> Self {
+        Side { port, bind: None }
+    }
+
+    /// The port's offset with `liv := to`.
+    fn at(port: PortId, liv: LivId, to: &'a Affine) -> Self {
+        Side {
+            port,
+            bind: Some((liv, to)),
+        }
+    }
+
+    /// The side's terms in the equation of one coefficient slot — the
+    /// constant slot for `liv = None` — each scaled by `sign`: the port's
+    /// own slot variable, then what the substitution moves into this slot
+    /// from the bound LIV's variable.
+    fn terms(&self, vars: &OffsetVars, liv: Option<LivId>, sign: f64, out: &mut Vec<(VarId, f64)>) {
+        let bound = self
+            .bind
+            .and_then(|(b, to)| Some((b, vars.liv_slot(self.port, b)?, to)));
+        let own = match liv {
+            None => vars.constant_slot(self.port),
+            Some(l) if bound.is_some_and(|(b, ..)| b == l) => None,
+            Some(l) => vars.liv_slot(self.port, l),
+        };
+        out.extend(own.map(|v| (v, sign)));
+        if let Some((_, from, to)) = bound {
+            match liv {
+                None => out.push((from, to.constant_part() as f64 * sign)),
+                Some(l) if to.coeff(l) != 0 => out.push((from, to.coeff(l) as f64 * sign)),
+                Some(_) => {}
             }
         }
     }
-    OffsetLp { problem, vars }
-}
 
-/// The hard node constraints alone, without the deterministic source pin.
-/// This is the system the cost model evaluates candidate alignments against
-/// when pricing constraint violations: a valid alignment may sit at any
-/// translation, so the pin must not count as a violation.
-pub fn build_node_constraints(
-    adg: &Adg,
-    alignment: &ProgramAlignment,
-    axis: usize,
-    replicated: &HashSet<PortId>,
-) -> OffsetLp {
-    let mut problem = Problem::new();
-    let mut port_vars: Vec<Option<Vec<VarId>>> = Vec::with_capacity(adg.num_ports());
-    let mut port_livs: Vec<Vec<LivId>> = Vec::with_capacity(adg.num_ports());
-
-    for pid in adg.port_ids() {
-        let port = adg.port(pid);
-        let livs = port.space.livs();
-        port_livs.push(livs.clone());
-        if replicated.contains(&pid) {
-            port_vars.push(None);
-            continue;
+    /// The LIVs whose slot this side may contribute to.
+    fn livs(&self, vars: &OffsetVars, out: &mut Vec<LivId>) {
+        out.extend(vars.liv_slots(self.port).iter().map(|&(l, _)| l));
+        if let Some((_, to)) = self.bind {
+            out.extend(to.terms().map(|(l, _)| l));
         }
-        // Unnamed in the LP — this runs several times per axis solve; see
-        // [`OffsetVars::var_name`] for the diagnostic name.
-        let vars = (0..=livs.len())
-            .map(|_| problem.add_free_var("", 0.0))
-            .collect();
-        port_vars.push(Some(vars));
     }
-
-    let vars = OffsetVars {
-        port_vars,
-        port_livs,
-    };
-
-    let mut gen = ConstraintGen {
-        adg,
-        alignment,
-        axis,
-        problem: &mut problem,
-        vars: &vars,
-    };
-    for nid in adg.node_ids() {
-        gen.node_constraints(nid);
-    }
-
-    OffsetLp { problem, vars }
 }
 
 struct ConstraintGen<'a> {
     adg: &'a Adg,
     alignment: &'a ProgramAlignment,
     axis: usize,
-    problem: &'a mut Problem,
-    vars: &'a OffsetVars,
+    /// The system under construction: layout done, rows being written.
+    sys: NodeConstraints,
+    /// Scratch: the LIVs of the equation being written.
+    livs: Vec<LivId>,
 }
 
-impl<'a> ConstraintGen<'a> {
-    /// Offset of `p` on the current axis, if it participates.
-    fn sym(&self, p: PortId) -> Option<SymAffine> {
-        self.vars.sym(p)
-    }
-
-    /// Add the equality `lhs == rhs` coefficient-wise (constant slot and every
-    /// LIV slot mentioned by either side).
-    fn equate(&mut self, lhs: &SymAffine, rhs: &SymAffine) {
-        let diff = lhs.sub(rhs);
-        self.add_zero_constraint(&diff.constant);
-        for e in diff.per_liv.values() {
-            self.add_zero_constraint(e);
-        }
-    }
-
-    fn add_zero_constraint(&mut self, e: &LinExpr) {
-        if e.terms.is_empty() {
-            // A constant-only equation: either trivially satisfied or the
-            // phases upstream produced an inconsistent alignment; we accept
-            // small numerical residue and ignore exact conflicts here (the
-            // cost model will charge the resulting misalignment).
+impl ConstraintGen<'_> {
+    /// Add the equality `lhs == rhs + shift` coefficient-wise: one row for
+    /// the constant slot, then one per LIV either side or the (fully known)
+    /// `shift` mentions, ascending. Nothing is added unless both ports have
+    /// variables on this axis.
+    ///
+    /// Inside a row the left side's terms come first; a side contributes its
+    /// own slot variable, then the bound LIV's. Presolve, the simplex's
+    /// route and the block memo all see this order and these bits (a zero
+    /// right-hand side is the `-0.0` of negating an empty sum), so the RLP
+    /// stays the problem it has always been.
+    fn equate(&mut self, lhs: Side<'_>, rhs: Side<'_>, shift: Option<&Affine>) {
+        let NodeConstraints { vars, terms, rows } = &mut self.sys;
+        if vars.constant_slot(lhs.port).is_none() || vars.constant_slot(rhs.port).is_none() {
             return;
         }
-        self.problem
-            .add_constraint(e.terms.clone(), Relation::Eq, -e.constant);
+        self.livs.clear();
+        lhs.livs(vars, &mut self.livs);
+        rhs.livs(vars, &mut self.livs);
+        self.livs.sort_unstable();
+        self.livs.dedup();
+        for liv in std::iter::once(None).chain(self.livs.iter().copied().map(Some)) {
+            let start = terms.len();
+            lhs.terms(vars, liv, 1.0, terms);
+            rhs.terms(vars, liv, -1.0, terms);
+            if terms.len() == start {
+                // A constant-only equation: either trivially satisfied or
+                // the phases upstream produced an inconsistent alignment;
+                // ignored here (the cost model will charge the resulting
+                // misalignment).
+                continue;
+            }
+            let known = shift.map_or(0, |s| liv.map_or(s.constant_part(), |l| s.coeff(l)));
+            rows.push((terms.len(), if known == 0 { -0.0 } else { known as f64 }));
+        }
     }
 
     fn equate_ports(&mut self, a: PortId, b: PortId) {
-        if let (Some(sa), Some(sb)) = (self.sym(a), self.sym(b)) {
-            self.equate(&sa, &sb);
-        }
+        self.equate(Side::of(a), Side::of(b), None);
     }
 
     /// `dst == src + known` (offsets shifted by a fully known affine form).
     fn equate_shifted(&mut self, dst: PortId, src: PortId, known: &Affine) {
-        if let (Some(sd), Some(ss)) = (self.sym(dst), self.sym(src)) {
-            let rhs = ss.add(&SymAffine::known(known));
-            self.equate(&sd, &rhs);
-        }
+        self.equate(Side::of(dst), Side::of(src), Some(known));
     }
 
     /// The known stride of port `p` on *array axis* `a` (after the stride
@@ -460,7 +466,7 @@ impl<'a> ConstraintGen<'a> {
     }
 
     fn node_constraints(&mut self, nid: NodeId) {
-        let node = self.adg.node(nid).clone();
+        let node = self.adg.node(nid);
         match &node.kind {
             NodeKind::Source { .. } | NodeKind::Sink { .. } => {}
             NodeKind::Elementwise { .. }
@@ -516,28 +522,21 @@ impl<'a> ConstraintGen<'a> {
                 self.section_constraints(old, val, section);
             }
             NodeKind::Transformer { liv, range, role } => {
-                let i = node.ports[0];
-                let o = node.ports[1];
-                let (Some(si), Some(so)) = (self.sym(i), self.sym(o)) else {
-                    return;
-                };
+                let (i, o) = (node.ports[0], node.ports[1]);
                 match role {
                     TransformerRole::Entry => {
                         // outside value == in-loop value at the first iteration
-                        let bound = so.substitute(*liv, &range.lo);
-                        self.equate(&si, &bound);
+                        self.equate(Side::of(i), Side::at(o, *liv, &range.lo), None);
                     }
                     TransformerRole::Back => {
                         // value at end of iteration k feeds iteration k+s
                         let step = Affine::liv(*liv) + range.stride.clone();
-                        let shifted = si.substitute(*liv, &step);
-                        self.equate(&shifted, &so);
+                        self.equate(Side::at(i, *liv, &step), Side::of(o), None);
                     }
                     TransformerRole::Exit => {
                         // outside value == in-loop value at the last iteration
                         let last = last_iteration(range);
-                        let bound = si.substitute(*liv, &last);
-                        self.equate(&so, &bound);
+                        self.equate(Side::of(o), Side::at(i, *liv, &last), None);
                     }
                 }
             }
@@ -596,55 +595,118 @@ pub fn last_iteration(range: &align_ir::triplet::AffineTriplet) -> Affine {
 mod tests {
     use super::*;
     use adg::build_adg;
-    use align_ir::programs;
+    use align_ir::{programs, ArrayId, IterationSpace};
 
-    #[test]
-    fn linexpr_arithmetic() {
-        let v0 = VarId(0);
-        let v1 = VarId(1);
-        let _ = (v0, v1);
-        let a = LinExpr {
-            terms: vec![(VarId(0), 2.0)],
-            constant: 1.0,
+    /// Two ports inside `do k = 1, 8` — variables `[x, y]` and `[x', y']`,
+    /// offsets `x + y·k` and `x' + y'·k` — and one outside, variable `[c]`.
+    fn three_ports() -> (Adg, [PortId; 3], OffsetVars) {
+        let space = IterationSpace::single_loop(LivId(0), 1, 8, 1);
+        let mut g = Adg::new("ports");
+        let source = g.add_node(NodeKind::Source { array: ArrayId(0) }, space.clone());
+        let sink = g.add_node(NodeKind::Sink { array: ArrayId(0) }, space);
+        let outside = g.add_node(
+            NodeKind::Sink { array: ArrayId(0) },
+            IterationSpace::scalar(),
+        );
+        let ports = [
+            g.add_port(source, 0, vec![], None, true, "p"),
+            g.add_port(sink, 0, vec![], None, false, "q"),
+            g.add_port(outside, 0, vec![], None, false, "r"),
+        ];
+        let vars = OffsetVars::lay_out(&g, &HashSet::new());
+        assert_eq!(vars.num_vars(), 5);
+        (g, ports, vars)
+    }
+
+    /// The rows of `lhs == rhs + shift` over [`three_ports`].
+    fn equation(lhs: Side<'_>, rhs: Side<'_>, shift: Option<&Affine>) -> NodeConstraints {
+        let (g, _, vars) = three_ports();
+        let mut gen = ConstraintGen {
+            adg: &g,
+            alignment: &ProgramAlignment::identity(1, &[0, 0, 0]),
+            axis: 0,
+            sys: NodeConstraints {
+                vars,
+                terms: Vec::new(),
+                rows: Vec::new(),
+            },
+            livs: Vec::new(),
         };
-        let b = LinExpr {
-            terms: vec![(VarId(1), -1.0)],
-            constant: 3.0,
-        };
-        let c = a.add(&b).scale(2.0);
-        assert_eq!(c.constant, 8.0);
-        assert_eq!(c.eval(&[1.0, 2.0]), 2.0 * (1.0 + 2.0 - 2.0 + 3.0));
-        assert!(LinExpr::constant(4.0).is_constant());
-        assert!(!LinExpr::var(VarId(0)).is_constant());
+        gen.equate(lhs, rhs, shift);
+        gen.sys
     }
 
     #[test]
-    fn symaffine_substitution_distributes() {
-        // f = x + y*k ; substitute k := k + 2  ->  x + 2y + y*k
+    fn transformer_substitution_distributes() {
         let k = LivId(0);
-        let x = VarId(0);
-        let y = VarId(1);
-        let mut f = SymAffine::zero();
-        f.constant = LinExpr::var(x);
-        f.per_liv.insert(k, LinExpr::var(y));
-        let g = f.substitute(k, &(Affine::liv(k) + Affine::constant(2)));
-        // constant slot: x + 2y
-        assert_eq!(g.constant.eval(&[5.0, 3.0]), 11.0);
-        // k slot: y
-        assert_eq!(g.per_liv[&k].eval(&[5.0, 3.0]), 3.0);
-        // binding k to a constant removes the slot
-        let h = f.substitute(k, &Affine::constant(7));
-        assert!(h.per_liv.is_empty());
-        assert_eq!(h.constant.eval(&[5.0, 3.0]), 26.0);
+        let (_, [p, q, r], ..) = three_ports();
+        // (x + y·k)[k := k + 2] == x' + y'·k  is  x + 2y == x'  and  y == y'.
+        let step = Affine::liv(k) + Affine::constant(2);
+        let back = equation(Side::at(p, k, &step), Side::of(q), None);
+        assert_eq!(back.rows.len(), 2);
+        assert_eq!(back.violation_units(&[5.0, 3.0, 11.0, 3.0, 0.0]), 0.0);
+        assert_eq!(back.violation_units(&[5.0, 3.0, 10.0, 3.0, 0.0]), 1.0);
+        assert_eq!(back.violation_units(&[5.0, 3.0, 11.0, 5.0, 0.0]), 2.0);
+        // Binding k to a constant removes the slot: c == x + 7y.
+        let exit = equation(Side::of(r), Side::at(p, k, &Affine::constant(7)), None);
+        assert_eq!(exit.rows.len(), 1);
+        assert_eq!(exit.violation_units(&[5.0, 3.0, 0.0, 0.0, 26.0]), 0.0);
+        assert_eq!(exit.violation_units(&[5.0, 3.0, 0.0, 0.0, 20.0]), 6.0);
     }
 
     #[test]
-    fn symaffine_known_and_eval_point() {
+    fn known_shifts_land_on_the_right_hand_side_slot_by_slot() {
         let k = LivId(0);
-        let f = SymAffine::known(&Affine::new(3, [(k, 2)]));
-        let at = f.eval_point(&[(k, 4.5)]);
-        assert!(at.is_constant());
-        assert!((at.constant - 12.0).abs() < 1e-12);
+        let (_, [p, q, r], ..) = three_ports();
+        // x + y·k == x' + y'·k + (3 − 2k)
+        let shifted = equation(Side::of(p), Side::of(q), Some(&Affine::new(3, [(k, -2)])));
+        assert_eq!(shifted.rows.len(), 2);
+        assert_eq!(shifted.violation_units(&[4.0, 0.0, 1.0, 2.0, 0.0]), 0.0);
+        assert_eq!(shifted.violation_units(&[4.0, 0.0, 1.0, 0.0, 0.0]), 2.0);
+        // A LIV slot only one side has still gets its row: c == x + y·k + k
+        // forces y == −1.
+        let one_sided = equation(Side::of(r), Side::of(p), Some(&Affine::liv(k)));
+        assert_eq!(one_sided.rows.len(), 2);
+        assert_eq!(one_sided.violation_units(&[6.0, -1.0, 0.0, 0.0, 6.0]), 0.0);
+        assert_eq!(one_sided.violation_units(&[6.0, 0.0, 0.0, 0.0, 6.0]), 1.0);
+    }
+
+    #[test]
+    fn weighted_sum_closed_form() {
+        let k = LivId(0);
+        let (_, [p, q, r], vars) = three_ports();
+        // Σ_{k=1..3} ((x + y·k) − (x' + y'·k)) with unit weights: moments
+        // σ0 = 3, σ1 = 6 -> 3x + 6y − 3x' − 6y'.
+        let terms = vars.span_terms(p, q, 3.0, |l| if l == k { 6.0 } else { 0.0 });
+        let [x, y, x2, y2] = [VarId(0), VarId(1), VarId(2), VarId(3)];
+        assert_eq!(
+            terms,
+            Some(vec![(x, 3.0), (x2, -3.0), (y, 6.0), (y2, -6.0)])
+        );
+        // A port outside the loop has no slot to weight.
+        let terms = vars.span_terms(p, r, 3.0, |_| 6.0);
+        assert_eq!(terms, Some(vec![(x, 3.0), (VarId(4), -3.0), (y, 6.0)]));
+    }
+
+    #[test]
+    fn span_terms_at_a_fractional_point() {
+        let (_, [p, q, _], vars) = three_ports();
+        // The span at k = 4.5, where (x, y) = (3, 2) and (x', y') = (0, 0).
+        let terms = vars.span_terms(p, q, 1.0, |_| 4.5).unwrap();
+        let values = [3.0, 2.0, 0.0, 0.0, 0.0];
+        let at: f64 = terms.iter().map(|&(v, c)| c * values[v.0]).sum();
+        assert!((at - 12.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn replicated_ports_have_no_variables() {
+        let (g, [p, q, r], ..) = three_ports();
+        let vars = OffsetVars::lay_out(&g, &HashSet::from([q]));
+        assert_eq!(vars.num_vars(), 3);
+        assert_eq!(vars.constant_slot(q), None);
+        assert!(vars.liv_slots(q).is_empty());
+        assert_eq!(vars.constant_slot(r), Some(VarId(2)));
+        assert_eq!(vars.span_terms(p, q, 1.0, |_| 1.0), None);
     }
 
     #[test]
@@ -686,36 +748,17 @@ mod tests {
         let adg = build_adg(&programs::figure1(8));
         let ranks: Vec<usize> = adg.port_ids().map(|p| adg.port(p).rank).collect();
         let alignment = ProgramAlignment::identity(2, &ranks);
-        let sys = build_node_constraints(&adg, &alignment, 0, &HashSet::new());
+        let sys = build_offset_constraints(&adg, &alignment, 0, &HashSet::new());
         // The LP carries no names; the layout derives them.
         assert_eq!(sys.problem.var_name(VarId(0)), "");
-        let (p, slots) = sys
-            .vars
-            .port_vars
-            .iter()
-            .enumerate()
-            .find_map(|(p, s)| s.as_ref().filter(|s| s.len() > 1).map(|s| (p, s)))
+        let p = adg
+            .port_ids()
+            .find(|&p| !sys.vars.liv_slots(p).is_empty())
             .expect("figure1 has in-loop ports");
-        assert_eq!(sys.vars.var_name(slots[0]), Some(format!("off[p{p}].c")));
-        let liv = sys.vars.port_livs[p][0];
-        assert_eq!(
-            sys.vars.var_name(slots[1]),
-            Some(format!("off[p{p}].{liv}"))
-        );
+        let constant = sys.vars.constant_slot(p).unwrap();
+        assert_eq!(sys.vars.var_name(constant), Some(format!("off[{p}].c")));
+        let (liv, slot) = sys.vars.liv_slots(p)[0];
+        assert_eq!(sys.vars.var_name(slot), Some(format!("off[{p}].{liv}")));
         assert_eq!(sys.vars.var_name(VarId(sys.problem.num_vars())), None);
-    }
-
-    #[test]
-    fn weighted_sum_closed_form() {
-        let k = LivId(0);
-        let x = VarId(0);
-        let mut f = SymAffine::zero();
-        f.constant = LinExpr::var(x);
-        f.per_liv.insert(k, LinExpr::constant(2.0));
-        // Σ_{k=1..3} (x + 2k) with unit weights: moments σ0=3, σ1=6 -> 3x + 12
-        let mut m = BTreeMap::new();
-        m.insert(k, 6.0);
-        let s = f.weighted_sum(3.0, &m);
-        assert!((s.eval(&[1.0]) - 15.0).abs() < 1e-12);
     }
 }

@@ -25,11 +25,12 @@
 //! the naive identity assignment — infeasible on almost every program —
 //! evaluated as spuriously free because only edges were priced.
 
-use crate::constraints::{affine_mul, build_node_constraints};
+use crate::constraints::{affine_mul, NodeConstraints};
 use crate::position::{OffsetAlign, PortAlignment, ProgramAlignment};
 use adg::{Adg, Edge, EdgeId, NodeKind, PortId};
-use align_ir::{LivId, SectionSpec};
+use align_ir::{Affine, LivId, SectionSpec};
 use std::collections::HashSet;
+use std::ops::ControlFlow;
 
 /// A communication cost, broken down the way the paper's examples report it.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -140,11 +141,19 @@ impl<'a> CostModel<'a> {
     /// Exact cost of the whole program under `alignment`: every edge's
     /// realignment cost plus the penalty for hard node-constraint violations.
     pub fn total_cost(&self, alignment: &ProgramAlignment) -> CommCost {
+        self.total_cost_given(alignment, &self.offset_violation_units(alignment))
+    }
+
+    /// [`CostModel::total_cost`] for a caller that has already measured how
+    /// far `alignment`'s offsets are from the node constraints of each
+    /// template axis (`offset_units`, one entry per axis, as
+    /// [`NodeConstraints::violation_units`] reports them).
+    pub fn total_cost_given(&self, alignment: &ProgramAlignment, offset_units: &[f64]) -> CommCost {
         let mut cost = CommCost::zero();
         for (_, e) in self.adg.edges() {
             cost = cost.add(&self.edge_cost(e, alignment));
         }
-        cost.violation = self.constraint_violation(alignment);
+        cost.violation = self.violation_penalty(alignment, offset_units);
         cost
     }
 
@@ -155,15 +164,19 @@ impl<'a> CostModel<'a> {
     /// a large factor. Zero exactly when the alignment is realisable.
     ///
     /// Offset relations are checked against the same per-axis node-constraint
-    /// system the RLP solves ([`build_node_constraints`]); axis and stride
+    /// system the RLP solves ([`NodeConstraints`]); axis and stride
     /// relations are checked structurally per node kind. This replaces the
     /// post-hoc feasibility gate the offset solver used to apply after
     /// rounding — pricing the violation keeps infeasible candidates
     /// comparable (and reliably losing) instead of special-cased.
     pub fn constraint_violation(&self, alignment: &ProgramAlignment) -> f64 {
+        self.violation_penalty(alignment, &self.offset_violation_units(alignment))
+    }
+
+    fn violation_penalty(&self, alignment: &ProgramAlignment, offset_units: &[f64]) -> f64 {
         let mut units = self.structural_violation_units(alignment);
-        for axis in 0..alignment.template_rank {
-            units += self.offset_violation_units(alignment, axis);
+        for axis_units in offset_units {
+            units += axis_units;
         }
         units * self.violation_scale()
     }
@@ -171,27 +184,34 @@ impl<'a> CostModel<'a> {
     /// The violation penalty restricted to the offset relations of one
     /// template axis (what the per-axis RLP can break by rounding).
     pub fn offset_violation_on_axis(&self, alignment: &ProgramAlignment, axis: usize) -> f64 {
-        self.offset_violation_units(alignment, axis) * self.violation_scale()
+        self.offset_violation_units_on(alignment, axis) * self.violation_scale()
     }
 
-    fn violation_scale(&self) -> f64 {
+    /// What one violated constraint unit costs.
+    pub(crate) fn violation_scale(&self) -> f64 {
         // Any single violated unit must outweigh every feasible alignment's
         // edge cost; shifts are bounded by data volume times template-sized
         // distances, so data volume times a large factor is a safe dominator.
         self.adg.total_edge_data().max(1.0) * 1e3
     }
 
-    fn offset_violation_units(&self, alignment: &ProgramAlignment, axis: usize) -> f64 {
+    /// The offset half of the hard node constraints, measured from scratch:
+    /// per template axis, how far the alignment's offsets are from the
+    /// axis's node constraints.
+    fn offset_violation_units(&self, alignment: &ProgramAlignment) -> Vec<f64> {
+        (0..alignment.template_rank)
+            .map(|axis| self.offset_violation_units_on(alignment, axis))
+            .collect()
+    }
+
+    fn offset_violation_units_on(&self, alignment: &ProgramAlignment, axis: usize) -> f64 {
         let replicated: HashSet<PortId> = self
             .adg
             .port_ids()
             .filter(|&p| alignment.port(p).offsets[axis].is_replicated())
             .collect();
-        let sys = build_node_constraints(self.adg, alignment, axis, &replicated);
-        let values = sys
-            .vars
-            .values_from(alignment, axis, sys.problem.num_vars());
-        sys.problem.violation(&values, 1e-6)
+        let sys = NodeConstraints::derive(self.adg, alignment, axis, &replicated);
+        sys.violation_units(&sys.values(|p| alignment.port(p).offsets[axis].fixed()))
     }
 
     /// One unit per node whose axis-map / stride relation the alignment
@@ -268,9 +288,14 @@ impl<'a> CostModel<'a> {
     /// Estimated extent of each template axis under `alignment`: the number
     /// of cells needed to hold every object position the program touches.
     ///
-    /// Positions are affine in the loop induction variables, so extremes are
-    /// attained at corner elements of each object; iteration points are
-    /// enumerated (sampled past `max_points` per edge endpoint). Replicated
+    /// Positions are affine in the element indices, so along template axis
+    /// `t` an object spans `offset_t + Σ_b [min, max](stride_b, stride_b ·
+    /// extent_b)` over the body axes `b` mapped to `t` — each body axis
+    /// contributes its first or its last element, independently of the
+    /// others, so no corner of the object is ever enumerated. Iteration
+    /// points are walked (sampled past `max_points` per edge); an edge whose
+    /// two ends follow no LIV touches the same cells at every point and is
+    /// settled by the first sampled point that holds data. Replicated
     /// offsets occupy the whole axis and contribute nothing. Negative
     /// coordinates (possible under negative fixed offsets) widen the span:
     /// the extent returned is the full touched span's length, so block sizes
@@ -286,12 +311,19 @@ impl<'a> CostModel<'a> {
         let mut lo = vec![i64::MAX; t];
         for (_, e) in self.adg.edges() {
             let total = e.space.size() as usize;
-            if total == 0 {
+            if total == 0 || e.control_weight == 0.0 {
                 continue;
             }
+            let ends = [e.src, e.dst].map(|p| (self.adg.port(p), alignment.port(p)));
+            for (port, pa) in ends {
+                assert_eq!(port.extents.len(), pa.rank(), "extent arity mismatch");
+            }
+            let still = ends
+                .iter()
+                .all(|(port, pa)| port.extents.iter().all(Affine::is_constant) && !pa.is_mobile());
             let stride = (total / max_points.max(1)).max(1);
             let mut idx = 0usize;
-            e.space.for_each_point(|point| {
+            let _ = e.space.try_for_each_point(|point| {
                 // Positions are affine in the LIVs, so extremes are attained
                 // at the iteration-space endpoints: the strided sample must
                 // always include the final point or growing positions get
@@ -303,25 +335,32 @@ impl<'a> CostModel<'a> {
                 // transformer ports are pinned only at entry/exit) and can
                 // carry arbitrarily large mobile coefficients. Only places
                 // where data actually sits shape the template.
-                if !take || e.weight.eval(point) == 0 || e.control_weight == 0.0 {
-                    return;
+                if !take || e.weight.eval(point) == 0 {
+                    return ControlFlow::Continue(());
                 }
-                for &pid in &[e.src, e.dst] {
-                    let port = self.adg.port(pid);
-                    let pa = alignment.port(pid);
-                    let extents: Vec<i64> = port
-                        .extents
-                        .iter()
-                        .map(|a| a.eval_assoc(point).max(1))
-                        .collect();
-                    for corner in corner_indices(&extents) {
-                        for (axis, coord) in pa.position_of(&corner, point).iter().enumerate() {
-                            if let Some(c) = coord {
-                                hi[axis] = hi[axis].max(*c);
-                                lo[axis] = lo[axis].min(*c);
+                for (port, pa) in ends {
+                    for (axis, offset) in pa.offsets.iter().enumerate() {
+                        let Some(origin) = offset.eval(point) else {
+                            continue;
+                        };
+                        let (mut near, mut far) = (origin, origin);
+                        for (b, extent) in port.extents.iter().enumerate() {
+                            if pa.axis_map[b] != axis {
+                                continue;
                             }
+                            let first = pa.strides[b].eval_assoc(point);
+                            let last = first * extent.eval_assoc(point).max(1);
+                            near += first.min(last);
+                            far += first.max(last);
                         }
+                        hi[axis] = hi[axis].max(far);
+                        lo[axis] = lo[axis].min(near);
                     }
+                }
+                if still {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
                 }
             });
         }
@@ -334,20 +373,29 @@ impl<'a> CostModel<'a> {
     /// The shift (grid-metric) cost restricted to one template axis — the
     /// quantity the per-axis offset LP minimises.
     pub fn shift_cost_on_axis(&self, alignment: &ProgramAlignment, axis: usize) -> f64 {
+        self.shift_cost_of(|p| alignment.port(p).offsets[axis].fixed())
+    }
+
+    /// The shift cost of one template axis on which port `p` sits at
+    /// `offset_of(p)` (`None`: replicated there): what
+    /// [`CostModel::shift_cost_on_axis`] reports for an alignment, for
+    /// offsets that are not written into one.
+    pub fn shift_cost_of<'o>(&self, offset_of: impl Fn(PortId) -> Option<&'o Affine>) -> f64 {
         let mut total = 0.0;
         for (_, e) in self.adg.edges() {
-            let src = alignment.port(e.src);
-            let dst = alignment.port(e.dst);
+            let (Some(a), Some(b)) = (offset_of(e.src), offset_of(e.dst)) else {
+                continue;
+            };
+            if a == b {
+                // The span is zero at every point: nothing to add.
+                continue;
+            }
             e.space.for_each_point(|point| {
                 let w = e.weight.eval(point) as f64 * e.control_weight;
                 if w == 0.0 {
                     return;
                 }
-                if let (OffsetAlign::Fixed(a), OffsetAlign::Fixed(b)) =
-                    (&src.offsets[axis], &dst.offsets[axis])
-                {
-                    total += w * (a.eval_assoc(point) - b.eval_assoc(point)).abs() as f64;
-                }
+                total += w * (a.eval_assoc(point) - b.eval_assoc(point)).abs() as f64;
             });
         }
         total
@@ -416,36 +464,6 @@ fn section_maps_hold(
         }
     }
     true
-}
-
-/// The corner index vectors of an object with the given body-axis extents:
-/// every combination of first (1) and last (extent) element per axis. Affine
-/// position maps attain their per-axis extremes at these corners.
-fn corner_indices(extents: &[i64]) -> Vec<Vec<i64>> {
-    let mut corners = vec![Vec::new()];
-    for &e in extents {
-        corners = corners
-            .into_iter()
-            .flat_map(|c| {
-                // A degenerate axis (extent <= 1) has a single corner; never
-                // emit the duplicate (adjacent-only dedup would miss it when
-                // a later axis interleaves the copies).
-                let mut out = Vec::with_capacity(2);
-                let mut lo = c.clone();
-                lo.push(1);
-                if e > 1 {
-                    let mut hi = c;
-                    hi.push(e);
-                    out.push(lo);
-                    out.push(hi);
-                } else {
-                    out.push(lo);
-                }
-                out
-            })
-            .collect();
-    }
-    corners
 }
 
 /// Cost of moving an object of weight `w` between two positions at one
@@ -682,20 +700,6 @@ mod tests {
         let ext = CostModel::new(&adg).template_extents(&a, 64);
         assert_eq!(ext.len(), 2);
         assert!(ext[0] >= 32 && ext[1] >= 16, "{ext:?}");
-    }
-
-    #[test]
-    fn corner_indices_enumerate_extremes() {
-        assert_eq!(corner_indices(&[]), vec![Vec::<i64>::new()]);
-        assert_eq!(corner_indices(&[5]), vec![vec![1], vec![5]]);
-        assert_eq!(
-            corner_indices(&[2, 3]),
-            vec![vec![1, 1], vec![1, 3], vec![2, 1], vec![2, 3]]
-        );
-        // Degenerate axes contribute a single corner, in any position.
-        assert_eq!(corner_indices(&[1]), vec![vec![1]]);
-        assert_eq!(corner_indices(&[1, 4]), vec![vec![1, 1], vec![1, 4]]);
-        assert_eq!(corner_indices(&[4, 1]), vec![vec![1, 1], vec![4, 1]]);
     }
 
     #[test]

@@ -31,13 +31,14 @@
 //! After the LP solves, the fractional coefficients are rounded to integers
 //! (RLP) and written into the [`ProgramAlignment`].
 
-use crate::constraints::{build_offset_constraints, OffsetLp, OffsetVars};
+use crate::constraints::{NodeConstraints, OffsetVars};
 use crate::cost::CostModel;
 use crate::position::{OffsetAlign, ProgramAlignment};
 use adg::{Adg, Edge, EdgeId, PortId};
 use align_ir::{Affine, IterationSpace, LivId};
 use lp::{BlockMemo, L1Problem, Relation};
-use std::collections::{BTreeMap, HashSet};
+use std::borrow::Cow;
+use std::collections::HashSet;
 
 /// How often the rounding safety-net ladder of [`solve_axis_offsets`] has
 /// engaged on the current thread. The counts live in the thread-local
@@ -160,8 +161,13 @@ pub struct OffsetSolveReport {
     pub axis: usize,
     /// Final LP objective (approximate predicted shift cost on this axis).
     pub lp_objective: f64,
-    /// Exact shift cost on this axis after rounding.
+    /// Exact cost on this axis after rounding: the residual shift plus the
+    /// penalty for `violation_units`.
     pub exact_cost: f64,
+    /// How far the rounded offsets are from satisfying the axis's hard node
+    /// constraints ([`NodeConstraints::violation_units`]); zero for every
+    /// alignment that corresponds to an executable data placement.
+    pub violation_units: f64,
     /// Size of the RLP as posed: offset unknowns plus absolute-value terms
     /// (the surrogates of Equation 3).
     pub num_vars: usize,
@@ -189,20 +195,28 @@ struct Subrange {
     space: IterationSpace,
     /// `Σ_{i} w(i)` over the subrange.
     const_moment: f64,
-    /// `Σ_{i} w(i)·i_liv` per LIV.
-    liv_moments: BTreeMap<LivId, f64>,
+    /// `Σ_{i} w(i)·i_liv` per level of `space`, outermost first.
+    liv_moments: Vec<f64>,
+}
+
+impl Subrange {
+    /// `Σ_{i} w(i)·i_liv` (zero for a LIV the subrange does not loop over).
+    fn moment_of(&self, liv: LivId) -> f64 {
+        let level = self.space.levels().iter().position(|l| l.liv == liv);
+        level.map_or(0.0, |i| self.liv_moments[i])
+    }
 }
 
 fn make_subrange(edge: &Edge, space: IterationSpace) -> Subrange {
     let mut const_moment = 0.0;
-    let mut liv_moments: BTreeMap<LivId, f64> = BTreeMap::new();
-    for point in space.points() {
-        let w = edge.weight.eval(&point) as f64 * edge.control_weight;
+    let mut liv_moments = vec![0.0; space.depth()];
+    space.for_each_point(|point| {
+        let w = edge.weight.eval(point) as f64 * edge.control_weight;
         const_moment += w;
-        for &(l, v) in &point {
-            *liv_moments.entry(l).or_insert(0.0) += w * v as f64;
+        for (moment, &(_, v)) in liv_moments.iter_mut().zip(point) {
+            *moment += w * v as f64;
         }
-    }
+    });
     Subrange {
         space,
         const_moment,
@@ -274,10 +288,33 @@ pub fn solve_axis_offsets(
     config: MobileOffsetConfig,
     memo: &BlockMemo,
 ) -> OffsetSolveReport {
+    let subranges = all_initial_subranges(adg, config.strategy);
+    solve_axis(adg, alignment, axis, replicated, config, &subranges, memo)
+}
+
+/// [`solve_axis_offsets`] given the strategy's initial subranges of every
+/// edge, which depend on neither the axis nor the replication labeling and
+/// are shared by the axes of one [`solve_all_offsets`] call. The axis's node
+/// constraints are derived once here; every RLP is posed over them and
+/// every rounded candidate priced against them.
+fn solve_axis(
+    adg: &Adg,
+    alignment: &mut ProgramAlignment,
+    axis: usize,
+    replicated: &HashSet<PortId>,
+    config: MobileOffsetConfig,
+    initial: &[Vec<Subrange>],
+    memo: &BlockMemo,
+) -> OffsetSolveReport {
     let _span = trace::span("align.solve_axis_offsets");
     trace::count(strategy_counter_name(config.strategy), 1);
     let cost_edges = objective_edges(adg, replicated);
-    let mut subranges = all_initial_subranges(&cost_edges, config.strategy);
+    let sys = {
+        let _span = trace::span("align.assemble");
+        NodeConstraints::derive(adg, alignment, axis, replicated)
+    };
+    // The refinement strategies rework a copy of their own.
+    let mut subranges = Cow::Borrowed(initial);
 
     let max_rounds = match config.strategy {
         OffsetStrategy::ZeroCrossing { max_rounds }
@@ -292,16 +329,8 @@ pub fn solve_axis_offsets(
     let mut rounds = 0;
     loop {
         rounds += 1;
-        let posed = assemble_l1(
-            adg,
-            alignment,
-            axis,
-            replicated,
-            &subranges,
-            &cost_edges,
-            config,
-        );
-        let (report, offsets) = solve_once(adg, alignment, axis, replicated, posed, memo);
+        let posed = assemble_l1(adg, &sys, &subranges, &cost_edges, config);
+        let (report, offsets) = solve_once(adg, &sys, axis, posed, memo);
         let improved = best_report
             .as_ref()
             .is_none_or(|b| report.exact_cost < b.exact_cost - 1e-9);
@@ -314,9 +343,8 @@ pub fn solve_axis_offsets(
         }
         // Refine subranges at observed zero crossings of the current solution.
         let splits = refine_subranges(
-            adg,
             &cost_edges,
-            &mut subranges,
+            subranges.to_mut(),
             &offsets,
             matches!(config.strategy, OffsetStrategy::ZeroCrossing { .. }),
         );
@@ -396,21 +424,13 @@ pub fn solve_axis_offsets(
             if matches!(alt, OffsetStrategy::SingleRange) {
                 trace::count("align.single_range_engaged", 1);
             }
-            let alt_subranges = all_initial_subranges(&cost_edges, alt);
+            let alt_subranges = all_initial_subranges(adg, alt);
             let alt_config = MobileOffsetConfig {
                 forbid_mobile: config.forbid_mobile || force_static,
                 ..config
             };
-            let posed = assemble_l1(
-                adg,
-                alignment,
-                axis,
-                replicated,
-                &alt_subranges,
-                &cost_edges,
-                alt_config,
-            );
-            let (mut report, offsets) = solve_once(adg, alignment, axis, replicated, posed, memo);
+            let posed = assemble_l1(adg, &sys, &alt_subranges, &cost_edges, alt_config);
+            let (mut report, offsets) = solve_once(adg, &sys, axis, posed, memo);
             report.fallback = Some(label);
             let improved = best_report
                 .as_ref()
@@ -469,17 +489,15 @@ pub fn build_offset_l1(
     replicated: &HashSet<PortId>,
     config: MobileOffsetConfig,
 ) -> OffsetL1 {
+    let sys = NodeConstraints::derive(adg, alignment, axis, replicated);
     let cost_edges = objective_edges(adg, replicated);
-    let subranges = all_initial_subranges(&cost_edges, config.strategy);
-    assemble_l1(
-        adg,
-        alignment,
-        axis,
-        replicated,
-        &subranges,
-        &cost_edges,
-        config,
-    )
+    let subranges = all_initial_subranges(adg, config.strategy);
+    let (l1, num_subranges) = assemble_l1(adg, &sys, &subranges, &cost_edges, config);
+    OffsetL1 {
+        l1,
+        vars: sys.vars,
+        num_subranges,
+    }
 }
 
 /// Edges participating in the objective: both endpoints non-replicated.
@@ -489,27 +507,26 @@ fn objective_edges<'a>(adg: &'a Adg, replicated: &HashSet<PortId>) -> Vec<(EdgeI
         .collect()
 }
 
-fn all_initial_subranges(
-    cost_edges: &[(EdgeId, &Edge)],
-    strategy: OffsetStrategy,
-) -> BTreeMap<EdgeId, Vec<Subrange>> {
-    cost_edges
-        .iter()
-        .map(|(id, e)| (*id, initial_subranges(e, strategy)))
+/// `strategy`'s initial subranges of every edge, indexed by edge id.
+fn all_initial_subranges(adg: &Adg, strategy: OffsetStrategy) -> Vec<Vec<Subrange>> {
+    let _span = trace::span("align.subranges");
+    adg.edges()
+        .map(|(_, e)| initial_subranges(e, strategy))
         .collect()
 }
 
-/// Build the L1 problem for the given subranges.
+/// Build the L1 problem for the given subranges over the axis's node
+/// constraints; also returns how many subranges contributed a term.
 fn assemble_l1(
     adg: &Adg,
-    alignment: &ProgramAlignment,
-    axis: usize,
-    replicated: &HashSet<PortId>,
-    subranges: &BTreeMap<EdgeId, Vec<Subrange>>,
+    sys: &NodeConstraints,
+    subranges: &[Vec<Subrange>],
     cost_edges: &[(EdgeId, &Edge)],
     config: MobileOffsetConfig,
-) -> OffsetL1 {
-    let OffsetLp { mut problem, vars } = build_offset_constraints(adg, alignment, axis, replicated);
+) -> (L1Problem, usize) {
+    let _span = trace::span("align.assemble");
+    let vars = &sys.vars;
+    let mut problem = sys.pinned(adg);
 
     if config.forbid_mobile {
         // Static baseline: the *homes* of the declared arrays may not move —
@@ -538,10 +555,8 @@ fn assemble_l1(
             if !is_home {
                 continue;
             }
-            if let Some(pv) = &vars.port_vars[pid.0] {
-                for &v in &pv[1..] {
-                    problem.add_constraint(vec![(v, 1.0)], Relation::Eq, 0.0);
-                }
+            for v in vars.slots(pid).skip(1) {
+                problem.add_constraint(vec![(v, 1.0)], Relation::Eq, 0.0);
             }
         }
     }
@@ -556,17 +571,18 @@ fn assemble_l1(
 
     let mut num_subranges = 0;
     for (eid, edge) in cost_edges {
-        let (Some(src), Some(dst)) = (vars.sym(edge.src), vars.sym(edge.dst)) else {
-            continue;
+        let span = |constant, liv: &dyn Fn(LivId) -> f64| {
+            vars.span_terms(edge.src, edge.dst, constant, liv)
+                .expect("objective edges have variables at both ends")
         };
-        let span = src.sub(&dst);
-        for sub in &subranges[eid] {
+        for sub in &subranges[eid.0] {
             if sub.const_moment == 0.0 {
                 continue;
             }
             num_subranges += 1;
-            let expr = span.weighted_sum(sub.const_moment, &sub.liv_moments);
-            l1.add_abs_term(1.0, expr.terms, expr.constant);
+            // Equation (3): Σ_i w(i)·span(i) over the subrange, in closed
+            // form through the weight moments.
+            l1.add_abs_term(1.0, span(sub.const_moment, &|l| sub.moment_of(l)), 0.0);
             // Endpoint tie-breakers (pointless for single-iteration subranges,
             // whose main term is already exact).
             if sub.space.size() > 1 {
@@ -574,62 +590,48 @@ fn assemble_l1(
                     .into_iter()
                     .flatten()
                 {
-                    let at: Vec<(LivId, f64)> = pt.iter().map(|&(l, v)| (l, v as f64)).collect();
-                    let e = span.eval_point(&at);
-                    l1.add_abs_term(tie_eps * sub.const_moment.max(1.0), e.terms, e.constant);
+                    let at = |l| pt.iter().find(|p| p.0 == l).map_or(0.0, |p| p.1 as f64);
+                    l1.add_abs_term(tie_eps * sub.const_moment.max(1.0), span(1.0, &at), 0.0);
                 }
             }
         }
     }
-    OffsetL1 {
-        l1,
-        vars,
-        num_subranges,
-    }
+    (l1, num_subranges)
 }
 
-/// Solve the posed L1 problem, round, and return the per-port offsets plus
-/// statistics (without mutating `alignment`).
+/// Solve the posed L1 problem, round, and price the rounded offsets against
+/// the node constraints the problem was posed over; returns the per-port
+/// offsets plus statistics (the alignment is not touched).
 fn solve_once(
     adg: &Adg,
-    alignment: &ProgramAlignment,
+    sys: &NodeConstraints,
     axis: usize,
-    replicated: &HashSet<PortId>,
-    posed: OffsetL1,
+    (l1, num_subranges): (L1Problem, usize),
     memo: &BlockMemo,
 ) -> (OffsetSolveReport, Vec<Option<Affine>>) {
-    let OffsetL1 {
-        l1,
-        vars,
-        num_subranges,
-    } = posed;
     let num_vars = l1.num_vars() + l1.num_terms();
     let num_blocks = l1.num_blocks();
     let num_constraints = l1.equalities().num_constraints();
     let solution = l1.solve_sharing(memo);
 
-    let mut offsets: Vec<Option<Affine>> = vec![None; adg.num_ports()];
-    let lp_objective = match &solution {
-        Ok(sol) => {
-            for pid in adg.port_ids() {
-                offsets[pid.0] = vars.rounded_offset(pid, sol);
-            }
-            sol.objective
-        }
+    // Ports without variables are the replicated ones: they keep `None`.
+    let offsets: Vec<Option<Affine>> = match &solution {
+        Ok(sol) => adg
+            .port_ids()
+            .map(|pid| sys.vars.rounded_offset(pid, sol))
+            .collect(),
         Err(_) => {
             // Hard constraints should always be satisfiable; if the solver
             // gives up we fall back to all-zero offsets, whose priced
             // violations send the caller down the ladder. Counted, so a
             // numerical failure reaches the counter gate.
             trace::count("align.offset_lp_failed", 1);
-            for pid in adg.port_ids() {
-                if !replicated.contains(&pid) {
-                    offsets[pid.0] = Some(Affine::zero());
-                }
-            }
-            f64::INFINITY
+            adg.port_ids()
+                .map(|pid| sys.vars.constant_slot(pid).map(|_| Affine::zero()))
+                .collect()
         }
     };
+    let lp_objective = solution.map_or(f64::INFINITY, |sol| sol.objective);
 
     // Exact cost of this candidate on this axis, as the cost model prices
     // it: the residual shift plus the violation penalty for any hard node
@@ -638,28 +640,23 @@ fn solve_once(
     // post-hoc feasibility check; the cost model now prices them directly —
     // the penalty dwarfs every feasible candidate's cost, so they can only
     // win when no feasible candidate exists at all.
-    let exact_cost = {
-        let mut candidate = alignment.clone();
-        write_offsets(adg, &mut candidate, axis, replicated, &offsets);
-        let model = CostModel::new(adg);
-        let violation = model.offset_violation_on_axis(&candidate, axis);
-
+    let (exact_cost, violation_units) = {
+        let _span = trace::span("align.price");
+        let offset_of = |p: PortId| offsets[p.0].as_ref();
+        let values = sys.values(offset_of);
+        let units = sys.violation_units(&values);
         // Cross-check (the old post-hoc gate, demoted to an assertion): a
         // candidate the LP's own hard-constraint system accepts must price
         // violation-free. The converse need not hold — the LP system also
         // carries the deterministic translation pin (and the static pins),
         // which are not semantic constraints.
-        #[cfg(debug_assertions)]
-        {
-            let hard = l1.equalities();
-            let values = vars.values_from(&candidate, axis, hard.num_vars());
-            debug_assert!(
-                !hard.is_feasible(&values, 1e-6) || violation == 0.0,
-                "cost model charges violation {violation} for an LP-feasible candidate on axis {axis}"
-            );
-        }
-
-        model.shift_cost_on_axis(&candidate, axis) + violation
+        debug_assert!(
+            !l1.equalities().is_feasible(&values, 1e-6) || units == 0.0,
+            "cost model charges {units} violation units for an LP-feasible candidate on axis {axis}"
+        );
+        let model = CostModel::new(adg);
+        let shift = model.shift_cost_of(offset_of);
+        (shift + units * model.violation_scale(), units)
     };
 
     (
@@ -667,6 +664,7 @@ fn solve_once(
             axis,
             lp_objective,
             exact_cost,
+            violation_units,
             num_vars,
             num_blocks,
             num_constraints,
@@ -701,9 +699,8 @@ fn write_offsets(
 /// the edge is re-split into exactly two pieces at the crossing instead of
 /// accumulating pieces.
 fn refine_subranges(
-    adg: &Adg,
     cost_edges: &[(EdgeId, &Edge)],
-    subranges: &mut BTreeMap<EdgeId, Vec<Subrange>>,
+    subranges: &mut [Vec<Subrange>],
     offsets: &[Option<Affine>],
     move_boundary: bool,
 ) -> usize {
@@ -716,7 +713,7 @@ fn refine_subranges(
         if span.is_constant() {
             continue;
         }
-        let entry = subranges.get_mut(eid).expect("edge has subranges");
+        let entry = &mut subranges[eid.0];
         if move_boundary {
             // Re-split the whole edge space at the first located crossing.
             if let Some(at) = crossing_ordinal(&edge.space, &span) {
@@ -745,7 +742,6 @@ fn refine_subranges(
         }
         *entry = new_list;
     }
-    let _ = adg;
     splits
 }
 
@@ -833,11 +829,12 @@ pub(crate) fn solve_all_offsets_sharing(
     config: MobileOffsetConfig,
     memo: &BlockMemo,
 ) -> Vec<OffsetSolveReport> {
+    let subranges = all_initial_subranges(adg, config.strategy);
     (0..alignment.template_rank)
         .map(|axis| {
             let empty = HashSet::new();
             let replicated = replicated_per_axis.get(axis).unwrap_or(&empty);
-            solve_axis_offsets(adg, alignment, axis, replicated, config, memo)
+            solve_axis(adg, alignment, axis, replicated, config, &subranges, memo)
         })
         .collect()
 }

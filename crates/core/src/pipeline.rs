@@ -162,7 +162,17 @@ fn align_adg_sharing(adg: &Adg, config: &PipelineConfig, memo: &BlockMemo) -> Al
         forced_r = new_forced;
     }
 
-    let total_cost = CostModel::new(adg).total_cost(&alignment);
+    let total_cost = {
+        let _span = trace::span("align.total_cost");
+        // The last round's axis solves have just measured each axis's
+        // violation units against its node constraints; only the edges are
+        // left to price.
+        let model = CostModel::new(adg);
+        let measured: Vec<f64> = offset_reports.iter().map(|r| r.violation_units).collect();
+        let cost = model.total_cost_given(&alignment, &measured);
+        debug_assert_eq!(cost, model.total_cost(&alignment));
+        cost
+    };
     AlignmentResult {
         alignment,
         template_rank: t,

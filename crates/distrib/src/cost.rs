@@ -39,8 +39,8 @@ pub struct DistribCostParams {
     /// Weight of compute load imbalance relative to communication.
     pub imbalance_weight: f64,
     /// Iteration points sampled per edge (longer loops are strided). The
-    /// sample is taken once, when the [`DistributionCostModel`] builds its
-    /// cache.
+    /// sample is taken once, when the [`DistributionCostModel`] is built,
+    /// and the model measures its template on the same points.
     pub max_points_per_edge: usize,
 }
 
@@ -104,8 +104,9 @@ impl std::fmt::Display for DistributionCost {
 /// independent of any candidate distribution.
 #[derive(Debug, Clone, Copy)]
 enum AxisEffect {
-    /// Both ends fixed: a grid-metric shift by this distance.
-    Shift(i64),
+    /// Both ends fixed: a grid-metric shift, by the `(axis, distance)` pair
+    /// at this index of the model's shift table.
+    Shift(usize),
     /// Fixed tail into a replicated head: a broadcast along the axis.
     Broadcast,
     /// No communication (zero distance, or replicated tail).
@@ -119,8 +120,10 @@ struct SampledPoint {
     weight: f64,
     /// Axis/stride mismatch: the whole object is redistributed.
     mismatch: bool,
-    /// Per-template-axis effect (empty when `mismatch`).
-    effects: Vec<AxisEffect>,
+    /// Where this sample's per-template-axis effects end in the model's
+    /// effect list; they start where the previous sample's end (none when
+    /// `mismatch`).
+    effects_end: usize,
 }
 
 /// Prices candidate distributions for one (ADG, alignment) pair.
@@ -128,13 +131,20 @@ struct SampledPoint {
 /// The solver prices hundreds to thousands of (grid, layout) candidates, so
 /// everything that depends only on the ADG and the alignment — iteration
 /// points, weights, offset distances — is evaluated once at construction
-/// (sampling long loops down to `DistribCostParams::default`'s
-/// `max_points_per_edge`); pricing a candidate is then a single pass over
-/// the cached samples.
+/// (sampling long loops down to `max_points` per edge) into three flat
+/// lists: the samples, all samples' per-axis effects one after another, and
+/// the distinct `(axis, distance)` pairs the effects shift by. Pricing a
+/// candidate asks it once per distinct pair what fraction of the elements
+/// such a shift moves, then makes a single pass over the samples.
 pub struct DistributionCostModel<'a> {
     adg: &'a Adg,
     alignment: &'a ProgramAlignment,
+    /// The sampling cap the model was built with; the template is measured
+    /// on the same points.
+    max_points: usize,
     samples: Vec<SampledPoint>,
+    effects: Vec<AxisEffect>,
+    shifts: Vec<(usize, i64)>,
     /// Total data volume over all edges (the imbalance scale factor).
     total_volume: f64,
 }
@@ -155,7 +165,11 @@ impl<'a> DistributionCostModel<'a> {
         alignment: &'a ProgramAlignment,
         max_points: usize,
     ) -> Self {
+        let _span = trace::span("distrib.model.build");
         let mut samples = Vec::new();
+        let mut effects = Vec::new();
+        let mut shifts = Vec::new();
+        let mut shift_ids: HashMap<(usize, i64), usize> = HashMap::new();
         for (_, edge) in adg.edges() {
             let src = alignment.port(edge.src);
             let dst = alignment.port(edge.dst);
@@ -184,68 +198,75 @@ impl<'a> DistributionCostModel<'a> {
                         src.axis_map.get(b) != dst.axis_map.get(b)
                             || src.strides[b].eval_assoc(point) != dst.strides[b].eval_assoc(point)
                     });
-                let effects = if mismatch {
-                    Vec::new()
-                } else {
-                    (0..src.template_rank().min(dst.template_rank()))
-                        .map(|axis| match (&src.offsets[axis], &dst.offsets[axis]) {
-                            (OffsetAlign::Fixed(a), OffsetAlign::Fixed(b)) => {
-                                match a.eval_assoc(point) - b.eval_assoc(point) {
-                                    0 => AxisEffect::Free,
-                                    d => AxisEffect::Shift(d),
-                                }
+                if !mismatch {
+                    let ends = src.offsets.iter().zip(&dst.offsets).enumerate();
+                    effects.extend(ends.map(|(axis, ends)| match ends {
+                        (OffsetAlign::Fixed(a), OffsetAlign::Fixed(b)) => {
+                            match a.eval_assoc(point) - b.eval_assoc(point) {
+                                0 => AxisEffect::Free,
+                                d => AxisEffect::Shift(*shift_ids.entry((axis, d)).or_insert_with(
+                                    || {
+                                        shifts.push((axis, d));
+                                        shifts.len() - 1
+                                    },
+                                )),
                             }
-                            (OffsetAlign::Fixed(_), OffsetAlign::Replicated) => {
-                                AxisEffect::Broadcast
-                            }
-                            (OffsetAlign::Replicated, _) => AxisEffect::Free,
-                        })
-                        .collect()
-                };
+                        }
+                        (OffsetAlign::Fixed(_), OffsetAlign::Replicated) => AxisEffect::Broadcast,
+                        (OffsetAlign::Replicated, _) => AxisEffect::Free,
+                    }));
+                }
                 samples.push(SampledPoint {
                     weight: w,
                     mismatch,
-                    effects,
+                    effects_end: effects.len(),
                 });
             });
         }
         DistributionCostModel {
             adg,
             alignment,
+            max_points,
             samples,
+            effects,
+            shifts,
             total_volume: adg.total_edge_data(),
         }
     }
 
     /// Estimated template extents under the alignment (the shape candidate
-    /// distributions must cover).
+    /// distributions must cover), measured on the points the model samples.
     pub fn template_extents(&self) -> Vec<i64> {
-        CostModel::new(self.adg).template_extents(self.alignment, 128)
+        let _span = trace::span("distrib.template_extents");
+        CostModel::new(self.adg).template_extents(self.alignment, self.max_points)
     }
 
     /// Price one candidate distribution.
     pub fn cost(&self, dist: &ProgramDistribution, params: &DistribCostParams) -> DistributionCost {
         let p = dist.num_processors() as f64;
         let t = dist.template_rank();
-        // moved_fraction is O(period) per distinct shift distance; memoise
-        // per (axis, distance) across the whole sample walk.
-        let mut moved: HashMap<(usize, i64), f64> = HashMap::new();
+        // moved_fraction is O(period) per shift distance: taken once per
+        // distinct (axis, distance) ahead of the walk. A pair on an axis the
+        // candidate does not have is never read.
+        let moved: Vec<f64> = self
+            .shifts
+            .iter()
+            .map(|&(axis, d)| dist.axes.get(axis).map_or(0.0, |a| a.moved_fraction(d)))
+            .collect();
         let mut cost = DistributionCost::default();
 
+        let mut start = 0;
         for sample in &self.samples {
             let w = sample.weight;
+            let effects = &self.effects[start..sample.effects_end];
+            start = sample.effects_end;
             if sample.mismatch {
                 cost.general += w * (p - 1.0) / p * params.general_factor;
                 continue;
             }
-            for (axis, effect) in sample.effects.iter().enumerate().take(t) {
+            for (axis, effect) in effects.iter().enumerate().take(t) {
                 match *effect {
-                    AxisEffect::Shift(d) => {
-                        let frac = *moved
-                            .entry((axis, d))
-                            .or_insert_with(|| dist.axes[axis].moved_fraction(d));
-                        cost.shift += w * frac;
-                    }
+                    AxisEffect::Shift(pair) => cost.shift += w * moved[pair],
                     AxisEffect::Broadcast => {
                         // A broadcast tree doubles reached processors per
                         // stage along the replicated axis.
@@ -354,6 +375,35 @@ mod tests {
             wide.broadcast >= narrow.broadcast,
             "wide {wide} vs narrow {narrow}"
         );
+    }
+
+    #[test]
+    fn template_is_measured_on_the_points_the_model_samples() {
+        // One edge over `do k = 1, 8; do j = 1, 8`, its tail sliding to cell
+        // `k - j`: the far cells (7 at the 57th point, -7 at the 8th) fall
+        // between the points a 4-point sample takes (every 16th, plus the
+        // last), so a model built at that cap must not report the template
+        // a 128-point sample sees.
+        use adg::NodeKind;
+        use align_ir::triplet::AffineTriplet;
+        use align_ir::{Affine, ArrayId, IterationSpace, LivId, Triplet, WeightPoly};
+        let (k, j) = (LivId(0), LivId(1));
+        let space = IterationSpace::single_loop(k, 1, 8, 1)
+            .enter_loop(j, AffineTriplet::constant(Triplet::range(1, 8)));
+        let mut g = Adg::new("nest");
+        let src = g.add_node(NodeKind::Source { array: ArrayId(0) }, space.clone());
+        let dst = g.add_node(NodeKind::Sink { array: ArrayId(0) }, space.clone());
+        let d = g.add_port(src, 0, vec![], None, true, "d");
+        let u = g.add_port(dst, 0, vec![], None, false, "u");
+        g.add_edge(d, u, WeightPoly::constant(1), space, 1.0);
+        let mut a = ProgramAlignment::identity(1, &[0, 0]);
+        a.ports[d.0].offsets[0] = OffsetAlign::Fixed(Affine::new(0, [(k, 1), (j, -1)]));
+
+        let coarse = DistributionCostModel::with_max_points(&g, &a, 4).template_extents();
+        let fine = DistributionCostModel::with_max_points(&g, &a, 128).template_extents();
+        assert_eq!(fine, vec![15]);
+        assert_eq!(coarse, vec![7]);
+        assert_eq!(coarse, CostModel::new(&g).template_extents(&a, 4));
     }
 
     #[test]

@@ -693,50 +693,90 @@ impl DpPricer for MovePricer<'_> {
     }
 }
 
-/// Build the [`PhaseResult`]s for the given atom ranges: group the atoms,
-/// search the signature space **once per phase** over all its atoms on the
-/// phase's covering template (shared enumeration — no per-atom re-search).
-/// The reports are then re-priced over the cross-phase pool by
-/// [`price_pool`].
-fn build_phases(
-    mut atoms: Vec<AtomAnalysis>,
+/// Group the atoms into phases and rank each phase's candidates: search the
+/// signature space **once per phase** over all its atoms on the phase's
+/// covering template (shared enumeration — no per-atom re-search), pool
+/// every phase's top-ranked signatures (dedup'd in first-seen order), and
+/// re-price each report over that shared pool — each pool signature
+/// instantiated on the phase's cover and priced by summing the phase's
+/// per-atom model costs. Every atom's cost model is built once and serves
+/// both the search and the re-pricing. Returns the phases and the pool.
+fn search_phases(
+    atoms: Vec<AtomAnalysis>,
     atom_ranges: &[(usize, usize)],
     solve_cfg: &SolveConfig,
-) -> Vec<PhaseResult> {
-    let mut phases: Vec<PhaseResult> = Vec::with_capacity(atom_ranges.len());
-    for &(lo, hi) in atom_ranges.iter().rev() {
-        let phase_atoms: Vec<AtomAnalysis> = atoms.split_off(lo);
-        let range = (
-            phase_atoms.first().map_or(0, |a| a.stmt_index),
-            phase_atoms.last().map_or(0, |a| a.stmt_index + 1),
-        );
-        let (atom_templates, report) = {
-            let models: Vec<DistributionCostModel<'_>> = phase_atoms
+) -> (Vec<PhaseResult>, Vec<Sig>) {
+    let params = solve_cfg.params;
+    let models: Vec<DistributionCostModel<'_>> = atoms
+        .iter()
+        .map(|a| {
+            DistributionCostModel::with_max_points(
+                &a.adg,
+                &a.alignment.alignment,
+                params.max_points_per_edge,
+            )
+        })
+        .collect();
+    let mut searched: Vec<(Vec<Vec<i64>>, DistributionReport)> = atom_ranges
+        .iter()
+        .map(|&(lo, hi)| {
+            let atom_templates: Vec<Vec<i64>> = models[lo..hi]
                 .iter()
-                .map(|a| {
-                    DistributionCostModel::with_max_points(
-                        &a.adg,
-                        &a.alignment.alignment,
-                        solve_cfg.params.max_points_per_edge,
-                    )
-                })
+                .map(|m| m.template_extents())
                 .collect();
-            let atom_templates: Vec<Vec<i64>> =
-                models.iter().map(|m| m.template_extents()).collect();
             let cover = cover_of(&atom_templates);
-            let report = solve_distribution_pooled(&models, &cover, solve_cfg);
+            let report = solve_distribution_pooled(&models[lo..hi], &cover, solve_cfg);
             (atom_templates, report)
-        };
-        phases.push(PhaseResult {
-            atom_range: (lo, hi),
-            range,
-            atoms: phase_atoms,
-            atom_templates,
-            report,
-        });
+        })
+        .collect();
+
+    let mut pool: Vec<Sig> = Vec::new();
+    for r in searched.iter().flat_map(|(_, report)| &report.ranked) {
+        let sig = sig_of(&r.distribution);
+        if !pool.contains(&sig) {
+            pool.push(sig);
+        }
     }
-    phases.reverse();
-    phases
+
+    for (&(lo, hi), (_, report)) in atom_ranges.iter().zip(&mut searched) {
+        let mut ranked: Vec<RankedDistribution> = pool
+            .iter()
+            .map(|sig| {
+                let dist = instantiate(sig, &report.template_extents);
+                let cost = models[lo..hi]
+                    .iter()
+                    .map(|m| m.cost(&dist, &params))
+                    .fold(DistributionCost::default(), |a, b| a.plus(&b));
+                RankedDistribution {
+                    distribution: dist,
+                    cost,
+                }
+            })
+            .collect();
+        sort_ranked(&mut ranked);
+        report.ranked = ranked;
+    }
+    drop(models);
+
+    let mut atoms = atoms.into_iter();
+    let phases = atom_ranges
+        .iter()
+        .zip(searched)
+        .map(|(&(lo, hi), (atom_templates, report))| {
+            let atoms: Vec<AtomAnalysis> = atoms.by_ref().take(hi - lo).collect();
+            PhaseResult {
+                atom_range: (lo, hi),
+                range: (
+                    atoms.first().map_or(0, |a| a.stmt_index),
+                    atoms.last().map_or(0, |a| a.stmt_index + 1),
+                ),
+                atoms,
+                atom_templates,
+                report,
+            }
+        })
+        .collect();
+    (phases, pool)
 }
 
 /// The elementwise-max cover of a set of template extents.
@@ -749,48 +789,6 @@ fn cover_of(templates: &[Vec<i64>]) -> Vec<i64> {
         }
     }
     cover
-}
-
-/// Re-price every phase's report over the shared signature pool: each pool
-/// signature is instantiated on the phase's covering template and priced by
-/// summing the phase's per-atom model costs. Rankings use the same ordering
-/// key as `solve_distribution`, so a single-phase program's `best()`
-/// matches the static choice.
-fn price_pool(phases: &mut [PhaseResult], pool: &[Sig], solve_cfg: &SolveConfig) {
-    let params = solve_cfg.params;
-    for phase in phases.iter_mut() {
-        let ranked = {
-            let models: Vec<DistributionCostModel<'_>> = phase
-                .atoms
-                .iter()
-                .map(|a| {
-                    DistributionCostModel::with_max_points(
-                        &a.adg,
-                        &a.alignment.alignment,
-                        params.max_points_per_edge,
-                    )
-                })
-                .collect();
-            let cover = phase.report.template_extents.clone();
-            let mut ranked: Vec<RankedDistribution> = pool
-                .iter()
-                .map(|sig| {
-                    let dist = instantiate(sig, &cover);
-                    let cost = models
-                        .iter()
-                        .map(|m| m.cost(&dist, &params))
-                        .fold(DistributionCost::default(), |a, b| a.plus(&b));
-                    RankedDistribution {
-                        distribution: dist,
-                        cost,
-                    }
-                })
-                .collect();
-            sort_ranked(&mut ranked);
-            ranked
-        };
-        phase.report.ranked = ranked;
-    }
 }
 
 /// Rank candidates cheapest-first with the same ordering key as
@@ -807,21 +805,6 @@ fn sort_ranked(ranked: &mut Vec<RankedDistribution>) {
         )
     });
     ranked.dedup_by(|a, b| a.distribution == b.distribution);
-}
-
-/// The shared signature pool: every phase's top-ranked candidates, dedup'd
-/// in first-seen order.
-fn build_pool(phases: &[PhaseResult]) -> Vec<Sig> {
-    let mut pool: Vec<Sig> = Vec::new();
-    for phase in phases {
-        for r in &phase.report.ranked {
-            let sig = sig_of(&r.distribution);
-            if !pool.contains(&sig) {
-                pool.push(sig);
-            }
-        }
-    }
-    pool
 }
 
 /// Arrays priced at each boundary: next use is the following phase, and
@@ -994,10 +977,7 @@ fn build_dp_inputs(atoms: Vec<AtomAnalysis>, nprocs: usize, config: &DynamicConf
     let solve_cfg = config.solve_config(nprocs);
     let (phases, sig_pool) = {
         let _span = trace::span("phases.search");
-        let mut phases = build_phases(atoms, &atom_ranges, &solve_cfg);
-        let sig_pool = build_pool(&phases);
-        price_pool(&mut phases, &sig_pool, &solve_cfg);
-        (phases, sig_pool)
+        search_phases(atoms, &atom_ranges, &solve_cfg)
     };
     let phase_refs: Vec<BTreeSet<ArrayId>> = phases.iter().map(|p| p.referenced()).collect();
     let cap = config.max_candidates_per_phase.max(1);

@@ -1,0 +1,61 @@
+//! The counter gate compares what the planner *does*; it cannot see how
+//! often the planner asks the allocator for memory while doing it, and an
+//! evaluation step that rebuilds what an earlier step already had shows up
+//! there first. This binary holds one test, so nothing else allocates while
+//! it counts: each budget is the allocation count of one warm solve on one
+//! worker, set about a quarter above what the solve measured (75 680 and
+//! 130 147 with debug assertions on) when template extents became a closed
+//! form, the node constraints were derived once per axis solve and each
+//! atom's distribution model was built once. The commit before allocated
+//! 295 362 and 351 453 times.
+
+use array_alignment::prelude::*;
+
+#[allow(dead_code)]
+#[path = "../benchmark/src/workloads.rs"]
+mod benchmark_workloads;
+use benchmark_workloads::{stage_chain, StageChain};
+
+/// Allocations of one `align_then_distribute_dynamic`, after a first solve
+/// has paid for every lazily initialised static.
+fn warm_solve_allocations(program: &Program, nprocs: usize) -> u64 {
+    let config = DynamicConfig::default();
+    drop(align_then_distribute_dynamic(program, nprocs, &config));
+    let before = bench::alloc::stats().allocations;
+    let result = align_then_distribute_dynamic(program, nprocs, &config);
+    let after = bench::alloc::stats().allocations;
+    drop(result);
+    after - before
+}
+
+#[test]
+fn warm_solves_stay_within_their_allocation_budgets() {
+    pool::set_workers(1);
+    let cases = [
+        (
+            "reduction_tree(64,64)@32",
+            programs::reduction_tree(64, 64),
+            32,
+            94_000u64,
+        ),
+        (
+            "stage_chain-16@8",
+            stage_chain(StageChain {
+                n: 32,
+                trips: 8,
+                arrays: 2,
+                stages: 8,
+                seed: 11,
+            }),
+            8,
+            162_000u64,
+        ),
+    ];
+    for (name, program, nprocs, budget) in cases {
+        let allocations = warm_solve_allocations(&program, nprocs);
+        assert!(
+            allocations <= budget,
+            "{name}: {allocations} allocations in one warm solve, budget {budget}"
+        );
+    }
+}
