@@ -26,12 +26,13 @@ fn solve(adg: &adg::Adg, strategy: OffsetStrategy) {
 }
 
 fn main() {
-    // Sized so a single strategy solve is seconds, not minutes: this
-    // workload's axis-0 offset system is degenerate enough to engage the
-    // rounding-safety ladder on every strategy, and the ladder LPs grow
-    // with `trips`. The CI regression gate compares against a baseline
-    // recorded on the same workload, so absolute size only affects job
-    // wall-clock.
+    // This workload's axis-0 offset system is degenerate: until the dual
+    // simplex started at its feasible origin every strategy's rounding blew
+    // up here and the safety-net ladder ran on all seven (a solve was
+    // 3–8 ms); now none reaches it, and `fixed_m5` is the one rounding the
+    // pin-and-re-solve repair settles. The CI regression gate compares
+    // against a baseline recorded on the same workload, so absolute size
+    // only affects job wall-clock.
     let program = random_loop_program(RandomProgramConfig {
         seed: 3,
         trips: 12,

@@ -29,14 +29,16 @@
 //!   when the exact cost improves.
 //!
 //! After the LP solves, the fractional coefficients are rounded to integers
-//! (RLP) and written into the [`ProgramAlignment`].
+//! (RLP) and written into the [`ProgramAlignment`]. A rounding that breaks a
+//! node constraint is repaired by pinning the unknowns it rounded to where
+//! it put them and solving again (`align.round.repaired`).
 
 use crate::constraints::{NodeConstraints, OffsetVars};
 use crate::cost::CostModel;
 use crate::position::{OffsetAlign, ProgramAlignment};
 use adg::{Adg, Edge, EdgeId, PortId};
 use align_ir::{Affine, IterationSpace, LivId};
-use lp::{BlockMemo, L1Problem, Relation};
+use lp::{BlockMemo, L1Problem, Relation, VarId};
 use std::borrow::Cow;
 use std::collections::HashSet;
 
@@ -181,11 +183,11 @@ pub struct OffsetSolveReport {
     pub num_subranges: usize,
     /// Number of refinement rounds actually used.
     pub rounds: usize,
-    /// Label of the safety-net rung that produced the final offsets, or
-    /// `None` when the configured strategy's own solution stood. Of the
-    /// built-in workloads only Example 5's axis 0 reports a rung
-    /// (`Some("static")`: its mobile vertex rounds onto a violated node
-    /// constraint).
+    /// What produced the final offsets when the configured strategy's own
+    /// rounding did not stand: `Some("pin-and-resolve")` for the rounding
+    /// repair (Example 5's axis 0, whose LP optimum leaves LIV coefficients
+    /// fractional), the label of a safety-net rung behind it (none is
+    /// reached on the built-in workloads), `None` otherwise.
     pub fallback: Option<&'static str>,
 }
 
@@ -275,6 +277,10 @@ fn strategy_counter_name(strategy: OffsetStrategy) -> &'static str {
     }
 }
 
+/// Re-solves the pin-and-re-solve rounding repair of [`solve_axis_offsets`]
+/// may spend on one axis before the ladder takes over.
+const MAX_REPAIR_SOLVES: u64 = 4;
+
 /// Solve the offsets of one template axis and write them (rounded) into
 /// `alignment`. Ports in `replicated` get [`OffsetAlign::Replicated`] on this
 /// axis instead. Returns solve statistics. Every RLP posed on the way — the
@@ -325,18 +331,22 @@ fn solve_axis(
 
     let mut best_report: Option<OffsetSolveReport> = None;
     let mut best_offsets: Option<Vec<Option<Affine>>> = None;
+    // The unknowns the best candidate's LP point left off the integers,
+    // each with the integer it was rounded to.
+    let mut fractional: Vec<(VarId, f64)> = Vec::new();
 
     let mut rounds = 0;
     loop {
         rounds += 1;
-        let posed = assemble_l1(adg, &sys, &subranges, &cost_edges, config);
-        let (report, offsets) = solve_once(adg, &sys, axis, posed, memo);
+        let posed = assemble_l1(adg, &sys, &subranges, &cost_edges, config, &[]);
+        let (report, offsets, unrounded) = solve_once(adg, &sys, axis, posed, memo);
         let improved = best_report
             .as_ref()
             .is_none_or(|b| report.exact_cost < b.exact_cost - 1e-9);
         if improved {
             best_report = Some(report.clone());
             best_offsets = Some(offsets.clone());
+            fractional = unrounded;
         }
         if rounds >= max_rounds {
             break;
@@ -365,6 +375,57 @@ fn solve_axis(
             || !r.lp_objective.is_finite()
             || (r.exact_cost > 4.0 * (r.lp_objective.abs() + 1.0) && r.exact_cost > 100.0)
     };
+
+    // Pin and re-solve, before the ladder. A rounding that broke a node
+    // constraint rounded an unknown the LP left fractional — in every case
+    // seen a LIV coefficient no weighted term prices, tied to its neighbours
+    // by one equality with the trip count as coefficient (`x₆₁ − x₅₉ − 4·x₆₀
+    // = 0`, `x₆₀ = 0.25`), which any optimal vertex may do. Hold those
+    // unknowns where the rounding put them and let the LP move the rest: the
+    // same RLP plus `x_v = round(v)`, untouched blocks answered from `memo`.
+    let unrepaired = best_report.clone();
+    let mut pins: Vec<(VarId, f64)> = Vec::new();
+    let mut repair_solves = 0;
+    while repair_solves < MAX_REPAIR_SOLVES
+        && !fractional.is_empty()
+        && best_report
+            .as_ref()
+            .is_some_and(|r| blown_up(r) && r.violation_units > 0.0)
+    {
+        repair_solves += 1;
+        pins.append(&mut fractional);
+        let posed = assemble_l1(adg, &sys, &subranges, &cost_edges, config, &pins);
+        let (mut report, offsets, unrounded) = solve_once(adg, &sys, axis, posed, memo);
+        report.fallback = Some("pin-and-resolve");
+        let improved = best_report
+            .as_ref()
+            .is_none_or(|b| report.exact_cost < b.exact_cost - 1e-9);
+        if improved {
+            best_report = Some(report);
+            best_offsets = Some(offsets);
+        }
+        // Pinned unknowns come back integral: these are new ones.
+        fractional = unrounded;
+    }
+    if let (Some(before), Some(best), true) = (&unrepaired, &best_report, repair_solves > 0) {
+        trace::count("align.round.repair_solves", repair_solves);
+        if !blown_up(best) {
+            trace::count("align.round.repaired", 1);
+        }
+        if trace::spans_enabled() {
+            let args = [
+                ("axis", axis.to_string()),
+                ("pinned", pins.len().to_string()),
+                ("solves", repair_solves.to_string()),
+                ("lp_objective_before", before.lp_objective.to_string()),
+                ("lp_objective_after", best.lp_objective.to_string()),
+                ("exact_cost_before", before.exact_cost.to_string()),
+                ("exact_cost_after", best.exact_cost.to_string()),
+            ];
+            trace::event("align.round.repair", &args);
+        }
+    }
+
     if best_report.as_ref().is_some_and(blown_up) {
         trace::count("align.ladder_engaged", 1);
         let total_points: u64 = cost_edges.iter().map(|(_, e)| e.space.size()).sum();
@@ -380,18 +441,13 @@ fn solve_axis(
         // one-subrange objective being the coarsest approximation of the
         // lot (error bound 3x).
         //
-        // Measured record (PR 13): the ladder engages 23 times over the
-        // test suite and once per pass of the benchmark's `lp_bound`
-        // workload (`example5`, axis 0). The retries under a second pricing
-        // rule (rungs deleted with that rule) returned the primary's own
-        // candidate 20 times and another blown-up one 3 times; m = 5 always
-        // rounds to a candidate as blown up as the primary's (exact cost
-        // 1e7–1e9 against an LP objective of 1e2–1e3; three times
-        // marginally lower, never usable); the `static` rung's candidate
-        // is the one written every time, and the two rungs after it never
-        // ran. `align.ladder.adopted.*` counts the
-        // rung whose candidate is written, so the unproven rungs can be
-        // judged from the counter gate.
+        // Measured record: since the repair above, `align.ladder_engaged`
+        // is 0 over the test suite and the benchmark. Before it (PR 13) the
+        // ladder engaged 23 times over the suite; m = 5 always rounded to a
+        // candidate as blown up as the primary's, the `static` rung's was
+        // the one written every time, and the two rungs after it never ran.
+        // `align.ladder.adopted.*` counts the rung whose candidate is
+        // written.
         let m5 = OffsetStrategy::FixedPartition(5);
         let ladder = [
             (
@@ -429,8 +485,8 @@ fn solve_axis(
                 forbid_mobile: config.forbid_mobile || force_static,
                 ..config
             };
-            let posed = assemble_l1(adg, &sys, &alt_subranges, &cost_edges, alt_config);
-            let (mut report, offsets) = solve_once(adg, &sys, axis, posed, memo);
+            let posed = assemble_l1(adg, &sys, &alt_subranges, &cost_edges, alt_config, &[]);
+            let (mut report, offsets, _) = solve_once(adg, &sys, axis, posed, memo);
             report.fallback = Some(label);
             let improved = best_report
                 .as_ref()
@@ -492,7 +548,7 @@ pub fn build_offset_l1(
     let sys = NodeConstraints::derive(adg, alignment, axis, replicated);
     let cost_edges = objective_edges(adg, replicated);
     let subranges = all_initial_subranges(adg, config.strategy);
-    let (l1, num_subranges) = assemble_l1(adg, &sys, &subranges, &cost_edges, config);
+    let (l1, num_subranges) = assemble_l1(adg, &sys, &subranges, &cost_edges, config, &[]);
     OffsetL1 {
         l1,
         vars: sys.vars,
@@ -516,17 +572,22 @@ fn all_initial_subranges(adg: &Adg, strategy: OffsetStrategy) -> Vec<Vec<Subrang
 }
 
 /// Build the L1 problem for the given subranges over the axis's node
-/// constraints; also returns how many subranges contributed a term.
+/// constraints, with every unknown of `pins` held at its value; also
+/// returns how many subranges contributed a term.
 fn assemble_l1(
     adg: &Adg,
     sys: &NodeConstraints,
     subranges: &[Vec<Subrange>],
     cost_edges: &[(EdgeId, &Edge)],
     config: MobileOffsetConfig,
+    pins: &[(VarId, f64)],
 ) -> (L1Problem, usize) {
     let _span = trace::span("align.assemble");
     let vars = &sys.vars;
     let mut problem = sys.pinned(adg);
+    for &(v, value) in pins {
+        problem.add_constraint(vec![(v, 1.0)], Relation::Eq, value);
+    }
 
     if config.forbid_mobile {
         // Static baseline: the *homes* of the declared arrays may not move —
@@ -600,15 +661,16 @@ fn assemble_l1(
 }
 
 /// Solve the posed L1 problem, round, and price the rounded offsets against
-/// the node constraints the problem was posed over; returns the per-port
-/// offsets plus statistics (the alignment is not touched).
+/// the node constraints the problem was posed over; returns statistics, the
+/// per-port offsets, and the unknowns the LP point left non-integral with
+/// the integers they were rounded to (the alignment is not touched).
 fn solve_once(
     adg: &Adg,
     sys: &NodeConstraints,
     axis: usize,
     (l1, num_subranges): (L1Problem, usize),
     memo: &BlockMemo,
-) -> (OffsetSolveReport, Vec<Option<Affine>>) {
+) -> (OffsetSolveReport, Vec<Option<Affine>>, Vec<(VarId, f64)>) {
     let num_vars = l1.num_vars() + l1.num_terms();
     let num_blocks = l1.num_blocks();
     let num_constraints = l1.equalities().num_constraints();
@@ -631,6 +693,11 @@ fn solve_once(
                 .collect()
         }
     };
+    let values = solution.iter().flat_map(|sol| &sol.values).enumerate();
+    let fractional = values
+        .filter(|(_, v)| (*v - v.round()).abs() > 1e-6)
+        .map(|(i, v)| (VarId(i), v.round()))
+        .collect();
     let lp_objective = solution.map_or(f64::INFINITY, |sol| sol.objective);
 
     // Exact cost of this candidate on this axis, as the cost model prices
@@ -673,6 +740,7 @@ fn solve_once(
             fallback: None,
         },
         offsets,
+        fractional,
     )
 }
 

@@ -22,10 +22,17 @@
 //! every `x_i` vanishes — one equality row per unknown). Its basis has one
 //! row per *unknown*: the surrogates became boxed columns, which the
 //! bounded-variable simplex handles in its ratio test (a surrogate swap is
-//! now a bound flip), and `y = 0, μ = 0` is always feasible. The primal
+//! now a bound flip), and `y = 0, μ = 0` is always feasible — which is where
+//! the simplex *starts*: every column begins at zero, inside its range, no
+//! residual is left for a phase 1 to remove, and a column whose reduced cost
+//! stays zero (a term that prices nothing at the optimum found) never
+//! leaves the inside of its box. The dual point returned need not be a
+//! vertex; the certificate below does not ask for one. The primal
 //! unknowns are the optimal row duals: the reduced cost of `μ_e` vanishing
 //! is `E_e·π = f_e`, and the sign of `y_k`'s reduced cost `−(a_k·π + c_k)`
-//! is the complementary-slackness condition of `|·|`, so `x = π`.
+//! is the complementary-slackness condition of `|·|`, so `x = π` — with
+//! `π_r = 0`, the unknown where it started, on every row the objective
+//! never moved.
 //!
 //! [`L1Problem::solve`] takes that route: equality-chain presolve (the same
 //! one [`Problem::solve`] runs, with the abs terms rewritten onto the

@@ -37,11 +37,18 @@
 //!   reporting `Stalled` so phase 1 can never turn a stall into a spurious
 //!   Infeasible) bounds the pivot count in practice.
 //!
-//! Phase 1 starts from a crash basis (slack / structural columns where the
-//! start residuals allow, signed artificials for the rest) and minimises
-//! the artificial sum; phase 2 fixes the artificials to zero and minimises
-//! the user objective over the surviving basis. Numerical failure surfaces
-//! as [`SolveError::IterationLimit`]; nothing is retried behind it.
+//! Every column starts at the point of its range nearest zero — a boxed
+//! column whose box straddles zero starts nonbasic strictly *inside* it —
+//! and a crash basis is built over that point (slack / structural columns
+//! where the start residuals allow, signed artificials for the rest). If an
+//! artificial is positive there, phase 1 minimises the artificial sum and
+//! the zero artificials it leaves are pivoted out; if none is — the origin
+//! is feasible, as it is for every dual [`crate::L1Problem`] poses — neither
+//! runs. Phase 2 fixes the artificials to zero and minimises the user
+//! objective over the surviving basis; a nonbasic column with a zero reduced
+//! cost never moves, so an optimum may leave such columns inside their box.
+//! Numerical failure surfaces as [`SolveError::IterationLimit`]; nothing is
+//! retried behind it.
 
 use crate::factor::LuFactor;
 use crate::model::{Problem, Relation, Solution, SolveError};
@@ -332,11 +339,17 @@ impl Revised {
             let s: f64 = if decrease { -1.0 } else { 1.0 };
 
             // Ratio test over x_B' = x_B − θ·s·d, plus the entering
-            // variable's own bound-to-bound distance (bound flip). The
+            // variable's own distance to its bound (bound flip). The
             // support is sorted, so the scan visits rows in the same
             // ascending order as the historical dense sweep.
             self.ftran_col(q, &mut d);
-            let own_range = self.upper[q] - self.lower[q]; // may be +inf
+            // How far the entering column is from the bound it moves
+            // towards (it may start strictly inside its box); may be +inf.
+            let own_range = if decrease {
+                self.x[q] - self.lower[q]
+            } else {
+                self.upper[q] - self.x[q]
+            };
             let mut theta = own_range;
             let mut leaving: Option<(usize, f64)> = None; // (row, bound hit)
             for &i in d.support() {
@@ -387,8 +400,8 @@ impl Revised {
             }
 
             match leaving {
-                // Entering variable runs to its opposite bound before any
-                // basic variable blocks: a bound flip, no basis change.
+                // Entering variable runs to its bound before any basic
+                // variable blocks: a bound flip, no basis change.
                 None => {
                     debug_assert!(own_range.is_finite());
                     self.x[q] = if decrease {
@@ -704,21 +717,9 @@ impl KernelBench {
     }
 }
 
-/// The finite bound closest to zero (0 for a free variable).
-fn nearest_bound(lower: f64, upper: f64) -> f64 {
-    if lower.is_finite() && upper.is_finite() {
-        if lower.abs() <= upper.abs() {
-            lower
-        } else {
-            upper
-        }
-    } else if lower.is_finite() {
-        lower
-    } else if upper.is_finite() {
-        upper
-    } else {
-        0.0
-    }
+/// The point of `[lower, upper]` nearest zero: where every column starts.
+fn nearest_zero(lower: f64, upper: f64) -> f64 {
+    0.0f64.max(lower).min(upper)
 }
 
 /// Standard-form columns (structural | slack) before the crash basis is
@@ -777,7 +778,7 @@ fn standard_form(problem: &Problem) -> Standard {
     let mut x: Vec<f64> = problem
         .vars
         .iter()
-        .map(|v| nearest_bound(v.lower, v.upper))
+        .map(|v| nearest_zero(v.lower, v.upper))
         .collect();
 
     // Slacks: `Ax + s = b` with `s >= 0` for `<=`, `s <= 0` for `>=`.
@@ -832,26 +833,21 @@ fn cold_start(sf: Standard) -> Revised {
     // 2. a structural column (triangular crash): a nonbasic column of the
     //    row whose shift to absorb the residual stays inside its own bounds
     //    and touches no row crashed before it;
-    // 3. a signed artificial, costing phase-1 pivots — the fallback.
+    // 3. a signed artificial — the fallback, costing phase-1 pivots when
+    //    its residual is not zero.
     //
     // Phase 1 then minimises `sum |still-infeasible residuals|` instead of
     // `sum |all residuals|`.
     //
     // What production feeds this is the dual of an L1 problem
     // (`crate::l1`): every row an equality `Σ a_k·y_k − Eᵀμ = 0` (so rule 1
-    // never applies), the `y_k` boxed in `±w_k` and starting on their lower
-    // bound, the `μ` free. A row's residual is then `Σ a_k·w_k`, rarely
-    // zero, and rule 2 can only take a column none of whose other rows is
-    // crashed yet — a term that mentions several unknowns is spent on the
-    // first of them. Measured on the whole-program dual of the 32-atom
-    // `stage_chain` (739 rows × 3 074 columns, before `L1Problem` solved it
-    // as two blocks): 545 rows end on an artificial and phase 1 spends
-    // ≈ 1.4 pivots on each — 75–80 % of the solve's pivots, although
-    // `y = 0, μ = 0` is feasible by construction. Sized, not built: 192 of
-    // those rows have a single entry (an unknown only one term mentions):
-    // the row says `y_k = 0` — the term costs nothing and the unknown is
-    // whatever zeroes it — so row and column could be peeled off before the
-    // simplex, 192 rows and 159 columns fewer.
+    // never applies), the `y_k` boxed in `±w_k` and the `μ` free — every
+    // column starts at zero, inside its range, every residual is zero and
+    // the origin is the feasible point the simplex starts from. Rule 2 takes
+    // a column none of whose other rows is crashed yet, at shift zero; the
+    // rest of the rows get a zero artificial, which costs nothing: no
+    // phase 1 runs, and such an artificial leaves only if the objective
+    // moves its row.
     let mut resid = b.clone();
     for (j, col) in cols.iter().enumerate() {
         if x[j] != 0.0 {
@@ -1039,7 +1035,7 @@ fn optimise(problem: &Problem) -> Result<(Solution, Option<Revised>), SolveError
                 }
                 v.upper
             } else {
-                nearest_bound(v.lower, v.upper)
+                nearest_zero(v.lower, v.upper)
             };
         }
         let objective = problem.eval_objective(&values);
@@ -1057,9 +1053,15 @@ fn optimise(problem: &Problem) -> Result<(Solution, Option<Revised>), SolveError
     let ncols = solver.csc.ncols();
     let max_iters = 400 * (ncols + m + 10);
 
-    // --- Phase 1: minimise the artificial sum. Skipped when the crash
-    // needed no artificials. ---
-    if art0 < ncols {
+    // --- Phase 1: minimise the artificial sum, then pivot the zero
+    // artificials out. Both are skipped when the start point is already
+    // feasible — no artificial is positive: the zero artificials stay basic,
+    // fixed at zero below, and leave when a ratio test evicts them, so the
+    // row dual of every row the objective never moves stays zero. ---
+    let b_scale = solver.b.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
+    let feasible =
+        |s: &Revised| (art0..ncols).map(|j| s.x[j].abs()).sum::<f64>() <= 1e-7 * (1.0 + b_scale);
+    if !feasible(&solver) {
         let mut phase1_cost = vec![0.0; ncols];
         for c in phase1_cost.iter_mut().skip(art0) {
             *c = 1.0;
@@ -1070,9 +1072,7 @@ fn optimise(problem: &Problem) -> Result<(Solution, Option<Revised>), SolveError
             "lp.phase1_pivots",
             trace::counter("lp.pivots") - pivots_before_phase1,
         );
-        let b_scale = solver.b.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
-        let art_sum: f64 = (art0..ncols).map(|j| solver.x[j].abs()).sum();
-        let feasible = art_sum <= 1e-7 * (1.0 + b_scale);
+        let feasible = feasible(&solver);
         match phase1 {
             RunResult::Optimal if !feasible => return Err(SolveError::Infeasible),
             RunResult::Optimal => {}
@@ -1087,14 +1087,14 @@ fn optimise(problem: &Problem) -> Result<(Solution, Option<Revised>), SolveError
                 return Err(SolveError::IterationLimit)
             }
         }
+        solver.drive_out_artificials();
     }
 
     // --- Phase 2: fix artificials at zero, minimise the user objective. ---
-    solver.drive_out_artificials();
     for j in art0..ncols {
         // Pricing never lets a fixed (l == u) column enter; an artificial
-        // still basic on a redundant row stays at zero because the ratio
-        // test evicts it the moment any pivot would move it off its bound.
+        // still basic stays at zero because the ratio test evicts it the
+        // moment any pivot would move it off its bound.
         solver.upper[j] = 0.0;
         if !solver.in_basis[j] {
             solver.x[j] = 0.0;
@@ -1479,6 +1479,139 @@ mod tests {
             "{} FTRANs for {driven_out} artificials",
             ftrans() - before
         );
+    }
+
+    #[test]
+    fn a_column_entering_from_inside_its_box_stops_on_its_bound() {
+        // x starts at 0, strictly inside [-1, 3], and prices in upwards: it
+        // is 3 from the bound it moves towards, not `upper − lower = 4`. A
+        // flip by the box width would carry the basic z one unit too far
+        // (z = 1, x + z = 4).
+        let mut p = Problem::new();
+        let x = p.add_var("x", -1.0, 3.0, -1.0);
+        let z = p.add_free_var("z", 0.0);
+        p.add_constraint(vec![(x, 1.0), (z, 1.0)], Relation::Eq, 5.0);
+        let s = solve(&p).unwrap();
+        assert_close(s.value(x), 3.0);
+        assert_close(s.value(z), 2.0);
+        assert!(p.is_feasible(&s.values, 1e-9));
+
+        // Downwards from the inside, against a blocking row this time: y
+        // leaves [−4, 2]'s interior for −4 unless the slack stops it first.
+        let mut p = Problem::new();
+        let y = p.add_var("y", -4.0, 2.0, 1.0);
+        p.add_constraint(vec![(y, 1.0)], Relation::Ge, -2.5);
+        let s = solve(&p).unwrap();
+        assert_close(s.value(y), -2.5);
+        let mut p = Problem::new();
+        let y = p.add_var("y", -4.0, 2.0, 1.0);
+        p.add_constraint(vec![(y, 1.0)], Relation::Ge, -9.0);
+        let s = solve(&p).unwrap();
+        assert_close(s.value(y), -4.0);
+    }
+
+    /// The dual of `min |x0 − x1| + |x0 − 3| + |x2 − x3| + |x2|`, as
+    /// `L1Problem` poses it: a boxed column per term, a row per unknown,
+    /// feasible at the origin.
+    fn two_component_dual() -> (Problem, crate::L1Problem) {
+        let mut hard = Problem::new();
+        let x: Vec<_> = (0..4).map(|_| hard.add_free_var("", 0.0)).collect();
+        let mut l1 = crate::L1Problem::new(hard);
+        let terms = [
+            (vec![(x[0], 1.0), (x[1], -1.0)], 0.0),
+            (vec![(x[0], 1.0)], -3.0),
+            (vec![(x[2], 1.0), (x[3], -1.0)], 0.0),
+            (vec![(x[2], 1.0)], 0.0),
+        ];
+        let mut dual = Problem::new();
+        let mut rows = vec![Vec::new(); 4];
+        for (coeffs, constant) in terms {
+            let y = dual.add_var("", -1.0, 1.0, -constant);
+            for &(v, a) in &coeffs {
+                rows[v.0].push((y, a));
+            }
+            l1.add_abs_term(1.0, coeffs, constant);
+        }
+        for row in rows {
+            dual.add_constraint(row, Relation::Eq, 0.0);
+        }
+        (dual, l1)
+    }
+
+    #[test]
+    fn a_solve_feasible_at_the_origin_runs_no_phase_1_and_keeps_zero_artificials() {
+        let (dual, l1) = two_component_dual();
+        let phase1_before = trace::counter("lp.phase1_pivots");
+        let (solution, solver) = optimise(&dual).unwrap();
+        assert_eq!(trace::counter("lp.phase1_pivots"), phase1_before);
+        let mut solver = solver.expect("the dual has rows");
+        // Rows 1 and 3 crash onto artificials (their one column sits in a
+        // row crashed before them). The objective moves row 1 — its
+        // artificial is evicted — and never touches rows 2 and 3: that
+        // artificial is still basic, at zero, and the row's dual is zero.
+        let basic_artificials: Vec<usize> = (0..solver.m)
+            .filter(|&r| solver.basis[r] >= solver.art0)
+            .collect();
+        assert_eq!(basic_artificials, [3]);
+        assert_eq!(solver.x[solver.basis[3]], 0.0);
+        assert_close(solution.objective, 0.0);
+
+        // The row duals are the L1 problem's unknowns: the surrogate
+        // expansion (infeasible at its origin, so phase 1 and all) agrees.
+        let cost = structural_cost(&dual, solver.csc.ncols());
+        let duals = solver.row_duals(&cost);
+        let primal = l1.to_primal().solve().unwrap();
+        for (r, want) in [3.0, 3.0, 0.0, 0.0].into_iter().enumerate() {
+            assert_close(duals[r], want);
+            assert_close(primal.values[r], want);
+        }
+    }
+
+    #[test]
+    fn a_solve_infeasible_at_the_origin_runs_phase_1_and_the_drive_out() {
+        // The crash seats x0 = 1 on row 0. Rows 1..=K then hold a zero
+        // artificial that phase 1 has no reason to move (x_i prices in the
+        // wrong direction from its lower bound) and only the drive-out
+        // replaces; the last row's free coefficient is too small for the
+        // crash, so its artificial starts at 2 and phase 1 has to run.
+        const K: usize = 6;
+        let mut p = Problem::new();
+        let x0 = p.add_nonneg_var("", 1.0);
+        let xs: Vec<_> = (0..K).map(|_| p.add_nonneg_var("", 0.0)).collect();
+        let w = p.add_nonneg_var("", 0.0);
+        p.add_constraint(vec![(x0, 1.0)], Relation::Eq, 1.0);
+        for &x in &xs {
+            p.add_constraint(vec![(x0, 1.0), (x, -0.05)], Relation::Eq, 1.0);
+        }
+        p.add_constraint(vec![(x0, 1.0), (w, 0.05)], Relation::Eq, 3.0);
+        let counters = ["lp.pivots", "lp.phase1_pivots"];
+        let before = counters.map(trace::counter);
+        let (solution, solver) = optimise(&p).unwrap();
+        let after = counters.map(trace::counter);
+        let solver = solver.expect("the problem has rows");
+        assert_close(solution.objective, 1.0);
+        assert!(p.is_feasible(&solution.values, 1e-7));
+        // Pinned on the commit before the origin start: the same pivots,
+        // and no artificial left basic.
+        assert_eq!([after[0] - before[0], after[1] - before[1]], [1, 1]);
+        assert!(solver.basis.iter().all(|&j| j < solver.art0));
+
+        // And a longer walk from an infeasible origin, pinned the same way:
+        // no row's residual fits the one column the crash would accept.
+        let mut p = Problem::new();
+        let u: Vec<_> = (0..21)
+            .map(|i| p.add_nonneg_var("", 1.0 + (i % 3) as f64))
+            .collect();
+        for i in 0..20 {
+            let x = p.add_var("", 0.0, 0.5, 0.0);
+            let row = vec![(x, 1.0), (u[i], 0.05), (u[i + 1], 0.05)];
+            p.add_constraint(row, Relation::Eq, 1.0 + i as f64);
+        }
+        let before = counters.map(trace::counter);
+        let solution = solve(&p).unwrap();
+        let after = counters.map(trace::counter);
+        assert!(p.is_feasible(&solution.values, 1e-7));
+        assert_eq!([after[0] - before[0], after[1] - before[1]], [44, 40]);
     }
 
     #[test]

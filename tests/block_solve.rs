@@ -68,14 +68,17 @@ fn cases() -> Vec<(&'static str, Program, usize, Pinned)> {
             "example5",
             programs::example5_default(),
             8,
+            // Re-pinned when pin-and-re-solve kept this program's axis-0
+            // offset mobile: 74 elements planned and static (358 before,
+            // from the ladder's `static` rung), and no ladder.
             (
                 [
-                    0x4076_6000_0000_0000,
-                    0x4076_6000_0000_0000,
-                    0x40b4_6091_b724_6db9,
+                    0x4052_8000_0000_0000,
+                    0x4052_8000_0000_0000,
+                    0x40b3_cf56_5af4_3f4a,
                 ],
-                (40, 0x33d7_c0bc_62a1_7371),
-                [1, 0, 0],
+                (40, 0x91eb_ca7f_b46f_1a66),
+                [0, 0, 0],
             ),
         ),
         (

@@ -382,26 +382,22 @@ fn switch_margin_pins_the_plan_and_stays_exact() {
 }
 
 /// The paper's Example 5 through the dynamic pipeline at P = 8 (the
-/// benchmark's `lp_bound` case): the mobile LP's axis-0 vertex rounds onto
-/// a violated node constraint, so the rounding ladder engages — exactly
-/// once — and the `static` rung's candidate is the one adopted. No offset
-/// LP fails outright, and the plan and its price are pinned.
+/// benchmark's `lp_bound` case): the mobile LP's axis-0 optimum leaves LIV
+/// coefficients fractional and rounds onto a violated node constraint; the
+/// repair pins what was rounded and re-solves, the repaired candidate —
+/// mobile on axis 0, exact cost 1 000 against the unrepaired LP bound of 973
+/// — is the one written, and the ladder (whose `static` rung gave 25 000 and
+/// a 358-element plan) never engages. No offset LP fails outright.
 #[test]
-fn example5_engages_the_ladder_once_and_adopts_the_static_rung() {
+fn example5_keeps_its_mobile_axis0_offset() {
     trace::reset();
     let program = programs::example5_default();
     let result = align_then_distribute_dynamic(&program, 8, &DynamicConfig::default());
 
-    assert_eq!(trace::counter("align.ladder_engaged"), 1);
-    assert_eq!(trace::counter("align.ladder.adopted.static"), 1);
-    for rung in ["fixed_partition_5", "unrolling", "single_range"] {
-        assert_eq!(
-            trace::counter(&format!("align.ladder.adopted.{rung}")),
-            0,
-            "{rung}"
-        );
-    }
+    assert_eq!(trace::counter("align.ladder_engaged"), 0);
+    assert_eq!(trace::counter("align.round.repaired"), 1);
     assert_eq!(trace::counter("align.offset_lp_failed"), 0);
+    assert_eq!(trace::counter("lp.l1.primal_fallback"), 0);
 
     let reports: Vec<_> = result
         .phases
@@ -410,11 +406,14 @@ fn example5_engages_the_ladder_once_and_adopts_the_static_rung() {
         .flat_map(|a| &a.alignment.offset_reports)
         .collect();
     assert_eq!(reports.len(), 1, "one atom, one template axis");
-    assert_eq!(reports[0].fallback, Some("static"));
-    assert_eq!(reports[0].exact_cost, 25_000.0);
+    assert_eq!(reports[0].fallback, Some("pin-and-resolve"));
+    assert_eq!(reports[0].exact_cost, 1000.0);
+    assert_eq!(reports[0].violation_units, 0.0);
+    let alignment = &result.phases[0].atoms[0].alignment.alignment;
+    assert!(alignment.num_mobile() > 0, "axis 0 stays mobile");
 
-    assert_eq!(result.dynamic.planned_cost, 358.0);
-    assert_eq!(result.static_planned_cost, 358.0);
+    assert!(result.dynamic.planned_cost <= 76.0);
+    assert_eq!(result.static_planned_cost, result.dynamic.planned_cost);
     assert_eq!(result.dynamic.chosen, [0]);
     assert_eq!(
         result.dynamic.per_phase[0].to_string(),

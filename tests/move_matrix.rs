@@ -60,7 +60,9 @@ fn cases() -> Vec<(&'static str, Program, usize, Pinned)> {
             "example5",
             programs::example5_default(),
             8,
-            (0x4076_6000_0000_0000, NO_STEPS, [0, 0, 522_160, 0]),
+            // Re-pinned when pin-and-re-solve kept this program's axis-0
+            // offset mobile (358 elements before): the counters did not move.
+            (0x4052_8000_0000_0000, NO_STEPS, [0, 0, 522_160, 0]),
         ),
         (
             "stencil2d-32-4",

@@ -114,6 +114,25 @@ fn example5_mobile_stride_beats_static() {
 }
 
 #[test]
+fn example5_keeps_a_mobile_offset_on_axis_0() {
+    // Example 5's sections grow with the LIV, so the best offsets follow it.
+    // The mobile RLP's optimum (973, the bound) leaves LIV coefficients
+    // fractional; repaired by pinning them, the rounded alignment stays
+    // mobile, satisfies every node constraint and costs within 5 % of the
+    // bound — where the static alternative costs 25 000.
+    let (_, result) = align_program(&programs::example5_default(), &PipelineConfig::default());
+    let report = &result.offset_reports[0];
+    assert_eq!(report.axis, 0);
+    assert_eq!(report.violation_units, 0.0);
+    assert!(report.exact_cost <= 1.05 * 973.0, "{}", report.exact_cost);
+    let mobile_on_axis_0 = |p: &array_alignment::core_::PortAlignment| {
+        let offset = p.offsets[0].fixed();
+        offset.is_some_and(|a| !a.is_constant())
+    };
+    assert!(result.alignment.ports.iter().any(mobile_on_axis_0));
+}
+
+#[test]
 fn figure4_replication_turns_per_iteration_broadcast_into_one() {
     let program = programs::figure4_default();
     let (_, with_cut) = align_program(&program, &PipelineConfig::default());

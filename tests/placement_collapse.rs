@@ -196,8 +196,10 @@ fn layer_costs_and_exact_replay_keep_their_bits() {
             programs::example5_default(),
             8,
             5,
-            0x97ff_a5d9_252b_e94f,
-            0x4076_6000_0000_0000, // 358
+            // Re-pinned when pin-and-re-solve kept this program's axis-0
+            // offset mobile (the ladder's `static` rung gave 358).
+            0x5984_13d9_252b_e94f,
+            0x4052_8000_0000_0000, // 74
         ),
         (
             "stencil2d-32-4",
