@@ -84,11 +84,6 @@ fn main() {
             e22,
         ),
         (
-            "e23",
-            "The pricing thread pool — worker-count sweep, counters identical at every width",
-            e23,
-        ),
-        (
             "e25",
             "The flattened planner — re-profiled spans, dominance vs exhaustive DP",
             e25,
@@ -1114,54 +1109,6 @@ fn e22() {
     println!("and placement-cache builds still orders of magnitude behind.");
 }
 
-// --- E23: the pricing thread pool, swept over worker counts -----------------------------------
-
-fn e23() {
-    // The pool sweep on the two heaviest workloads (the verdict on the
-    // pool is still open in ROADMAP). The counters column is the contract:
-    // totals must be bitwise-identical at every width (worker deltas are
-    // absorbed, counter addition commutes). Wall time is machine-dependent
-    // — on a single-core host every width degenerates to the serial inline
-    // path.
-    let mut t = Table::new(&[
-        "workload",
-        "1 worker ms",
-        "2",
-        "4",
-        "8",
-        "counters identical",
-    ]);
-    for (name, program) in [
-        (
-            "multi_array_pipeline",
-            programs::multi_array_pipeline(32, 8),
-        ),
-        ("reduction_tree", programs::reduction_tree(24, 24)),
-    ] {
-        let mut times = Vec::new();
-        let mut snaps = Vec::new();
-        for w in [1usize, 2, 4, 8] {
-            pool::set_workers(w);
-            let before = trace::CounterSnapshot::now();
-            let t0 = Instant::now();
-            let _ = align_then_distribute_dynamic(&program, 8, &DynamicConfig::default());
-            times.push(t0.elapsed().as_secs_f64() * 1e3);
-            snaps.push(trace::CounterSnapshot::now().delta_since(&before));
-        }
-        pool::set_workers(0);
-        let identical = snaps.iter().all(|s| s.counters == snaps[0].counters);
-        let mut row = vec![name.to_string()];
-        row.extend(times.iter().map(|ms| format!("{ms:.1}")));
-        row.push(if identical { "yes".into() } else { "NO".into() });
-        t.row(row);
-    }
-    println!("{t}");
-    println!("The sweep's point is the last column: parallel pricing is");
-    println!("observationally equivalent to serial — same plans, same counters — so");
-    println!("worker count is purely a wall-clock knob (its benefit scales with the");
-    println!("host's cores; this table was generated on whatever CI gave us).");
-}
-
 // --- E25: the flattened planner — profile and DP pruning ----------------------
 
 fn e25() {
@@ -1686,10 +1633,10 @@ fn e30() {
 
     // The thirteen planning cases of the benchmark (`lp_bound`,
     // `planner_bound`, `size_sweep` at seed 11), solved exactly as an op
-    // solves them, on one worker. Per case: the exclusive time in one traced
-    // solve of the six spans that name the evaluation tail, then of the
-    // three umbrella spans it used to hide in; the median wall time of nine
-    // untraced solves; and the allocations of one.
+    // solves them. Per case: the exclusive time in one traced solve of the
+    // six spans that name the evaluation tail, then of the three umbrella
+    // spans it used to hide in; the median wall time of nine untraced
+    // solves; and the allocations of one.
     const TAIL: [&str; 6] = [
         "align.subranges",
         "align.assemble",
@@ -1703,7 +1650,6 @@ fn e30() {
         "phases.static_baseline",
         "align.solve_axis_offsets",
     ];
-    pool::set_workers(1);
     let mut header = vec!["case"];
     header.extend(TAIL.iter().chain(&UMBRELLAS));
     header.extend(["solve ms", "allocations"]);
@@ -1742,7 +1688,6 @@ fn e30() {
             t.row(row);
         }
     }
-    pool::set_workers(0);
     println!("{t}");
     println!("Everything the planner asks of an alignment once it exists has a closed or");
     println!("a once-derived form, because positions are affine: an object's span along a");
@@ -1767,9 +1712,8 @@ fn e31() {
     // Every program the repository plans: the thirteen planning cases of the
     // benchmark (`lp_bound`, `planner_bound`, `size_sweep` at seed 11), then
     // the paper programs and the phase workloads at P = 8. One traced solve
-    // on one worker gives the counters, `lp.solve` inclusive and the repair
-    // events; the median of nine untraced solves the wall time.
-    pool::set_workers(1);
+    // gives the counters, `lp.solve` inclusive and the repair events; the
+    // median of nine untraced solves the wall time.
     let config = DynamicConfig::default();
     let mut cases: Vec<(String, Program, usize)> = Vec::new();
     for kind in [Kind::LpBound, Kind::PlannerBound, Kind::SizeSweep] {
@@ -1849,7 +1793,6 @@ fn e31() {
             repairs.row(row);
         }
     }
-    pool::set_workers(0);
     println!("{t}");
     println!("{repairs}");
     println!("Every column of an LP starts at the point of its range nearest zero, and the");

@@ -31,7 +31,9 @@
 //! After the LP solves, the fractional coefficients are rounded to integers
 //! (RLP) and written into the [`ProgramAlignment`]. A rounding that breaks a
 //! node constraint is repaired by pinning the unknowns it rounded to where
-//! it put them and solving again (`align.round.repaired`).
+//! it put them and solving again (`align.round.repaired`); a solve whose
+//! best candidate is still blown up after that is retried with the array
+//! homes held static (`align.ladder_engaged`).
 
 use crate::constraints::{NodeConstraints, OffsetVars};
 use crate::cost::CostModel;
@@ -41,38 +43,6 @@ use align_ir::{Affine, IterationSpace, LivId};
 use lp::{BlockMemo, L1Problem, Relation, VarId};
 use std::borrow::Cow;
 use std::collections::HashSet;
-
-/// How often the rounding safety-net ladder of [`solve_axis_offsets`] has
-/// engaged on the current thread. The counts live in the thread-local
-/// `trace` registry (`align.ladder_engaged` / `align.single_range_engaged`);
-/// this struct is the compatibility view the pre-trace API exposed, kept so
-/// regression tests and callers read one typed snapshot. Thread-locality
-/// means tests assert on their own solves without interference from
-/// parallel test threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FallbackStats {
-    /// Solves where the primary strategy blew up on rounding and the ladder
-    /// ran at all.
-    pub ladder_engaged: u64,
-    /// Solves that fell all the way through to the `SingleRange` last-resort
-    /// rung. Since the revised simplex took over the offset LPs this stays
-    /// at zero on every built-in workload (locked in by tests).
-    pub single_range_engaged: u64,
-}
-
-/// Current thread's fallback counters (a view over the `trace` registry).
-pub fn fallback_stats() -> FallbackStats {
-    FallbackStats {
-        ladder_engaged: trace::counter("align.ladder_engaged"),
-        single_range_engaged: trace::counter("align.single_range_engaged"),
-    }
-}
-
-/// Reset the current thread's fallback counters (test setup).
-pub fn reset_fallback_stats() {
-    trace::reset_counter("align.ladder_engaged");
-    trace::reset_counter("align.single_range_engaged");
-}
 
 /// Strategy for choosing iteration-space subranges (Section 4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,7 +156,7 @@ pub struct OffsetSolveReport {
     /// What produced the final offsets when the configured strategy's own
     /// rounding did not stand: `Some("pin-and-resolve")` for the rounding
     /// repair (Example 5's axis 0, whose LP optimum leaves LIV coefficients
-    /// fractional), the label of a safety-net rung behind it (none is
+    /// fractional), `Some("static")` for the static retry behind it (not
     /// reached on the built-in workloads), `None` otherwise.
     pub fallback: Option<&'static str>,
 }
@@ -264,8 +234,8 @@ fn initial_subranges(edge: &Edge, strategy: OffsetStrategy) -> Vec<Subrange> {
 }
 
 /// The trace counter tracking how often each offset strategy is chosen as
-/// the primary solve (`align.strategy.*`; ladder retries count their own
-/// rung separately via `align.ladder_engaged`).
+/// the primary solve (`align.strategy.*`; the static retry is counted
+/// separately, as `align.ladder_engaged`).
 fn strategy_counter_name(strategy: OffsetStrategy) -> &'static str {
     match strategy {
         OffsetStrategy::Unrolling => "align.strategy.unrolling",
@@ -278,14 +248,15 @@ fn strategy_counter_name(strategy: OffsetStrategy) -> &'static str {
 }
 
 /// Re-solves the pin-and-re-solve rounding repair of [`solve_axis_offsets`]
-/// may spend on one axis before the ladder takes over.
+/// may spend on one axis before the static retry takes over.
 const MAX_REPAIR_SOLVES: u64 = 4;
 
 /// Solve the offsets of one template axis and write them (rounded) into
 /// `alignment`. Ports in `replicated` get [`OffsetAlign::Replicated`] on this
 /// axis instead. Returns solve statistics. Every RLP posed on the way — the
-/// refinement rounds, the ladder's rungs — is solved against `memo`, so a
-/// block that an earlier solve sharing it already answered is not run again.
+/// refinement rounds, the repair, the static retry — is solved against
+/// `memo`, so a block that an earlier solve sharing it already answered is
+/// not run again.
 pub fn solve_axis_offsets(
     adg: &Adg,
     alignment: &mut ProgramAlignment,
@@ -367,7 +338,7 @@ fn solve_axis(
     // vertex whose coefficients are huge; rounding then destroys the span
     // cancellations and the exact cost explodes far past the LP objective
     // (the a-priori bound says it should stay within a small factor). When
-    // that happens, retry with other subrange configurations — every retry
+    // that happens, repair the rounding, then retry static — every retry
     // goes through the same hard node constraints, so feasibility is kept —
     // and keep whichever candidate is exact-best.
     let blown_up = |r: &OffsetSolveReport| {
@@ -376,7 +347,7 @@ fn solve_axis(
             || (r.exact_cost > 4.0 * (r.lp_objective.abs() + 1.0) && r.exact_cost > 100.0)
     };
 
-    // Pin and re-solve, before the ladder. A rounding that broke a node
+    // Pin and re-solve, before the static retry. A rounding that broke a node
     // constraint rounded an unknown the LP left fractional — in every case
     // seen a LIV coefficient no weighted term prices, tied to its neighbours
     // by one equality with the trip count as coefficient (`x₆₁ − x₅₉ − 4·x₆₀
@@ -428,80 +399,38 @@ fn solve_axis(
 
     if best_report.as_ref().is_some_and(blown_up) {
         trace::count("align.ladder_engaged", 1);
-        let total_points: u64 = cost_edges.iter().map(|(_, e)| e.space.size()).sum();
-        // Rung order is cheapest-and-closest first. A finer fixed partition
-        // keeps the mobile formulation and only changes where the rounding
-        // lands; the static restriction next — pinning the array homes
-        // removes most of the degeneracy behind a vertex that rounds badly,
-        // so a mobile solve that keeps failing degrades to the (always
-        // meaningful) static solution instead of to garbage; exact
-        // unrolling after that and only for small iteration spaces — its LP
-        // has one term per iteration *point* and is by far the most
-        // expensive thing the ladder can do; `SingleRange` dead last, its
-        // one-subrange objective being the coarsest approximation of the
-        // lot (error bound 3x).
+        // The static restriction: pinning the array homes removes most of
+        // the degeneracy behind a vertex that rounds badly, so a mobile solve
+        // that keeps failing degrades to the (always meaningful) static
+        // solution instead of to garbage.
         //
         // Measured record: since the repair above, `align.ladder_engaged`
-        // is 0 over the test suite and the benchmark. Before it (PR 13) the
-        // ladder engaged 23 times over the suite; m = 5 always rounded to a
-        // candidate as blown up as the primary's, the `static` rung's was
-        // the one written every time, and the two rungs after it never ran.
-        // `align.ladder.adopted.*` counts the rung whose candidate is
-        // written.
-        let m5 = OffsetStrategy::FixedPartition(5);
-        let ladder = [
-            (
-                m5,
-                false,
-                "fixed-partition(m=5)",
-                "align.ladder.adopted.fixed_partition_5",
-            ),
-            (m5, true, "static", "align.ladder.adopted.static"),
-            (
-                OffsetStrategy::Unrolling,
-                false,
-                "unrolling",
-                "align.ladder.adopted.unrolling",
-            ),
-            (
-                OffsetStrategy::SingleRange,
-                false,
-                "single-range",
-                "align.ladder.adopted.single_range",
-            ),
-        ];
-        // The rung whose candidate ends up written (none if the primary's
-        // stands): counted once per engagement, after the ladder settles.
-        let mut adopted: Option<&'static str> = None;
-        for (alt, force_static, label, counter) in ladder {
-            if matches!(alt, OffsetStrategy::Unrolling) && total_points > 1024 {
-                continue;
-            }
-            if matches!(alt, OffsetStrategy::SingleRange) {
-                trace::count("align.single_range_engaged", 1);
-            }
-            let alt_subranges = all_initial_subranges(adg, alt);
-            let alt_config = MobileOffsetConfig {
-                forbid_mobile: config.forbid_mobile || force_static,
-                ..config
-            };
-            let posed = assemble_l1(adg, &sys, &alt_subranges, &cost_edges, alt_config, &[]);
-            let (mut report, offsets, _) = solve_once(adg, &sys, axis, posed, memo);
-            report.fallback = Some(label);
-            let improved = best_report
-                .as_ref()
-                .is_none_or(|b| report.exact_cost < b.exact_cost - 1e-9);
-            if improved {
-                adopted = Some(counter);
-                best_report = Some(report);
-                best_offsets = Some(offsets);
-            }
-            if !best_report.as_ref().is_some_and(blown_up) {
-                break;
-            }
-        }
-        if let Some(counter) = adopted {
-            trace::count(counter, 1);
+        // is 0 over the test suite and the benchmark. Before it (PR 13) this
+        // was one rung of four and engaged 23 times over the suite; its
+        // candidate was the one written every time, the finer mobile
+        // partition before it always rounded to a candidate as blown up as
+        // the primary's, and the two rungs after it never ran.
+        let static_subranges = all_initial_subranges(adg, OffsetStrategy::FixedPartition(5));
+        let static_config = MobileOffsetConfig {
+            forbid_mobile: true,
+            ..config
+        };
+        let posed = assemble_l1(
+            adg,
+            &sys,
+            &static_subranges,
+            &cost_edges,
+            static_config,
+            &[],
+        );
+        let (mut report, offsets, _) = solve_once(adg, &sys, axis, posed, memo);
+        report.fallback = Some("static");
+        let improved = best_report
+            .as_ref()
+            .is_none_or(|b| report.exact_cost < b.exact_cost - 1e-9);
+        if improved {
+            best_report = Some(report);
+            best_offsets = Some(offsets);
         }
     }
 
@@ -685,7 +614,7 @@ fn solve_once(
         Err(_) => {
             // Hard constraints should always be satisfiable; if the solver
             // gives up we fall back to all-zero offsets, whose priced
-            // violations send the caller down the ladder. Counted, so a
+            // violations send the caller to the static retry. Counted, so a
             // numerical failure reaches the counter gate.
             trace::count("align.offset_lp_failed", 1);
             adg.port_ids()
@@ -1047,18 +976,18 @@ mod tests {
     }
 
     #[test]
-    fn figure1_axis0_fixed_partition_solves_without_single_range_rung() {
+    fn figure1_axis0_fixed_partition_solves_without_a_fallback() {
         // Regression: the figure1 axis-0 offset system is exactly the shape
         // of degenerate LP that used to stall the dense tableau under
-        // FixedPartition and only survive through the strategy ladder's
-        // SingleRange rung. The revised simplex must solve it outright —
-        // feasibly, with no ladder fallback at all.
+        // FixedPartition and only survive through a fallback strategy. The
+        // revised simplex must solve it outright — feasibly, with neither
+        // the rounding repair nor the static retry.
         let prog = programs::figure1(32);
         let adg = build_adg(&prog);
         let mut alignment = identity_alignment(&adg, 2);
         crate::axis::solve_axes(&adg, &mut alignment);
         crate::stride::solve_strides(&adg, &mut alignment);
-        reset_fallback_stats();
+        let engaged = trace::counter("align.ladder_engaged");
         let report = solve_axis_offsets(
             &adg,
             &mut alignment,
@@ -1067,17 +996,8 @@ mod tests {
             MobileOffsetConfig::with_strategy(OffsetStrategy::FixedPartition(3)),
             &BlockMemo::default(),
         );
-        let stats = fallback_stats();
-        assert_eq!(
-            stats.single_range_engaged, 0,
-            "the SingleRange last resort must not fire on figure1 axis 0"
-        );
-        assert_eq!(
-            report.fallback, None,
-            "figure1 axis 0 must solve via the revised simplex alone, \
-             not a ladder rung"
-        );
-        assert_eq!(stats.ladder_engaged, 0, "ladder must not even engage");
+        assert_eq!(report.fallback, None, "the primary's rounding must stand");
+        assert_eq!(trace::counter("align.ladder_engaged"), engaged);
         // Feasible: the rounded offsets satisfy every hard node constraint.
         let model = CostModel::new(&adg);
         assert_eq!(
@@ -1086,55 +1006,6 @@ mod tests {
             "axis-0 solution must satisfy the hard node constraints"
         );
         assert!(report.exact_cost.is_finite());
-    }
-
-    #[test]
-    fn built_in_workloads_never_reach_single_range_rung() {
-        // The counter that proves SingleRange is a dead rung on everything
-        // the repo ships: all built-in programs across both template axes.
-        reset_fallback_stats();
-        let workloads: Vec<align_ir::Program> = vec![
-            programs::example1(64),
-            programs::figure1(32),
-            programs::skewed_sweep(24),
-            programs::figure4(8, 10, 3),
-            programs::fft_like(32, 16),
-            programs::multigrid_vcycle(32, 3, 3),
-        ];
-        for prog in workloads {
-            let adg = build_adg(&prog);
-            let rank = crate::axis::template_rank(&adg);
-            let mut alignment = identity_alignment(&adg, rank);
-            crate::axis::solve_axes(&adg, &mut alignment);
-            crate::stride::solve_strides(&adg, &mut alignment);
-            let reps = vec![HashSet::new(); rank];
-            solve_all_offsets(&adg, &mut alignment, &reps, MobileOffsetConfig::default());
-        }
-        let stats = fallback_stats();
-        assert_eq!(
-            stats.single_range_engaged, 0,
-            "SingleRange fired on a built-in workload: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn fallback_stats_reset_and_report_field_default() {
-        reset_fallback_stats();
-        let stats = fallback_stats();
-        assert_eq!(stats.ladder_engaged, 0);
-        assert_eq!(stats.single_range_engaged, 0);
-        let prog = programs::example1(16);
-        let adg = build_adg(&prog);
-        let mut alignment = identity_alignment(&adg, 1);
-        let report = solve_axis_offsets(
-            &adg,
-            &mut alignment,
-            0,
-            &HashSet::new(),
-            MobileOffsetConfig::default(),
-            &BlockMemo::default(),
-        );
-        assert_eq!(report.fallback, None);
     }
 
     #[test]

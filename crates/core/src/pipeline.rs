@@ -26,9 +26,8 @@ use std::collections::HashSet;
 /// last [`reset_align_call_count`]. The phase pipeline's contract is *one*
 /// alignment per atom (plus one for the whole-program static baseline);
 /// regression tests assert on this counter. The count lives in the
-/// thread-local `trace` registry as `align.calls` — this function is the
-/// compatibility view kept from the pre-trace API — so parallel test
-/// threads do not interfere.
+/// thread-local `trace` registry as `align.calls`, so parallel test threads
+/// do not interfere.
 pub fn align_call_count() -> u64 {
     trace::counter("align.calls")
 }

@@ -63,16 +63,16 @@
 //! the key under which its certified answer is kept, compared number by
 //! number, bit for bit, never through a digest. Problems solved against one
 //! memo ([`L1Problem::solve_sharing`]) run the simplex once per distinct
-//! block, however many of them pose it and from however many threads: the
-//! statements of a program that repeat a shape, the template axes, the
-//! refinement rounds.
+//! block, however many of them pose it: the statements of a program that
+//! repeat a shape, the template axes, the refinement rounds.
 
 use crate::model::{Constraint, Problem, Relation, Solution, SolveError, VarId, Variable};
 use crate::presolve::Presolve;
 use crate::revised;
+use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// Certificate tolerance on `|E x − f|`, per equality.
 const FEAS_TOL: f64 = 1e-6;
@@ -180,47 +180,22 @@ impl PartialEq for BlockKey {
 
 impl Eq for BlockKey {}
 
-/// The certified answer to a block, computed by whoever asks first.
-type Answer = Arc<OnceLock<Result<Solution, SolveError>>>;
-
 /// Answers to the blocks posed so far, kept under the blocks themselves:
 /// the map key is the block's whole problem, compared number by number —
 /// never a digest of it — so two blocks share an answer exactly when the
-/// solver could not tell them apart. An answer is computed exactly once
-/// even when several threads pose its block at the same time (the others
-/// wait for it), so the `lp.*` counter totals of a run do not depend on how
-/// its solves were scheduled.
+/// solver could not tell them apart.
 ///
 /// Scope a memo to the solves that can share: nothing is ever evicted, and
 /// an entry is as large as its block.
 #[derive(Debug, Default)]
 pub struct BlockMemo {
-    answers: Mutex<HashMap<Arc<BlockKey>, Answer>>,
+    answers: RefCell<HashMap<BlockKey, Result<Solution, SolveError>>>,
 }
 
 impl BlockMemo {
     /// Number of distinct blocks posed so far.
     pub fn distinct_blocks(&self) -> usize {
-        self.lock().len()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<Arc<BlockKey>, Answer>> {
-        // Held for map lookups and inserts only, never across a solve.
-        self.answers
-            .lock()
-            .expect("the block map is not touched while anything can panic")
-    }
-
-    /// The memo's copy of `block` — `block` itself when it is new — and its
-    /// answer slot.
-    fn entry(&self, block: BlockKey) -> (Arc<BlockKey>, Answer) {
-        let mut answers = self.lock();
-        if let Some((shared, answer)) = answers.get_key_value(&block) {
-            return (Arc::clone(shared), Arc::clone(answer));
-        }
-        let (shared, answer) = (Arc::new(block), Answer::default());
-        answers.insert(Arc::clone(&shared), Arc::clone(&answer));
-        (shared, answer)
+        self.answers.borrow().len()
     }
 }
 
@@ -357,9 +332,9 @@ impl L1Problem {
     }
 
     /// [`L1Problem::solve`] against the caller's memo: a block some earlier
-    /// problem already posed to `memo` — from this thread or another — is
-    /// answered from it, bit for bit, without a simplex run
-    /// (`lp.l1.block_hits`). `lp.solves` counts the blocks that were run.
+    /// problem already posed to `memo` is answered from it, bit for bit,
+    /// without a simplex run (`lp.l1.block_hits`). `lp.solves` counts the
+    /// blocks that were run.
     pub fn solve_sharing(&self, memo: &BlockMemo) -> Result<Solution, SolveError> {
         let _span = trace::span("lp.solve");
         // `0 = rhs` belongs to no block; the presolve's own tolerance.
@@ -373,16 +348,19 @@ impl L1Problem {
         trace::count("lp.l1.blocks", blocks as u64);
         // An unknown nothing mentions is in no block and stays at zero.
         let mut values = vec![0.0; self.num_vars()];
+        // A block's solve never poses to the memo, so the borrow can span it.
+        let mut answers = memo.answers.borrow_mut();
         for b in 0..blocks {
-            let (block, answer) = memo.entry(BlockKey(self.block(&split, b)));
-            let mut hit = true;
-            let solution = answer.get_or_init(|| {
-                hit = false;
-                block.0.solve_block()
-            });
-            if hit {
-                trace::count("lp.l1.block_hits", 1);
-            }
+            let solution = match answers.entry(BlockKey(self.block(&split, b))) {
+                Entry::Occupied(known) => {
+                    trace::count("lp.l1.block_hits", 1);
+                    known.into_mut()
+                }
+                Entry::Vacant(new) => {
+                    let solution = new.key().0.solve_block();
+                    new.insert(solution)
+                }
+            };
             let solution = solution.as_ref().map_err(SolveError::clone)?;
             for (&v, &x) in split.members.of(b).iter().zip(&solution.values) {
                 values[v] = x;
@@ -787,44 +765,31 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_posers_of_one_block_run_one_simplex() {
-        // Four threads released together onto the same block: whoever gets
-        // there first solves it, the rest wait for that answer.
+    fn a_second_solve_of_one_problem_is_answered_from_the_memo() {
+        // Two blocks ({x, y} and {z}); the second pass runs no simplex.
+        let mut hard = Problem::new();
+        let x = hard.add_free_var("", 0.0);
+        let y = hard.add_free_var("", 0.0);
+        let z = hard.add_free_var("", 0.0);
+        hard.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Eq, 6.0);
+        let mut l1 = L1Problem::new(hard);
+        l1.add_abs_term(1.0, vec![(x, 1.0)], -1.0);
+        l1.add_abs_term(3.0, vec![(y, 2.0)], -4.0);
+        l1.add_abs_term(2.0, vec![(z, 1.0)], -7.0);
+        assert_eq!(l1.num_blocks(), 2);
+
         let memo = BlockMemo::default();
-        let barrier = std::sync::Barrier::new(4);
-        let pose_and_solve = || {
-            let mut hard = Problem::new();
-            let x = hard.add_free_var("", 0.0);
-            let y = hard.add_free_var("", 0.0);
-            hard.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Eq, 6.0);
-            let mut l1 = L1Problem::new(hard);
-            l1.add_abs_term(1.0, vec![(x, 1.0)], -1.0);
-            l1.add_abs_term(3.0, vec![(y, 2.0)], -4.0);
-            barrier.wait();
-            let before = ["lp.solves", "lp.l1.block_hits"].map(trace::counter);
-            let solution = l1.solve_sharing(&memo).unwrap();
-            let after = ["lp.solves", "lp.l1.block_hits"].map(trace::counter);
-            (
-                after[0] - before[0],
-                after[1] - before[1],
-                solution
-                    .values
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-            )
-        };
-        let outcomes: Vec<_> = std::thread::scope(|scope| {
-            let posers: Vec<_> = (0..4).map(|_| scope.spawn(pose_and_solve)).collect();
-            posers
-                .into_iter()
-                .map(|poser| poser.join().expect("a poser panicked"))
-                .collect()
-        });
-        assert_eq!(outcomes.iter().map(|o| o.0).sum::<u64>(), 1, "one simplex");
-        assert_eq!(outcomes.iter().map(|o| o.1).sum::<u64>(), 3, "three hits");
-        assert!(outcomes.iter().all(|o| o.2 == outcomes[0].2));
-        assert_eq!(memo.distinct_blocks(), 1);
+        let first = l1.solve_sharing(&memo).unwrap();
+        let before = ["lp.solves", "lp.l1.block_hits", "lp.l1.blocks"].map(trace::counter);
+        let second = l1.solve_sharing(&memo).unwrap();
+        let after = ["lp.solves", "lp.l1.block_hits", "lp.l1.blocks"].map(trace::counter);
+        assert_eq!(after[0] - before[0], 0, "no simplex");
+        assert_eq!(after[1] - before[1], 2, "every block a hit");
+        assert_eq!(after[2] - before[2], 2);
+        let bits = |s: &Solution| s.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&first), bits(&second));
+        assert_eq!(first.objective.to_bits(), second.objective.to_bits());
+        assert_eq!(memo.distinct_blocks(), 2);
     }
 
     #[test]

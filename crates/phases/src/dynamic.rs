@@ -187,11 +187,10 @@ impl std::error::Error for LayoutDpError {}
 /// runs, and a pricer can price them together (the pipeline's compiles each
 /// distinct side of the layer's moves once and combines two per cell) while
 /// keeping its hit/miss accounting — and therefore every trace counter —
-/// bitwise-identical to serial on-demand pricing. [`DpPricer::wants_prefill`] also opts the pricer into
-/// the structured layer path: the DP then prices each distinct cell exactly
-/// once, reports the collapsed duplicate queries through
-/// [`DpPricer::note_repeat_queries`], and runs the transition loop itself in
-/// parallel over read-only price tables.
+/// bitwise-identical to on-demand pricing. The DP then prices each distinct
+/// cell exactly once, reports the collapsed duplicate queries through
+/// [`DpPricer::note_repeat_queries`], and runs the transition loop over the
+/// resulting price table.
 pub trait DpPricer {
     /// Exact price (in simulated elements) of moving `array` into phase
     /// `phase` from resting signature `src` to signature `dst`.
@@ -201,12 +200,6 @@ pub trait DpPricer {
     /// transition loop. Default: ignore.
     fn prefill(&mut self, _phase: usize, _cells: &[(ArrayId, SigId, SigId)]) {}
 
-    /// Whether [`DpPricer::prefill`] is worth calling and the structured
-    /// (distinct-cell) layer path should be used. Default: no.
-    fn wants_prefill(&self) -> bool {
-        false
-    }
-
     /// An upper bound on [`DpPricer::price`] for any move of `array`
     /// (any phase, any signature pair). Used by dominance pruning to bound
     /// the future-cost advantage of a differing carried-over resting spot;
@@ -215,10 +208,10 @@ pub trait DpPricer {
         f64::INFINITY
     }
 
-    /// The structured layer path prices each distinct cell once and calls
-    /// this with the number of duplicate queries it collapsed, so a
-    /// memoising pricer can keep its hit counters identical to the
-    /// per-query path. Default: ignore.
+    /// The DP prices each distinct cell of a layer once and calls this with
+    /// the number of duplicate queries it collapsed, so a memoising pricer
+    /// can keep its hit counters identical to per-query pricing. Default:
+    /// ignore.
     fn note_repeat_queries(&mut self, _n: u64) {}
 }
 
@@ -245,10 +238,9 @@ pub enum DpPruning {
     /// continuation at least as cheaply (exact per-candidate move totals
     /// for the next phase's arrays, [`DpPricer::move_bound`] for carried
     /// arrays, with a strict epsilon so ties always survive). Never changes
-    /// the chosen plan. Runs only when a layer exceeds `trigger` states,
-    /// and only on the structured pricer path ([`DpPricer::wants_prefill`]);
-    /// a plain closure pricer has no price tables to bound dominance with
-    /// and runs unpruned.
+    /// the chosen plan. Runs only when a layer exceeds `trigger` states.
+    /// Under a plain closure pricer `move_bound` is infinite, so dominance
+    /// only fires between states whose carried spots are equal.
     Dominance {
         /// Layer width above which the pruning pass runs.
         trigger: usize,
@@ -358,7 +350,6 @@ pub fn solve_layout_dp_with(
     }
 
     let n = layers.len();
-    let structured = move_cost.wants_prefill();
 
     // Per-phase array membership as bitsets: refs_bits[b] the arrays phase
     // b references, future_bits[b] the arrays any phase after b references
@@ -405,8 +396,8 @@ pub fn solve_layout_dp_with(
     arena.dedup(&mut first);
     state_layers.push(first);
 
-    // Reusable per-layer scratch (the structured path's dedup arena spirit
-    // extended to the whole layer: no per-layer map/vec reallocation).
+    // Reusable per-layer scratch (the dedup arena's spirit extended to the
+    // whole layer: no per-layer map/vec reallocation).
     let mut rows: Vec<(ArrayId, SigId)> = Vec::new();
     let mut row_index: HashMap<(ArrayId, SigId), usize> = HashMap::new();
     let mut parts: Vec<StatePartition> = Vec::new();
@@ -423,67 +414,23 @@ pub fn solve_layout_dp_with(
             .copied()
             .filter(|a| bit_get(&future_bits[b], a.0))
             .collect();
-        let k_count = layers[b].sigs.len();
-
-        let mut next: Vec<DpState> = if structured {
-            structured_layer(
-                &mut state_layers[b - 1],
-                &layers[b],
-                &refs_bits[b],
-                &future_bits[b],
-                &touched,
-                b,
-                switch_margin,
-                move_cost,
-                pruning,
-                &mut rows,
-                &mut row_index,
-                &mut parts,
-                &mut cells,
-                &mut flat,
-                &mut bound_cache,
-            )
-        } else {
-            // Legacy on-demand path: every (state, candidate, array) query
-            // goes straight to the pricer, preserving the exact per-query
-            // call pattern (and therefore every counter a memo-less pricer
-            // books per call).
-            let mut next: Vec<DpState> = Vec::new();
-            let mut priced: Vec<(ArrayId, SigId)> = Vec::new();
-            let mut carry: Vec<(ArrayId, SigId)> = Vec::new();
-            for (prev_idx, s) in state_layers[b - 1].iter().enumerate() {
-                // Partition the state's resting entries once (not once per
-                // candidate): the entries this phase prices, in resting
-                // order — the exact query sequence the pricer always saw —
-                // and the entries that carry through unchanged.
-                priced.clear();
-                carry.clear();
-                for &(a, src) in &s.resting {
-                    if bit_get(&refs_bits[b], a.0) {
-                        priced.push((a, src));
-                    } else if bit_get(&future_bits[b], a.0) {
-                        carry.push((a, src));
-                    }
-                }
-                for (k, &sig) in layers[b].sigs.iter().enumerate() {
-                    let mut cost = s.cost + layers[b].costs[k];
-                    for &(a, src) in &priced {
-                        cost += move_cost.price(b, a, src, sig);
-                        if src != sig {
-                            cost += switch_margin;
-                        }
-                    }
-                    next.push(DpState {
-                        resting: merge_resting(&carry, &touched, sig),
-                        cost,
-                        back: prev_idx,
-                        k,
-                    });
-                }
-            }
-            let _ = k_count;
-            next
-        };
+        let mut next = structured_layer(
+            &mut state_layers[b - 1],
+            &layers[b],
+            &refs_bits[b],
+            &future_bits[b],
+            &touched,
+            b,
+            switch_margin,
+            move_cost,
+            pruning,
+            &mut rows,
+            &mut row_index,
+            &mut parts,
+            &mut cells,
+            &mut flat,
+            &mut bound_cache,
+        );
         arena.dedup(&mut next);
         state_layers.push(next);
     }
@@ -516,13 +463,10 @@ pub fn solve_layout_dp_with(
     })
 }
 
-/// One layer of the structured path: assemble the layer's distinct
-/// `(array, src)` pricing rows across all states, prefill + price each
-/// distinct `(row, candidate)` cell exactly once into a flat table, prune
-/// provably-dominated states, then run the transition loop in parallel over
-/// the read-only table. Costs accumulate in the exact per-state order of
-/// the serial path, so the produced states (and the chosen plan) are
-/// bitwise identical at any worker count.
+/// One layer of the DP: assemble the layer's distinct `(array, src)` pricing
+/// rows across all states, prefill + price each distinct `(row, candidate)`
+/// cell exactly once into a flat table, prune provably-dominated states,
+/// then run the transition loop over the table.
 #[allow(clippy::too_many_arguments)]
 fn structured_layer(
     prev: &mut Vec<DpState>,
@@ -567,7 +511,7 @@ fn structured_layer(
 
     // Hand the memoising pricer the complete distinct query set, then price
     // each cell exactly once. The pricer books one hit-or-miss per cell
-    // here, exactly as the serial loop's first query of each cell would.
+    // here, exactly as a per-query loop's first query of each cell would.
     cells.clear();
     for &(a, src) in rows.iter() {
         for &sig in &layer.sigs {
@@ -681,49 +625,39 @@ fn structured_layer(
         trace::count("phases.dp.dominated", dominated);
     }
 
-    // Parallel transitions over the surviving states: each task reads the
-    // frozen price table and accumulates its costs in the serial order
-    // (state cost, in-phase cost, then each priced entry in resting order),
-    // so the results are bitwise identical to the serial loop; flattening
-    // in task order restores the serial state-major, candidate-minor order.
+    // Transitions over the surviving states, state-major and
+    // candidate-minor; each cost accumulates as state cost, in-phase cost,
+    // then each priced entry in resting order.
     let _span = trace::span("phases.dp.transitions");
-    let prev_ref: &[DpState] = prev;
-    let parts_ref: &[StatePartition] = parts;
-    let rows_ref: &[(ArrayId, SigId)] = rows;
-    let flat_ref: &[f64] = flat;
-    let produced: Vec<Vec<DpState>> = pool::map(prev_ref.len(), |si| {
-        let s = &prev_ref[si];
-        let (pr, ca) = &parts_ref[si];
-        let mut out = Vec::with_capacity(k_count);
+    let mut next: Vec<DpState> = Vec::with_capacity(prev.len() * k_count);
+    for (si, (s, (pr, ca))) in prev.iter().zip(parts.iter()).enumerate() {
         for (k, &sig) in layer.sigs.iter().enumerate() {
             let mut cost = s.cost + layer.costs[k];
             for &r in pr {
-                cost += flat_ref[r * k_count + k];
-                if rows_ref[r].1 != sig {
+                cost += flat[r * k_count + k];
+                if rows[r].1 != sig {
                     cost += switch_margin;
                 }
             }
-            out.push(DpState {
+            next.push(DpState {
                 resting: merge_resting(ca, touched, sig),
                 cost,
                 back: si,
                 k,
             });
         }
-        out
-    });
+    }
 
-    // The serial loop would have asked the pricer once per (state,
-    // candidate, priced entry); the structured path asked once per distinct
-    // cell. Report the collapsed duplicates so memo hit accounting stays
-    // identical.
+    // A per-query loop would have asked the pricer once per (state,
+    // candidate, priced entry); the table asked once per distinct cell.
+    // Report the collapsed duplicates so memo hit accounting stays identical.
     let total_queries: usize = parts.iter().map(|(pr, _)| pr.len() * k_count).sum();
     let booked = rows.len() * k_count;
     if total_queries > booked {
         move_cost.note_repeat_queries((total_queries - booked) as u64);
     }
 
-    produced.into_iter().flatten().collect()
+    next
 }
 
 /// New resting map after a phase: arrays the phase touches now rest in its
@@ -989,9 +923,8 @@ mod tests {
         );
     }
 
-    /// A table-backed pricer that opts into the structured path, for
-    /// exercising prefill + dominance the way the pipeline's `MovePricer`
-    /// does.
+    /// A table-backed pricer that records the DP's hooks, for exercising
+    /// prefill + dominance the way the pipeline's `MovePricer` does.
     struct TablePricer {
         price_calls: usize,
         prefilled_cells: usize,
@@ -1011,9 +944,6 @@ mod tests {
         fn prefill(&mut self, _phase: usize, cells: &[(ArrayId, SigId, SigId)]) {
             self.prefilled_cells += cells.len();
         }
-        fn wants_prefill(&self) -> bool {
-            true
-        }
         fn move_bound(&mut self, _array: ArrayId) -> f64 {
             self.bound
         }
@@ -1024,9 +954,9 @@ mod tests {
 
     #[test]
     fn structured_path_matches_serial_closure_path() {
-        // Same cost structure priced through the structured (prefill +
-        // flat-table + parallel transitions) path and the legacy per-query
-        // closure path: identical plan and bitwise-identical cost.
+        // Same cost structure priced through a pricer that implements the
+        // hooks and through a plain closure under `DpPruning::Exhaustive`
+        // (the DP's reference): identical plan and bitwise-identical cost.
         let a = ArrayId(0);
         let b = ArrayId(1);
         let refs = vec![
@@ -1047,18 +977,24 @@ mod tests {
             repeats: 0,
             bound: 2.0,
         };
-        let structured = solve_layout_dp(&layers, &refs, 0.0, &mut table).unwrap();
-        let serial = solve_layout_dp(&layers, &refs, 0.0, &mut |_, _, src: SigId, dst: SigId| {
-            if src == dst {
-                0.0
-            } else {
-                (src as f64 - dst as f64).abs()
-            }
-        })
+        let hooked = solve_layout_dp(&layers, &refs, 0.0, &mut table).unwrap();
+        let reference = solve_layout_dp_with(
+            &layers,
+            &refs,
+            0.0,
+            &mut |_, _, src: SigId, dst: SigId| {
+                if src == dst {
+                    0.0
+                } else {
+                    (src as f64 - dst as f64).abs()
+                }
+            },
+            DpPruning::Exhaustive,
+        )
         .unwrap();
-        assert_eq!(structured.chosen, serial.chosen);
-        assert_eq!(structured.cost.to_bits(), serial.cost.to_bits());
-        assert!(table.prefilled_cells > 0, "structured path prefills");
+        assert_eq!(hooked.chosen, reference.chosen);
+        assert_eq!(hooked.cost.to_bits(), reference.cost.to_bits());
+        assert!(table.prefilled_cells > 0, "the DP prefills");
         assert!(
             table.repeats > 0,
             "duplicate queries were collapsed and reported"

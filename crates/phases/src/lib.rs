@@ -59,5 +59,4 @@ pub use pipeline::{
 pub use redist::{price_redistribution, price_resting, RedistCost};
 pub use segment::{
     analyze_atoms, detect_boundaries, detect_phase_boundaries, AtomAnalysis, PhaseSignature,
-    SegmentationConfig,
 };

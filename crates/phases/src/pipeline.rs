@@ -37,10 +37,10 @@ use crate::dynamic::{
     LayoutDpPlan, PhaseCandidates, RedistStep, SigId,
 };
 use crate::redist::{price_resting, spread_stages, RedistCost};
-use crate::segment::{analyze_atoms, detect_boundaries, AtomAnalysis, SegmentationConfig};
+use crate::segment::{analyze_atoms, detect_boundaries, AtomAnalysis};
 use adg::{Adg, NodeKind, PortId};
 use align_ir::{ArrayId, Program};
-use alignment_core::pipeline::PipelineConfig;
+use alignment_core::pipeline::{AlignmentResult, PipelineConfig};
 use alignment_core::position::PortAlignment;
 use commsim::{simulate, RestingOwners, RestingPlacement, SimOptions, SimReport, TrafficScratch};
 use distrib::{
@@ -70,9 +70,6 @@ pub struct DynamicConfig {
     /// sequence ([`Program::distributable_atoms`]) — overriding detection.
     /// `None` runs [`detect_boundaries`].
     pub boundaries: Option<Vec<usize>>,
-    /// Residual-volume threshold below which an atom is neutral during
-    /// boundary detection.
-    pub neutral_volume: f64,
     /// Sampling bounds for all plan pricing (in-phase simulation and
     /// redistribution pricing). [`DynamicDistribution::planned_cost`] is
     /// exact when this is [`SimOptions::exact`].
@@ -98,7 +95,6 @@ impl Default for DynamicConfig {
             distribution: None,
             max_candidates_per_phase: 12,
             boundaries: None,
-            neutral_volume: 0.0,
             sim: SimOptions::default(),
             switch_margin: 0.0,
             coalesce_phases: true,
@@ -476,7 +472,7 @@ struct MovePricer<'a> {
     memo: HashMap<(usize, ArrayId, SigId, SigId), RedistCost>,
     /// Cells priced ahead of demand by [`MovePricer::prefill`] and not yet
     /// queried. The first `price` of such a cell books a **miss** (as the
-    /// serial on-demand order would have) and clears the flag; later
+    /// on-demand order would have) and clears the flag; later
     /// queries book hits — so `phases.pricer.{hits,misses}` are
     /// bitwise-identical whether or not prefill ran.
     fresh: HashSet<(usize, ArrayId, SigId, SigId)>,
@@ -579,8 +575,8 @@ impl<'a> MovePricer<'a> {
     fn price(&mut self, q: usize, array: ArrayId, src: SigId, dst: SigId) -> RedistCost {
         if let Some(c) = self.memo.get(&(q, array, src, dst)) {
             if self.fresh.remove(&(q, array, src, dst)) {
-                // Prefilled, first query: serial on-demand pricing would
-                // have missed here.
+                // Prefilled, first query: on-demand pricing would have missed
+                // here.
                 trace::count("phases.pricer.misses", 1);
             } else {
                 trace::count("phases.pricer.hits", 1);
@@ -638,11 +634,10 @@ impl<'a> MovePricer<'a> {
     }
 
     /// Price the missing cells of one DP layer's query set — the layer's
-    /// matrix of moves — ahead of demand, inline: with every side compiled
-    /// once a cell costs well under a microsecond, less than handing it to
-    /// another thread would. The priced cells enter the memo flagged
-    /// *fresh* so [`MovePricer::price`]'s hit/miss accounting stays
-    /// bitwise-identical to serial on-demand pricing.
+    /// matrix of moves — ahead of demand: with every side compiled once a
+    /// cell costs well under a microsecond. The priced cells enter the memo
+    /// flagged *fresh* so [`MovePricer::price`]'s hit/miss accounting stays
+    /// bitwise-identical to on-demand pricing.
     fn prefill(&mut self, q: usize, cells: &[(ArrayId, SigId, SigId)]) {
         for &(array, src, dst) in cells {
             let key = (q, array, src, dst);
@@ -665,12 +660,6 @@ impl DpPricer for MovePricer<'_> {
         MovePricer::prefill(self, phase, cells);
     }
 
-    fn wants_prefill(&self) -> bool {
-        // Unconditionally: the structured DP path (and the pruning
-        // decisions it feeds) must not depend on the worker count.
-        true
-    }
-
     fn move_bound(&mut self, array: ArrayId) -> f64 {
         // Every move's element traffic is bounded by the array's total
         // element count: `redistribution_traffic` attributes each sampled
@@ -685,10 +674,9 @@ impl DpPricer for MovePricer<'_> {
     }
 
     fn note_repeat_queries(&mut self, n: u64) {
-        // The structured DP path asks once per distinct cell and reports the
-        // duplicates it collapsed; booking them as hits keeps
-        // `phases.pricer.{hits,misses}` bitwise-identical to per-query
-        // pricing.
+        // The DP asks once per distinct cell and reports the duplicates it
+        // collapsed; booking them as hits keeps `phases.pricer.{hits,misses}`
+        // bitwise-identical to per-query pricing.
         trace::count("phases.pricer.hits", n);
     }
 }
@@ -850,24 +838,20 @@ fn build_layers(
         .map(|r| sig_of(&r.distribution))
         .chain(forced.iter().cloned())
         .collect();
-    // Each phase's layer is independent (cache builds + candidate pricing
-    // over read-only inputs), so the phases fan out over the pool; results
-    // land in phase order and worker counter deltas are absorbed, keeping
-    // every `commsim.*` total identical to a serial build.
     // The caches are kept so `simulate_dynamic` can replay the chosen plan
     // by owner lookups instead of re-walking every position.
-    pool::map(phases.len(), |i| {
-        let p = &phases[i];
-        let caches: Vec<commsim::PlacementCache> = p
-            .atoms
-            .iter()
-            .map(|a| commsim::PlacementCache::new(&a.adg, &a.alignment.alignment, sim))
-            .collect();
-        let layer = layer_from_report(p, pool, cap, &retained, &caches);
-        (layer, Arc::new(caches))
-    })
-    .into_iter()
-    .unzip()
+    phases
+        .iter()
+        .map(|p| {
+            let caches: Vec<commsim::PlacementCache> = p
+                .atoms
+                .iter()
+                .map(|a| commsim::PlacementCache::new(&a.adg, &a.alignment.alignment, sim))
+                .collect();
+            let layer = layer_from_report(p, pool, cap, &retained, &caches);
+            (layer, Arc::new(caches))
+        })
+        .unzip()
 }
 
 /// One phase's candidate layer: the `cap` cheapest of its pool-priced
@@ -965,13 +949,7 @@ struct DpInputs {
 fn build_dp_inputs(atoms: Vec<AtomAnalysis>, nprocs: usize, config: &DynamicConfig) -> DpInputs {
     let boundaries = match &config.boundaries {
         Some(b) => b.clone(),
-        None => detect_boundaries(
-            &atoms,
-            &SegmentationConfig {
-                alignment: config.alignment,
-                neutral_volume: config.neutral_volume,
-            },
-        ),
+        None => detect_boundaries(&atoms),
     };
     let atom_ranges = align_ir::ast::cut_ranges(atoms.len(), &boundaries);
     let solve_cfg = config.solve_config(nprocs);
@@ -1112,142 +1090,91 @@ pub fn try_align_then_distribute_dynamic(
     let static_seed =
         (atoms.len() == 1).then(|| (atoms[0].adg.clone(), atoms[0].alignment.clone()));
 
-    // The rest of the dynamic analysis and the static baseline share
-    // nothing but the atom set, so they overlap on the pool when
-    // parallelism is available (the baseline's counter delta is absorbed,
-    // keeping totals identical to the serial order the fallback still runs
-    // in).
-    let (dynamic_side, (static_result, static_planned_cost)) = pool::join(
-        || {
-            // Stages 2+3: boundaries, per-phase signature search, shared
-            // pool, candidate layers — then the per-array layout-state DP.
-            let solve_cfg = config.solve_config(nprocs);
-            let DpInputs {
-                phases,
-                sig_pool,
-                phase_refs,
-                layers,
-                phase_caches,
-            } = build_dp_inputs(atoms, nprocs, config);
-            let live = build_live(program, &phase_refs);
-            let cap = config.max_candidates_per_phase.max(1);
-            let mut pricer = MovePricer::new(&phases, &sig_pool, program, config.sim);
-            let plan = solve_layout_dp(&layers, &phase_refs, config.switch_margin, &mut pricer)?;
-            let peak_dp_layer_width = plan.states_per_layer.iter().copied().max().unwrap_or(0);
-            let chosen_sigs: Vec<SigId> = plan
-                .chosen
-                .iter()
-                .zip(&layers)
-                .map(|(&k, l)| l.sigs[k])
-                .collect();
-            let steps = build_steps(&phases, &live, &chosen_sigs, &mut pricer);
-            drop(pricer);
+    // Stages 2+3: boundaries, per-phase signature search, shared pool,
+    // candidate layers — then the per-array layout-state DP.
+    let solve_cfg = config.solve_config(nprocs);
+    let DpInputs {
+        phases,
+        sig_pool,
+        phase_refs,
+        layers,
+        phase_caches,
+    } = build_dp_inputs(atoms, nprocs, config);
+    let live = build_live(program, &phase_refs);
+    let cap = config.max_candidates_per_phase.max(1);
+    let mut pricer = MovePricer::new(&phases, &sig_pool, program, config.sim);
+    let plan = solve_layout_dp(&layers, &phase_refs, config.switch_margin, &mut pricer)?;
+    let peak_dp_layer_width = plan.states_per_layer.iter().copied().max().unwrap_or(0);
+    let chosen_sigs: Vec<SigId> = plan
+        .chosen
+        .iter()
+        .zip(&layers)
+        .map(|(&k, l)| l.sigs[k])
+        .collect();
+    let steps = build_steps(&phases, &live, &chosen_sigs, &mut pricer);
+    drop(pricer);
 
-            // DAG-driven boundary selection: coalesce every detected
-            // boundary the chosen path leaves unused (same signature and
-            // same covering template on both sides, no array paying
-            // anything — a cost-neutral merge by construction). The DP
-            // decided which seams are real; the rest disappear from the
-            // plan.
-            let (phases, live, layers, phase_caches, chosen_sigs, chosen, steps) =
-                if config.coalesce_phases {
-                    let _span = trace::span("phases.coalesce");
-                    coalesce(
-                        phases,
-                        live,
-                        layers,
-                        phase_caches,
-                        chosen_sigs,
-                        plan.chosen,
-                        steps,
-                        &sig_pool,
-                        &solve_cfg,
-                        program,
-                        cap,
-                        config.sim,
-                    )
-                } else {
-                    (
-                        phases,
-                        live,
-                        layers,
-                        phase_caches,
-                        chosen_sigs,
-                        plan.chosen,
-                        steps,
-                    )
-                };
+    // DAG-driven boundary selection: coalesce every detected boundary the
+    // chosen path leaves unused (same signature and same covering template
+    // on both sides, no array paying anything — a cost-neutral merge by
+    // construction). The DP decided which seams are real; the rest disappear
+    // from the plan.
+    let (phases, live, layers, phase_caches, chosen_sigs, chosen, steps) = if config.coalesce_phases
+    {
+        let _span = trace::span("phases.coalesce");
+        coalesce(
+            phases,
+            live,
+            layers,
+            phase_caches,
+            chosen_sigs,
+            plan.chosen,
+            steps,
+            &sig_pool,
+            &solve_cfg,
+            program,
+            cap,
+            config.sim,
+        )
+    } else {
+        (
+            phases,
+            live,
+            layers,
+            phase_caches,
+            chosen_sigs,
+            plan.chosen,
+            steps,
+        )
+    };
 
-            // Exact plan pricing on the final structure: in-phase simulated
-            // traffic plus every per-array step — the same accounting
-            // `simulate_dynamic` replays, so `planned_cost` IS the
-            // simulated plan cost.
-            let per_phase: Vec<ProgramDistribution> = chosen_sigs
-                .iter()
-                .zip(&phases)
-                .map(|(&s, p)| instantiate(&sig_pool[s], p.cover_extents()))
-                .collect();
-            let planned_cost: f64 = chosen
-                .iter()
-                .zip(&layers)
-                .map(|(&k, l)| l.costs[k])
-                .sum::<f64>()
-                + steps
-                    .iter()
-                    .flatten()
-                    .map(|s| s.cost.elements())
-                    .sum::<f64>();
-            let dynamic = DynamicDistribution {
-                chosen,
-                per_phase,
-                steps,
-                planned_cost,
-            };
-            Ok((
-                phases,
-                live,
-                sig_pool,
-                layers,
-                phase_caches,
-                dynamic,
-                peak_dp_layer_width,
-            ))
-        },
-        || {
-            // The static baseline over the whole program, simulated under
-            // the same options the plan is priced with. A single-atom
-            // program's baseline alignment is the atom's own (already
-            // computed above) — only the distribution search runs here.
-            let _span = trace::span("phases.static_baseline");
-            let full_config = FullPipelineConfig {
-                alignment: config.alignment,
-                distribution: config.distribution.clone(),
-            };
-            let static_result = match static_seed {
-                Some((adg, alignment)) => {
-                    let distribution =
-                        distribute_alignment(&adg, &alignment.alignment, nprocs, &full_config);
-                    FullPipelineResult {
-                        adg,
-                        alignment,
-                        distribution,
-                    }
-                }
-                None => align_then_distribute(program, nprocs, &full_config),
-            };
-            let static_planned_cost = simulate(
-                &static_result.adg,
-                &static_result.alignment.alignment,
-                &static_result.best().distribution,
-                config.sim,
-            )
-            .total_elements();
-            (static_result, static_planned_cost)
-        },
-    );
+    // Exact plan pricing on the final structure: in-phase simulated traffic
+    // plus every per-array step — the same accounting `simulate_dynamic`
+    // replays, so `planned_cost` IS the simulated plan cost.
+    let per_phase: Vec<ProgramDistribution> = chosen_sigs
+        .iter()
+        .zip(&phases)
+        .map(|(&s, p)| instantiate(&sig_pool[s], p.cover_extents()))
+        .collect();
+    let planned_cost: f64 = chosen
+        .iter()
+        .zip(&layers)
+        .map(|(&k, l)| l.costs[k])
+        .sum::<f64>()
+        + steps
+            .iter()
+            .flatten()
+            .map(|s| s.cost.elements())
+            .sum::<f64>();
+    let dynamic = DynamicDistribution {
+        chosen,
+        per_phase,
+        steps,
+        planned_cost,
+    };
 
-    let (phases, live, sig_pool, layers, phase_caches, dynamic, peak_dp_layer_width) =
-        dynamic_side?;
+    let (static_result, static_planned_cost) =
+        static_baseline(program, nprocs, config, static_seed);
 
     let summary = SolveSummary::from_run(
         &counters_at_entry,
@@ -1269,6 +1196,43 @@ pub fn try_align_then_distribute_dynamic(
         phase_caches,
         sim_caches: Arc::new(Mutex::new(SimCacheStore::default())),
     })
+}
+
+/// The static baseline over the whole program, simulated under the same
+/// options the plan is priced with. A single-atom program's baseline
+/// alignment is the atom's own (`seed`, already computed) — only the
+/// distribution search runs then.
+fn static_baseline(
+    program: &Program,
+    nprocs: usize,
+    config: &DynamicConfig,
+    seed: Option<(Adg, AlignmentResult)>,
+) -> (FullPipelineResult, f64) {
+    let _span = trace::span("phases.static_baseline");
+    let full_config = FullPipelineConfig {
+        alignment: config.alignment,
+        distribution: config.distribution.clone(),
+    };
+    let static_result = match seed {
+        Some((adg, alignment)) => {
+            let distribution =
+                distribute_alignment(&adg, &alignment.alignment, nprocs, &full_config);
+            FullPipelineResult {
+                adg,
+                alignment,
+                distribution,
+            }
+        }
+        None => align_then_distribute(program, nprocs, &full_config),
+    };
+    let static_planned_cost = simulate(
+        &static_result.adg,
+        &static_result.alignment.alignment,
+        &static_result.best().distribution,
+        config.sim,
+    )
+    .total_elements();
+    (static_result, static_planned_cost)
 }
 
 /// Merge adjacent phases across boundaries the chosen path does not use:

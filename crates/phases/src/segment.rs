@@ -34,16 +34,6 @@ use alignment_core::pipeline::{
 use alignment_core::{BlockMemo, CostModel};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Configuration of the phase detector.
-#[derive(Debug, Clone, Default)]
-pub struct SegmentationConfig {
-    /// Alignment configuration used when analysing each atom in isolation.
-    pub alignment: PipelineConfig,
-    /// Residual communication volume below which an atom is *neutral*: it
-    /// cannot open a boundary and attaches to the phase on its left.
-    pub neutral_volume: f64,
-}
-
 /// The communication topology of one program segment.
 #[derive(Debug, Clone)]
 pub struct PhaseSignature {
@@ -163,46 +153,44 @@ pub fn analyze_atoms(program: &Program, config: &PipelineConfig) -> Vec<AtomAnal
     let _span = trace::span("phases.analyze_atoms");
     let atoms = program.distributable_atoms();
     trace::count("phases.atoms_analyzed", atoms.len() as u64);
-    // Atoms are aligned independently, so the per-atom alignment passes fan
-    // out over the pool. Results come back in atom order and each worker's
-    // counter delta (`lp.*`, `adg.*`) is absorbed, so every gated counter
-    // total is bitwise-identical to a serial run at any worker count. The
-    // atoms share one memo of offset-RLP blocks — statements of one shape
-    // pose the same blocks — which answers each block exactly once whichever
-    // worker asks first, and is gone when this call returns.
+    // The atoms share one memo of offset-RLP blocks — statements of one
+    // shape pose the same blocks — which answers each block once and is gone
+    // when this call returns.
     let memo = BlockMemo::default();
-    pool::map(atoms.len(), |i| {
-        let atom = &atoms[i];
-        let sub = program.from_atoms(std::slice::from_ref(atom));
-        let (adg, alignment) = align_program_sharing(&sub, config, &memo);
-        let signature = PhaseSignature::from_parts(&adg, &alignment);
-        let mut referenced = arrays_read(&sub.body, &sub);
-        referenced.extend(arrays_assigned(&sub.body));
-        AtomAnalysis {
-            stmt_index: atom.stmt_index,
-            piece: atom.piece,
-            program: sub,
-            adg,
-            alignment,
-            signature,
-            referenced,
-        }
-    })
+    atoms
+        .iter()
+        .map(|atom| {
+            let sub = program.from_atoms(std::slice::from_ref(atom));
+            let (adg, alignment) = align_program_sharing(&sub, config, &memo);
+            let signature = PhaseSignature::from_parts(&adg, &alignment);
+            let mut referenced = arrays_read(&sub.body, &sub);
+            referenced.extend(arrays_assigned(&sub.body));
+            AtomAnalysis {
+                stmt_index: atom.stmt_index,
+                piece: atom.piece,
+                program: sub,
+                adg,
+                alignment,
+                signature,
+                referenced,
+            }
+        })
+        .collect()
 }
 
 /// Detect phase boundaries over an already-analysed atom sequence: positions
 /// `b` (0 < b < #atoms) where a cut between atoms `b-1` and `b` separates
 /// conflicting communication topologies. Returns an empty vector for
 /// single-phase programs.
-pub fn detect_boundaries(atoms: &[AtomAnalysis], config: &SegmentationConfig) -> Vec<usize> {
+pub fn detect_boundaries(atoms: &[AtomAnalysis]) -> Vec<usize> {
     let _span = trace::span("phases.detect_boundaries");
     let mut boundaries = Vec::new();
     // The signature the current phase is committed to: the last atom with
-    // enough communication to have an opinion.
+    // any communication at all, and so an opinion.
     let mut current: Option<&PhaseSignature> = None;
     for (i, atom) in atoms.iter().enumerate() {
         let sig = &atom.signature;
-        if sig.total_comm() <= config.neutral_volume {
+        if sig.total_comm() <= 0.0 {
             continue; // neutral: rides with the phase on its left
         }
         if let Some(prev) = current {
@@ -221,9 +209,8 @@ pub fn detect_boundaries(atoms: &[AtomAnalysis], config: &SegmentationConfig) ->
 /// refer to the **atom** sequence ([`Program::distributable_atoms`]), which
 /// is finer than the top-level statement sequence when loop distribution
 /// splits a loop.
-pub fn detect_phase_boundaries(program: &Program, config: &SegmentationConfig) -> Vec<usize> {
-    let atoms = analyze_atoms(program, &config.alignment);
-    detect_boundaries(&atoms, config)
+pub fn detect_phase_boundaries(program: &Program, config: &PipelineConfig) -> Vec<usize> {
+    detect_boundaries(&analyze_atoms(program, config))
 }
 
 #[cfg(test)]
@@ -234,11 +221,11 @@ mod tests {
     #[test]
     fn fft_like_splits_into_two_phases() {
         let p = programs::fft_like(16, 4);
-        let cfg = SegmentationConfig::default();
+        let cfg = PipelineConfig::default();
         let boundaries = detect_phase_boundaries(&p, &cfg);
         assert_eq!(boundaries, vec![1], "row phase | column phase");
         let sigs: Vec<PhaseSignature> = (0..2)
-            .map(|i| PhaseSignature::of(&p.subprogram(i..i + 1), &cfg.alignment))
+            .map(|i| PhaseSignature::of(&p.subprogram(i..i + 1), &cfg))
             .collect();
         assert_eq!(sigs[0].dominant_axis(), Some(1), "{:?}", sigs[0]);
         assert_eq!(sigs[1].dominant_axis(), Some(0), "{:?}", sigs[1]);
@@ -250,17 +237,16 @@ mod tests {
         // exposes the row | column seam inside its body.
         let p = programs::fft_like_nested(16, 4);
         assert_eq!(p.num_top_level_stmts(), 1);
-        let cfg = SegmentationConfig::default();
-        let atoms = analyze_atoms(&p, &cfg.alignment);
+        let atoms = analyze_atoms(&p, &PipelineConfig::default());
         assert_eq!(atoms.len(), 2, "fission split the loop");
-        assert_eq!(detect_boundaries(&atoms, &cfg), vec![1]);
+        assert_eq!(detect_boundaries(&atoms), vec![1]);
         assert_eq!(atoms[0].signature.dominant_axis(), Some(1));
         assert_eq!(atoms[1].signature.dominant_axis(), Some(0));
     }
 
     #[test]
     fn single_phase_programs_have_no_boundaries() {
-        let cfg = SegmentationConfig::default();
+        let cfg = PipelineConfig::default();
         assert!(detect_phase_boundaries(&programs::example1(32), &cfg).is_empty());
         assert!(detect_phase_boundaries(&programs::figure1(16), &cfg).is_empty());
     }
@@ -272,7 +258,7 @@ mod tests {
         // identical loops instead: same topology, no boundary.
         let p = programs::fft_like(16, 4);
         let first = p.subprogram(0..1);
-        let cfg = SegmentationConfig::default();
+        let cfg = PipelineConfig::default();
         assert!(detect_phase_boundaries(&first, &cfg).is_empty());
     }
 

@@ -1,268 +1,14 @@
-//! A tiny scoped thread pool for pricing work, std-only.
-//!
-//! The phase pipeline prices many independent cells — per-atom analyses,
-//! per-phase candidate matrices, per-(boundary, array, signature,
-//! signature) redistribution costs. Each cell is pure compute over shared
-//! read-only inputs, so they parallelise trivially; what does *not*
-//! parallelise trivially is the metrics contract: the `trace` counters are
-//! thread-local, always on, and regression-gated to be **bitwise identical
-//! across runs** — and, for this crate, across worker counts.
-//!
-//! Determinism is preserved by construction rather than by locking:
-//!
-//! * **Pre-indexed result slots.** [`map`] writes task `i`'s result into
-//!   slot `i`, so downstream float accumulation visits results in task
-//!   order no matter which worker computed what, or when.
-//! * **Counter deltas, not shared counters.** Every spawned worker is a
-//!   fresh thread whose thread-local counters start at zero; at exit it
-//!   snapshots them ([`trace::CounterSnapshot::now`]) and the caller
-//!   [absorbs](trace::absorb) the snapshot. Counter addition is
-//!   commutative, so totals are bitwise-equal to a serial run.
-//! * **Serial fallback.** With one worker ([`workers`] ≤ 1 — the default
-//!   on a single-core host and forcible via `POOL_WORKERS=1`), a single
-//!   task, or spans enabled (spans are thread-local; a worker's spans
-//!   would be lost, so profiled runs stay on one thread and remain
-//!   faithful), the closures run inline on the caller in task order —
-//!   the exact pre-pool behaviour.
-//!
-//! There is no work *stealing* — just an atomic next-task cursor that
-//! workers (the caller included) claim indices from. Threads are scoped
-//! ([`std::thread::scope`]): borrows of the caller's data work naturally
-//! and nothing outlives the call.
-//!
-//! The worker count comes from, in priority order: [`set_workers`] (an
-//! in-process override, used by the experiment sweeps), the `POOL_WORKERS`
-//! environment variable, and [`std::thread::available_parallelism`].
+//! What is left of the thread pool. The planner runs on the calling thread
+//! (EXPERIMENTS.md E32: at no worker count did the pool buy anything), and
+//! nothing in the workspace names this crate. The two functions stay
+//! because the benchmark package (`benchmark/`, which a change to the code
+//! it measures may not edit) still links them; the next `benchmark` PR
+//! drops its calls and deletes the crate.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+/// Does nothing: there is no worker count to set.
+pub fn set_workers(_n: usize) {}
 
-/// In-process override; 0 means "not set".
-static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Override the worker count for this process (0 clears the override and
-/// falls back to `POOL_WORKERS` / detected parallelism). Used by the
-/// experiment harness to sweep pool sizes without re-exec'ing.
-pub fn set_workers(n: usize) {
-    OVERRIDE.store(n, Ordering::Relaxed);
-}
-
-/// The number of workers a parallel region may use, including the calling
-/// thread: [`set_workers`] override, else `POOL_WORKERS`, else
-/// [`std::thread::available_parallelism`].
+/// The number of threads a solve runs on: one.
 pub fn workers() -> usize {
-    let o = OVERRIDE.load(Ordering::Relaxed);
-    if o > 0 {
-        return o;
-    }
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    let env = *ENV.get_or_init(|| {
-        std::env::var("POOL_WORKERS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-    });
-    if let Some(n) = env {
-        return n;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Should a region with `tasks` independent tasks run in parallel? False
-/// with one worker, one task, or spans enabled (see the crate docs).
-pub fn is_parallel(tasks: usize) -> bool {
-    tasks > 1 && workers() > 1 && !trace::spans_enabled()
-}
-
-/// Compute `f(0), f(1), …, f(n-1)` and return the results in index order.
-///
-/// Serial fallback conditions (inline on the caller, task order): see the
-/// crate docs. Otherwise tasks are claimed from an atomic cursor by
-/// `min(workers, n)` threads (the caller participates); each result lands
-/// in its pre-indexed slot and each worker's counter delta is absorbed
-/// into the caller's collector, so counters and downstream accumulation
-/// order are independent of the worker count.
-pub fn map<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if !is_parallel(n) {
-        return (0..n).map(f).collect();
-    }
-    let extra = workers().min(n) - 1;
-    let next = AtomicUsize::new(0);
-    let f = &f;
-    let next = &next;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..extra)
-            .map(|_| {
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        out.push((i, f(i)));
-                    }
-                    // Fresh thread: the snapshot is exactly this worker's
-                    // counter delta.
-                    (out, trace::CounterSnapshot::now())
-                })
-            })
-            .collect();
-        let mut mine = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            mine.push((i, f(i)));
-        }
-        let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
-        for (i, v) in mine {
-            slots[i] = Some(v);
-        }
-        for h in handles {
-            let (items, delta) = h.join().expect("pool worker panicked");
-            trace::absorb(&delta);
-            for (i, v) in items {
-                slots[i] = Some(v);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every task index claimed exactly once"))
-            .collect()
-    })
-}
-
-/// Run two independent computations, `fb` on a worker thread when
-/// parallelism is available; serially (`fa` then `fb`, inline) otherwise.
-/// `fb`'s counter delta is absorbed before returning, so the caller's
-/// totals match a serial run bitwise.
-pub fn join<A, B, FA, FB>(fa: FA, fb: FB) -> (A, B)
-where
-    A: Send,
-    B: Send,
-    FA: FnOnce() -> A,
-    FB: FnOnce() -> B + Send,
-{
-    if !is_parallel(2) {
-        let a = fa();
-        let b = fb();
-        return (a, b);
-    }
-    std::thread::scope(|s| {
-        let hb = s.spawn(move || (fb(), trace::CounterSnapshot::now()));
-        let a = fa();
-        let (b, delta) = hb.join().expect("pool worker panicked");
-        trace::absorb(&delta);
-        (a, b)
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Serialise tests that touch the process-wide override.
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn map_returns_results_in_index_order() {
-        let _g = LOCK.lock().unwrap();
-        for w in [1, 2, 4, 8] {
-            set_workers(w);
-            let out = map(37, |i| i * i);
-            assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
-        }
-        set_workers(0);
-    }
-
-    #[test]
-    fn map_counter_totals_are_identical_across_worker_counts() {
-        let _g = LOCK.lock().unwrap();
-        let run = |w: usize| {
-            set_workers(w);
-            trace::reset();
-            let _ = map(64, |i| {
-                trace::count("pooltest.cells", 1);
-                trace::count("pooltest.weight", i as u64);
-                trace::record_value("pooltest.size", i as f64);
-                i
-            });
-            let snap = trace::CounterSnapshot::now();
-            trace::reset();
-            snap
-        };
-        let serial = run(1);
-        for w in [2, 4, 8] {
-            let par = run(w);
-            assert_eq!(
-                par.counters, serial.counters,
-                "counters diverged at {w} workers"
-            );
-            let (s, p) = (serial.dists["pooltest.size"], par.dists["pooltest.size"]);
-            assert_eq!(p.count, s.count);
-            assert_eq!(p.min, s.min);
-            assert_eq!(p.max, s.max);
-            assert_eq!(p.buckets, s.buckets);
-        }
-        set_workers(0);
-    }
-
-    #[test]
-    fn join_runs_both_and_absorbs_counters() {
-        let _g = LOCK.lock().unwrap();
-        for w in [1, 4] {
-            set_workers(w);
-            trace::reset();
-            let (a, b) = join(
-                || {
-                    trace::count("pooltest.join_a", 1);
-                    7
-                },
-                || {
-                    trace::count("pooltest.join_b", 1);
-                    11
-                },
-            );
-            assert_eq!((a, b), (7, 11));
-            assert_eq!(trace::counter("pooltest.join_a"), 1);
-            assert_eq!(trace::counter("pooltest.join_b"), 1);
-            trace::reset();
-        }
-        set_workers(0);
-    }
-
-    #[test]
-    fn spans_enabled_forces_serial() {
-        let _g = LOCK.lock().unwrap();
-        set_workers(8);
-        trace::configure(trace::TraceConfig::enabled());
-        assert!(!is_parallel(100));
-        // Inline execution: spans recorded inside tasks stay on this thread.
-        trace::reset();
-        let _ = map(3, |i| {
-            let _s = trace::span("pooltest.task");
-            i
-        });
-        assert_eq!(trace::span_count(), 3);
-        trace::configure(trace::TraceConfig::default());
-        trace::reset();
-        set_workers(0);
-    }
-
-    #[test]
-    fn zero_and_empty_maps_are_fine() {
-        let _g = LOCK.lock().unwrap();
-        set_workers(4);
-        assert!(map(0, |i| i).is_empty());
-        assert_eq!(map(1, |i| i), vec![0]);
-        set_workers(0);
-    }
+    1
 }

@@ -11,9 +11,9 @@
 //!   read, so the gated benches measure the uninstrumented pipeline.
 //! * **Counters** — named monotonic `u64`s ([`count`]). Counters are
 //!   *always on*: they are the same cheap thread-local increments the
-//!   pre-trace ad-hoc counters (`align_call_count`, `fallback_stats`)
-//!   already paid, regression tests assert on them, and identical solves
-//!   produce identical values.
+//!   pre-trace ad-hoc counters (`align_call_count`) already paid,
+//!   regression tests assert on them, and identical solves produce
+//!   identical values.
 //! * **Distributions** — named value histograms ([`record_value`]):
 //!   count/sum/min/max plus power-of-two buckets, e.g. DP layer widths.
 //! * **Events** — timestamped key=value facts ([`event`]), recorded only
@@ -149,19 +149,6 @@ impl Histogram {
             0.0
         } else {
             self.sum / self.count as f64
-        }
-    }
-
-    /// Fold another histogram into this one, as if every value `other`
-    /// recorded had been recorded here too (bucket-wise add; min/max fold;
-    /// the empty histogram is the identity).
-    pub fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
         }
     }
 }
@@ -354,53 +341,6 @@ impl CounterSnapshot {
         CounterSnapshot {
             counters,
             dists: self.dists.clone(),
-        }
-    }
-}
-
-/// Merge a [`CounterSnapshot`] *delta* into the current thread's collector:
-/// every counter is added and every distribution is
-/// [merged](Histogram::merge), as if the work the delta describes had run
-/// on this thread. This is how worker threads hand their metrics back to
-/// the thread that spawned them (see the `pool` crate): a worker snapshots
-/// its own fresh thread-locals at exit and the caller absorbs them, so
-/// counter totals are independent of how work was split across threads.
-///
-/// Counter addition is commutative, so absorbing worker deltas in any
-/// order yields bitwise-identical `u64` totals to running the same work
-/// serially. (Histogram `sum`s are `f64` and may differ in the last ulp
-/// across merge orders; no gate asserts on them.)
-pub fn absorb(delta: &CounterSnapshot) {
-    COLLECTOR.with(|c| {
-        let mut c = c.borrow_mut();
-        for (name, &v) in &delta.counters {
-            if v > 0 {
-                *c.counters.entry(intern(name)).or_insert(0) += v;
-            }
-        }
-        for (name, h) in &delta.dists {
-            if h.count > 0 {
-                c.dists.entry(intern(name)).or_default().merge(h);
-            }
-        }
-    });
-}
-
-/// Collector keys are `&'static str` (every production call site passes a
-/// literal); snapshot keys are owned strings. Absorbing a snapshot interns
-/// each name once — the set of metric names is a small fixed vocabulary,
-/// so the leaked bytes are bounded.
-fn intern(name: &str) -> &'static str {
-    use std::collections::BTreeSet;
-    use std::sync::Mutex;
-    static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-    let mut set = INTERNED.lock().unwrap();
-    match set.get(name) {
-        Some(&s) => s,
-        None => {
-            let s: &'static str = Box::leak(name.to_owned().into_boxed_str());
-            set.insert(s);
-            s
         }
     }
 }
@@ -602,41 +542,6 @@ mod tests {
         // rather than reporting a wrapped-around delta.
         assert_eq!(delta.get("test.reset"), 0);
         assert!(!delta.counters.contains_key("test.reset"));
-    }
-
-    #[test]
-    fn absorb_adds_counters_and_merges_distributions() {
-        reset();
-        count("test.absorbed", 2);
-        record_value("test.dist", 4.0);
-        let mut delta = CounterSnapshot::default();
-        delta.counters.insert("test.absorbed".into(), 3);
-        delta.counters.insert("test.new".into(), 7);
-        let mut h = Histogram::default();
-        h.record(16.0);
-        h.record(1.0);
-        delta.dists.insert("test.dist".into(), h);
-        absorb(&delta);
-        assert_eq!(counter("test.absorbed"), 5);
-        assert_eq!(counter("test.new"), 7);
-        let d = distribution("test.dist").unwrap();
-        assert_eq!(d.count, 3);
-        assert_eq!(d.sum, 21.0);
-        assert_eq!(d.min, 1.0);
-        assert_eq!(d.max, 16.0);
-        reset();
-    }
-
-    #[test]
-    fn histogram_merge_with_empty_is_identity() {
-        let mut h = Histogram::default();
-        h.record(3.0);
-        let snapshot = h;
-        h.merge(&Histogram::default());
-        assert_eq!(h, snapshot);
-        let mut e = Histogram::default();
-        e.merge(&snapshot);
-        assert_eq!(e, snapshot);
     }
 
     #[test]

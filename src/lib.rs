@@ -8,7 +8,8 @@
 //! * [`ir`] (`align-ir`) — the data-parallel array IR and the paper's example
 //!   programs;
 //! * [`adg`] — the alignment-distribution graph;
-//! * [`lp`] — the two-phase simplex solver behind rounded linear programming;
+//! * [`lp`] — the revised simplex, and the L1 route through its dual, behind
+//!   rounded linear programming;
 //! * [`netflow`] — max-flow / min-cut for replication labeling;
 //! * [`core`] (`alignment-core`) — the alignment analysis itself (axis,
 //!   mobile stride, replication, mobile offset, pipeline);

@@ -2,12 +2,12 @@
 //! often the planner asks the allocator for memory while doing it, and an
 //! evaluation step that rebuilds what an earlier step already had shows up
 //! there first. This binary holds one test, so nothing else allocates while
-//! it counts: each budget is the allocation count of one warm solve on one
-//! worker, set about a quarter above what the solve measured (75 680 and
-//! 130 147 with debug assertions on) when template extents became a closed
-//! form, the node constraints were derived once per axis solve and each
-//! atom's distribution model was built once. The commit before allocated
-//! 295 362 and 351 453 times.
+//! it counts: each budget is the allocation count of one warm solve, set
+//! about a quarter above what the solve measured (75 680 and 130 147 with
+//! debug assertions on) when template extents became a closed form, the
+//! node constraints were derived once per axis solve and each atom's
+//! distribution model was built once. The commit before allocated 295 362
+//! and 351 453 times.
 
 use array_alignment::prelude::*;
 
@@ -30,7 +30,6 @@ fn warm_solve_allocations(program: &Program, nprocs: usize) -> u64 {
 
 #[test]
 fn warm_solves_stay_within_their_allocation_budgets() {
-    pool::set_workers(1);
     let cases = [
         (
             "reduction_tree(64,64)@32",

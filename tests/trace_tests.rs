@@ -111,6 +111,34 @@ fn identical_solves_emit_identical_counters() {
     }
 }
 
+/// Spans observe the solve that runs, they do not select it: the traced
+/// solve is the untraced solve — same plan, same bits, same counters.
+#[test]
+fn tracing_does_not_change_the_solve() {
+    let program = programs::multi_array_pipeline(32, 8);
+    let solve = |config: TraceConfig| {
+        trace::reset();
+        trace::configure(config);
+        let result = run_solve(&program);
+        trace::configure(TraceConfig::default());
+        (result, CounterSnapshot::now())
+    };
+    let (plain, plain_counters) = solve(TraceConfig::default());
+    let (traced, traced_counters) = solve(TraceConfig::enabled());
+    assert!(trace::span_count() > 0, "the second solve was traced");
+    assert_eq!(plain.dynamic.chosen, traced.dynamic.chosen);
+    assert_eq!(
+        plain.dynamic.planned_cost.to_bits(),
+        traced.dynamic.planned_cost.to_bits()
+    );
+    assert_eq!(
+        plain.static_planned_cost.to_bits(),
+        traced.static_planned_cost.to_bits()
+    );
+    assert_eq!(plain_counters.counters, traced_counters.counters);
+    assert_eq!(plain_counters.dists, traced_counters.dists);
+}
+
 #[test]
 fn explainer_is_stable_and_sums_exactly_to_planned_cost() {
     let result = run_solve(&programs::fft_like(32, 40));
