@@ -99,7 +99,10 @@ pub fn align_program_sharing(
 ) -> (Adg, AlignmentResult) {
     let _span = trace::span("align.program");
     trace::count("align.calls", 1);
-    let adg = build_adg(program);
+    let adg = {
+        let _span = trace::span("align.adg_build");
+        build_adg(program)
+    };
     let result = align_adg_sharing(&adg, config, memo);
     (adg, result)
 }
@@ -116,8 +119,14 @@ fn align_adg_sharing(adg: &Adg, config: &PipelineConfig, memo: &BlockMemo) -> Al
     let ranks: Vec<usize> = adg.port_ids().map(|p| adg.port(p).rank).collect();
     let mut alignment = ProgramAlignment::identity(t, &ranks);
 
-    let axis_cost = solve_axes(adg, &mut alignment);
-    let stride_cost = solve_strides(adg, &mut alignment);
+    let axis_cost = {
+        let _span = trace::span("align.axes");
+        solve_axes(adg, &mut alignment)
+    };
+    let stride_cost = {
+        let _span = trace::span("align.strides");
+        solve_strides(adg, &mut alignment)
+    };
 
     let max_iters = config.max_iterations.max(1);
     let mut forced_r: Vec<HashSet<PortId>> = vec![HashSet::new(); t];
@@ -128,6 +137,7 @@ fn align_adg_sharing(adg: &Adg, config: &PipelineConfig, memo: &BlockMemo) -> Al
 
     loop {
         iterations += 1;
+        let replication_span = trace::span("align.replication");
         let replicated_per_axis: Vec<HashSet<PortId>> = if config.disable_replication {
             // Only the replication the program semantics force (spread
             // inputs, lookup tables); no min-cut optimisation. Broadcasts
@@ -139,6 +149,7 @@ fn align_adg_sharing(adg: &Adg, config: &PipelineConfig, memo: &BlockMemo) -> Al
             replication = Some(labeling);
             sets
         };
+        drop(replication_span);
 
         offset_reports = solve_all_offsets_sharing(
             adg,

@@ -343,7 +343,10 @@ impl L1Problem {
         if self.hard.constraints.iter().any(inconsistent) {
             return Err(SolveError::Infeasible);
         }
-        let split = self.split();
+        let split = {
+            let _span = trace::span("lp.split");
+            self.split()
+        };
         let blocks = split.members.blocks();
         trace::count("lp.l1.blocks", blocks as u64);
         // An unknown nothing mentions is in no block and stays at zero.
@@ -351,7 +354,11 @@ impl L1Problem {
         // A block's solve never poses to the memo, so the borrow can span it.
         let mut answers = memo.answers.borrow_mut();
         for b in 0..blocks {
-            let solution = match answers.entry(BlockKey(self.block(&split, b))) {
+            let entry = {
+                let _span = trace::span("lp.block_key");
+                answers.entry(BlockKey(self.block(&split, b)))
+            };
+            let solution = match entry {
                 Entry::Occupied(known) => {
                     trace::count("lp.l1.block_hits", 1);
                     known.into_mut()
@@ -515,12 +522,16 @@ impl L1Problem {
     /// The dual route. `Ok(None)` means the simplex failed numerically or
     /// its answer did not certify; the only error is `Infeasible`.
     fn solve_dual(&self) -> Result<Option<Solution>, SolveError> {
-        let mut pre = Presolve::new(&self.hard)?;
+        let mut pre = {
+            let _span = trace::span("lp.presolve");
+            Presolve::new(&self.hard)?
+        };
         let n_free = pre.reduced.num_vars();
         trace::count("lp.presolve_eliminated", (self.num_vars() - n_free) as u64);
 
         // The dual LP: a boxed column per surviving term, a free column per
         // surviving equality, a row per surviving unknown.
+        let assemble_span = trace::span("lp.dual_assemble");
         let mut dual = Problem::new();
         let mut rows: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); n_free];
         // Terms the presolve reduced to constants cost the same at every x.
@@ -556,6 +567,7 @@ impl L1Problem {
         }
         trace::count("lp.l1.dual_rows", dual.num_constraints() as u64);
         trace::count("lp.l1.dual_cols", dual.num_vars() as u64);
+        drop(assemble_span);
 
         let (dual_objective, reduced_x) = if dual.num_constraints() == 0 {
             (fixed_cost, vec![0.0; n_free])
@@ -572,6 +584,7 @@ impl L1Problem {
                 Err(_) => return Ok(None),
             }
         };
+        let _span = trace::span("lp.certify");
         let values = pre.restore(&reduced_x);
 
         // Certificate: x satisfies the equalities and prices at the dual

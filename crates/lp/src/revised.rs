@@ -737,6 +737,7 @@ struct Standard {
 }
 
 fn standard_form(problem: &Problem) -> Standard {
+    let _span = trace::span("lp.standard_form");
     let n = problem.vars.len();
     let m = problem.constraints.len();
 
