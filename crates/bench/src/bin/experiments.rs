@@ -118,6 +118,11 @@ fn main() {
             "The dual simplex from its feasible origin, roundings repaired by pinning — pivots, phase 1, solve time and every repair on the benchmark cases and the paper programs",
             e31,
         ),
+        (
+            "e33",
+            "The offset RLP posed once, flat — the front end of `lp.solve` by span, allocations and solve time on the benchmark cases; `stage_chain` out to 128 atoms with fitted exponents",
+            e33,
+        ),
     ];
 
     for (id, title, run) in experiments {
@@ -1805,4 +1810,154 @@ fn e31() {
     println!("table: one row per repaired axis solve, values before -> after). The ladder");
     println!("engages nowhere (`align.ladder_engaged` 0), no dual solve falls back to the");
     println!("surrogate expansion and no offset LP fails.");
+}
+
+fn e33() {
+    use benchmark_stats::{log_log_slope, median};
+    use benchmark_workloads::{stage_chain, Kind, StageChain, Workload};
+
+    /// One traced solve, drained.
+    fn traced(solve: &dyn Fn()) -> trace::Trace {
+        trace::reset();
+        trace::configure(trace::TraceConfig::enabled());
+        solve();
+        trace::configure(trace::TraceConfig::default());
+        trace::take()
+    }
+    /// Median wall time of `runs` untraced solves, in ms.
+    fn median_ms(runs: usize, solve: &dyn Fn()) -> f64 {
+        let times: Vec<f64> = (0..runs)
+            .map(|_| {
+                let start = Instant::now();
+                solve();
+                start.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        median(&times)
+    }
+
+    // The thirteen planning cases of the benchmark (`lp_bound`,
+    // `planner_bound`, `size_sweep` at seed 11), solved exactly as an op
+    // solves them. Per case, from one traced solve: the exclusive time of
+    // every span between `assemble_l1` and the first pivot, their sum, and
+    // `lp.solve` inclusive; then the allocations of one untraced solve and
+    // the median wall time of nine.
+    const FRONT: [&str; 9] = [
+        "align.assemble",
+        "lp.split",
+        "lp.block_key",
+        "lp.presolve",
+        "lp.dual_assemble",
+        "lp.standard_form",
+        "lp.crash",
+        "lp.assemble",
+        "lp.certify",
+    ];
+    let mut header = vec!["case"];
+    header.extend(FRONT);
+    header.extend(["front end", "lp.solve incl", "allocations", "solve ms"]);
+    let mut t = Table::new(&header);
+    for kind in [Kind::LpBound, Kind::PlannerBound, Kind::SizeSweep] {
+        let workload = Workload::build(kind, 11).expect("benchmark workload builds");
+        for case in &workload.cases {
+            let cfg = &workload.config;
+            let solve = || {
+                drop(align_then_distribute_dynamic(
+                    &case.program,
+                    case.nprocs,
+                    cfg,
+                ))
+            };
+            solve();
+            let before = bench::alloc::stats().allocations;
+            solve();
+            let allocations = bench::alloc::stats().allocations - before;
+            let solve_ms = median_ms(9, &solve);
+            let profile = trace::profile::Profile::from_trace(&traced(&solve));
+            let row_of = |span: &str| profile.rows.iter().find(|r| r.name == span);
+            let exclusive = |span: &str| row_of(span).map_or(0, |r| r.exclusive_ns) as f64 / 1e6;
+            let mut row = vec![case.name.clone()];
+            row.extend(FRONT.iter().map(|s| format!("{:.2}", exclusive(s))));
+            let front: f64 = FRONT.iter().map(|s| exclusive(s)).sum();
+            row.push(format!("{front:.2}"));
+            let inclusive = row_of("lp.solve").map_or(0, |r| r.inclusive_ns);
+            row.push(format!("{:.2}", inclusive as f64 / 1e6));
+            row.push(allocations.to_string());
+            row.push(format!("{solve_ms:.2}"));
+            t.row(row);
+        }
+    }
+    println!("{t}");
+
+    // `stage_chain` past the benchmark's 32 atoms: the median pass of five,
+    // and from one traced solve `lp.solve` inclusive, the pivots, and the
+    // time of the `lp.scan` spans under `phases.static_baseline` (the
+    // whole-program RLP, whose blocks grow with the atoms).
+    let mut growth = Table::new(&[
+        "atoms",
+        "pass ms",
+        "lp.solve ms",
+        "lp.pivots",
+        "lp.scan calls (baseline)",
+        "lp.scan µs (baseline)",
+    ]);
+    let (mut pass_points, mut scan_points) = (Vec::new(), Vec::new());
+    let config = DynamicConfig::default();
+    for stages in [2usize, 4, 8, 16, 32, 64] {
+        let program = stage_chain(StageChain {
+            n: 32,
+            trips: 8,
+            arrays: 2,
+            stages,
+            seed: 11,
+        });
+        let solve = || drop(align_then_distribute_dynamic(&program, 8, &config));
+        solve();
+        let pass_ms = median_ms(5, &solve);
+        let drained = traced(&solve);
+        let pivots = drained.counters.get("lp.pivots").copied().unwrap_or(0);
+        let under_baseline = |i: usize| {
+            let ancestors =
+                std::iter::successors(drained.spans[i].parent, |&p| drained.spans[p].parent);
+            ancestors
+                .into_iter()
+                .any(|p| drained.spans[p].name == "phases.static_baseline")
+        };
+        let scans = drained.spans.iter().enumerate();
+        let scans = scans.filter(|(i, s)| s.name == "lp.scan" && under_baseline(*i));
+        let (calls, scan_ns) = scans.fold((0u64, 0u64), |(n, ns), (_, s)| (n + 1, ns + s.dur_ns));
+        let profile = trace::profile::Profile::from_trace(&drained);
+        let lp_solve = profile.rows.iter().find(|r| r.name == "lp.solve");
+        let atoms = (2 * stages) as f64;
+        pass_points.push((atoms, pass_ms));
+        scan_points.push((atoms, scan_ns as f64));
+        growth.row(vec![
+            (2 * stages).to_string(),
+            format!("{pass_ms:.2}"),
+            format!("{:.2}", lp_solve.map_or(0, |r| r.inclusive_ns) as f64 / 1e6),
+            pivots.to_string(),
+            calls.to_string(),
+            format!("{:.0}", scan_ns as f64 / 1e3),
+        ]);
+    }
+    println!("{growth}");
+    let tail = |points: &[(f64, f64)]| log_log_slope(&points[points.len() - 3..]);
+    println!(
+        "Fitted exponents over 4..128 atoms: pass time ∝ atoms^{:.2} (last three points {:.2}), \
+         `lp.scan` under the static baseline ∝ atoms^{:.2} (last three points {:.2}).",
+        log_log_slope(&pass_points),
+        tail(&pass_points),
+        log_log_slope(&scan_points),
+        tail(&scan_points),
+    );
+    println!();
+    println!("An offset RLP has one representation from `assemble_l1` to the first pivot:");
+    println!("the equalities and Equation 3's terms sit in two flat arenas of `lp::L1Problem`,");
+    println!("the union-find split, the memo key (the block read through its renumbering,");
+    println!("materialised only on a miss), the equality-chain presolve and the dual's");
+    println!("columns are passes over those slices, and the columns land directly in the");
+    println!("compressed sparse column matrix the crash basis factorises. The simplex is");
+    println!("handed the matrix it was handed before, bit for bit, so the pivot kernels'");
+    println!("call counts, every `lp.*` counter and every plan are unchanged");
+    println!("(`counter_gate`, `tests/l1_differential.rs`, `tests/block_solve.rs`).");
 }

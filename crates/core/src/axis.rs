@@ -69,24 +69,30 @@ pub fn solve_axes(adg: &Adg, alignment: &mut ProgramAlignment) -> f64 {
         .map(|&(_, rank)| candidate_axis_maps(rank, t))
         .collect();
 
+    // One candidate combination, propagated and priced.
+    let evaluate = |idx: &[usize]| {
+        let choice: BTreeMap<ArrayId, Vec<usize>> = arrays
+            .iter()
+            .zip(idx)
+            .map(|(&(a, _), &i)| (a, candidates_at(&candidates, &arrays, a, i)))
+            .collect();
+        let maps = propagate_axis_maps(adg, t, &choice);
+        let cost = discrete_axis_cost(adg, &maps);
+        (maps, cost)
+    };
     let total_combos: usize = candidates.iter().map(|c| c.len()).product();
-    let mut best_choice: Vec<usize> = vec![0; arrays.len()];
+    // The cheapest combination seen, as the maps it propagated to.
+    let mut best_maps: Option<Vec<Vec<usize>>> = None;
     let mut best_cost = f64::INFINITY;
 
     if total_combos <= 4096 && total_combos > 0 {
         // Exhaustive search over array axis maps.
         let mut idx = vec![0usize; arrays.len()];
         loop {
-            let choice: BTreeMap<ArrayId, Vec<usize>> = arrays
-                .iter()
-                .zip(&idx)
-                .map(|(&(a, _), &i)| (a, candidates_at(&candidates, &arrays, a, i)))
-                .collect();
-            let maps = propagate_axis_maps(adg, t, &choice);
-            let cost = discrete_axis_cost(adg, &maps);
+            let (maps, cost) = evaluate(&idx);
             if cost < best_cost {
                 best_cost = cost;
-                best_choice = idx.clone();
+                best_maps = Some(maps);
             }
             if !advance(&mut idx, &candidates) {
                 break;
@@ -100,19 +106,15 @@ pub fn solve_axes(adg: &Adg, alignment: &mut ProgramAlignment) -> f64 {
             improved = false;
             for ai in 0..arrays.len() {
                 let mut local_best = idx[ai];
+                let mut local_maps = None;
                 let mut local_cost = f64::INFINITY;
                 for ci in 0..candidates[ai].len() {
                     idx[ai] = ci;
-                    let choice: BTreeMap<ArrayId, Vec<usize>> = arrays
-                        .iter()
-                        .zip(&idx)
-                        .map(|(&(a, _), &i)| (a, candidates_at(&candidates, &arrays, a, i)))
-                        .collect();
-                    let maps = propagate_axis_maps(adg, t, &choice);
-                    let cost = discrete_axis_cost(adg, &maps);
+                    let (maps, cost) = evaluate(&idx);
                     if cost < local_cost {
                         local_cost = cost;
                         local_best = ci;
+                        local_maps = Some(maps);
                     }
                 }
                 if idx[ai] != local_best {
@@ -121,20 +123,17 @@ pub fn solve_axes(adg: &Adg, alignment: &mut ProgramAlignment) -> f64 {
                 idx[ai] = local_best;
                 if local_cost < best_cost {
                     best_cost = local_cost;
-                    best_choice = idx.clone();
+                    best_maps = local_maps;
                 }
             }
         }
     }
 
-    // Apply the best choice.
-    let choice: BTreeMap<ArrayId, Vec<usize>> = arrays
-        .iter()
-        .zip(&best_choice)
-        .map(|(&(a, _), &i)| (a, candidates_at(&candidates, &arrays, a, i)))
-        .collect();
-    let maps = propagate_axis_maps(adg, t, &choice);
-    let cost = discrete_axis_cost(adg, &maps);
+    // Apply the best choice (the natural maps if nothing priced finite).
+    let (maps, cost) = match best_maps {
+        Some(maps) => (maps, best_cost),
+        None => evaluate(&vec![0; arrays.len()]),
+    };
     for pid in adg.port_ids() {
         alignment.port_mut(pid).axis_map = maps[pid.0].clone();
         // Keep strides sized to the (possibly re-derived) rank.

@@ -20,7 +20,8 @@
 //!
 //! The rows are **derived once and evaluated many times**: an axis solve
 //! derives its [`NodeConstraints`] and every RLP it poses is those rows plus
-//! pins ([`NodeConstraints::pinned`]), every rounded candidate is priced
+//! pins ([`NodeConstraints::pinned`], the flat rows appended to the RLP's
+//! own arena as slices), every rounded candidate is priced
 //! against the same rows ([`NodeConstraints::violation_units`]), and the
 //! cost model's from-scratch violation check reads them the same way. The
 //! objective (per-edge subrange terms) is added by [`crate::mobile_offset`].
@@ -28,7 +29,7 @@
 use crate::position::ProgramAlignment;
 use adg::{Adg, NodeId, NodeKind, PortId, TransformerRole};
 use align_ir::{Affine, LivId, SectionSpec};
-use lp::{Problem, Relation, VarId};
+use lp::{L1Problem, Problem, VarId};
 use std::collections::HashSet;
 
 /// Known-by-known affine product. Returns `None` when both factors depend on
@@ -134,17 +135,20 @@ impl OffsetVars {
     /// span there, by a subrange's weight moments (`Σ w(i)` for the constant
     /// slot, `Σ w(i)·i_liv` per LIV) for the closed form of `Σ_i w(i)·span(i)`
     /// that Equation (3) uses. Constant slots first, then the LIVs either
-    /// port has a slot for, ascending, source before destination; `None` if
-    /// either port is replicated on the axis.
+    /// port has a slot for, ascending, source before destination, written
+    /// into `terms` (emptied first: a buffer the caller keeps, so a term
+    /// never owns a container); `None` if either port is replicated on the
+    /// axis.
     pub fn span_terms(
         &self,
         src: PortId,
         dst: PortId,
         constant: f64,
         liv: impl Fn(LivId) -> f64,
-    ) -> Option<Vec<(VarId, f64)>> {
+        terms: &mut Vec<(VarId, f64)>,
+    ) -> Option<()> {
         let (s, d) = (self.liv_slots(src), self.liv_slots(dst));
-        let mut terms = Vec::with_capacity(2 + s.len() + d.len());
+        terms.clear();
         terms.push((self.constant_slot(src)?, constant));
         terms.push((self.constant_slot(dst)?, -constant));
         let (mut s, mut d) = (s.iter().peekable(), d.iter().peekable());
@@ -156,7 +160,7 @@ impl OffsetVars {
             terms.extend(s.next_if(|a| a.0 == l).map(|a| (a.1, weight)));
             terms.extend(d.next_if(|b| b.0 == l).map(|b| (b.1, -weight)));
         }
-        Some(terms)
+        Some(())
     }
 
     /// Diagnostic name of an offset variable — `off[p3].c` for port 3's
@@ -209,7 +213,7 @@ pub fn build_offset_constraints(
 ) -> OffsetLp {
     let sys = NodeConstraints::derive(adg, alignment, axis, replicated);
     OffsetLp {
-        problem: sys.pinned(adg),
+        problem: sys.pinned(adg).equalities(),
         vars: sys.vars,
     }
 }
@@ -265,29 +269,25 @@ impl NodeConstraints {
             .map(|(start, &(end, rhs))| (&self.terms[start..end], rhs))
     }
 
-    /// The rows as an LP over free, objective-less variables, plus the pin
-    /// of the first source node's definition port to offset 0, which makes
-    /// the (translation-invariant) solution deterministic: the hard part of
-    /// every RLP posed on this axis.
-    pub fn pinned(&self, adg: &Adg) -> Problem {
-        let mut problem = Problem::new();
-        for _ in 0..self.vars.num_vars() {
-            // Unnamed in the LP; see [`OffsetVars::var_name`] for the
-            // diagnostic name.
-            problem.add_free_var("", 0.0);
-        }
+    /// The rows as the equalities of an L1 problem with no terms yet, plus
+    /// the pin of the first source node's definition port to offset 0,
+    /// which makes the (translation-invariant) solution deterministic: the
+    /// hard part of every RLP posed on this axis. The unknowns carry no
+    /// names; see [`OffsetVars::var_name`] for the diagnostic name.
+    pub fn pinned(&self, adg: &Adg) -> L1Problem {
+        let mut l1 = L1Problem::with_unknowns(self.vars.num_vars());
         for (terms, rhs) in self.rows() {
-            problem.add_constraint(terms.to_vec(), Relation::Eq, rhs);
+            l1.add_equality(terms, rhs);
         }
         let first_source = adg
             .nodes()
             .find(|(_, n)| matches!(n.kind, NodeKind::Source { .. }));
         if let Some(&p) = first_source.and_then(|(_, node)| node.output_ports().first()) {
             for v in self.vars.slots(p) {
-                problem.add_constraint(vec![(v, 1.0)], Relation::Eq, 0.0);
+                l1.add_equality(&[(v, 1.0)], 0.0);
             }
         }
-        problem
+        l1
     }
 
     /// The LP value vector of concrete offsets: `offset_of(p)`'s
@@ -677,22 +677,21 @@ mod tests {
         let (_, [p, q, r], vars) = three_ports();
         // Σ_{k=1..3} ((x + y·k) − (x' + y'·k)) with unit weights: moments
         // σ0 = 3, σ1 = 6 -> 3x + 6y − 3x' − 6y'.
-        let terms = vars.span_terms(p, q, 3.0, |l| if l == k { 6.0 } else { 0.0 });
+        let mut terms = Vec::new();
+        vars.span_terms(p, q, 3.0, |l| if l == k { 6.0 } else { 0.0 }, &mut terms);
         let [x, y, x2, y2] = [VarId(0), VarId(1), VarId(2), VarId(3)];
-        assert_eq!(
-            terms,
-            Some(vec![(x, 3.0), (x2, -3.0), (y, 6.0), (y2, -6.0)])
-        );
+        assert_eq!(terms, [(x, 3.0), (x2, -3.0), (y, 6.0), (y2, -6.0)]);
         // A port outside the loop has no slot to weight.
-        let terms = vars.span_terms(p, r, 3.0, |_| 6.0);
-        assert_eq!(terms, Some(vec![(x, 3.0), (VarId(4), -3.0), (y, 6.0)]));
+        vars.span_terms(p, r, 3.0, |_| 6.0, &mut terms);
+        assert_eq!(terms, [(x, 3.0), (VarId(4), -3.0), (y, 6.0)]);
     }
 
     #[test]
     fn span_terms_at_a_fractional_point() {
         let (_, [p, q, _], vars) = three_ports();
         // The span at k = 4.5, where (x, y) = (3, 2) and (x', y') = (0, 0).
-        let terms = vars.span_terms(p, q, 1.0, |_| 4.5).unwrap();
+        let mut terms = Vec::new();
+        vars.span_terms(p, q, 1.0, |_| 4.5, &mut terms).unwrap();
         let values = [3.0, 2.0, 0.0, 0.0, 0.0];
         let at: f64 = terms.iter().map(|&(v, c)| c * values[v.0]).sum();
         assert!((at - 12.0).abs() < 1e-12);
@@ -706,7 +705,7 @@ mod tests {
         assert_eq!(vars.constant_slot(q), None);
         assert!(vars.liv_slots(q).is_empty());
         assert_eq!(vars.constant_slot(r), Some(VarId(2)));
-        assert_eq!(vars.span_terms(p, q, 1.0, |_| 1.0), None);
+        assert_eq!(vars.span_terms(p, q, 1.0, |_| 1.0, &mut Vec::new()), None);
     }
 
     #[test]

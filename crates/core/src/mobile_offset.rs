@@ -40,7 +40,7 @@ use crate::cost::CostModel;
 use crate::position::{OffsetAlign, ProgramAlignment};
 use adg::{Adg, Edge, EdgeId, PortId};
 use align_ir::{Affine, IterationSpace, LivId};
-use lp::{BlockMemo, L1Problem, Relation, VarId};
+use lp::{BlockMemo, L1Problem, VarId};
 use std::borrow::Cow;
 use std::collections::HashSet;
 
@@ -169,6 +169,10 @@ struct Subrange {
     const_moment: f64,
     /// `Σ_{i} w(i)·i_liv` per level of `space`, outermost first.
     liv_moments: Vec<f64>,
+    /// The first and the last point of a subrange of several iterations —
+    /// where the tie-breaking terms sit; none for a single iteration, whose
+    /// main term is already exact.
+    endpoints: Vec<Vec<(LivId, i64)>>,
 }
 
 impl Subrange {
@@ -182,17 +186,27 @@ impl Subrange {
 fn make_subrange(edge: &Edge, space: IterationSpace) -> Subrange {
     let mut const_moment = 0.0;
     let mut liv_moments = vec![0.0; space.depth()];
+    // The walk's first point, and the latest it has seen beyond it.
+    let mut endpoints: Vec<Vec<(LivId, i64)>> = Vec::with_capacity(2);
     space.for_each_point(|point| {
         let w = edge.weight.eval(point) as f64 * edge.control_weight;
         const_moment += w;
         for (moment, &(_, v)) in liv_moments.iter_mut().zip(point) {
             *moment += w * v as f64;
         }
+        match &mut endpoints[..] {
+            [_, last] => last.copy_from_slice(point),
+            _ => endpoints.push(point.to_vec()),
+        }
     });
+    if endpoints.len() < 2 {
+        endpoints.clear();
+    }
     Subrange {
         space,
         const_moment,
         liv_moments,
+        endpoints,
     }
 }
 
@@ -513,9 +527,9 @@ fn assemble_l1(
 ) -> (L1Problem, usize) {
     let _span = trace::span("align.assemble");
     let vars = &sys.vars;
-    let mut problem = sys.pinned(adg);
+    let mut l1 = sys.pinned(adg);
     for &(v, value) in pins {
-        problem.add_constraint(vec![(v, 1.0)], Relation::Eq, value);
+        l1.add_equality(&[(v, 1.0)], value);
     }
 
     if config.forbid_mobile {
@@ -546,11 +560,10 @@ fn assemble_l1(
                 continue;
             }
             for v in vars.slots(pid).skip(1) {
-                problem.add_constraint(vec![(v, 1.0)], Relation::Eq, 0.0);
+                l1.add_equality(&[(v, 1.0)], 0.0);
             }
         }
     }
-    let mut l1 = L1Problem::new(problem);
 
     // Tie-breaking weight: when several solutions minimise the subrange
     // objective (e.g. when the optimum is communication-free), a small
@@ -560,11 +573,10 @@ fn assemble_l1(
     let tie_eps = 1e-3;
 
     let mut num_subranges = 0;
+    // The term being written; `add_abs_term` copies it into the RLP's arena.
+    let mut span = Vec::new();
+    const BOTH_ENDS: &str = "objective edges have variables at both ends";
     for (eid, edge) in cost_edges {
-        let span = |constant, liv: &dyn Fn(LivId) -> f64| {
-            vars.span_terms(edge.src, edge.dst, constant, liv)
-                .expect("objective edges have variables at both ends")
-        };
         for sub in &subranges[eid.0] {
             if sub.const_moment == 0.0 {
                 continue;
@@ -572,17 +584,20 @@ fn assemble_l1(
             num_subranges += 1;
             // Equation (3): Σ_i w(i)·span(i) over the subrange, in closed
             // form through the weight moments.
-            l1.add_abs_term(1.0, span(sub.const_moment, &|l| sub.moment_of(l)), 0.0);
-            // Endpoint tie-breakers (pointless for single-iteration subranges,
-            // whose main term is already exact).
-            if sub.space.size() > 1 {
-                for pt in [sub.space.first_point(), sub.space.last_point()]
-                    .into_iter()
-                    .flatten()
-                {
-                    let at = |l| pt.iter().find(|p| p.0 == l).map_or(0.0, |p| p.1 as f64);
-                    l1.add_abs_term(tie_eps * sub.const_moment.max(1.0), span(1.0, &at), 0.0);
-                }
+            let moments = |l| sub.moment_of(l);
+            vars.span_terms(edge.src, edge.dst, sub.const_moment, moments, &mut span)
+                .expect(BOTH_ENDS);
+            l1.add_abs_term(1.0, span.iter().copied(), 0.0);
+            // Endpoint tie-breakers.
+            for pt in &sub.endpoints {
+                let at = |l| pt.iter().find(|p| p.0 == l).map_or(0.0, |p| p.1 as f64);
+                vars.span_terms(edge.src, edge.dst, 1.0, at, &mut span)
+                    .expect(BOTH_ENDS);
+                l1.add_abs_term(
+                    tie_eps * sub.const_moment.max(1.0),
+                    span.iter().copied(),
+                    0.0,
+                );
             }
         }
     }
@@ -601,9 +616,8 @@ fn solve_once(
     memo: &BlockMemo,
 ) -> (OffsetSolveReport, Vec<Option<Affine>>, Vec<(VarId, f64)>) {
     let num_vars = l1.num_vars() + l1.num_terms();
-    let num_blocks = l1.num_blocks();
-    let num_constraints = l1.equalities().num_constraints();
-    let solution = l1.solve_sharing(memo);
+    let num_constraints = l1.num_equalities();
+    let (solution, num_blocks) = l1.solve_counting_blocks(memo);
 
     // Ports without variables are the replicated ones: they keep `None`.
     let offsets: Vec<Option<Affine>> = match &solution {
@@ -647,7 +661,7 @@ fn solve_once(
         // carries the deterministic translation pin (and the static pins),
         // which are not semantic constraints.
         debug_assert!(
-            !l1.equalities().is_feasible(&values, 1e-6) || units == 0.0,
+            !l1.is_feasible(&values, 1e-6) || units == 0.0,
             "cost model charges {units} violation units for an LP-feasible candidate on axis {axis}"
         );
         let model = CostModel::new(adg);

@@ -23,55 +23,184 @@
 //! what the simplex actually solves; the eliminated variables are restored
 //! by back-substitution.
 
-use crate::model::{Problem, Relation, SolveError};
+use crate::model::{Problem, Relation, SolveError, VarId};
 use crate::EPS;
-use std::collections::BTreeMap;
 
 /// Sentinel root meaning "pinned to a constant".
 const CONST: usize = usize::MAX;
 
 /// `x_i = mult · x_root + offset` (with `root == CONST` meaning `x_i = offset`).
 #[derive(Debug, Clone, Copy)]
-struct Sub {
+pub(crate) struct Sub {
     root: usize,
     mult: f64,
     offset: f64,
 }
 
-/// The substitution map plus the reduced problem.
-pub struct Presolve {
+/// A linear form `Σ coeff·var`, as every row and term is stored.
+pub(crate) type Form = [(VarId, f64)];
+
+/// The substitution map: which variables the equality chains eliminate and
+/// onto what. One implementation serves [`Presolve`] (rows of a
+/// [`Problem`]) and [`crate::L1Problem`] (rows of its arena); neither
+/// allocates per row — a row is combined in `combined`, reused.
+#[derive(Debug)]
+pub(crate) struct Chains {
     /// Per original variable: its affine expression over a representative.
     subs: Vec<Option<Sub>>,
-    /// Original index of each reduced-problem variable.
-    reduced_vars: Vec<usize>,
-    /// Reduced-problem index of each surviving original variable.
+    /// Original index of each surviving variable, ascending.
+    pub(crate) reduced_vars: Vec<usize>,
+    /// Reduced index of each surviving original variable.
     reduced_index: Vec<Option<usize>>,
+    /// [`Chains::combine`]'s result: `(root, coefficient)`, ascending by root.
+    combined: Vec<(usize, f64)>,
+}
+
+/// A constant row `0 = rhs` that does not hold: the presolve's tolerance.
+pub(crate) fn inconsistent(rhs: f64) -> bool {
+    rhs.abs() > 1e-6 * (1.0 + rhs.abs())
+}
+
+impl Chains {
+    /// Sweep the equalities among `rows` — `(terms, relation, rhs)` each —
+    /// absorbing pins and two-variable chains until a fixpoint (a pin can
+    /// shrink a larger equality into a new pin on the next pass). Only
+    /// variables `free` admits are eliminated, so bounds never need
+    /// translating. `Err(Infeasible)` when a chain contradicts itself.
+    pub(crate) fn absorb<'a>(
+        n: usize,
+        free: impl Fn(usize) -> bool,
+        rows: impl Iterator<Item = (&'a Form, Relation, f64)> + Clone,
+    ) -> Result<Chains, SolveError> {
+        let mut chains = Chains {
+            subs: vec![None; n],
+            reduced_vars: Vec::new(),
+            reduced_index: vec![None; n],
+            combined: Vec::new(),
+        };
+        let mut changed = true;
+        let mut passes = 0;
+        while changed && passes < 16 {
+            changed = false;
+            passes += 1;
+            for (terms, relation, rhs) in rows.clone() {
+                if relation != Relation::Eq {
+                    continue;
+                }
+                let rhs = chains.combine(terms, rhs);
+                let eliminable = |subs: &[Option<Sub>], v: usize| free(v) && subs[v].is_none();
+                let onto = |root, mult, offset| Sub { root, mult, offset };
+                let (v, sub) = match chains.combined[..] {
+                    [] if inconsistent(rhs) => return Err(SolveError::Infeasible),
+                    [(v, a)] => (v, onto(CONST, 0.0, rhs / a)),
+                    // Eliminate whichever side is a free, still-root var.
+                    [(x, a), (y, b)] if eliminable(&chains.subs, x) => {
+                        (x, onto(y, -b / a, rhs / a))
+                    }
+                    [(x, a), (y, b)] => (y, onto(x, -a / b, rhs / b)),
+                    _ => continue,
+                };
+                if eliminable(&chains.subs, v) {
+                    chains.subs[v] = Some(sub);
+                    changed = true;
+                }
+            }
+        }
+        Ok(chains)
+    }
+
+    /// Resolve variable `i` to `(root, mult, offset)` with path compression.
+    fn resolve(&mut self, i: usize) -> Sub {
+        match self.subs[i] {
+            None => Sub {
+                root: i,
+                mult: 1.0,
+                offset: 0.0,
+            },
+            Some(s) if s.root == CONST => s,
+            Some(s) => {
+                let r = self.resolve(s.root);
+                let flat = Sub {
+                    root: r.root,
+                    mult: s.mult * r.mult,
+                    offset: s.mult * r.offset + s.offset,
+                };
+                self.subs[i] = Some(flat);
+                flat
+            }
+        }
+    }
+
+    /// Flatten every substitution — `visit(i, x_i's)` in order — then number
+    /// the survivors. After this a substitution no longer changes.
+    pub(crate) fn settle(&mut self, mut visit: impl FnMut(usize, Sub)) {
+        for i in 0..self.subs.len() {
+            let s = self.resolve(i);
+            visit(i, s);
+        }
+        for i in 0..self.subs.len() {
+            if self.resolve(i).root == i {
+                self.reduced_index[i] = Some(self.reduced_vars.len());
+                self.reduced_vars.push(i);
+            }
+        }
+    }
+
+    /// Combine the terms of `Σ coeff·var = rhs` through the current
+    /// substitution: leaves the per-root coefficients in
+    /// [`Chains::combined`] and returns the adjusted right-hand side.
+    pub(crate) fn combine(&mut self, terms: &Form, mut rhs: f64) -> f64 {
+        self.combined.clear();
+        for &(v, a) in terms {
+            let s = self.resolve(v.0);
+            rhs -= a * s.offset;
+            if s.root != CONST && (a * s.mult).abs() > 0.0 {
+                self.combined.push((s.root, a * s.mult));
+            }
+        }
+        // Stable, so a root's coefficients are summed in term order.
+        self.combined.sort_by_key(|&(root, _)| root);
+        self.combined.dedup_by(|next, sum| {
+            let same = next.0 == sum.0;
+            if same {
+                sum.1 += next.1;
+            }
+            same
+        });
+        self.combined.retain(|&(_, a)| a.abs() > EPS);
+        rhs
+    }
+
+    /// The last [`Chains::combine`] over the surviving variables' reduced
+    /// indices (call after [`Chains::settle`]), ascending.
+    pub(crate) fn combined(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let reduced =
+            |&(root, a): &(usize, f64)| (self.reduced_index[root].expect("root var survives"), a);
+        self.combined.iter().map(reduced)
+    }
+
+    /// Expand a solution over the surviving variables back to all of them
+    /// (after [`Chains::settle`], which left every substitution flat).
+    pub(crate) fn restore(&self, reduced_values: &[f64]) -> Vec<f64> {
+        let value = |(i, sub): (usize, &Option<Sub>)| match *sub {
+            None => reduced_values[self.reduced_index[i].expect("root var survives")],
+            Some(s) if s.root == CONST => s.offset,
+            Some(s) => {
+                let root = self.reduced_index[s.root].expect("root var survives");
+                s.mult * reduced_values[root] + s.offset
+            }
+        };
+        self.subs.iter().enumerate().map(value).collect()
+    }
+}
+
+/// The substitution map plus the reduced problem.
+pub struct Presolve {
+    chains: Chains,
     /// The reduced problem.
     pub reduced: Problem,
     /// Constant objective contribution of the eliminated variables.
     pub objective_offset: f64,
-}
-
-/// Resolve variable `i` to `(root, mult, offset)` with path compression.
-fn resolve(subs: &mut [Option<Sub>], i: usize) -> Sub {
-    match subs[i] {
-        None => Sub {
-            root: i,
-            mult: 1.0,
-            offset: 0.0,
-        },
-        Some(s) if s.root == CONST => s,
-        Some(s) => {
-            let r = resolve(subs, s.root);
-            let flat = Sub {
-                root: r.root,
-                mult: s.mult * r.mult,
-                offset: s.mult * r.offset + s.offset,
-            };
-            subs[i] = Some(flat);
-            flat
-        }
-    }
 }
 
 impl Presolve {
@@ -79,111 +208,32 @@ impl Presolve {
     /// internally inconsistent.
     pub fn new(problem: &Problem) -> Result<Presolve, SolveError> {
         let n = problem.num_vars();
-        let mut subs: Vec<Option<Sub>> = vec![None; n];
-        let free: Vec<bool> = (0..n)
-            .map(|i| {
-                let (lo, hi) = problem.bounds(crate::VarId(i));
-                lo == f64::NEG_INFINITY && hi == f64::INFINITY
-            })
-            .collect();
+        let free = |i: usize| problem.bounds(VarId(i)) == (f64::NEG_INFINITY, f64::INFINITY);
+        let rows = problem.constraints.iter();
+        let rows = rows.map(|c| (&c.terms[..], c.relation, c.rhs));
+        let mut chains = Chains::absorb(n, free, rows.clone())?;
 
-        // Repeatedly sweep the equality constraints, absorbing pins and
-        // two-variable chains, until a fixpoint (a pin can shrink a larger
-        // equality into a new pin on the next pass).
-        let mut changed = true;
-        let mut passes = 0;
-        while changed && passes < 16 {
-            changed = false;
-            passes += 1;
-            for c in &problem.constraints {
-                if c.relation != Relation::Eq {
-                    continue;
-                }
-                let (combined, rhs) = combine(&mut subs, &c.terms, c.rhs);
-                let scale = 1.0 + rhs.abs();
-                match combined.len() {
-                    0 if rhs.abs() > 1e-6 * scale => {
-                        return Err(SolveError::Infeasible);
-                    }
-                    0 => {}
-                    1 => {
-                        let (&v, &a) = combined.iter().next().unwrap();
-                        if a.abs() <= EPS {
-                            if rhs.abs() > 1e-6 * scale {
-                                return Err(SolveError::Infeasible);
-                            }
-                            continue;
-                        }
-                        if free[v] && subs[v].is_none() {
-                            subs[v] = Some(Sub {
-                                root: CONST,
-                                mult: 0.0,
-                                offset: rhs / a,
-                            });
-                            changed = true;
-                        }
-                    }
-                    2 => {
-                        let mut it = combined.iter();
-                        let (&x, &a) = it.next().unwrap();
-                        let (&y, &b) = it.next().unwrap();
-                        if a.abs() <= EPS || b.abs() <= EPS {
-                            continue; // handled as a pin on a later pass
-                        }
-                        // Eliminate whichever side is a free, still-root var.
-                        if free[x] && subs[x].is_none() {
-                            subs[x] = Some(Sub {
-                                root: y,
-                                mult: -b / a,
-                                offset: rhs / a,
-                            });
-                            changed = true;
-                        } else if free[y] && subs[y].is_none() {
-                            subs[y] = Some(Sub {
-                                root: x,
-                                mult: -a / b,
-                                offset: rhs / b,
-                            });
-                            changed = true;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-
-        // Build the reduced problem over the surviving representatives.
-        let mut reduced = Problem::new();
-        let mut reduced_index: Vec<Option<usize>> = vec![None; n];
-        let mut reduced_vars = Vec::new();
-        let mut objective_offset = 0.0;
         // Objective of a representative = its own coefficient plus the
         // folded coefficients of everyone substituted onto it.
         let mut obj: Vec<f64> = vec![0.0; n];
-        for i in 0..n {
-            let c = problem.objective_coeff(crate::VarId(i));
-            let s = resolve(&mut subs, i);
-            if s.root == CONST {
-                objective_offset += c * s.offset;
-            } else {
+        let mut objective_offset = 0.0;
+        chains.settle(|i, s| {
+            let c = problem.objective_coeff(VarId(i));
+            if s.root != CONST {
                 obj[s.root] += c * s.mult;
-                objective_offset += c * s.offset;
             }
+            objective_offset += c * s.offset;
+        });
+        let mut reduced = Problem::new();
+        for &i in &chains.reduced_vars {
+            let (lo, hi) = problem.bounds(VarId(i));
+            reduced.add_var(problem.var_name(VarId(i)), lo, hi, obj[i]);
         }
-        for i in 0..n {
-            let s = resolve(&mut subs, i);
-            if s.root == i {
-                let (lo, hi) = problem.bounds(crate::VarId(i));
-                let rid = reduced.add_var(problem.var_name(crate::VarId(i)), lo, hi, obj[i]);
-                reduced_index[i] = Some(rid.0);
-                reduced_vars.push(i);
-            }
-        }
-        for c in &problem.constraints {
-            let (combined, rhs) = combine(&mut subs, &c.terms, c.rhs);
-            if combined.is_empty() {
-                let ok = match c.relation {
-                    Relation::Eq => rhs.abs() <= 1e-6 * (1.0 + rhs.abs()),
+        for (terms, relation, rhs) in rows {
+            let rhs = chains.combine(terms, rhs);
+            if chains.combined.is_empty() {
+                let ok = match relation {
+                    Relation::Eq => !inconsistent(rhs),
                     Relation::Le => rhs >= -1e-6,
                     Relation::Ge => rhs <= 1e-6,
                 };
@@ -192,94 +242,24 @@ impl Presolve {
                 }
                 continue;
             }
-            // Equalities that defined a substitution reduce to `0 = 0` and
-            // were skipped above; anything still carrying roots could not be
-            // absorbed (its roots are bounded variables) and must be kept.
-            let terms: Vec<(crate::VarId, f64)> = combined
-                .iter()
-                .filter(|(_, &a)| a.abs() > EPS)
-                .map(|(&v, &a)| {
-                    (
-                        crate::VarId(reduced_index[v].expect("root var survives")),
-                        a,
-                    )
-                })
-                .collect();
-            if terms.is_empty() {
-                continue;
-            }
-            reduced.add_constraint(terms, c.relation, rhs);
+            // Equalities that defined a substitution reduced to `0 = 0`
+            // above; anything still carrying roots could not be absorbed
+            // (its roots are bounded variables) and must be kept.
+            let terms = chains.combined().map(|(v, a)| (VarId(v), a)).collect();
+            reduced.add_constraint(terms, relation, rhs);
         }
 
         Ok(Presolve {
-            subs,
-            reduced_vars,
-            reduced_index,
+            chains,
             reduced,
             objective_offset,
         })
     }
 
-    /// Rewrite the linear form `Σ coeff·var + constant` over the original
-    /// variables onto the reduced problem's variables: eliminated variables
-    /// are replaced by their substitutions, pins fold into the constant.
-    /// This is how an objective that is not a plain linear function of the
-    /// variables (the absolute-value terms of [`crate::L1Problem`]) follows
-    /// the problem through the presolve.
-    pub fn rewrite(
-        &mut self,
-        terms: &[(crate::VarId, f64)],
-        constant: f64,
-    ) -> (Vec<(crate::VarId, f64)>, f64) {
-        let (combined, rhs) = combine(&mut self.subs, terms, -constant);
-        let terms = combined
-            .into_iter()
-            .map(|(v, a)| {
-                let rid = self.reduced_index[v].expect("root var survives");
-                (crate::VarId(rid), a)
-            })
-            .collect();
-        (terms, -rhs)
-    }
-
     /// Expand a reduced-problem solution back to the full variable vector.
     pub fn restore(&self, reduced_values: &[f64]) -> Vec<f64> {
-        let n = self.subs.len();
-        let mut by_root: Vec<f64> = vec![0.0; n];
-        for (rid, &orig) in self.reduced_vars.iter().enumerate() {
-            by_root[orig] = reduced_values[rid];
-        }
-        let mut subs = self.subs.clone();
-        (0..n)
-            .map(|i| {
-                let s = resolve(&mut subs, i);
-                if s.root == CONST {
-                    s.offset
-                } else {
-                    s.mult * by_root[s.root] + s.offset
-                }
-            })
-            .collect()
+        self.chains.restore(reduced_values)
     }
-}
-
-/// Combine the terms of `Σ coeff·var = rhs` through the current substitution:
-/// returns the per-root coefficients and the adjusted right-hand side.
-fn combine(
-    subs: &mut [Option<Sub>],
-    terms: &[(crate::VarId, f64)],
-    mut rhs: f64,
-) -> (BTreeMap<usize, f64>, f64) {
-    let mut combined: BTreeMap<usize, f64> = BTreeMap::new();
-    for &(v, a) in terms {
-        let s = resolve(subs, v.0);
-        rhs -= a * s.offset;
-        if s.root != CONST && (a * s.mult).abs() > 0.0 {
-            *combined.entry(s.root).or_insert(0.0) += a * s.mult;
-        }
-    }
-    combined.retain(|_, a| a.abs() > EPS);
-    (combined, rhs)
 }
 
 #[cfg(test)]
@@ -355,16 +335,17 @@ mod tests {
         let x2 = p.add_free_var("x2", 0.0);
         p.add_constraint(vec![(x0, 1.0), (x1, -2.0)], Relation::Eq, 1.0);
         p.add_constraint(vec![(x2, 1.0)], Relation::Eq, 5.0);
-        let mut pre = Presolve::new(&p).unwrap();
-        assert_eq!(pre.reduced.num_vars(), 1);
-        // 3·x0 + x1 − x2 + 4  =  7·x1 + 2
-        let (terms, constant) = pre.rewrite(&[(x0, 3.0), (x1, 1.0), (x2, -1.0)], 4.0);
-        assert_eq!(terms, vec![(crate::VarId(0), 7.0)]);
-        assert!((constant - 2.0).abs() < 1e-12);
+        let mut chains = Presolve::new(&p).unwrap().chains;
+        assert_eq!(chains.reduced_vars, [x1.0]);
+        // 3·x0 + x1 − x2 + 4  =  7·x1 + 2: the constant travels negated, as
+        // a right-hand side.
+        let rhs = chains.combine(&[(x0, 3.0), (x1, 1.0), (x2, -1.0)], -4.0);
+        assert_eq!(chains.combined().collect::<Vec<_>>(), [(0, 7.0)]);
+        assert!((rhs + 2.0).abs() < 1e-12);
         // A form over eliminated variables only reduces to a constant.
-        let (terms, constant) = pre.rewrite(&[(x2, 2.0)], -1.0);
-        assert!(terms.is_empty());
-        assert!((constant - 9.0).abs() < 1e-12);
+        let rhs = chains.combine(&[(x2, 2.0)], 1.0);
+        assert_eq!(chains.combined().count(), 0);
+        assert!((rhs + 9.0).abs() < 1e-12);
     }
 
     #[test]

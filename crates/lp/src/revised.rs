@@ -77,7 +77,7 @@ const CBAR_REFRESH: usize = 25;
 
 /// The solver working state over the standard-form columns
 /// (structural | slack | artificial).
-struct Revised {
+pub(crate) struct Revised {
     /// Number of rows.
     m: usize,
     /// The row-equilibrated constraint matrix, built once per solve.
@@ -100,6 +100,9 @@ struct Revised {
     factor: LuFactor,
     /// First artificial column index.
     art0: usize,
+    /// The objective over all columns (slacks and artificials cost
+    /// nothing): what phase 2 minimises.
+    cost: Vec<f64>,
 }
 
 enum RunResult {
@@ -623,11 +626,13 @@ impl Revised {
         }
     }
 
-    /// Row duals `π = B⁻ᵀc_B` of the current basis under `cost`, in the
-    /// units of the caller's rows (the solver's internal row equilibration
-    /// undone). At an optimal basis these are the LP's dual values.
-    fn row_duals(&mut self, cost: &[f64]) -> Vec<f64> {
-        let cb: Vec<f64> = self.basis.iter().map(|&j| cost[j]).collect();
+    /// Row duals `π = B⁻ᵀc_B` of the current basis under the objective, in
+    /// the units of the caller's rows (the solver's internal row
+    /// equilibration undone): the reduced cost of column `j` is
+    /// `c_j − π·a_j`. At an optimal basis these are the LP's dual values —
+    /// how [`crate::L1Problem`] reads its unknowns off the dual it solves.
+    pub(crate) fn row_duals(&mut self) -> Vec<f64> {
+        let cb: Vec<f64> = self.basis.iter().map(|&j| self.cost[j]).collect();
         let mut y = vec![0.0; self.m];
         self.btran_costs(&cb, &mut y);
         for (yi, s) in y.iter_mut().zip(&self.row_scale) {
@@ -667,7 +672,7 @@ impl KernelBench {
     /// freshly refactorised. `None` when the problem has no optimum, no
     /// rows, or no structural columns to sweep.
     pub fn prepare(problem: &Problem, _kernel: Kernel) -> Option<KernelBench> {
-        let (_, solver) = optimise(problem).ok()?;
+        let (_, solver) = optimise(standard_form(problem)).ok()?;
         let mut rev = solver?;
         if !rev.refactorize() {
             return None;
@@ -723,17 +728,22 @@ fn nearest_zero(lower: f64, upper: f64) -> f64 {
 }
 
 /// Standard-form columns (structural | slack) before the crash basis is
-/// chosen.
-struct Standard {
-    m: usize,
-    n: usize,
-    cols: Vec<Vec<(usize, f64)>>,
-    b: Vec<f64>,
-    row_scale: Vec<f64>,
-    lower: Vec<f64>,
-    upper: Vec<f64>,
-    x: Vec<f64>,
-    slack_of_row: Vec<Option<usize>>,
+/// chosen: the one thing [`cold_start`] takes. A [`Problem`] is transposed
+/// into it ([`standard_form`]); [`crate::L1Problem`] writes the columns of
+/// its dual into it directly.
+pub(crate) struct Standard {
+    /// The structural columns, `n` of them, then one unit column per slack.
+    /// A column's rows ascend, one entry per row.
+    pub(crate) csc: CscMatrix,
+    pub(crate) n: usize,
+    /// Right-hand side and, per row, the factor that equilibrated it.
+    pub(crate) b: Vec<f64>,
+    pub(crate) row_scale: Vec<f64>,
+    /// Bounds of every column.
+    pub(crate) lower: Vec<f64>,
+    pub(crate) upper: Vec<f64>,
+    /// Objective of the structural columns.
+    pub(crate) cost: Vec<f64>,
 }
 
 fn standard_form(problem: &Problem) -> Standard {
@@ -745,68 +755,78 @@ fn standard_form(problem: &Problem) -> Standard {
     // tableau solver: alignment constraint systems mix element-count weights
     // in the thousands with unit coefficients.
     let mut row_scale = vec![1.0f64; m];
+    let mut col_ptr = vec![0usize; n + 1];
     for (i, c) in problem.constraints.iter().enumerate() {
         let mag = c.terms.iter().fold(0.0f64, |a, &(_, v)| a.max(v.abs()));
         row_scale[i] = mag.max(1e-12).recip();
+        for &(v, a) in &c.terms {
+            col_ptr[v.0 + 1] += usize::from(a != 0.0);
+        }
     }
-
-    let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+    for j in 0..n {
+        col_ptr[j + 1] += col_ptr[j];
+    }
+    // Transpose: rows are dealt in order, so a column's rows ascend and a
+    // variable one row names twice lands in adjacent entries.
+    let mut next = col_ptr.clone();
+    let mut row_idx = vec![0usize; col_ptr[n]];
+    let mut values = vec![0.0f64; col_ptr[n]];
     let mut b = vec![0.0; m];
     for (i, c) in problem.constraints.iter().enumerate() {
         b[i] = c.rhs * row_scale[i];
-        for &(v, a) in &c.terms {
+        for &(v, a) in c.terms.iter().filter(|t| t.1 != 0.0) {
+            row_idx[next[v.0]] = i;
+            values[next[v.0]] = a * row_scale[i];
+            next[v.0] += 1;
+        }
+    }
+    // Merge duplicate terms within a column's row list, in place.
+    let (mut kept, mut k) = (0, 0);
+    for j in 0..n {
+        let end = col_ptr[j + 1];
+        col_ptr[j] = kept;
+        while k < end {
+            let i = row_idx[k];
+            let mut a = values[k];
+            k += 1;
+            while k < end && row_idx[k] == i {
+                a += values[k];
+                k += 1;
+            }
             if a != 0.0 {
-                cols[v.0].push((i, a * row_scale[i]));
+                row_idx[kept] = i;
+                values[kept] = a;
+                kept += 1;
             }
         }
     }
-    // Merge duplicate terms within a column's row list.
-    for col in cols.iter_mut() {
-        col.sort_by_key(|&(i, _)| i);
-        col.dedup_by(|&mut (i2, a2), &mut (i1, ref mut a1)| {
-            if i1 == i2 {
-                *a1 += a2;
-                true
-            } else {
-                false
-            }
-        });
-        col.retain(|&(_, a)| a != 0.0);
-    }
+    col_ptr[n] = kept;
+    row_idx.truncate(kept);
+    values.truncate(kept);
 
+    let mut csc = CscMatrix::from_parts(m, col_ptr, row_idx, values);
     let mut lower: Vec<f64> = problem.vars.iter().map(|v| v.lower).collect();
     let mut upper: Vec<f64> = problem.vars.iter().map(|v| v.upper).collect();
-    let mut x: Vec<f64> = problem
-        .vars
-        .iter()
-        .map(|v| nearest_zero(v.lower, v.upper))
-        .collect();
-
     // Slacks: `Ax + s = b` with `s >= 0` for `<=`, `s <= 0` for `>=`.
-    let mut slack_of_row: Vec<Option<usize>> = vec![None; m];
     for (i, c) in problem.constraints.iter().enumerate() {
         let (lo, hi) = match c.relation {
             Relation::Le => (0.0, f64::INFINITY),
             Relation::Ge => (f64::NEG_INFINITY, 0.0),
             Relation::Eq => continue,
         };
-        slack_of_row[i] = Some(cols.len());
-        cols.push(vec![(i, 1.0)]);
+        csc.push_unit_col(i, 1.0);
         lower.push(lo);
         upper.push(hi);
-        x.push(0.0);
     }
 
     Standard {
-        m,
+        csc,
         n,
-        cols,
         b,
         row_scale,
         lower,
         upper,
-        x,
-        slack_of_row,
+        cost: problem.vars.iter().map(|v| v.obj).collect(),
     }
 }
 
@@ -814,16 +834,28 @@ fn standard_form(problem: &Problem) -> Standard {
 fn cold_start(sf: Standard) -> Revised {
     let _span = trace::span("lp.crash");
     let Standard {
-        m,
+        mut csc,
         n,
-        mut cols,
         b,
         row_scale,
         mut lower,
         mut upper,
-        mut x,
-        slack_of_row,
+        mut cost,
     } = sf;
+    let m = csc.m();
+    // Every column starts at the point of its range nearest zero.
+    let mut x: Vec<f64> = lower
+        .iter()
+        .zip(&upper)
+        .map(|(&lo, &hi)| nearest_zero(lo, hi))
+        .collect();
+    // Row `r`'s columns, ascending — its structural ones, then its slack:
+    // what the crash scans, and (no artificial is ever priced) the index
+    // Devex discovers its candidates through.
+    let csr = {
+        let _span = trace::span("lp.assemble");
+        CsrIndex::build(&csc, csc.ncols())
+    };
 
     // Crash basis from the residual of the nonbasic start point. Rows are
     // processed in order and each picks the cheapest basic column that makes
@@ -850,21 +882,12 @@ fn cold_start(sf: Standard) -> Revised {
     // phase 1 runs, and such an artificial leaves only if the objective
     // moves its row.
     let mut resid = b.clone();
-    for (j, col) in cols.iter().enumerate() {
-        if x[j] != 0.0 {
-            for &(i, a) in col {
-                resid[i] -= a * x[j];
-            }
+    for (j, &xj) in x.iter().enumerate().filter(|&(_, &xj)| xj != 0.0) {
+        let (rows, vals) = csc.col(j);
+        for (&i, &a) in rows.iter().zip(vals) {
+            resid[i] -= a * xj;
         }
     }
-    // Row-major structural view for the crash scan.
-    let mut rows_structural: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
-    for (j, col) in cols.iter().enumerate().take(n) {
-        for &(i, a) in col {
-            rows_structural[i].push((j, a));
-        }
-    }
-
     #[derive(Clone, Copy, PartialEq)]
     enum RowState {
         Unprocessed,
@@ -874,10 +897,11 @@ fn cold_start(sf: Standard) -> Revised {
     let mut state = vec![RowState::Unprocessed; m];
     let mut basis = vec![usize::MAX; m];
     let mut col_basic = vec![false; n];
+    let mut candidates: Vec<(usize, f64)> = Vec::new();
 
     for r in 0..m {
         // 1. Slack crash.
-        if let Some(sc) = slack_of_row[r] {
+        if let Some(&sc) = csr.row(r).last().filter(|&&j| j >= n) {
             if resid[r] >= lower[sc] && resid[r] <= upper[sc] {
                 x[sc] = resid[r];
                 basis[r] = sc;
@@ -888,12 +912,14 @@ fn cold_start(sf: Standard) -> Revised {
         // 2. Structural crash. Candidates are tried lowest column fan-out
         // first: a column private to this row disturbs no other residual,
         // one shared with many rows disturbs them all.
-        let mut candidates: Vec<(usize, f64)> = rows_structural[r]
-            .iter()
-            .filter(|&&(j, a)| !col_basic[j] && a.abs() >= 0.1)
-            .map(|&(j, a)| (j, a))
-            .collect();
-        candidates.sort_by_key(|&(j, _)| cols[j].len());
+        let in_row = csr.row(r).iter().take_while(|&&j| j < n);
+        let in_row = in_row.map(|&j| {
+            let (rows, vals) = csc.col(j);
+            (j, vals[rows.binary_search(&r).expect("an indexed entry")])
+        });
+        candidates.clear();
+        candidates.extend(in_row.filter(|&(j, a)| !col_basic[j] && a.abs() >= 0.1));
+        candidates.sort_by_key(|&(j, _)| csc.col_nnz(j));
         let mut chosen: Option<(usize, f64)> = None; // (col, new value)
         'candidates: for &(j, a) in &candidates {
             let delta = resid[r] / a;
@@ -902,7 +928,8 @@ fn cold_start(sf: Standard) -> Revised {
                 continue;
             }
             // The shift must not break rows already made feasible.
-            for &(i, aij) in &cols[j] {
+            let (rows, vals) = csc.col(j);
+            for (&i, &aij) in rows.iter().zip(vals) {
                 if i == r {
                     continue;
                 }
@@ -924,7 +951,8 @@ fn cold_start(sf: Standard) -> Revised {
         if let Some((j, xj_new)) = chosen {
             let delta = xj_new - x[j];
             x[j] = xj_new;
-            for &(i, aij) in &cols[j] {
+            let (rows, vals) = csc.col(j);
+            for (&i, &aij) in rows.iter().zip(vals) {
                 resid[i] -= aij * delta;
                 if state[i] == RowState::SlackBasic {
                     x[basis[i]] -= aij * delta;
@@ -937,12 +965,8 @@ fn cold_start(sf: Standard) -> Revised {
         }
         state[r] = RowState::Fixed; // artificial decided below
     }
-    // As large as the matrix, and dead: the column and row stores assembled
-    // below are where a solve's heap peaks.
-    drop(rows_structural);
-
     // 3. Artificials for whatever is left.
-    let art0 = cols.len();
+    let art0 = csc.ncols();
     for r in 0..m {
         if basis[r] != usize::MAX {
             // The crash may have nudged a slack-crashed row's value; the
@@ -951,22 +975,20 @@ fn cold_start(sf: Standard) -> Revised {
             continue;
         }
         let sign = if resid[r] < 0.0 { -1.0 } else { 1.0 };
-        basis[r] = cols.len();
-        cols.push(vec![(r, sign)]);
+        basis[r] = csc.ncols();
+        csc.push_unit_col(r, sign);
         lower.push(0.0);
         upper.push(f64::INFINITY);
         x.push(resid[r].abs());
     }
 
-    let ncols = cols.len();
+    let ncols = csc.ncols();
     let mut in_basis = vec![false; ncols];
     for &j in &basis {
         in_basis[j] = true;
     }
+    cost.resize(ncols, 0.0);
 
-    let _span = trace::span("lp.assemble");
-    let csc = CscMatrix::from_cols(m, &cols);
-    let csr = CsrIndex::build(&csc, art0);
     Revised {
         m,
         csc,
@@ -980,72 +1002,50 @@ fn cold_start(sf: Standard) -> Revised {
         in_basis,
         factor: LuFactor::new(m),
         art0,
+        cost,
     }
 }
 
 /// Solve `problem` with the bounded-variable revised simplex.
 pub fn solve(problem: &Problem) -> Result<Solution, SolveError> {
-    optimise(problem).map(|(sol, _)| sol)
+    optimise(standard_form(problem)).map(|(sol, _)| sol)
 }
 
-/// Solve `problem` and also return its optimal row duals `B⁻ᵀc_B`, one per
-/// constraint in the caller's (un-equilibrated) row units: the reduced cost
-/// of column `j` is `c_j − π·a_j`. This is how [`crate::L1Problem`] reads
-/// its primal unknowns off the dual LP it actually solves.
-pub(crate) fn solve_with_row_duals(problem: &Problem) -> Result<(Solution, Vec<f64>), SolveError> {
-    let (solution, solver) = optimise(problem)?;
-    let duals = match solver {
-        Some(mut solver) => {
-            let cost = structural_cost(problem, solver.csc.ncols());
-            solver.row_duals(&cost)
-        }
-        None => Vec::new(),
-    };
-    Ok((solution, duals))
-}
-
-/// The user objective over the solver's columns (slacks and artificials
-/// cost nothing).
-fn structural_cost(problem: &Problem, ncols: usize) -> Vec<f64> {
-    let mut cost = vec![0.0; ncols];
-    for (c, v) in cost.iter_mut().zip(&problem.vars) {
-        *c = v.obj;
-    }
-    cost
-}
-
-/// Both phases of a solve. Returns the optimum and — unless the problem
-/// has no rows — the solver parked at the optimal basis.
-fn optimise(problem: &Problem) -> Result<(Solution, Option<Revised>), SolveError> {
-    let n = problem.vars.len();
-    let m = problem.constraints.len();
+/// Both phases of a solve. Returns the optimum over the structural columns
+/// and — unless there are no rows — the solver parked at the optimal basis.
+pub(crate) fn optimise(sf: Standard) -> Result<(Solution, Option<Revised>), SolveError> {
+    let n = sf.n;
+    let m = sf.csc.m();
+    let objective_at =
+        |cost: &[f64], values: &[f64]| -> f64 { cost.iter().zip(values).map(|(c, x)| c * x).sum() };
 
     if m == 0 {
         // Pure bound minimisation: each variable independently runs to the
         // bound its objective coefficient points at.
         let mut values = vec![0.0; n];
-        for (i, v) in problem.vars.iter().enumerate() {
-            values[i] = if v.obj > 0.0 {
-                if !v.lower.is_finite() {
+        for (i, &obj) in sf.cost.iter().enumerate() {
+            let (lower, upper) = (sf.lower[i], sf.upper[i]);
+            values[i] = if obj > 0.0 {
+                if !lower.is_finite() {
                     return Err(SolveError::Unbounded);
                 }
-                v.lower
-            } else if v.obj < 0.0 {
-                if !v.upper.is_finite() {
+                lower
+            } else if obj < 0.0 {
+                if !upper.is_finite() {
                     return Err(SolveError::Unbounded);
                 }
-                v.upper
+                upper
             } else {
-                nearest_zero(v.lower, v.upper)
+                nearest_zero(lower, upper)
             };
         }
-        let objective = problem.eval_objective(&values);
+        let objective = objective_at(&sf.cost, &values);
         return Ok((Solution { values, objective }, None));
     }
 
     // The crash basis mixes slack, structural and artificial columns;
     // factorise it once up front and derive all basic values consistently.
-    let mut solver = cold_start(standard_form(problem));
+    let mut solver = cold_start(sf);
     if !solver.refactorize() {
         return Err(SolveError::IterationLimit);
     }
@@ -1102,8 +1102,10 @@ fn optimise(problem: &Problem) -> Result<(Solution, Option<Revised>), SolveError
         }
     }
 
-    let phase2_cost = structural_cost(problem, ncols);
-    match solver.run(&phase2_cost, max_iters, 1) {
+    let cost = std::mem::take(&mut solver.cost);
+    let phase2 = solver.run(&cost, max_iters, 1);
+    solver.cost = cost;
+    match phase2 {
         // A stalled phase 2 is accepted as optimal: the vertex is feasible
         // and the callers this solver serves re-price the result exactly.
         RunResult::Optimal | RunResult::Stalled => {}
@@ -1112,7 +1114,7 @@ fn optimise(problem: &Problem) -> Result<(Solution, Option<Revised>), SolveError
     }
 
     let values: Vec<f64> = solver.x[..n].to_vec();
-    let objective = problem.eval_objective(&values);
+    let objective = objective_at(&solver.cost, &values);
     Ok((Solution { values, objective }, Some(solver)))
 }
 
@@ -1543,7 +1545,7 @@ mod tests {
     fn a_solve_feasible_at_the_origin_runs_no_phase_1_and_keeps_zero_artificials() {
         let (dual, l1) = two_component_dual();
         let phase1_before = trace::counter("lp.phase1_pivots");
-        let (solution, solver) = optimise(&dual).unwrap();
+        let (solution, solver) = optimise(standard_form(&dual)).unwrap();
         assert_eq!(trace::counter("lp.phase1_pivots"), phase1_before);
         let mut solver = solver.expect("the dual has rows");
         // Rows 1 and 3 crash onto artificials (their one column sits in a
@@ -1559,13 +1561,73 @@ mod tests {
 
         // The row duals are the L1 problem's unknowns: the surrogate
         // expansion (infeasible at its origin, so phase 1 and all) agrees.
-        let cost = structural_cost(&dual, solver.csc.ncols());
-        let duals = solver.row_duals(&cost);
+        let duals = solver.row_duals();
         let primal = l1.to_primal().solve().unwrap();
         for (r, want) in [3.0, 3.0, 0.0, 0.0].into_iter().enumerate() {
             assert_close(duals[r], want);
             assert_close(primal.values[r], want);
         }
+    }
+
+    #[test]
+    fn the_dual_written_column_by_column_is_the_row_wise_dual_transposed() {
+        fn bits(v: &[f64]) -> Vec<u64> {
+            v.iter().map(|x| x.to_bits()).collect()
+        }
+        fn assert_same(direct: &Standard, row_wise: &Standard) {
+            let cols = |sf: &Standard| {
+                let col = |j| (sf.csc.col(j).0.to_vec(), bits(sf.csc.col(j).1));
+                (0..sf.csc.ncols()).map(col).collect::<Vec<_>>()
+            };
+            assert_eq!(cols(direct), cols(row_wise));
+            assert_eq!((direct.csc.m(), direct.n), (row_wise.csc.m(), row_wise.n));
+            let lists =
+                |sf: &Standard| [&sf.b, &sf.row_scale, &sf.lower, &sf.upper].map(|v| bits(v));
+            assert_eq!(lists(direct), lists(row_wise));
+            // By value: a hand-written `−0` constant may differ in its sign.
+            assert_eq!(direct.cost, row_wise.cost);
+        }
+        let (dual, l1) = two_component_dual();
+        assert_same(&l1.pose_dual().unwrap().0, &standard_form(&dual));
+
+        // One block of the benchmark's `stage_chain-8`, with the standard
+        // form the retired route — presolved `Problem`, row-wise dual
+        // `Problem`, a `Vec` per column — built for it.
+        type Form = &'static [(usize, u64)];
+        #[allow(clippy::type_complexity)]
+        let (unknowns, equalities, terms, m, columns, scales): (
+            usize,
+            &[(u64, Form)],
+            &[(u64, u64, Form)],
+            usize,
+            &[([u64; 3], Form)],
+            &[u64],
+        ) = include!("../testdata/stage_chain8_block.in");
+        let number = f64::from_bits;
+        let form = |form: Form| form.iter().map(|&(v, a)| (crate::VarId(v), number(a)));
+        let mut l1 = crate::L1Problem::with_unknowns(unknowns);
+        for &(rhs, row) in equalities {
+            l1.add_equality(&form(row).collect::<Vec<_>>(), number(rhs));
+        }
+        for &(weight, constant, term) in terms {
+            l1.add_abs_term(number(weight), form(term), number(constant));
+        }
+        let column = |(_, col): &(_, Form)| col.iter().map(|&(i, a)| (i, number(a))).collect();
+        let cols: Vec<Vec<(usize, f64)>> = columns.iter().map(column).collect();
+        let heads = |k: usize| columns.iter().map(|(head, _)| number(head[k])).collect();
+        let captured = Standard {
+            n: cols.len(),
+            csc: CscMatrix::from_cols(m, &cols),
+            b: vec![0.0; m],
+            row_scale: scales.iter().map(|&s| number(s)).collect(),
+            lower: heads(0),
+            upper: heads(1),
+            cost: heads(2),
+        };
+        assert_eq!((l1.num_terms(), captured.n, m), (94, 97, 24));
+        let direct = l1.pose_dual().unwrap().0;
+        assert_same(&direct, &captured);
+        assert_eq!(bits(&direct.cost), bits(&captured.cost));
     }
 
     #[test]
@@ -1587,7 +1649,7 @@ mod tests {
         p.add_constraint(vec![(x0, 1.0), (w, 0.05)], Relation::Eq, 3.0);
         let counters = ["lp.pivots", "lp.phase1_pivots"];
         let before = counters.map(trace::counter);
-        let (solution, solver) = optimise(&p).unwrap();
+        let (solution, solver) = optimise(standard_form(&p)).unwrap();
         let after = counters.map(trace::counter);
         let solver = solver.expect("the problem has rows");
         assert_close(solution.objective, 1.0);

@@ -4,15 +4,15 @@
 //!
 //! The alignment LPs the paper's mobile-offset formulation produces are
 //! extremely sparse — each constraint row touches 2–4 variables — so the
-//! kernel never stores the matrix densely. Columns are built **once** per
-//! solve from the standard-form term lists; everything downstream (pricing
-//! gathers, the LU factorisation, Devex candidate discovery) reads the
-//! shared CSC/CSR views.
+//! kernel never stores the matrix densely. Columns are written **once** per
+//! solve, straight into the CSC arrays (`revised::Standard`); everything
+//! downstream (the crash, pricing gathers, the LU factorisation, Devex
+//! candidate discovery) reads the shared CSC/CSR views.
 
 /// Compressed sparse column matrix. Row indices within a column are stored
-/// in the order the standard-form builder produced them (ascending, after
-/// its sort + dedup pass), which the pricing gathers rely on for bitwise
-/// reproducibility with the historical `Vec<Vec<(row, value)>>` layout.
+/// in the order the standard-form builder produced them (ascending, one
+/// entry per row), which the pricing gathers rely on for bitwise
+/// reproducibility.
 #[derive(Debug, Clone)]
 pub(crate) struct CscMatrix {
     m: usize,
@@ -22,27 +22,45 @@ pub(crate) struct CscMatrix {
 }
 
 impl CscMatrix {
-    /// Build from per-column `(row, value)` term lists.
-    pub fn from_cols(m: usize, cols: &[Vec<(usize, f64)>]) -> Self {
-        let nnz: usize = cols.iter().map(Vec::len).sum();
-        let mut col_ptr = Vec::with_capacity(cols.len() + 1);
-        let mut row_idx = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        col_ptr.push(0);
-        for col in cols {
-            for &(i, a) in col {
-                debug_assert!(i < m);
-                row_idx.push(i);
-                values.push(a);
-            }
-            col_ptr.push(row_idx.len());
-        }
+    /// The matrix whose column `j` is rows `row_idx[col_ptr[j]..col_ptr[j + 1]]`
+    /// with the values beside them.
+    pub fn from_parts(
+        m: usize,
+        col_ptr: Vec<usize>,
+        row_idx: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Self {
+        debug_assert_eq!(col_ptr.last(), Some(&row_idx.len()));
+        debug_assert!(row_idx.len() == values.len() && row_idx.iter().all(|&i| i < m));
         CscMatrix {
             m,
             col_ptr,
             row_idx,
             values,
         }
+    }
+
+    /// Build from per-column `(row, value)` term lists.
+    #[cfg(test)]
+    pub fn from_cols(m: usize, cols: &[Vec<(usize, f64)>]) -> Self {
+        let mut csc = CscMatrix::from_parts(m, vec![0], Vec::new(), Vec::new());
+        for col in cols {
+            for &(i, a) in col {
+                csc.row_idx.push(i);
+                csc.values.push(a);
+            }
+            csc.col_ptr.push(csc.row_idx.len());
+        }
+        csc
+    }
+
+    /// Append a column with the one entry `value` in row `i` (a slack or an
+    /// artificial).
+    pub fn push_unit_col(&mut self, i: usize, value: f64) {
+        debug_assert!(i < self.m);
+        self.row_idx.push(i);
+        self.values.push(value);
+        self.col_ptr.push(self.row_idx.len());
     }
 
     pub fn m(&self) -> usize {

@@ -3,11 +3,12 @@
 //! evaluation step that rebuilds what an earlier step already had shows up
 //! there first. This binary holds one test, so nothing else allocates while
 //! it counts: each budget is the allocation count of one warm solve, set
-//! about a quarter above what the solve measured (75 680 and 130 147 with
-//! debug assertions on) when template extents became a closed form, the
-//! node constraints were derived once per axis solve and each atom's
-//! distribution model was built once. The commit before allocated 295 362
-//! and 351 453 times.
+//! about a quarter above what the solve measured (59 148 and 84 204 with
+//! debug assertions on) when the offset RLP got one flat representation
+//! from its assembly to the first pivot. The commit before allocated 75 680
+//! and 130 147 times; the one that still enumerated template extents corner
+//! by corner and re-derived the node constraints per candidate, 295 362 and
+//! 351 453.
 
 use array_alignment::prelude::*;
 
@@ -35,7 +36,7 @@ fn warm_solves_stay_within_their_allocation_budgets() {
             "reduction_tree(64,64)@32",
             programs::reduction_tree(64, 64),
             32,
-            94_000u64,
+            74_000u64,
         ),
         (
             "stage_chain-16@8",
@@ -47,7 +48,7 @@ fn warm_solves_stay_within_their_allocation_budgets() {
                 seed: 11,
             }),
             8,
-            162_000u64,
+            105_000u64,
         ),
     ];
     for (name, program, nprocs, budget) in cases {

@@ -5,9 +5,17 @@
 //! check, not a formality: the table below was pinned on the commit before
 //! the change, where every RLP was one monolithic solve.
 //! `pinned_plans_offsets_and_ladder_counters` uses only API that exists
-//! there, so it can be run unchanged on that commit.
+//! there, so it can be run unchanged on that commit. The two tests after it
+//! are about the memo itself: what a block answered from it costs, and what
+//! makes two blocks different keys.
 
+use array_alignment::lp::{BlockMemo, L1Problem, Problem, Relation};
 use array_alignment::prelude::*;
+use std::sync::Mutex;
+
+/// The tests of this file run one at a time: one of them counts the
+/// process's allocations.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 // The `stage_chain` programs are the ones the benchmark's `size_sweep` times.
 #[allow(dead_code)]
@@ -204,6 +212,7 @@ fn fold_offsets(result: &DynamicPipelineResult) -> (usize, u64) {
 
 #[test]
 fn pinned_plans_offsets_and_ladder_counters() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let mut mismatches = Vec::new();
     for (name, program, nprocs, pinned) in cases() {
         let before = CounterSnapshot::now();
@@ -228,4 +237,87 @@ fn pinned_plans_offsets_and_ladder_counters() {
         }
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+/// `copies` copies of one three-unknown block — `weight·|x − y − 3| +
+/// 2·|y + shift| + |z|` under `x + y − z = 1`, the first term cut to
+/// `length` entries — side by side over disjoint unknowns.
+fn copies_of_a_block(copies: usize, weight: f64, shift: f64, length: usize) -> L1Problem {
+    let mut hard = Problem::new();
+    let unknowns: Vec<_> = (0..3 * copies)
+        .map(|_| hard.add_free_var("", 0.0))
+        .collect();
+    for xyz in unknowns.chunks(3) {
+        let row = vec![(xyz[0], 1.0), (xyz[1], 1.0), (xyz[2], -1.0)];
+        hard.add_constraint(row, Relation::Eq, 1.0);
+    }
+    let mut l1 = L1Problem::new(hard);
+    for xyz in unknowns.chunks(3) {
+        let span = [(xyz[0], 1.0), (xyz[1], -1.0)];
+        l1.add_abs_term(weight, span[..length].to_vec(), -3.0);
+        l1.add_abs_term(2.0, vec![(xyz[1], 1.0)], shift);
+        l1.add_abs_term(1.0, vec![(xyz[2], 1.0)], 0.0);
+    }
+    l1
+}
+
+#[test]
+fn a_block_answered_from_the_memo_allocates_nothing() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let memo = BlockMemo::default();
+    let one = copies_of_a_block(1, 1.0, 0.0, 2);
+    let many = copies_of_a_block(64, 1.0, 0.0, 2);
+    many.solve_sharing(&memo).expect("the block is feasible");
+    assert_eq!(memo.distinct_blocks(), 1);
+    // The least of a few counts: the test harness may allocate on its own
+    // thread while this one solves.
+    let allocations = |l1: &L1Problem| {
+        let count = |_| {
+            let before = bench::alloc::stats().allocations;
+            let solution = l1.solve_sharing(&memo);
+            let after = bench::alloc::stats().allocations;
+            assert!(solution.is_ok());
+            after - before
+        };
+        (0..5).map(count).min().unwrap()
+    };
+    let hits = trace::counter("lp.l1.block_hits");
+    let (for_one, for_many) = (allocations(&one), allocations(&many));
+    assert_eq!(trace::counter("lp.l1.block_hits") - hits, 5 * 65);
+    assert_eq!(memo.distinct_blocks(), 1, "every block was a hit");
+    // What a solve allocates is sized by the problem — the split's index
+    // vectors, the values — but counted per problem: 63 more blocks, posed
+    // and answered, allocate nothing.
+    assert_eq!(for_many, for_one);
+}
+
+#[test]
+fn blocks_one_bit_one_sign_or_one_entry_apart_are_different_keys() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let next = f64::from_bits(1.0f64.to_bits() + 1);
+    let variants = [
+        copies_of_a_block(1, 1.0, 0.0, 2),
+        copies_of_a_block(1, next, 0.0, 2),
+        copies_of_a_block(1, 1.0, -0.0, 2),
+        copies_of_a_block(1, 1.0, 0.0, 1),
+    ];
+    let memo = BlockMemo::default();
+    let hits = trace::counter("lp.l1.block_hits");
+    for (posed, l1) in variants.iter().enumerate() {
+        l1.solve_sharing(&memo).expect("feasible");
+        assert_eq!(
+            memo.distinct_blocks(),
+            posed + 1,
+            "variant {posed} is its own key"
+        );
+    }
+    assert_eq!(
+        trace::counter("lp.l1.block_hits"),
+        hits,
+        "nothing was shared"
+    );
+    // `0.0` and `-0.0` are one value and two keys, with one answer.
+    let at = |l1: &L1Problem| l1.solve_sharing(&memo).unwrap().values;
+    assert_eq!(at(&variants[0]), at(&variants[2]));
+    assert_eq!(trace::counter("lp.l1.block_hits"), hits + 2);
 }

@@ -335,6 +335,206 @@ fn interleaved_blocks_solve_to_the_sum_of_the_blocks_alone() {
     );
 }
 
+/// A block's numbers in the order the memo reads them: `unknowns, terms,
+/// { weight, constant, n, (unknown, coefficient)·n }·terms,
+/// { rhs, n, (unknown, coefficient)·n }·equalities`, every number as its
+/// bit pattern.
+fn spelled(block: &L1Problem) -> Vec<u64> {
+    let form = |form: &[(lp::VarId, f64)]| {
+        let pairs = form.iter().flat_map(|&(v, a)| [v.0 as u64, a.to_bits()]);
+        std::iter::once(form.len() as u64)
+            .chain(pairs)
+            .collect::<Vec<_>>()
+    };
+    let mut words = vec![block.num_vars() as u64, block.num_terms() as u64];
+    for (weight, coeffs, constant) in (0..block.num_terms()).map(|k| block.term(k)) {
+        words.extend([weight.to_bits(), constant.to_bits()]);
+        words.extend(form(coeffs));
+    }
+    for (coeffs, rhs) in (0..block.num_equalities()).map(|e| block.equality(e)) {
+        words.push(rhs.to_bits());
+        words.extend(form(coeffs));
+    }
+    words
+}
+
+#[test]
+fn blocks_are_the_blocks_the_per_term_vectors_cut() {
+    // Pinned on the commit before the arenas, where a block was a `Problem`
+    // and a `Vec` per term, every one cloned and renumbered: three small
+    // problems word for word, then the FNV-1a fold of every block of the
+    // 200 interleaved problems below.
+    let pinned: [(u64, &[&[u64]]); 3] = [
+        (
+            8,
+            &[
+                &[
+                    2,
+                    0,
+                    0xc008000000000000,
+                    2,
+                    1,
+                    0x3ff0000000000000,
+                    0,
+                    0x4008000000000000,
+                    0xc018000000000000,
+                    2,
+                    1,
+                    0x4000000000000000,
+                    0,
+                    0x4018000000000000,
+                ],
+                &[
+                    1,
+                    1,
+                    0x3fe8cf552d8c114e,
+                    0xc022000000000000,
+                    1,
+                    0,
+                    0x3ff0000000000000,
+                ],
+            ],
+        ),
+        (
+            36,
+            &[
+                &[
+                    1,
+                    3,
+                    0x403477efa75224a5,
+                    0x4014000000000000,
+                    1,
+                    0,
+                    0x4010000000000000,
+                    0x3f6910f17802cc11,
+                    0,
+                    1,
+                    0,
+                    0x4008000000000000,
+                    0x40711056374a3f97,
+                    0,
+                    1,
+                    0,
+                    0x4000000000000000,
+                ],
+                &[
+                    1,
+                    1,
+                    0x3f5331fff99d7ea0,
+                    0x4014000000000000,
+                    1,
+                    0,
+                    0x4000000000000000,
+                ],
+            ],
+        ),
+        (
+            130,
+            &[
+                &[
+                    2,
+                    3,
+                    0x408bcf91c8ecfa21,
+                    0,
+                    2,
+                    1,
+                    0x4008000000000000,
+                    0,
+                    0xc000000000000000,
+                    0x408bcf91c8ecfa21,
+                    0,
+                    2,
+                    1,
+                    0x4008000000000000,
+                    0,
+                    0xc000000000000000,
+                    0x4056912d61de31a8,
+                    0xc008000000000000,
+                    1,
+                    0,
+                    0,
+                ],
+                &[
+                    2,
+                    0,
+                    0xc000000000000000,
+                    2,
+                    1,
+                    0x3ff0000000000000,
+                    0,
+                    0x4008000000000000,
+                    0x4008000000000000,
+                    2,
+                    1,
+                    0x3ff0000000000000,
+                    0,
+                    0x3ff0000000000000,
+                ],
+            ],
+        ),
+    ];
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let mut count = 0;
+    for seed in 0..200u64 {
+        let mut rng = Rng::new(0xb10c + seed);
+        let k = rng.range_usize(1, 6);
+        let specs: Vec<L1Spec> = (0..k as u64)
+            .map(|i| random_spec(0x5eed + 8 * seed + i, false))
+            .collect();
+        let mixed = L1Spec::interleave(&specs, &mut rng).build();
+        let blocks: Vec<Vec<u64>> = mixed.blocks().iter().map(spelled).collect();
+        assert_eq!(blocks.len(), mixed.num_blocks(), "seed {seed}");
+        if let Some((_, want)) = pinned.iter().find(|(s, _)| *s == seed) {
+            assert_eq!(blocks, *want, "seed {seed}");
+        }
+        for words in blocks {
+            count += 1;
+            fold(words.len() as u64);
+            words.into_iter().for_each(&mut fold);
+        }
+    }
+    assert_eq!((count, hash), (653, 0x48f7_1998_e1e1_69b8));
+}
+
+#[test]
+fn duplicate_unknowns_in_one_term_are_summed() {
+    // min 2·|x + x − 6| + |y − x + y|  s.t.  x + z + x = 8, written with
+    // the repeats and with the sums: one problem, and the oracle agrees.
+    let pose = |repeated: bool| {
+        let mut hard = Problem::new();
+        let [x, y, z] = [(); 3].map(|_| hard.add_free_var("", 0.0));
+        let row = if repeated {
+            vec![(x, 1.0), (z, 1.0), (x, 1.0)]
+        } else {
+            vec![(x, 2.0), (z, 1.0)]
+        };
+        hard.add_constraint(row, Relation::Eq, 8.0);
+        let mut l1 = L1Problem::new(hard);
+        if repeated {
+            l1.add_abs_term(2.0, vec![(x, 1.0), (x, 1.0)], -6.0);
+            l1.add_abs_term(1.0, vec![(y, 1.0), (x, -1.0), (y, 1.0)], 0.0);
+        } else {
+            l1.add_abs_term(2.0, vec![(x, 2.0)], -6.0);
+            l1.add_abs_term(1.0, vec![(y, 2.0), (x, -1.0)], 0.0);
+        }
+        l1
+    };
+    let (repeated, summed) = (pose(true).solve().unwrap(), pose(false).solve().unwrap());
+    assert_eq!(repeated.values, [3.0, 1.5, 2.0]);
+    assert_eq!(repeated.values, summed.values);
+    assert_eq!(repeated.objective, 0.0);
+    assert_eq!(
+        check_dual_against_revised("repeats", &pose(true)),
+        Ok(Some(0.0))
+    );
+    assert_eq!(pose(true).objective_at(&[1.0, 0.0, 0.0]), 2.0 * 4.0 + 1.0);
+}
+
 #[test]
 fn one_inconsistent_block_makes_the_problem_infeasible() {
     for seed in 0..40u64 {
