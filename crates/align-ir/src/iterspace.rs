@@ -162,6 +162,38 @@ impl IterationSpace {
         false
     }
 
+    /// Visit every point of the outermost `depth` levels in enumeration
+    /// order, each with the number of points of the whole space that extend
+    /// it (0 when an inner range is empty under it) — the sizes of the
+    /// consecutive runs the full enumeration spends on one setting of the
+    /// outer LIVs, without walking the runs. `depth = 0` is the one empty
+    /// prefix with [`IterationSpace::size`]; at the full depth every point
+    /// comes with 1.
+    pub fn for_each_prefix(&self, depth: usize, mut visit: impl FnMut(&[(LivId, i64)], u64)) {
+        assert!(depth <= self.levels.len(), "prefix deeper than the nest");
+        let mut current = Vec::with_capacity(self.levels.len());
+        self.prefixes(depth, &mut current, &mut visit);
+    }
+
+    fn prefixes(
+        &self,
+        depth: usize,
+        current: &mut Vec<(LivId, i64)>,
+        visit: &mut impl FnMut(&[(LivId, i64)], u64),
+    ) {
+        let level = current.len();
+        if level == depth {
+            let extending = self.count_from(depth, current);
+            return visit(current, extending);
+        }
+        let lvl = &self.levels[level];
+        for v in lvl.range.at(current).iter() {
+            current.push((lvl.liv, v));
+            self.prefixes(depth, current, visit);
+            current.pop();
+        }
+    }
+
     /// Total number of points (product of trip counts; evaluated exactly,
     /// including trapezoidal nests).
     pub fn size(&self) -> u64 {
@@ -410,6 +442,49 @@ mod tests {
             count += 1;
         });
         assert_eq!(count, 1);
+    }
+
+    #[test]
+    fn prefixes_come_with_the_runs_of_the_full_enumeration() {
+        let spaces = [
+            IterationSpace::scalar(),
+            IterationSpace::single_loop(k(), 9, 2, -3),
+            IterationSpace::single_loop(k(), 5, 1, 1), // empty
+            IterationSpace::single_loop(k(), 1, 10, 1)
+                .enter_loop(j(), AffineTriplet::constant(Triplet::range(1, 7))),
+            // Trapezoidal, with empty inner ranges at k = 0, 1.
+            IterationSpace::single_loop(k(), 0, 4, 1).enter_loop(
+                j(),
+                AffineTriplet::range(Affine::constant(2), Affine::liv(k())),
+            ),
+            // Three deep, the innermost bound following the outermost LIV.
+            IterationSpace::single_loop(k(), 1, 3, 1)
+                .enter_loop(j(), AffineTriplet::constant(Triplet::range(1, 2)))
+                .enter_loop(
+                    LivId(2),
+                    AffineTriplet::range(Affine::constant(1), Affine::liv(k())),
+                ),
+        ];
+        for s in &spaces {
+            let points = s.points();
+            for depth in 0..=s.depth() {
+                // The runs of equal `depth`-prefix in the enumeration.
+                let mut want: Vec<(Vec<(LivId, i64)>, u64)> = Vec::new();
+                for p in &points {
+                    match want.last_mut() {
+                        Some((prefix, n)) if *prefix == p[..depth] => *n += 1,
+                        _ => want.push((p[..depth].to_vec(), 1)),
+                    }
+                }
+                let mut got = Vec::new();
+                s.for_each_prefix(depth, |prefix, n| {
+                    if n > 0 {
+                        got.push((prefix.to_vec(), n));
+                    }
+                });
+                assert_eq!(got, want, "{s} at depth {depth}");
+            }
+        }
     }
 
     #[test]

@@ -117,6 +117,15 @@ impl EdgeTraffic {
         self.broadcast_elements += other.broadcast_elements;
     }
 
+    /// Accumulate a run of `times` iteration points that each add
+    /// `weigh(field)` of `per_point`, as the point-by-point walk would.
+    fn add_run(&mut self, per_point: &EdgeTraffic, weigh: impl Fn(f64) -> f64, times: u64) {
+        let add = |acc: f64, moved: f64| repeat_add(acc, weigh(moved), times);
+        self.element_moves = add(self.element_moves, per_point.element_moves);
+        self.messages = add(self.messages, per_point.messages);
+        self.broadcast_elements = add(self.broadcast_elements, per_point.broadcast_elements);
+    }
+
     /// True if the edge needed no communication at all.
     pub fn is_zero(&self) -> bool {
         self.element_moves == 0.0 && self.messages == 0.0 && self.broadcast_elements == 0.0
@@ -167,12 +176,13 @@ pub fn simulate<D: TemplateDistribution + ?Sized>(
 ) -> SimReport {
     let _span = trace::span("commsim.simulate");
     let sampling_before = trace::counter("commsim.sampling_events");
+    let mut traversals = Traversals::new(machine);
     let mut report = SimReport {
-        processors: machine.num_processors(),
+        processors: traversals.nprocs,
         ..SimReport::default()
     };
     for (eid, edge) in adg.edges() {
-        let traffic = simulate_edge(adg, edge, alignment, machine, opts);
+        let traffic = simulate_edge(adg, edge, alignment, opts, &mut traversals);
         if !traffic.is_zero() {
             report.per_edge.push((eid, traffic));
         }
@@ -194,8 +204,8 @@ fn simulate_edge<D: TemplateDistribution + ?Sized>(
     adg: &Adg,
     edge: &Edge,
     alignment: &ProgramAlignment,
-    machine: &D,
     opts: SimOptions,
+    traversals: &mut Traversals<'_, D>,
 ) -> EdgeTraffic {
     let mut traffic = EdgeTraffic::default();
     let Some(walk) = EdgeWalk::new(adg, edge, alignment, opts) else {
@@ -205,26 +215,17 @@ fn simulate_edge<D: TemplateDistribution + ?Sized>(
         trace::count("commsim.sampling_events", 1);
     }
     let iter_scale = walk.iter_stride as f64;
-    let mut pairs = None;
-    let mut scratch = TrafficScratch::default();
     let mut per_iter = EdgeTraffic::default();
 
-    walk.for_each_point(|fresh| {
-        // A repeated placement moves what the previous point moved.
-        if let Some(placement) = fresh {
-            per_iter = element_traffic(
-                placement,
-                walk.dst_replicated,
-                machine,
-                opts,
-                &mut pairs,
-                &mut scratch,
-            );
+    walk.for_each_run(|placement, lattice, fresh, times| {
+        // A repeated placement moves what the previous run moved.
+        if fresh {
+            per_iter = traversals
+                .counts(placement, lattice, walk.dst_replicated)
+                .traffic(lattice.size.scale);
         }
-        traffic.element_moves += per_iter.element_moves * iter_scale * edge.control_weight;
-        traffic.messages += per_iter.messages * iter_scale * edge.control_weight;
-        traffic.broadcast_elements +=
-            per_iter.broadcast_elements * iter_scale * edge.control_weight;
+        let weigh = |moved: f64| moved * iter_scale * edge.control_weight;
+        traffic.add_run(&per_iter, weigh, times);
     });
     traffic
 }
@@ -233,29 +234,30 @@ fn simulate_edge<D: TemplateDistribution + ?Sized>(
 /// object's extents and the two position evaluators at that point. Two equal
 /// placements traverse the same element lattice over the same template
 /// cells, so they move the same elements under every distribution.
-#[derive(PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct PointPlacement {
     extents: Vec<i64>,
     src: PosEval,
     dst: PosEval,
 }
 
-impl PointPlacement {
-    fn lattice(&self, opts: SimOptions) -> SampleLattice {
-        let total = self.extents.iter().product::<i64>().max(1) as usize;
-        SampleLattice::new(&self.extents, opts.element_budget(total))
-    }
-}
-
-/// The sampled iteration points of one edge — the one walk [`simulate`] and
-/// [`PlacementCache::new`] share, so both stride the iteration space, skip
-/// empty objects and collapse repeated placements identically.
+/// The sampled iteration points of one edge as runs of equal placement — the
+/// one walk [`simulate`] and [`PlacementCache::new`] share, so both stride
+/// the iteration space, skip empty objects and merge repeated placements
+/// identically.
 ///
-/// An alignment is mobile only where an offset or stride depends on a loop
-/// induction variable; everywhere else consecutive points place the object
-/// identically. The walk compares each point's [`PointPlacement`] with the
-/// previous one's and tells the visitor whether there is anything new to
-/// traverse.
+/// An alignment is mobile only where an offset or stride is affine in a loop
+/// induction variable, so where the object sits depends on the LIVs the
+/// edge's extents, offsets and strides *mention* and on nothing else. The
+/// walk enumerates the outer `mobile_depth` levels of the nest only — one
+/// past the innermost level any of those forms mentions — and takes each
+/// run's length from the nest's shape: the points of the inner levels under
+/// that prefix ([`IterationSpace::for_each_prefix`]), of which the sampled
+/// ones are the multiples of `iter_stride` among their flat indices. Nothing
+/// is evaluated per iteration point; the point-by-point walk is the case
+/// `mobile_depth == depth`, every run one point long.
+///
+/// [`IterationSpace::for_each_prefix`]: align_ir::IterationSpace::for_each_prefix
 struct EdgeWalk<'a> {
     edge: &'a Edge,
     extents: &'a [Affine],
@@ -267,6 +269,8 @@ struct EdgeWalk<'a> {
     /// Destination replicated while the source is not: every element is a
     /// broadcast.
     dst_replicated: bool,
+    /// Loop levels, outermost first, that can change the placement.
+    mobile_depth: usize,
 }
 
 impl<'a> EdgeWalk<'a> {
@@ -283,50 +287,64 @@ impl<'a> EdgeWalk<'a> {
         }
         let src = alignment.port(edge.src);
         let dst = alignment.port(edge.dst);
+        let extents: &[Affine] = &adg.port(edge.src).extents;
+        let follows = |liv: LivId| {
+            let offsets = (src.offsets.iter().chain(&dst.offsets)).filter_map(OffsetAlign::fixed);
+            (extents
+                .iter()
+                .chain(&src.strides)
+                .chain(&dst.strides)
+                .chain(offsets))
+            .any(|form| form.coeff(liv) != 0)
+        };
         Some(EdgeWalk {
             edge,
-            extents: &adg.port(edge.src).extents,
+            extents,
             src,
             dst,
             opts,
-            // Sample iterations if the loop is long, streaming the points
-            // rather than materialising the whole enumeration.
+            // Sample iterations if the loop is long.
             iter_stride: num_points
                 .div_ceil(opts.iteration_budget(num_points))
                 .max(1),
             dst_replicated: dst.offsets.iter().any(OffsetAlign::is_replicated)
                 && !src.offsets.iter().any(OffsetAlign::is_replicated),
+            mobile_depth: (edge.space.levels().iter())
+                .rposition(|level| follows(level.liv))
+                .map_or(0, |level| level + 1),
         })
     }
 
-    /// Call `visit` once per sampled iteration point that can move data:
-    /// with `Some(placement)` when the point must be traversed, with `None`
-    /// when it places the object exactly as the previous point did (the
-    /// visitor reuses what it derived there). Points the visitor does not
-    /// traverse still book their traversal's `commsim.elements_priced` /
-    /// `commsim.sampling_events`, so the counters read as if every point had
-    /// been walked; `commsim.iterations_collapsed` counts the repeats the
-    /// visitor was spared.
+    /// Call `visit(placement, lattice, fresh, times)` once per run of
+    /// `times` consecutive sampled iteration points that place the object
+    /// identically and can move data; `fresh` is false when the run places
+    /// it exactly as the previous run did (the visitor extends what it
+    /// derived there). Every point of a run books its traversal's
+    /// `commsim.elements_priced` / `commsim.sampling_events` here, in one
+    /// call per run, so the counters read as if every point had been
+    /// walked; `commsim.iterations_collapsed` counts the points after the
+    /// first of each distinct placement.
     ///
-    /// Not visited at all: points whose object is empty, and perfectly
-    /// aligned points (identical position evaluators, no replication
+    /// Not visited at all: runs whose object is empty, and perfectly
+    /// aligned runs (identical position evaluators, no replication
     /// asymmetry) — every element's copies sit on one owner under every
     /// distribution, so they contribute nothing.
-    fn for_each_point(&self, mut visit: impl FnMut(Option<&PointPlacement>)) {
-        let mut idx = 0usize;
-        let mut prev: Option<PointPlacement> = None;
-        self.edge.space.for_each_point(|point| {
-            let take = idx.is_multiple_of(self.iter_stride);
-            idx += 1;
-            if !take {
+    fn for_each_run(&self, mut visit: impl FnMut(&PointPlacement, &SampleLattice, bool, u64)) {
+        let stride = self.iter_stride as u64;
+        // Flat index of the next run's first point.
+        let mut base = 0u64;
+        let mut prev: Option<(PointPlacement, SampleLattice)> = None;
+        (self.edge.space).for_each_prefix(self.mobile_depth, |point, length| {
+            let times = (base + length).div_ceil(stride) - base.div_ceil(stride);
+            base += length;
+            if times == 0 {
                 return;
             }
-            let extents: Vec<i64> = self
-                .extents
-                .iter()
+            let extents: Vec<i64> = (self.extents.iter())
                 .map(|a| a.eval_assoc(point).max(0))
                 .collect();
-            if extents.iter().product::<i64>() <= 0 {
+            let total = extents.iter().product::<i64>();
+            if total <= 0 {
                 return;
             }
             let here = PointPlacement {
@@ -335,25 +353,34 @@ impl<'a> EdgeWalk<'a> {
                 dst: PosEval::new(self.dst, point),
             };
             let aligned = !self.dst_replicated && here.src == here.dst;
-            if aligned {
-                here.lattice(self.opts).count();
-            } else if prev.as_ref() == Some(&here) {
-                here.lattice(self.opts).count();
-                trace::count("commsim.iterations_collapsed", 1);
-                visit(None);
-            } else {
-                visit(Some(&here));
+            let fresh = prev
+                .as_ref()
+                .is_none_or(|(placement, _)| *placement != here);
+            if fresh {
+                let budget = self.opts.element_budget(total as usize);
+                let lattice = SampleLattice::new(&here.extents, budget);
+                prev = Some((here, lattice));
             }
-            prev = Some(here);
+            let (placement, lattice) = prev.as_ref().expect("set on the first run");
+            lattice.size.count(times);
+            if aligned {
+                return;
+            }
+            let collapsed = times - u64::from(fresh);
+            if collapsed > 0 {
+                trace::count("commsim.iterations_collapsed", collapsed);
+            }
+            visit(placement, lattice, fresh, times);
         });
     }
 }
 
 /// The sampling lattice of one element traversal: per-axis strides chosen so
 /// the sampled count stays within the budget, plus the bookkeeping the
-/// counters need. Shared between the real traversal and the fast paths that
-/// can prove a traversal contributes nothing — both must book identical
-/// `commsim.elements_priced` / `commsim.sampling_events` counts.
+/// counters need. A traversal is priced from its lattice alone — walked only
+/// when an owner map does not compile — so whoever stands for a traversal
+/// books [`SampleSize::count`] for it.
+#[derive(Debug, Clone)]
 struct SampleLattice {
     strides: Vec<i64>,
     size: SampleSize,
@@ -361,7 +388,7 @@ struct SampleLattice {
 
 /// How many of an object's elements a traversal visits, and what each visit
 /// stands for.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct SampleSize {
     sampled: i64,
     total: i64,
@@ -393,29 +420,24 @@ impl SampleLattice {
             },
         }
     }
-
-    /// Book the traversal's counters (identical whether or not the element
-    /// loop actually runs).
-    fn count(&self) {
-        self.size.count();
-    }
 }
 
 impl SampleSize {
-    fn count(&self) {
-        trace::count("commsim.elements_priced", self.sampled as u64);
+    /// Book the counters of `times` traversals of this sample (identical
+    /// whether or not an element loop runs).
+    fn count(&self, times: u64) {
+        trace::count("commsim.elements_priced", self.sampled as u64 * times);
         if self.sampled < self.total {
-            trace::count("commsim.sampling_events", 1);
+            trace::count("commsim.sampling_events", times);
         }
     }
 }
 
 /// Visit the (1-based) element indices `lattice` samples of an object with
-/// the given extents, booking the traversal's counters: every axis is strided
-/// so the sampled count stays within the lattice's budget, and each visited
-/// index represents `lattice.size.scale` real elements.
+/// the given extents: every axis is strided so the sampled count stays within
+/// the lattice's budget, and each visited index represents
+/// `lattice.size.scale` real elements.
 fn for_each_sampled_index(extents: &[i64], lattice: &SampleLattice, mut visit: impl FnMut(&[i64])) {
-    lattice.count();
     let strides = &lattice.strides;
 
     let mut index = vec![1i64; extents.len()];
@@ -520,66 +542,119 @@ impl PairSet {
     }
 }
 
-/// Traffic of one traversal: enumerate (or sample) the elements of the object
-/// and compare owners under the two alignments. `pairs` and `scratch` are
-/// caller-provided workspace (reused across the iteration points of an
-/// edge); the pair set is only built if the evaluation has to run.
-fn element_traffic<D: TemplateDistribution + ?Sized>(
-    placement: &PointPlacement,
-    dst_replicated: bool,
-    machine: &D,
-    opts: SimOptions,
-    pairs: &mut Option<PairSet>,
-    scratch: &mut TrafficScratch,
-) -> EdgeTraffic {
-    let PointPlacement { extents, src, dst } = placement;
-    let lattice = placement.lattice(opts);
-
-    // Compiled fast path — the same per-axis owner tables a resting move
-    // is priced from ([`RestingOwners`]). Falls through to the per-element
-    // evaluation when an owner map does not decompose per lattice axis;
-    // both paths stand for the identical sample and book identical
-    // counters.
-    if let Some(traffic) = element_traffic_compiled(
-        extents,
-        src,
-        dst,
-        machine,
-        dst_replicated,
-        &lattice,
-        scratch,
-    ) {
-        return traffic;
-    }
-    let pairs = pairs.get_or_insert_with(|| PairSet::new(machine.num_processors()));
-    pairs.begin();
-    element_traffic_evaluated(extents, src, dst, machine, dst_replicated, &lattice, pairs)
+/// What one traversal moves, in sampled elements: every sample stands for
+/// the same `scale` real elements, so a traversal's traffic is three counts
+/// until the moment it is reported.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct TraversalCounts {
+    /// Samples whose owner changes.
+    moved: u64,
+    /// Distinct `(sender, receiver)` pairs.
+    pairs: u64,
+    /// Samples broadcast into a replicated position.
+    broadcast: u64,
 }
 
-/// The per-element owner evaluation of [`element_traffic`] — the historical
-/// loop, kept as the fallback for owner maps the table compiler rejects.
-fn element_traffic_evaluated<D: TemplateDistribution + ?Sized>(
-    extents: &[i64],
-    src_eval: &PosEval,
-    dst_eval: &PosEval,
-    machine: &D,
-    dst_replicated: bool,
+impl TraversalCounts {
+    /// The traffic the per-element loop accumulates, one `scale` per sample.
+    fn traffic(&self, scale: f64) -> EdgeTraffic {
+        EdgeTraffic {
+            element_moves: repeat_add(0.0, scale, self.moved),
+            messages: self.pairs as f64,
+            broadcast_elements: repeat_add(0.0, scale, self.broadcast),
+        }
+    }
+}
+
+/// The traversal evaluator [`simulate`] and [`PlacementCache`] share, with
+/// the workspace one call of either needs: the machine's shape is asked for
+/// once, both sides of every traversal are compiled into the same buffers.
+struct Traversals<'m, D: ?Sized> {
+    machine: &'m D,
+    dims: Vec<usize>,
+    nprocs: usize,
+    scratch: TrafficScratch,
+    /// Built by the first traversal that has to be evaluated.
+    pairs: Option<PairSet>,
+    /// Traversals evaluated element by element so far.
+    evaluated: u64,
+}
+
+impl<'m, D: TemplateDistribution + ?Sized> Traversals<'m, D> {
+    fn new(machine: &'m D) -> Self {
+        Traversals {
+            machine,
+            dims: machine.grid_dims(),
+            nprocs: machine.num_processors(),
+            scratch: TrafficScratch::default(),
+            pairs: None,
+            evaluated: 0,
+        }
+    }
+
+    /// Count what one traversal moves: from the two sides' per-axis owner
+    /// classes ([`RestingOwners`]) when both owner maps compile, element by
+    /// element over the lattice when one does not. Both stand for the
+    /// identical sample; neither books a counter.
+    fn counts(
+        &mut self,
+        placement: &PointPlacement,
+        lattice: &SampleLattice,
+        dst_replicated: bool,
+    ) -> TraversalCounts {
+        if let Some(counts) = self.compiled(placement, lattice, dst_replicated) {
+            return counts;
+        }
+        self.evaluated += 1;
+        let pairs = self.pairs.get_or_insert_with(|| PairSet::new(self.nprocs));
+        evaluated_counts(placement, lattice, dst_replicated, self.machine, pairs)
+    }
+
+    /// `None` when an owner map does not decompose per lattice axis.
+    fn compiled(
+        &mut self,
+        placement: &PointPlacement,
+        lattice: &SampleLattice,
+        dst_replicated: bool,
+    ) -> Option<TraversalCounts> {
+        let PointPlacement { extents, src, dst } = placement;
+        let TrafficScratch { sides, product } = &mut self.scratch;
+        let [from, to] = sides;
+        from.fill(src, self.machine, &self.dims, self.nprocs, extents, lattice)?;
+        if dst_replicated {
+            return Some(from.broadcast());
+        }
+        to.fill(dst, self.machine, &self.dims, self.nprocs, extents, lattice)?;
+        // Both sides share the machine, and `owner_flat` pins replicated and
+        // missing axes to coordinate 0 exactly as the compiler does, so
+        // "moved" is flat-id inequality: no axis is exempt.
+        Some(from.moved_to(to, false, product))
+    }
+}
+
+/// The per-element owner comparison of one traversal — what
+/// [`Traversals::counts`] falls back to for owner maps the table compiler
+/// rejects, and the reference the compiled path is tested against.
+fn evaluated_counts<D: TemplateDistribution + ?Sized>(
+    placement: &PointPlacement,
     lattice: &SampleLattice,
+    dst_replicated: bool,
+    machine: &D,
     pairs: &mut PairSet,
-) -> EdgeTraffic {
-    let scale = lattice.size.scale;
-    let mut moves = 0.0;
-    let mut broadcast = 0.0;
+) -> TraversalCounts {
+    let PointPlacement { extents, src, dst } = placement;
+    let (mut moved, mut broadcast) = (0, 0);
     let mut src_buf = Vec::new();
     let mut dst_buf = Vec::new();
+    pairs.begin();
 
     for_each_sampled_index(extents, lattice, |index| {
-        src_eval.write(index, &mut src_buf);
+        src.write(index, &mut src_buf);
         if dst_replicated {
-            broadcast += scale;
+            broadcast += 1;
             pairs.insert(machine.owner_flat(&src_buf), usize::MAX);
         } else {
-            dst_eval.write(index, &mut dst_buf);
+            dst.write(index, &mut dst_buf);
             // Identical template positions have identical owners (same
             // machine on both sides): the element cannot move, so skip both
             // owner evaluations — on a well-aligned program this is the
@@ -590,42 +665,17 @@ fn element_traffic_evaluated<D: TemplateDistribution + ?Sized>(
             let src_owner = machine.owner_flat(&src_buf);
             let dst_owner = machine.owner_flat(&dst_buf);
             if src_owner != dst_owner {
-                moves += scale;
+                moved += 1;
                 pairs.insert(src_owner, dst_owner);
             }
         }
     });
 
-    EdgeTraffic {
-        element_moves: moves,
-        messages: pairs.len() as f64,
-        broadcast_elements: broadcast,
+    TraversalCounts {
+        moved,
+        pairs: pairs.len() as u64,
+        broadcast,
     }
-}
-
-/// [`element_traffic`] from compiled sides; `None` when an owner map does not
-/// decompose per sampling-lattice axis (the caller then runs the per-element
-/// evaluation).
-fn element_traffic_compiled<D: TemplateDistribution + ?Sized>(
-    extents: &[i64],
-    src_eval: &PosEval,
-    dst_eval: &PosEval,
-    machine: &D,
-    dst_replicated: bool,
-    lattice: &SampleLattice,
-    scratch: &mut TrafficScratch,
-) -> Option<EdgeTraffic> {
-    let src = RestingOwners::build(src_eval, machine, extents, lattice)?;
-    if dst_replicated {
-        lattice.count();
-        return Some(src.broadcast());
-    }
-    let dst = RestingOwners::build(dst_eval, machine, extents, lattice)?;
-    lattice.count();
-    // Both sides share the machine, and `owner_flat` pins replicated and
-    // missing axes to coordinate 0 exactly as the compiler does, so "moved"
-    // is flat-id inequality: no axis is exempt.
-    Some(src.moved_to(&dst, false, scratch))
 }
 
 use crate::machine::REPLICATED_COORD;
@@ -641,7 +691,7 @@ use crate::machine::REPLICATED_COORD;
 /// Two equal evaluators produce equal coordinates at every element index —
 /// the element loops use this to prove a perfectly aligned traversal moves
 /// nothing without enumerating it.
-#[derive(PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct PosEval {
     /// Per template axis: the offset at this iteration point.
     base: Vec<i64>,
@@ -678,104 +728,34 @@ impl PosEval {
     }
 }
 
-/// Pre-evaluated element placements of one (ADG, alignment) pair.
+/// The distinct traversals of one (ADG, alignment) pair, ready to be priced
+/// under any number of candidate distributions.
 ///
-/// [`simulate`] spends most of its time evaluating *positions* — affine
-/// offsets and strides per element per iteration — yet positions depend
-/// only on the alignment, never on the candidate distribution. When many
-/// distributions must be priced against the same aligned program (the phase
-/// pipeline prices every candidate layer entry), building this cache once
-/// and calling [`PlacementCache::price`] per candidate does the affine work
-/// once and reduces each candidate to owner lookups.
+/// Where an object sits depends on the alignment, never on the candidate
+/// distribution, so the walk over edges and iteration points — which runs
+/// of points share a placement, which are empty or perfectly aligned — is
+/// done once here (`EdgeWalk`). What is kept per distinct traversal is the
+/// traversal itself, not what it visits: the object's extents, the two
+/// position evaluators, the sampling lattice and the number of iteration
+/// points it stands for — a few dozen bytes, whatever the object's size.
+/// [`PlacementCache::price`] then gets each traversal's moved, distinct-pair
+/// and broadcast counts the way [`simulate`] does, from the per-axis owner
+/// classes of its two sides, touching no element; a traversal whose owner
+/// map does not compile (a skewed alignment, a grid axis wider than
+/// [`RestingOwners`] tabulates) is evaluated element by element over its
+/// lattice on demand, counted by `commsim.cache.evaluated_traversals`.
 ///
 /// The cache mirrors [`simulate`]'s sampling exactly (same iteration
-/// strides, same element lattice, same scales), so for any distribution
-/// `d`: `cache.price(&d)` reports the **identical** traffic to
-/// `simulate(adg, alignment, &d, opts)` — locked in by the
-/// `cache_matches_simulate` test.
-///
-/// Storage is per *distinct* traversal, not per iteration point: consecutive
-/// sampled iteration points of an edge whose `(extents, source evaluator,
-/// destination evaluator)` are equal — every point of a loop the alignment
-/// is not mobile in — share one stored traversal with a repeat count, and
-/// pricing applies the count so that every reported value is bit-identical
-/// to walking each point.
+/// strides, same element lattice, same scales, same order of additions), so
+/// for any distribution `d`: `cache.price(&d)` reports the **identical**
+/// traffic to `simulate(adg, alignment, &d, opts)`, bit for bit — locked in
+/// by the `cache_matches_simulate` test and, on generated programs, by
+/// `crates/bench/tests/placement_differential.rs`. Pricing books no
+/// sampling counter: the build booked every point's.
 #[derive(Debug, Clone)]
 pub struct PlacementCache {
+    /// The edges with at least one traversal that can move data.
     edges: Vec<CachedEdge>,
-    /// Per-template-axis lower/upper bounds over every stored coordinate
-    /// (source and destination alike, replicated sentinels excluded), so a
-    /// price call can build per-axis owner lookup tables covering exactly
-    /// the coordinates its sweep will ask about.
-    coord_lo: Vec<i64>,
-    coord_hi: Vec<i64>,
-}
-
-/// Per-axis owner lookup tables over a known coordinate range: the
-/// per-sample `owner_flat` arithmetic (a euclidean divide and remainder per
-/// axis) collapses to one bounds-free load per axis. The mixed-radix fold
-/// (axis 0 most significant, missing/replicated axes pinned to cell 0)
-/// reproduces [`TemplateDistribution::owner_flat`] exactly — guaranteed by
-/// the trait's `owner_coord` composition contract.
-struct OwnerTables {
-    axes: Vec<OwnerAxisTable>,
-}
-
-struct OwnerAxisTable {
-    g: usize,
-    lo: i64,
-    owners: Vec<u32>,
-    /// Owner of cell 0 — what `owner_flat` substitutes for replicated or
-    /// missing coordinates.
-    zero: u32,
-}
-
-impl OwnerTables {
-    /// Widest per-axis coordinate span worth tabulating; beyond it the
-    /// sweep falls back to direct `owner_flat` calls.
-    const MAX_SPAN: i64 = 1 << 16;
-
-    fn build<D: TemplateDistribution + ?Sized>(
-        machine: &D,
-        lo: &[i64],
-        hi: &[i64],
-    ) -> Option<OwnerTables> {
-        let dims = machine.grid_dims();
-        let mut axes = Vec::with_capacity(dims.len());
-        for (t, &g) in dims.iter().enumerate() {
-            // Cover cell 0 as well, so the replicated/missing substitute is
-            // a plain table read.
-            let (l, h) = match (lo.get(t), hi.get(t)) {
-                (Some(&l), Some(&h)) if l <= h => (l.min(0), h.max(0)),
-                _ => (0, 0),
-            };
-            if h - l >= Self::MAX_SPAN {
-                return None;
-            }
-            let owners: Vec<u32> = (l..=h).map(|c| machine.owner_coord(t, c) as u32).collect();
-            let zero = owners[(-l) as usize];
-            axes.push(OwnerAxisTable {
-                g,
-                lo: l,
-                owners,
-                zero,
-            });
-        }
-        Some(OwnerTables { axes })
-    }
-
-    #[inline]
-    fn owner(&self, coords: &[i64]) -> usize {
-        let mut id = 0usize;
-        for (t, ax) in self.axes.iter().enumerate() {
-            let oc = match coords.get(t).copied() {
-                Some(c) if c != REPLICATED_COORD => ax.owners[(c - ax.lo) as usize] as usize,
-                _ => ax.zero as usize,
-            };
-            id = id * ax.g + oc;
-        }
-        id
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -784,10 +764,8 @@ struct CachedEdge {
     /// Iteration-sampling scale × the edge's control weight.
     weight: f64,
     /// Destination replicated while the source is not: every element is a
-    /// broadcast, no destination positions stored.
+    /// broadcast.
     dst_replicated: bool,
-    src_rank: usize,
-    dst_rank: usize,
     iterations: Vec<CachedIteration>,
 }
 
@@ -795,242 +773,172 @@ struct CachedEdge {
 /// share it.
 #[derive(Debug, Clone)]
 struct CachedIteration {
+    placement: PointPlacement,
+    lattice: SampleLattice,
     /// Length of the run (at least 1).
-    repeat: usize,
-    /// Element-sampling scale of every sample ([`SampleLattice::scale`]).
-    scale: f64,
-    /// Flat-packed coords per sample: `src_rank` source coordinates then
-    /// (unless the edge broadcasts) `dst_rank` destination coordinates,
-    /// with [`REPLICATED_COORD`] standing in for `None`.
-    coords: Vec<i64>,
+    repeat: u64,
 }
 
-/// `acc` after adding `scale` to it `n` times, bit for bit.
+/// `acc` after adding `s` to it `n` times, bit for bit, in time
+/// proportional to the binades the sum crosses and not to `n`.
 ///
-/// When both are multiples of 2⁻¹² (every exact traversal, and a sampled one
-/// whose sample count is a power of two up to the default element budget)
-/// and the sum stays below 2⁴¹, every partial sum has at most 53 significant
-/// bits, so no addition rounds and one multiply-add gives the same value.
-/// Any other scale replays the additions, each of which may round.
-fn repeat_add(acc: f64, scale: f64, n: u64) -> f64 {
-    const GRID: f64 = 4096.0; // 2¹²
-    const LIMIT: f64 = (1u64 << 41) as f64;
-    let on_grid = |x: f64| x >= 0.0 && (x * GRID).fract() == 0.0;
-    // Rounding is monotone, so a sum at or above the limit cannot compute
-    // to a value below it.
-    let sum = acc + n as f64 * scale;
-    if on_grid(acc) && on_grid(scale) && sum < LIMIT {
-        return sum;
+/// Inside one binade every addition rounds to the same grid (the binade's
+/// ulp), so it adds `s` rounded to that grid: the same whole number of ulps
+/// each time, once a first step has been taken there — a tie rounds to an
+/// even mantissa, and from an even mantissa every later tie rounds the same
+/// way. So one real addition settles the mantissa, a second measures the
+/// step, and the rest of the binade is one integer multiply-add on the
+/// mantissa, stopping short of the binade's top; the crossing itself is a
+/// real addition again, because it rounds on the next binade's grid. A step
+/// that leaves the sum unchanged (`s` at most half an ulp, or zero) leaves
+/// it unchanged for good.
+///
+/// Both arguments are traffic, which is never negative.
+fn repeat_add(mut acc: f64, s: f64, mut n: u64) -> f64 {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    assert!(acc >= 0.0 && s >= 0.0, "traffic is never negative");
+    // The previous real step stayed inside its binade.
+    let mut settled = false;
+    while n > 0 {
+        let mut next = acc + s;
+        n -= 1;
+        if next == acc {
+            return next;
+        }
+        let (from, to) = (acc.to_bits(), next.to_bits());
+        let same_binade = from >> 52 == to >> 52;
+        if same_binade && settled {
+            let step = to - from;
+            let steps = n.min(((to | MANTISSA) - to) / step);
+            next = f64::from_bits(to + steps * step);
+            n -= steps;
+        }
+        settled = same_binade;
+        acc = next;
     }
-    (0..n).fold(acc, |acc, _| acc + scale)
+    acc
 }
 
 impl PlacementCache {
-    /// Evaluate every distinct sampled (edge, iteration, element) placement
-    /// of the aligned program once.
+    /// Walk every edge of the aligned program once and keep its distinct
+    /// traversals.
     pub fn new(adg: &Adg, alignment: &ProgramAlignment, opts: SimOptions) -> Self {
         let _span = trace::span("commsim.cache.build");
         trace::count("commsim.cache.builds", 1);
         let mut edges = Vec::new();
-        let mut coord_lo: Vec<i64> = Vec::new();
-        let mut coord_hi: Vec<i64> = Vec::new();
-        fn note_range(lo: &mut Vec<i64>, hi: &mut Vec<i64>, buf: &[i64]) {
-            if lo.len() < buf.len() {
-                lo.resize(buf.len(), i64::MAX);
-                hi.resize(buf.len(), i64::MIN);
-            }
-            for (t, &c) in buf.iter().enumerate() {
-                if c == REPLICATED_COORD {
-                    continue;
-                }
-                lo[t] = lo[t].min(c);
-                hi[t] = hi[t].max(c);
-            }
-        }
         for (eid, edge) in adg.edges() {
             let Some(walk) = EdgeWalk::new(adg, edge, alignment, opts) else {
                 continue;
             };
-            let dst_replicated = walk.dst_replicated;
             let mut iterations: Vec<CachedIteration> = Vec::new();
-            let mut src_buf = Vec::new();
-            let mut dst_buf = Vec::new();
-            walk.for_each_point(|fresh| {
-                let Some(placement) = fresh else {
-                    iterations
-                        .last_mut()
-                        .expect("a repeated point follows the point it repeats")
-                        .repeat += 1;
-                    return;
-                };
-                let lattice = placement.lattice(opts);
-                let mut coords = Vec::new();
-                for_each_sampled_index(&placement.extents, &lattice, |index| {
-                    placement.src.write(index, &mut src_buf);
-                    if !dst_replicated {
-                        placement.dst.write(index, &mut dst_buf);
-                        if dst_buf == src_buf {
-                            // Identical positions have identical owners
-                            // under EVERY distribution: the sample can
-                            // never contribute traffic, so don't store it.
-                            // (This is what makes pricing a well-aligned
-                            // program cheap — only the residual edges
-                            // survive into the cache.)
-                            return;
-                        }
-                        note_range(&mut coord_lo, &mut coord_hi, &src_buf);
-                        note_range(&mut coord_lo, &mut coord_hi, &dst_buf);
-                        coords.extend_from_slice(&src_buf);
-                        coords.extend_from_slice(&dst_buf);
-                    } else {
-                        note_range(&mut coord_lo, &mut coord_hi, &src_buf);
-                        coords.extend_from_slice(&src_buf);
-                    }
-                });
-                iterations.push(CachedIteration {
-                    repeat: 1,
-                    scale: lattice.size.scale,
-                    coords,
-                });
+            walk.for_each_run(|placement, lattice, fresh, times| {
+                if fresh {
+                    iterations.push(CachedIteration {
+                        placement: placement.clone(),
+                        lattice: lattice.clone(),
+                        repeat: 0,
+                    });
+                }
+                let run = iterations.last_mut();
+                run.expect("a repeated run follows the run it repeats")
+                    .repeat += times;
             });
-            edges.push(CachedEdge {
-                id: eid,
-                weight: walk.iter_stride as f64 * edge.control_weight,
-                dst_replicated,
-                src_rank: walk.src.template_rank(),
-                dst_rank: walk.dst.template_rank(),
-                iterations,
-            });
+            if !iterations.is_empty() {
+                edges.push(CachedEdge {
+                    id: eid,
+                    weight: walk.iter_stride as f64 * edge.control_weight,
+                    dst_replicated: walk.dst_replicated,
+                    iterations,
+                });
+            }
         }
-        PlacementCache {
-            edges,
-            coord_lo,
-            coord_hi,
-        }
+        PlacementCache { edges }
     }
 
-    /// `(iteration points, stored traversals, stored samples)`: what the
-    /// cache stands for against what it holds (experiment E27's columns).
+    /// `(iteration points, stored traversals, sampled elements stood for)`:
+    /// what the cache stands for against what it holds (experiment E27's
+    /// columns). The third is Σ sampled elements of the stored traversals —
+    /// what a cache that stored coordinates would hold one entry each for;
+    /// this one holds none.
     #[doc(hidden)]
     pub fn footprint(&self) -> (usize, usize, usize) {
         let mut totals = (0, 0, 0);
-        for edge in &self.edges {
-            for run in &edge.iterations {
-                totals.0 += run.repeat;
-                totals.1 += 1;
-                totals.2 += run.coords.len() / edge.sample_width();
-            }
+        for run in self.edges.iter().flat_map(|edge| &edge.iterations) {
+            totals.0 += run.repeat as usize;
+            totals.1 += 1;
+            totals.2 += run.lattice.size.sampled as usize;
         }
         totals
+    }
+
+    /// One pricing of the cache: `body` asks `Traversals` for the counts of
+    /// the stored traversals.
+    fn pricing<D: TemplateDistribution + ?Sized, T>(
+        machine: &D,
+        body: impl FnOnce(&mut Traversals<'_, D>) -> T,
+    ) -> T {
+        trace::count("commsim.cache.prices", 1);
+        let mut traversals = Traversals::new(machine);
+        let out = body(&mut traversals);
+        if traversals.evaluated > 0 {
+            trace::count("commsim.cache.evaluated_traversals", traversals.evaluated);
+        }
+        out
     }
 
     /// Price one candidate distribution: identical traffic to running
     /// [`simulate`] with the same options the cache was built with.
     pub fn price<D: TemplateDistribution + ?Sized>(&self, machine: &D) -> SimReport {
         let _span = trace::span("commsim.cache.price");
-        self.run(machine)
+        Self::pricing(machine, |traversals| {
+            let mut report = SimReport {
+                processors: traversals.nprocs,
+                ..SimReport::default()
+            };
+            for edge in &self.edges {
+                let mut traffic = EdgeTraffic::default();
+                for run in &edge.iterations {
+                    let per_point = traversals
+                        .counts(&run.placement, &run.lattice, edge.dst_replicated)
+                        .traffic(run.lattice.size.scale);
+                    // The walk accumulates per iteration point, so a run adds
+                    // its traversal's traffic once per point it stands for.
+                    traffic.add_run(&per_point, |moved| moved * edge.weight, run.repeat);
+                }
+                if !traffic.is_zero() {
+                    report.per_edge.push((edge.id, traffic));
+                }
+                report.total.add(&traffic);
+            }
+            report
+        })
     }
 
-    /// Total elements moved under one candidate — the fast path for
-    /// ranking: skips the per-edge breakdown and the distinct
-    /// (sender, receiver) message sets (whose counts the element totals do
-    /// not depend on).
+    /// Total elements moved under one candidate — what ranking needs: no
+    /// per-edge breakdown, and one sum per edge over the samples of all its
+    /// iteration points, weighted once.
     pub fn total_elements<D: TemplateDistribution + ?Sized>(&self, machine: &D) -> f64 {
         let _span = trace::span("commsim.cache.price");
-        trace::count("commsim.cache.prices", 1);
-        let tables = OwnerTables::build(machine, &self.coord_lo, &self.coord_hi);
-        let mut total = 0.0;
-        for edge in &self.edges {
-            // The per-iteration walk adds `scale` once per moved sample of
-            // every point, in order; within a run those are consecutive
-            // additions of one value.
-            let mut edge_elems = 0.0;
-            let sample_width = edge.sample_width();
-            for iteration in &edge.iterations {
-                let samples = iteration.coords.chunks_exact(sample_width);
-                let moved = if edge.dst_replicated {
-                    samples.len()
-                } else {
-                    samples
-                        .filter(|chunk| {
-                            let (src, dst) = chunk.split_at(edge.src_rank);
-                            match &tables {
-                                Some(t) => t.owner(src) != t.owner(dst),
-                                None => machine.owner_flat(src) != machine.owner_flat(dst),
-                            }
-                        })
-                        .count()
-                };
-                edge_elems = repeat_add(
-                    edge_elems,
-                    iteration.scale,
-                    (moved * iteration.repeat) as u64,
-                );
-            }
-            total += edge_elems * edge.weight;
-        }
-        total
-    }
-
-    fn run<D: TemplateDistribution + ?Sized>(&self, machine: &D) -> SimReport {
-        trace::count("commsim.cache.prices", 1);
-        let tables = OwnerTables::build(machine, &self.coord_lo, &self.coord_hi);
-        let mut report = SimReport {
-            processors: machine.num_processors(),
-            ..SimReport::default()
-        };
-        let mut pairs = PairSet::new(machine.num_processors());
-        for edge in &self.edges {
-            let mut traffic = EdgeTraffic::default();
-            let sample_width = edge.sample_width();
-            for iteration in &edge.iterations {
-                let mut moves = 0.0;
-                let mut broadcast = 0.0;
-                pairs.begin();
-                let scale = iteration.scale;
-                for chunk in iteration.coords.chunks_exact(sample_width) {
-                    let src_owner = match &tables {
-                        Some(t) => t.owner(&chunk[..edge.src_rank]),
-                        None => machine.owner_flat(&chunk[..edge.src_rank]),
-                    };
-                    if edge.dst_replicated {
-                        broadcast += scale;
-                        pairs.insert(src_owner, usize::MAX);
-                    } else {
-                        let dst_owner = match &tables {
-                            Some(t) => t.owner(&chunk[edge.src_rank..]),
-                            None => machine.owner_flat(&chunk[edge.src_rank..]),
-                        };
-                        if src_owner != dst_owner {
-                            moves += scale;
-                            pairs.insert(src_owner, dst_owner);
-                        }
-                    }
+        Self::pricing(machine, |traversals| {
+            let mut total = 0.0;
+            for edge in &self.edges {
+                // The per-iteration walk adds `scale` once per moved sample
+                // of every point, in order; within a run those are
+                // consecutive additions of one value.
+                let mut edge_elems = 0.0;
+                for run in &edge.iterations {
+                    let counts =
+                        traversals.counts(&run.placement, &run.lattice, edge.dst_replicated);
+                    edge_elems = repeat_add(
+                        edge_elems,
+                        run.lattice.size.scale,
+                        (counts.moved + counts.broadcast) * run.repeat,
+                    );
                 }
-                // The walk accumulates per iteration point, so a run adds its
-                // traversal's traffic once per point it stands for.
-                for _ in 0..iteration.repeat {
-                    traffic.element_moves += moves * edge.weight;
-                    traffic.broadcast_elements += broadcast * edge.weight;
-                    traffic.messages += pairs.len() as f64 * edge.weight;
-                }
+                total += edge_elems * edge.weight;
             }
-            if !traffic.is_zero() {
-                report.per_edge.push((edge.id, traffic));
-            }
-            report.total.add(&traffic);
-        }
-        report
-    }
-}
-
-impl CachedEdge {
-    fn sample_width(&self) -> usize {
-        if self.dst_replicated {
-            self.src_rank
-        } else {
-            self.src_rank + self.dst_rank
-        }
+            total
+        })
     }
 }
 
@@ -1050,7 +958,7 @@ impl CachedEdge {
 /// any number of opposite sides ([`RestingOwners::traffic`]) — the ids are
 /// exactly the evaluated `owner_flat` values, and traffic, message pairs
 /// and sampling counters are bit-identical to the per-element loop.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RestingOwners {
     size: SampleSize,
     nprocs: usize,
@@ -1064,6 +972,8 @@ pub struct RestingOwners {
     base: usize,
     /// Per body axis of the object.
     axes: Vec<AxisOwners>,
+    /// Every axis's table, one after the other ([`AxisOwners::table`]).
+    tables: Vec<u32>,
 }
 
 /// What one body axis contributes to a side's flat owner ids.
@@ -1076,35 +986,24 @@ struct AxisOwners {
     /// Extent of that grid axis; 0 when the body axis drives none (the
     /// owner does not depend on it).
     grid: usize,
-    /// `grid` entries counting the sampled positions at each owner
-    /// coordinate, then the owner coordinate of each sampled position.
-    table: Vec<u32>,
-}
-
-impl AxisOwners {
-    /// Sampled positions per owner coordinate.
-    fn hist(&self) -> &[u32] {
-        &self.table[..self.grid]
-    }
-
-    /// Owner coordinate per sampled position.
-    fn coords(&self) -> &[u32] {
-        &self.table[self.grid..]
-    }
-
-    /// `(weighted owner coordinate, positions)` of each coordinate taken.
-    /// (Flat owner ids fit 32 bits: [`RestingOwners::build`] checks.)
-    fn classes(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        (self.hist().iter().enumerate())
-            .filter(|(_, &n)| n > 0)
-            .map(|(oc, &n)| ((oc * self.weight) as u32, n))
-    }
+    /// Where the axis's table starts in [`RestingOwners::tables`]: `grid`
+    /// entries counting the sampled positions at each owner coordinate,
+    /// then the owner coordinate of each of the `count` sampled positions.
+    table: usize,
 }
 
 /// Reusable workspace of [`RestingOwners::traffic`]; one per caller, handed
 /// to every call, so pricing a layer of moves allocates nothing per move.
 #[derive(Debug, Default)]
 pub struct TrafficScratch {
+    /// The two sides of a traversal priced in place (`Traversals`).
+    sides: [RestingOwners; 2],
+    product: ClassProduct,
+}
+
+/// Workspace of the class product ([`RestingOwners::moved_to`]).
+#[derive(Debug, Default)]
+struct ClassProduct {
     /// Joint histogram of one body axis, zero between uses.
     joint: Vec<u32>,
     /// `(source contribution, destination contribution, positions)` of every
@@ -1145,26 +1044,32 @@ impl RestingOwners {
         )
     }
 
-    /// [`RestingOwners::build`], counted.
+    /// A freshly allocated side ([`RestingOwners::fill`]), counted.
     fn redist_side<D: TemplateDistribution + ?Sized>(
         eval: &PosEval,
         dist: &D,
         extents: &[i64],
         lattice: &SampleLattice,
     ) -> Option<RestingOwners> {
-        let side = Self::build(eval, dist, extents, lattice)?;
+        let mut side = RestingOwners::default();
+        let (dims, nprocs) = (dist.grid_dims(), dist.num_processors());
+        side.fill(eval, dist, &dims, nprocs, extents, lattice)?;
         trace::count("commsim.redist.sides_compiled", 1);
         Some(side)
     }
 
-    fn build<D: TemplateDistribution + ?Sized>(
+    /// Compile a side into `self`, reusing its buffers; `dims` and `nprocs`
+    /// are `dist`'s grid and processor count. On `None` the contents are
+    /// unspecified.
+    fn fill<D: TemplateDistribution + ?Sized>(
+        &mut self,
         eval: &PosEval,
         dist: &D,
+        dims: &[usize],
+        nprocs: usize,
         extents: &[i64],
         lattice: &SampleLattice,
-    ) -> Option<RestingOwners> {
-        let dims = dist.grid_dims();
-        let nprocs = dist.num_processors();
+    ) -> Option<()> {
         // Owner ids and per-axis position counts are kept in 32 bits, the
         // replication mask in 64.
         if dims.iter().any(|&g| g == 0 || g > Self::MAX_AXIS_OWNERS)
@@ -1174,38 +1079,38 @@ impl RestingOwners {
         {
             return None;
         }
-        let replicated = (eval.base.iter().enumerate())
+        self.size = lattice.size;
+        self.nprocs = nprocs;
+        self.dims.clear();
+        self.dims.extend_from_slice(dims);
+        self.template_rank = eval.base.len();
+        self.replicated = (eval.base.iter().enumerate())
             .filter(|(_, &c)| c == REPLICATED_COORD)
             .fold(0u64, |mask, (t, _)| mask | 1 << t);
-        let mut side = RestingOwners {
-            size: lattice.size,
-            nprocs,
-            dims,
-            template_rank: eval.base.len(),
-            replicated,
-            base: 0,
-            axes: (extents.iter().zip(&lattice.strides))
-                .map(|(&e, &s)| AxisOwners {
-                    // An empty axis is still visited once, at its origin
-                    // ([`for_each_sampled_index`]).
-                    count: (((e + s - 1) / s) as usize).max(1),
-                    weight: 0,
-                    grid: 0,
-                    table: Vec::new(),
-                })
-                .collect(),
-        };
+        self.base = 0;
+        self.tables.clear();
+        self.axes.clear();
+        self.axes.extend(
+            (extents.iter().zip(&lattice.strides)).map(|(&e, &s)| AxisOwners {
+                // An empty axis is still visited once, at its origin
+                // ([`for_each_sampled_index`]).
+                count: (((e + s - 1) / s) as usize).max(1),
+                weight: 0,
+                grid: 0,
+                table: 0,
+            }),
+        );
         // Mixed-radix weights, axis 0 most significant — `owner_flat`'s.
         let mut weight = 1usize;
-        for (t, &g) in side.dims.iter().enumerate().rev() {
+        for (t, &g) in dims.iter().enumerate().rev() {
             let w = weight;
             weight *= g;
             if g == 1 {
                 // One owner coordinate, 0: nothing to add or to tabulate.
                 continue;
             }
-            if side.pinned(t) {
-                side.base += dist.owner_coord(t, 0) * w;
+            if self.pinned(t) {
+                self.base += dist.owner_coord(t, 0) * w;
                 continue;
             }
             let c0 = eval.base[t];
@@ -1217,14 +1122,16 @@ impl RestingOwners {
                 }
             }
             let Some((b, stride)) = driver else {
-                side.base += dist.owner_coord(t, c0) * w;
+                self.base += dist.owner_coord(t, c0) * w;
                 continue;
             };
-            let axis = &mut side.axes[b];
+            let axis = &mut self.axes[b];
             let step = lattice.strides[b];
             axis.weight = w;
             axis.grid = g;
-            axis.table = vec![0u32; g + axis.count];
+            axis.table = self.tables.len();
+            self.tables.resize(axis.table + g + axis.count, 0);
+            let table = &mut self.tables[axis.table..];
             for j in 0..axis.count {
                 let oc = dist.owner_coord(t, c0 + stride * (1 + j as i64 * step));
                 // An owner coordinate outside the grid breaks the trait's
@@ -1232,17 +1139,35 @@ impl RestingOwners {
                 if oc >= g {
                     return None;
                 }
-                axis.table[oc] += 1;
-                axis.table[g + j] = oc as u32;
+                table[oc] += 1;
+                table[g + j] = oc as u32;
             }
         }
-        Some(side)
+        Some(())
     }
 
     /// Grid axis `t` is replicated or missing in the alignment: a copy sits
     /// at every coordinate, and the flat id pins to coordinate 0's owner.
     fn pinned(&self, t: usize) -> bool {
         t >= self.template_rank || self.replicated >> t & 1 == 1
+    }
+
+    /// Sampled positions of `axis` per owner coordinate.
+    fn hist(&self, axis: &AxisOwners) -> &[u32] {
+        &self.tables[axis.table..axis.table + axis.grid]
+    }
+
+    /// Owner coordinate of each sampled position of `axis`.
+    fn coords(&self, axis: &AxisOwners) -> &[u32] {
+        &self.tables[axis.table + axis.grid..axis.table + axis.grid + axis.count]
+    }
+
+    /// `(weighted owner coordinate, positions)` of each coordinate `axis`
+    /// takes. (Flat owner ids fit 32 bits: [`RestingOwners::fill`] checks.)
+    fn classes<'a>(&'a self, axis: &'a AxisOwners) -> impl Iterator<Item = (u32, u32)> + 'a {
+        (self.hist(axis).iter().enumerate())
+            .filter(|(_, &n)| n > 0)
+            .map(|(oc, &n)| ((oc * axis.weight) as u32, n))
     }
 
     /// The processor grid the side was compiled on.
@@ -1274,27 +1199,27 @@ impl RestingOwners {
                 && (src.axes.iter().map(|a| a.count)).eq(dst.axes.iter().map(|a| a.count)),
             "two sides of one move share the object and its sampling"
         );
-        src.size.count();
-        if src.spreads_into(dst) {
-            return src.broadcast();
-        }
-        src.moved_to(dst, true, scratch)
+        src.size.count(1);
+        let counts = if src.spreads_into(dst) {
+            src.broadcast()
+        } else {
+            src.moved_to(dst, true, &mut scratch.product)
+        };
+        counts.traffic(src.size.scale)
     }
 
     /// Every sampled element broadcast from its source owner.
-    fn broadcast(&self) -> EdgeTraffic {
-        let sampled: u64 = self.axes.iter().map(|a| a.count as u64).product();
-        let senders: u64 = (self.axes.iter())
-            .map(|a| a.classes().count().max(1) as u64)
-            .product();
-        EdgeTraffic {
-            element_moves: 0.0,
-            messages: senders as f64,
-            broadcast_elements: repeat_add(0.0, self.size.scale, sampled),
+    fn broadcast(&self) -> TraversalCounts {
+        TraversalCounts {
+            pairs: (self.axes.iter())
+                .map(|a| self.classes(a).count().max(1) as u64)
+                .product(),
+            broadcast: self.axes.iter().map(|a| a.count as u64).product(),
+            ..TraversalCounts::default()
         }
     }
 
-    /// The point-to-point traffic of moving the object from `self` to `dst`.
+    /// The point-to-point move of the object from `self` to `dst`, counted.
     /// With `copies_hold`, an element stays put when *some* source copy sits
     /// on its destination owner (a replicated source axis holds one at every
     /// coordinate); without, only when the two flat owner ids are equal.
@@ -1302,33 +1227,34 @@ impl RestingOwners {
         &self,
         dst: &RestingOwners,
         copies_hold: bool,
-        scratch: &mut TrafficScratch,
-    ) -> EdgeTraffic {
-        let TrafficScratch {
+        product: &mut ClassProduct,
+    ) -> TraversalCounts {
+        let ClassProduct {
             joint,
             classes,
             bounds,
             cursor,
-        } = scratch;
+        } = product;
         classes.clear();
         bounds.clear();
         bounds.push(0);
         for (s, d) in self.axes.iter().zip(&dst.axes) {
             match (s.grid, d.grid) {
                 (0, 0) => classes.push((0, 0, s.count as u32)),
-                (_, 0) => classes.extend(s.classes().map(|(oc, n)| (oc, 0, n))),
-                (0, _) => classes.extend(d.classes().map(|(oc, n)| (0, oc, n))),
+                (_, 0) => classes.extend(self.classes(s).map(|(oc, n)| (oc, 0, n))),
+                (0, _) => classes.extend(dst.classes(d).map(|(oc, n)| (0, oc, n))),
                 (gs, gd) => {
                     if joint.len() < gs * gd {
                         joint.resize(gs * gd, 0);
                     }
                     let cell = |a: u32, b: u32| a as usize * gd + b as usize;
-                    for (&a, &b) in s.coords().iter().zip(d.coords()) {
+                    let positions = || self.coords(s).iter().zip(dst.coords(d));
+                    for (&a, &b) in positions() {
                         joint[cell(a, b)] += 1;
                     }
                     // Second pass: collect each class at its first position
                     // and leave the table zero for the next axis.
-                    for (&a, &b) in s.coords().iter().zip(d.coords()) {
+                    for (&a, &b) in positions() {
                         let n = std::mem::take(&mut joint[cell(a, b)]);
                         if n > 0 {
                             let (ws, wd) = (s.weight as u32, d.weight as u32);
@@ -1364,8 +1290,7 @@ impl RestingOwners {
         let rank = self.axes.len();
         cursor.clear();
         cursor.extend_from_slice(&bounds[..rank]);
-        let mut moved = 0u64;
-        let mut pairs = 0u64;
+        let mut counts = TraversalCounts::default();
         'products: loop {
             let (mut s, mut d, mut n) = (self.base, dst.base, 1u64);
             for &c in cursor.iter() {
@@ -1375,8 +1300,8 @@ impl RestingOwners {
                 n *= cn as u64;
             }
             if !held(s, d) {
-                moved += n;
-                pairs += 1;
+                counts.moved += n;
+                counts.pairs += 1;
             }
             for b in (0..rank).rev() {
                 cursor[b] += 1;
@@ -1387,11 +1312,7 @@ impl RestingOwners {
             }
             break;
         }
-        EdgeTraffic {
-            element_moves: repeat_add(0.0, self.size.scale, moved),
-            messages: pairs as f64,
-            broadcast_elements: 0.0,
-        }
+        counts
     }
 
     /// A spread happens on any axis the destination replicates but the
@@ -1517,6 +1438,7 @@ where
     let mut dst_in_src = vec![0usize; src_dims.len()];
 
     let lattice = SampleLattice::new(extents, budget);
+    lattice.size.count(1);
     let scale = lattice.size.scale;
     for_each_sampled_index(extents, &lattice, |index| {
         src_eval.write(index, &mut src_buf);
@@ -1878,22 +1800,24 @@ mod tests {
                         "{name}: messages"
                     );
                     assert_eq!(direct.per_edge.len(), cached.per_edge.len(), "{name}");
-                    // The ranking fast path sums per sample across the
-                    // iteration points; check it against that walk spelled
-                    // out, one addition per moved sample per point.
+                    // The ranking sum adds per sample across the iteration
+                    // points; check it against that walk spelled out, one
+                    // addition per moved sample per point, the samples
+                    // compared element by element.
+                    let mut pairs = PairSet::new(machine.num_processors());
                     let mut unrolled = 0.0;
                     for edge in &cache.edges {
                         let mut edge_elems = 0.0;
                         for run in &edge.iterations {
-                            for _ in 0..run.repeat {
-                                for chunk in run.coords.chunks_exact(edge.sample_width()) {
-                                    let (src, dst) = chunk.split_at(edge.src_rank);
-                                    if edge.dst_replicated
-                                        || machine.owner_flat(src) != machine.owner_flat(dst)
-                                    {
-                                        edge_elems += run.scale;
-                                    }
-                                }
+                            let counts = evaluated_counts(
+                                &run.placement,
+                                &run.lattice,
+                                edge.dst_replicated,
+                                machine,
+                                &mut pairs,
+                            );
+                            for _ in 0..run.repeat * (counts.moved + counts.broadcast) {
+                                edge_elems += run.lattice.size.scale;
                             }
                         }
                         unrolled += edge_elems * edge.weight;
@@ -1915,15 +1839,15 @@ mod tests {
         }
     }
 
-    /// `(repeat, stored samples)` of every run, edge by edge.
-    fn runs(cache: &PlacementCache) -> Vec<Vec<(usize, usize)>> {
+    /// `(repeat, sampled elements stood for)` of every run, edge by edge.
+    fn runs(cache: &PlacementCache) -> Vec<Vec<(u64, i64)>> {
         cache
             .edges
             .iter()
             .map(|e| {
                 e.iterations
                     .iter()
-                    .map(|it| (it.repeat, it.coords.len() / e.sample_width()))
+                    .map(|it| (it.repeat, it.lattice.size.sampled))
                     .collect()
             })
             .collect()
@@ -2017,44 +1941,75 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         };
-        let naive = |acc: f64, scale: f64, n: u64| (0..n).fold(acc, |a, _| a + scale);
-        for case in 0..1000 {
-            let n = next() % 3000;
-            let scale = match case % 4 {
-                0 => (1 + next() % 64) as f64,            // exact traversals
-                1 => (1 + next() % 8192) as f64 / 32.0,   // dyadic (127/32)
-                2 => (1 + next() % 8192) as f64 / 4096.0, // the grid itself
-                _ => (1 + next() % 8192) as f64 / 1568.0, // 6111/1568 = 3.897…
+        let naive = |acc: f64, s: f64, n: u64| (0..n).fold(acc, |a, _| a + s);
+        let ulp = |x: f64| f64::from_bits(x.to_bits() + 1) - x;
+        // A full-width mantissa in binade 2^e.
+        let in_binade = |e: u64, mantissa: u64| f64::from_bits((1023 + e) << 52 | mantissa >> 12);
+        for case in 0..200_000u64 {
+            // Mostly short folds; one case in 256 runs up to a million steps.
+            let n = match case % 256 {
+                0 => next() % 1_000_001,
+                _ => next() % (1 << (next() % 13)),
             };
-            // Start on or off the grid, far below or straddling the limit.
-            let acc = match (case / 4) % 4 {
-                0 => 0.0,
-                1 => (next() % (1 << 30)) as f64 / 4096.0,
-                2 => (next() % (1 << 30)) as f64 / 1568.0,
-                _ => (1u64 << 41) as f64 - ((next() % 4096) as f64 * scale).floor(),
+            let (acc, s) = match case % 8 {
+                // The scales traversals have: exact, dyadic (127/32), on the
+                // 2⁻¹² grid, and 6111/1568 = 3.897…, whose additions round —
+                // from zero, from sums of either kind, and across 2⁴¹.
+                kind @ 0..=3 => {
+                    let s = match kind {
+                        0 => (1 + next() % 64) as f64,
+                        1 => (1 + next() % 8192) as f64 / 32.0,
+                        2 => (1 + next() % 8192) as f64 / 4096.0,
+                        _ => (1 + next() % 8192) as f64 / 1568.0,
+                    };
+                    let acc = match (case / 8) % 4 {
+                        0 => 0.0,
+                        1 => (next() % (1 << 30)) as f64 / 4096.0,
+                        2 => (next() % (1 << 30)) as f64 / 1568.0,
+                        _ => (1u64 << 41) as f64 - ((next() % 4096) as f64 * s).floor(),
+                    };
+                    (acc, s)
+                }
+                // Every step a tie: `s` is a whole number of ulps and a half
+                // (half an ulp alone moves an odd mantissa once, an even one
+                // never).
+                4 => {
+                    let acc = in_binade(next() % 60, next());
+                    (acc, ulp(acc) * ((next() % 5) as f64 + 0.5))
+                }
+                // Below half an ulp: absorbed from the first step — zero
+                // included.
+                5 => {
+                    let acc = in_binade(next() % 60, next());
+                    (acc, ulp(acc) * ((next() % 1000) as f64 / 2048.0))
+                }
+                // Starting a few ulps under a power of two, in steps of whole,
+                // quarter, half and three-quarter ulps: crossings, some of
+                // them landing exactly on the power.
+                6 => {
+                    let top = in_binade(1 + next() % 60, 0);
+                    let acc = f64::from_bits(top.to_bits() - 1 - next() % 64);
+                    (acc, ulp(acc) * ((next() % 256) as f64 / 4.0))
+                }
+                // Anything: `s` from 2⁻⁶⁰ to 2³ times `acc`, or `acc` zero.
+                _ => {
+                    let acc = in_binade(next() % 80, next()) / (1u64 << 20) as f64;
+                    let s = in_binade(next() % 64, next()) * acc / (1u64 << 60) as f64;
+                    (if case % 64 == 7 { 0.0 } else { acc }, s)
+                }
             };
-            let want = naive(acc, scale, n);
             assert_eq!(
-                repeat_add(acc, scale, n).to_bits(),
-                want.to_bits(),
-                "acc {acc} scale {scale} n {n}"
+                repeat_add(acc, s, n).to_bits(),
+                naive(acc, s, n).to_bits(),
+                "case {case}: acc {acc:e} s {s:e} n {n}"
             );
         }
-        // The edge itself: the last sum the multiply arm may produce, and
-        // the first it may not (above 2⁴¹ an odd multiple of 2⁻¹² rounds).
-        let limit = (1u64 << 41) as f64;
-        let step = 1.0 / 4096.0;
-        for (acc, n) in [
-            (limit - 4.0 * step, 3),
-            (limit - 4.0 * step, 4),
-            (limit - step, 7),
-        ] {
-            assert_eq!(
-                repeat_add(acc, step, n).to_bits(),
-                naive(acc, step, n).to_bits(),
-                "acc {acc} n {n}"
-            );
-        }
+        // Signed zero, and nothing added.
+        assert_eq!(
+            repeat_add(-0.0, 0.0, 3).to_bits(),
+            naive(-0.0, 0.0, 3).to_bits()
+        );
+        assert_eq!(repeat_add(2.5, 0.1, 0).to_bits(), 2.5f64.to_bits());
     }
 
     #[test]
@@ -2456,6 +2411,12 @@ mod tests {
             ("flipped", Machine::new(vec![4, 2], vec![2, 5])),
         ];
         let options = [SimOptions::exact(), SimOptions::sampled(24, 512)];
+        let sampling = || {
+            (
+                trace::counter("commsim.elements_priced"),
+                trace::counter("commsim.sampling_events"),
+            )
+        };
 
         let mut compiled_hits = 0usize;
         for (sa, src_align) in &aligns {
@@ -2470,46 +2431,29 @@ mod tests {
                         let dst_replicated =
                             dst_align.offsets.iter().any(OffsetAlign::is_replicated)
                                 && !src_align.offsets.iter().any(OffsetAlign::is_replicated);
-                        let src_eval = PosEval::new(src_align, &[]);
-                        let dst_eval = PosEval::new(dst_align, &[]);
                         let total: usize = extents.iter().product::<i64>().max(1) as usize;
                         let lattice = SampleLattice::new(&extents, opts.element_budget(total));
+                        let placement = PointPlacement {
+                            src: PosEval::new(src_align, &[]),
+                            dst: PosEval::new(dst_align, &[]),
+                            extents: extents.clone(),
+                        };
 
-                        let mut ref_pairs = PairSet::new(machine.num_processors());
-                        ref_pairs.begin();
-                        let before = trace::counter("commsim.elements_priced");
-                        let reference = element_traffic_evaluated(
-                            &extents,
-                            &src_eval,
-                            &dst_eval,
-                            machine,
-                            dst_replicated,
+                        let before = sampling();
+                        let mut pairs = PairSet::new(machine.num_processors());
+                        let reference = evaluated_counts(
+                            &placement,
                             &lattice,
-                            &mut ref_pairs,
+                            dst_replicated,
+                            machine,
+                            &mut pairs,
                         );
-                        let ref_priced = trace::counter("commsim.elements_priced") - before;
-
-                        let before = trace::counter("commsim.elements_priced");
-                        let compiled = element_traffic_compiled(
-                            &extents,
-                            &src_eval,
-                            &dst_eval,
-                            machine,
-                            dst_replicated,
-                            &lattice,
-                            &mut TrafficScratch::default(),
-                        )
-                        .unwrap_or_else(|| panic!("{label}: separable scenario fell back"));
+                        let compiled = Traversals::new(machine)
+                            .compiled(&placement, &lattice, dst_replicated)
+                            .unwrap_or_else(|| panic!("{label}: separable scenario fell back"));
                         compiled_hits += 1;
-                        let compiled_priced = trace::counter("commsim.elements_priced") - before;
-
-                        assert!(
-                            compiled.element_moves == reference.element_moves
-                                && compiled.messages == reference.messages
-                                && compiled.broadcast_elements == reference.broadcast_elements,
-                            "{label}: compiled {compiled:?} != evaluated {reference:?}"
-                        );
-                        assert_eq!(compiled_priced, ref_priced, "{label}: counters");
+                        assert_eq!(compiled, reference, "{label}");
+                        assert_eq!(sampling(), before, "{label}: neither books a counter");
                     }
                 }
             }

@@ -62,13 +62,8 @@ fn outer_mobile_nest() -> (Adg, ProgramAlignment) {
 
 /// `(commsim.elements_priced, commsim.sampling_events)` booked by `f`.
 fn sampling_deltas(f: impl FnOnce()) -> (u64, u64) {
-    let priced = trace::counter("commsim.elements_priced");
-    let events = trace::counter("commsim.sampling_events");
-    f();
-    (
-        trace::counter("commsim.elements_priced") - priced,
-        trace::counter("commsim.sampling_events") - events,
-    )
+    let [priced, events, _] = walk_deltas(f);
+    (priced, events)
 }
 
 /// An aligned program, a machine to walk it on, and the sampling deltas of
@@ -260,5 +255,146 @@ fn layer_costs_and_exact_replay_keep_their_bits() {
         );
         let replay = simulate_dynamic(&result, SimOptions::exact()).total_elements();
         assert_eq!(replay.to_bits(), exact, "{name}: exact replay {replay}");
+    }
+}
+
+/// A trapezoidal nest whose one mobile offset follows the *outer* induction
+/// variable: the run of identical inner iterations is as long as the outer
+/// index, so no two runs have the same length.
+///
+/// ```fortran
+/// do k = 1, 6
+///   do j = 1, k
+///     A(1:16,1:15) = A(1:16,1:15) + A(1:16,2:16)
+/// ```
+fn trapezoidal_nest() -> (Adg, ProgramAlignment) {
+    let mut b = ProgramBuilder::new("trapezoidal_nest");
+    let a = b.array("A", &[16, 16]);
+    let k = b.begin_loop(1, 6);
+    let _j = b.begin_loop(1, Affine::liv(k));
+    let near = b.sec_ref(a, vec![rng(1, 16), rng(1, 15)]);
+    let far = b.sec_ref(a, vec![rng(1, 16), rng(2, 16)]);
+    b.assign(
+        a,
+        align_ir::Section::new(vec![rng(1, 16), rng(1, 15)]),
+        add(near, far),
+    );
+    b.end_loop();
+    b.end_loop();
+    let program = b.finish();
+    program.validate().expect("well formed");
+
+    let adg = build_adg(&program);
+    let ranks: Vec<usize> = adg.port_ids().map(|p| adg.port(p).rank).collect();
+    let mut alignment = ProgramAlignment::identity(2, &ranks);
+    for (pid, port) in adg.ports() {
+        if port.label.contains("2:16") {
+            alignment.ports[pid.0].offsets[1] = OffsetAlign::Fixed(Affine::liv(k));
+        }
+    }
+    (adg, alignment)
+}
+
+/// `(commsim.elements_priced, commsim.sampling_events,
+/// commsim.iterations_collapsed)` booked by `f`.
+fn walk_deltas(f: impl FnOnce()) -> [u64; 3] {
+    const NAMES: [&str; 3] = [
+        "commsim.elements_priced",
+        "commsim.sampling_events",
+        "commsim.iterations_collapsed",
+    ];
+    let before = NAMES.map(trace::counter);
+    f();
+    let after = NAMES.map(trace::counter);
+    [0, 1, 2].map(|i| after[i] - before[i])
+}
+
+/// Runs of unequal length (the trapezoid) and an iteration stride that does
+/// not divide the trip count (`sampled(64, 7)`): the counters of a cache
+/// build and of a walk, and the walk's traffic, pinned on the commit where
+/// both still visited every sampled iteration point one by one.
+#[test]
+fn trapezoid_and_odd_stride_walks_keep_their_counters_and_bits() {
+    // (name, program, machine, options, build deltas, walk deltas,
+    //  fold of the walk's (moves, messages, broadcast) bits)
+    type Case = (
+        &'static str,
+        (Adg, ProgramAlignment),
+        Machine,
+        SimOptions,
+        [u64; 3],
+        [u64; 3],
+        u64,
+    );
+    let odd = SimOptions::sampled(64, 7);
+    let cases: Vec<Case> = vec![
+        (
+            "trapezoidal_nest",
+            trapezoidal_nest(),
+            Machine::new(vec![2, 2], vec![4, 4]),
+            SimOptions::default(),
+            [62992, 0, 15],
+            [62992, 0, 15],
+            0xae6b_f218_6c0f_2fb7,
+        ),
+        (
+            "trapezoidal_nest, odd stride",
+            trapezoidal_nest(),
+            Machine::cyclic(vec![2, 2]),
+            odd,
+            [7040, 110, 2],
+            [7040, 120, 2],
+            0xda09_b218_6c0f_2fb7,
+        ),
+        (
+            "outer_mobile_nest, odd stride",
+            outer_mobile_nest(),
+            Machine::new(vec![2, 2], vec![4, 4]),
+            odd,
+            [4608, 72, 2],
+            [4608, 82, 2],
+            0x04bd_b218_6c0f_2fb7,
+        ),
+        (
+            "fft_like(128,40) atom 0, odd stride",
+            aligned_atom(&programs::fft_like(128, 40), 0),
+            Machine::cyclic(vec![4, 4]),
+            odd,
+            [4736, 74, 6],
+            [4736, 84, 6],
+            0x104b_4c18_6c0f_2fb7,
+        ),
+        (
+            "reduction_tree(64,64) atom 2, odd stride",
+            aligned_atom(&programs::reduction_tree(64, 64), 2),
+            Machine::block_distribution(vec![32], &[64]),
+            odd,
+            [5180, 74, 6],
+            [5180, 84, 6],
+            0x40fc_62d0_934f_250f,
+        ),
+    ];
+    for (name, (adg, alignment), machine, opts, build_want, walk_want, bits_want) in &cases {
+        let build = walk_deltas(|| {
+            PlacementCache::new(adg, alignment, *opts);
+        });
+        let mut report = SimReport::default();
+        let walk = walk_deltas(|| report = simulate(adg, alignment, machine, *opts));
+        let total = report.total;
+        let bits = fold_bits(
+            [
+                total.element_moves,
+                total.messages,
+                total.broadcast_elements,
+            ]
+            .into_iter(),
+        )
+        .1;
+        assert_eq!(build, *build_want, "{name}: PlacementCache::new");
+        assert_eq!(walk, *walk_want, "{name}: simulate");
+        assert_eq!(
+            bits, *bits_want,
+            "{name}: traffic {total:?} folds to {bits:#x}"
+        );
     }
 }
