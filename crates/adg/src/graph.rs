@@ -393,10 +393,6 @@ impl Adg {
     pub fn port_ids(&self) -> impl Iterator<Item = PortId> {
         (0..self.ports.len()).map(PortId)
     }
-    /// Iterate over edge ids.
-    pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> {
-        (0..self.edges.len()).map(EdgeId)
-    }
 
     /// Nodes with their ids.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &Node)> {

@@ -6,7 +6,7 @@
 //! LIVs (imperfect / trapezoidal nests), so each level carries an
 //! [`AffineTriplet`] rather than a constant range.
 
-use crate::affine::{Affine, LivId};
+use crate::affine::LivId;
 use crate::triplet::{AffineTriplet, Triplet};
 use std::fmt;
 use std::ops::ControlFlow;
@@ -232,11 +232,6 @@ impl IterationSpace {
         total
     }
 
-    /// Evaluate the concrete range of level `level` given outer LIV values.
-    pub fn range_at(&self, level: usize, outer: &[(LivId, i64)]) -> Triplet {
-        self.levels[level].range.at(outer)
-    }
-
     /// Split each level's range into `m` equal pieces and return the Cartesian
     /// product of the pieces: the `m^k` sub-spaces of Section 4.4's
     /// decomposition (for constant-bound nests). Levels whose bounds depend
@@ -300,15 +295,10 @@ impl fmt::Display for IterationSpace {
     }
 }
 
-/// Helper used across the workspace: evaluate an [`Affine`] at a point of an
-/// iteration space expressed as an association list.
-pub fn eval_at(a: &Affine, point: &[(LivId, i64)]) -> i64 {
-    a.eval_assoc(point)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::affine::Affine;
 
     fn k() -> LivId {
         LivId(0)

@@ -111,12 +111,6 @@ impl Triplet {
         n * l * l + 2 * l * s * (n * (n - 1) / 2) + s * s * ((n - 1) * n * (2 * n - 1) / 6)
     }
 
-    /// Mean of the indices as a rational pair `(numerator, denominator)`;
-    /// the "average distance spanned" term of Equation (3) uses `(l + last)/2`.
-    pub fn mean_times_two(&self) -> i64 {
-        self.lo + self.last().unwrap_or(self.lo)
-    }
-
     /// Split the range into `m` sub-ranges of (nearly) equal cardinality, in
     /// order. Used by the fixed-partitioning mobile-offset algorithm
     /// (Section 4.2). Fewer than `m` pieces are returned when the range has

@@ -48,11 +48,6 @@ impl WeightPoly {
         WeightPoly { factors }
     }
 
-    /// Multiply by another factor in place.
-    pub fn push_factor(&mut self, a: Affine) {
-        self.factors.push(a);
-    }
-
     /// Multiply two weights.
     pub fn mul(&self, other: &WeightPoly) -> WeightPoly {
         let mut factors = self.factors.clone();
@@ -82,12 +77,6 @@ impl WeightPoly {
             w = w.saturating_mul(v);
         }
         w
-    }
-
-    /// Evaluate a constant weight (panics if the weight is LIV-dependent).
-    pub fn eval_constant(&self) -> i64 {
-        assert!(self.is_constant(), "weight depends on LIVs");
-        self.eval(&[])
     }
 
     /// Sum of the weight over every point of `space`.

@@ -807,9 +807,10 @@ fn e16() {
         }
     }
     println!("{t}");
-    println!("The search stays sub-second to 4096 processors (beam search past the");
-    println!("exhaustive cutoff); once the grid outgrows the template, extra processors");
-    println!("stop helping — the model charges the idle-processor imbalance.");
+    println!("The search enumerates every (grid, layout) candidate and stays under");
+    println!("100 candidates and a few ms to 4096 processors; once the grid outgrows the");
+    println!("template, extra processors stop helping — the model charges the");
+    println!("idle-processor imbalance.");
 }
 
 // --- E17: block-size sensitivity ----------------------------------------------------------------
@@ -841,7 +842,6 @@ fn e17() {
                 g
             }
         };
-        let params = distrib::DistribCostParams::default();
         for block in [0usize, 1, 2, 4, 8, 16] {
             let layout = match block {
                 0 => distrib::Layout::Block,
@@ -849,7 +849,7 @@ fn e17() {
                 b => distrib::Layout::BlockCyclic(b),
             };
             let dist = ProgramDistribution::new(&extents, &grid, &vec![layout; rank]);
-            let cost = model.cost(&dist, &params);
+            let cost = model.cost(&dist);
             t.row(vec![
                 name.to_string(),
                 dist.to_string(),

@@ -29,31 +29,16 @@ use alignment_core::CostModel;
 use commsim::TemplateDistribution;
 use std::collections::HashMap;
 
-/// Machine parameters of the distribution cost model.
-#[derive(Debug, Clone, Copy)]
-pub struct DistribCostParams {
-    /// Per-element routing penalty of general (all-to-all) communication.
-    pub general_factor: f64,
-    /// Per-element cost of one broadcast tree stage.
-    pub broadcast_hop_cost: f64,
-    /// Weight of compute load imbalance relative to communication.
-    pub imbalance_weight: f64,
-    /// Iteration points sampled per edge (longer loops are strided). The
-    /// sample is taken once, when the [`DistributionCostModel`] is built,
-    /// and the model measures its template on the same points.
-    pub max_points_per_edge: usize,
-}
-
-impl Default for DistribCostParams {
-    fn default() -> Self {
-        DistribCostParams {
-            general_factor: 4.0,
-            broadcast_hop_cost: 1.0,
-            imbalance_weight: 1.0,
-            max_points_per_edge: 128,
-        }
-    }
-}
+/// Per-element routing penalty of general (all-to-all) communication.
+pub const GENERAL_FACTOR: f64 = 4.0;
+/// Per-element cost of one broadcast tree stage.
+pub const BROADCAST_HOP_COST: f64 = 1.0;
+/// Weight of compute load imbalance relative to communication.
+pub const IMBALANCE_WEIGHT: f64 = 1.0;
+/// Iteration points sampled per edge (longer loops are strided). The sample
+/// is taken once, when the [`DistributionCostModel`] is built, and the model
+/// measures its template on the same points.
+pub const MAX_POINTS_PER_EDGE: usize = 128;
 
 /// A distribution cost, broken down by source.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -131,17 +116,14 @@ struct SampledPoint {
 /// The solver prices hundreds to thousands of (grid, layout) candidates, so
 /// everything that depends only on the ADG and the alignment — iteration
 /// points, weights, offset distances — is evaluated once at construction
-/// (sampling long loops down to `max_points` per edge) into three flat
-/// lists: the samples, all samples' per-axis effects one after another, and
-/// the distinct `(axis, distance)` pairs the effects shift by. Pricing a
+/// (sampling long loops down to [`MAX_POINTS_PER_EDGE`] per edge) into three
+/// flat lists: the samples, all samples' per-axis effects one after another,
+/// and the distinct `(axis, distance)` pairs the effects shift by. Pricing a
 /// candidate asks it once per distinct pair what fraction of the elements
 /// such a shift moves, then makes a single pass over the samples.
 pub struct DistributionCostModel<'a> {
     adg: &'a Adg,
     alignment: &'a ProgramAlignment,
-    /// The sampling cap the model was built with; the template is measured
-    /// on the same points.
-    max_points: usize,
     samples: Vec<SampledPoint>,
     effects: Vec<AxisEffect>,
     shifts: Vec<(usize, i64)>,
@@ -150,21 +132,8 @@ pub struct DistributionCostModel<'a> {
 }
 
 impl<'a> DistributionCostModel<'a> {
-    /// Build a model for an aligned program with the default sampling cap.
+    /// Build the model of an aligned program.
     pub fn new(adg: &'a Adg, alignment: &'a ProgramAlignment) -> Self {
-        Self::with_max_points(
-            adg,
-            alignment,
-            DistribCostParams::default().max_points_per_edge,
-        )
-    }
-
-    /// Build a model sampling at most `max_points` iteration points per edge.
-    pub fn with_max_points(
-        adg: &'a Adg,
-        alignment: &'a ProgramAlignment,
-        max_points: usize,
-    ) -> Self {
         let _span = trace::span("distrib.model.build");
         let mut samples = Vec::new();
         let mut effects = Vec::new();
@@ -177,7 +146,7 @@ impl<'a> DistributionCostModel<'a> {
             if total == 0 {
                 continue;
             }
-            let stride = (total / max_points.max(1)).max(1);
+            let stride = (total / MAX_POINTS_PER_EDGE).max(1);
             let scale = stride as f64;
             let mut idx = 0usize;
             edge.space.for_each_point(|point| {
@@ -226,7 +195,6 @@ impl<'a> DistributionCostModel<'a> {
         DistributionCostModel {
             adg,
             alignment,
-            max_points,
             samples,
             effects,
             shifts,
@@ -238,11 +206,11 @@ impl<'a> DistributionCostModel<'a> {
     /// distributions must cover), measured on the points the model samples.
     pub fn template_extents(&self) -> Vec<i64> {
         let _span = trace::span("distrib.template_extents");
-        CostModel::new(self.adg).template_extents(self.alignment, self.max_points)
+        CostModel::new(self.adg).template_extents(self.alignment, MAX_POINTS_PER_EDGE)
     }
 
     /// Price one candidate distribution.
-    pub fn cost(&self, dist: &ProgramDistribution, params: &DistribCostParams) -> DistributionCost {
+    pub fn cost(&self, dist: &ProgramDistribution) -> DistributionCost {
         let p = dist.num_processors() as f64;
         let t = dist.template_rank();
         // moved_fraction is O(period) per shift distance: taken once per
@@ -261,7 +229,7 @@ impl<'a> DistributionCostModel<'a> {
             let effects = &self.effects[start..sample.effects_end];
             start = sample.effects_end;
             if sample.mismatch {
-                cost.general += w * (p - 1.0) / p * params.general_factor;
+                cost.general += w * (p - 1.0) / p * GENERAL_FACTOR;
                 continue;
             }
             for (axis, effect) in effects.iter().enumerate().take(t) {
@@ -272,14 +240,14 @@ impl<'a> DistributionCostModel<'a> {
                         // stage along the replicated axis.
                         let g_axis = dist.axes[axis].nprocs;
                         let stages = (g_axis.max(1) as f64).log2().ceil();
-                        cost.broadcast += w * stages * params.broadcast_hop_cost;
+                        cost.broadcast += w * stages * BROADCAST_HOP_COST;
                     }
                     AxisEffect::Free => {}
                 }
             }
         }
 
-        cost.imbalance = dist.imbalance() * self.total_volume * params.imbalance_weight;
+        cost.imbalance = dist.imbalance() * self.total_volume * IMBALANCE_WEIGHT;
         cost
     }
 }
@@ -305,7 +273,7 @@ mod tests {
         let model = DistributionCostModel::new(&adg, &result.alignment);
         for layout in [Layout::Block, Layout::Cyclic, Layout::BlockCyclic(4)] {
             let d = ProgramDistribution::new(&model.template_extents(), &[4], &[layout]);
-            let c = model.cost(&d, &DistribCostParams::default());
+            let c = model.cost(&d);
             assert_eq!(c.shift, 0.0, "{layout}: {c}");
             assert_eq!(c.general, 0.0, "{layout}: {c}");
             assert_eq!(c.broadcast, 0.0, "{layout}: {c}");
@@ -327,16 +295,9 @@ mod tests {
             .expect("section def port for B");
         a.ports[pid.0].offsets[0] = OffsetAlign::Fixed(Affine::constant(1));
         let model = DistributionCostModel::new(&adg, &a);
-        let params = DistribCostParams::default();
         let ext = model.template_extents();
-        let block = model.cost(
-            &ProgramDistribution::new(&ext, &[4], &[Layout::Block]),
-            &params,
-        );
-        let cyclic = model.cost(
-            &ProgramDistribution::new(&ext, &[4], &[Layout::Cyclic]),
-            &params,
-        );
+        let block = model.cost(&ProgramDistribution::new(&ext, &[4], &[Layout::Block]));
+        let cyclic = model.cost(&ProgramDistribution::new(&ext, &[4], &[Layout::Cyclic]));
         assert!(
             block.shift < cyclic.shift / 4.0,
             "block {block} vs cyclic {cyclic}"
@@ -350,7 +311,7 @@ mod tests {
         let model = DistributionCostModel::new(&adg, &a);
         let ext = model.template_extents();
         let d = ProgramDistribution::new(&ext, &[1, 1], &[Layout::Block, Layout::Block]);
-        let c = model.cost(&d, &DistribCostParams::default());
+        let c = model.cost(&d);
         assert_eq!(c.shift, 0.0, "{c}");
         assert_eq!(c.broadcast, 0.0, "one stage of log2(1) = 0 hops: {c}");
     }
@@ -359,16 +320,17 @@ mod tests {
     fn broadcast_scales_with_grid_log() {
         let (adg, result) = align_program(&programs::figure4(16, 8, 4), &PipelineConfig::default());
         let model = DistributionCostModel::new(&adg, &result.alignment);
-        let params = DistribCostParams::default();
         let ext = model.template_extents();
-        let narrow = model.cost(
-            &ProgramDistribution::new(&ext, &[4, 2], &[Layout::Block, Layout::Block]),
-            &params,
-        );
-        let wide = model.cost(
-            &ProgramDistribution::new(&ext, &[1, 8], &[Layout::Block, Layout::Block]),
-            &params,
-        );
+        let narrow = model.cost(&ProgramDistribution::new(
+            &ext,
+            &[4, 2],
+            &[Layout::Block, Layout::Block],
+        ));
+        let wide = model.cost(&ProgramDistribution::new(
+            &ext,
+            &[1, 8],
+            &[Layout::Block, Layout::Block],
+        ));
         // Replication in figure4 is along the spread axis; more processors
         // there means more broadcast stages.
         assert!(
@@ -379,17 +341,17 @@ mod tests {
 
     #[test]
     fn template_is_measured_on_the_points_the_model_samples() {
-        // One edge over `do k = 1, 8; do j = 1, 8`, its tail sliding to cell
-        // `k - j`: the far cells (7 at the 57th point, -7 at the 8th) fall
-        // between the points a 4-point sample takes (every 16th, plus the
-        // last), so a model built at that cap must not report the template
-        // a 128-point sample sees.
+        // One edge over `do k = 1, 32; do j = 1, 32`, its tail sliding to
+        // cell `k - j`: the model samples every 8th of the 1 024 points
+        // (`j` in {1, 9, 17, 25}) plus the last, so it sees `k - j` down to
+        // -24, not the nest's -31, and must report the template of the
+        // points it samples, not of the whole nest.
         use adg::NodeKind;
         use align_ir::triplet::AffineTriplet;
         use align_ir::{Affine, ArrayId, IterationSpace, LivId, Triplet, WeightPoly};
         let (k, j) = (LivId(0), LivId(1));
-        let space = IterationSpace::single_loop(k, 1, 8, 1)
-            .enter_loop(j, AffineTriplet::constant(Triplet::range(1, 8)));
+        let space = IterationSpace::single_loop(k, 1, 32, 1)
+            .enter_loop(j, AffineTriplet::constant(Triplet::range(1, 32)));
         let mut g = Adg::new("nest");
         let src = g.add_node(NodeKind::Source { array: ArrayId(0) }, space.clone());
         let dst = g.add_node(NodeKind::Sink { array: ArrayId(0) }, space.clone());
@@ -399,11 +361,16 @@ mod tests {
         let mut a = ProgramAlignment::identity(1, &[0, 0]);
         a.ports[d.0].offsets[0] = OffsetAlign::Fixed(Affine::new(0, [(k, 1), (j, -1)]));
 
-        let coarse = DistributionCostModel::with_max_points(&g, &a, 4).template_extents();
-        let fine = DistributionCostModel::with_max_points(&g, &a, 128).template_extents();
-        assert_eq!(fine, vec![15]);
-        assert_eq!(coarse, vec![7]);
-        assert_eq!(coarse, CostModel::new(&g).template_extents(&a, 4));
+        let sampled = DistributionCostModel::new(&g, &a).template_extents();
+        assert_eq!(sampled, vec![56]);
+        assert_eq!(
+            sampled,
+            CostModel::new(&g).template_extents(&a, MAX_POINTS_PER_EDGE)
+        );
+        assert_eq!(
+            CostModel::new(&g).template_extents(&a, usize::MAX),
+            vec![63]
+        );
     }
 
     #[test]
@@ -411,11 +378,10 @@ mod tests {
         let adg = build_adg(&programs::example1(64));
         let a = identity(&adg, 1);
         let model = DistributionCostModel::new(&adg, &a);
-        let params = DistribCostParams::default();
         // 65-cell template over 4 procs: last block is short.
         let skew = ProgramDistribution::new(&[65], &[4], &[Layout::Block]);
         let even = ProgramDistribution::new(&[64], &[4], &[Layout::Block]);
-        assert!(model.cost(&skew, &params).imbalance > 0.0);
-        assert_eq!(model.cost(&even, &params).imbalance, 0.0);
+        assert!(model.cost(&skew).imbalance > 0.0);
+        assert_eq!(model.cost(&even).imbalance, 0.0);
     }
 }

@@ -17,8 +17,8 @@
 //! 4. [`cost`] — a machine-level cost model translating the alignment
 //!    phase's residual shift/broadcast/general communication into element
 //!    moves under a concrete distribution, plus a load-imbalance term;
-//! 5. [`solve`] — exhaustive search over (grid, layout) candidates with a
-//!    beam-search fallback, producing a ranked [`DistributionReport`];
+//! 5. [`solve`] — exhaustive search over (grid, layout) candidates,
+//!    producing a ranked [`DistributionReport`];
 //! 6. [`pipeline`] — [`align_then_distribute`], the combined two-phase
 //!    driver.
 
@@ -29,7 +29,7 @@ pub mod layout;
 pub mod pipeline;
 pub mod solve;
 
-pub use cost::{DistribCostParams, DistributionCost, DistributionCostModel};
+pub use cost::{DistributionCost, DistributionCostModel};
 pub use distribution::ProgramDistribution;
 pub use grid::{count_grids, enumerate_grids};
 pub use layout::{AxisDistribution, Layout};
@@ -37,6 +37,6 @@ pub use pipeline::{
     align_then_distribute, distribute_alignment, FullPipelineConfig, FullPipelineResult,
 };
 pub use solve::{
-    solve_distribution, solve_distribution_pooled, DistributionReport, RankedDistribution,
-    SignatureSpace, SolveConfig,
+    rank_distributions, solve_distribution, solve_distribution_pooled, DistributionReport,
+    RankedDistribution, SignatureSpace, SolveConfig,
 };

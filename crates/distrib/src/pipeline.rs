@@ -15,28 +15,12 @@ use align_ir::Program;
 use alignment_core::pipeline::{align_program, AlignmentResult, PipelineConfig};
 use alignment_core::position::ProgramAlignment;
 
-/// Configuration of both phases.
+/// Configuration of both phases. The distribution search takes only the
+/// processor count, an argument of [`align_then_distribute`].
 #[derive(Debug, Clone, Default)]
 pub struct FullPipelineConfig {
     /// The alignment phase (axis, stride, replication, mobile offset).
     pub alignment: PipelineConfig,
-    /// The distribution phase search, minus the processor count (which is an
-    /// argument of [`align_then_distribute`]). `None` keys every knob off
-    /// [`SolveConfig::new`].
-    pub distribution: Option<SolveConfig>,
-}
-
-impl FullPipelineConfig {
-    /// The distribution search configuration for `nprocs` processors.
-    fn solve_config(&self, nprocs: usize) -> SolveConfig {
-        match &self.distribution {
-            Some(cfg) => SolveConfig {
-                nprocs,
-                ..cfg.clone()
-            },
-            None => SolveConfig::new(nprocs),
-        }
-    }
 }
 
 /// Everything both phases produced.
@@ -65,7 +49,7 @@ pub fn align_then_distribute(
     config: &FullPipelineConfig,
 ) -> FullPipelineResult {
     let (adg, alignment) = align_program(program, &config.alignment);
-    let distribution = solve_distribution(&adg, &alignment.alignment, &config.solve_config(nprocs));
+    let distribution = distribute_alignment(&adg, &alignment.alignment, nprocs);
     FullPipelineResult {
         adg,
         alignment,
@@ -78,9 +62,8 @@ pub fn distribute_alignment(
     adg: &Adg,
     alignment: &ProgramAlignment,
     nprocs: usize,
-    config: &FullPipelineConfig,
 ) -> DistributionReport {
-    solve_distribution(adg, alignment, &config.solve_config(nprocs))
+    solve_distribution(adg, alignment, &SolveConfig::new(nprocs))
 }
 
 #[cfg(test)]
@@ -102,22 +85,13 @@ mod tests {
     }
 
     #[test]
-    fn distribution_config_overrides_apply() {
-        let mut cfg = FullPipelineConfig::default();
-        let mut solve = SolveConfig::new(1);
-        solve.top_k = 2;
-        cfg.distribution = Some(solve);
-        let result = align_then_distribute(&programs::example1(32), 8, &cfg);
-        // nprocs comes from the call, top_k from the override.
-        assert_eq!(result.distribution.nprocs, 8);
-        assert!(result.distribution.ranked.len() <= 2);
-    }
-
-    #[test]
     fn second_phase_alone_matches_full_run() {
         let cfg = FullPipelineConfig::default();
         let full = align_then_distribute(&programs::example5_default(), 4, &cfg);
-        let alone = distribute_alignment(&full.adg, &full.alignment.alignment, 4, &cfg);
+        let alone = distribute_alignment(&full.adg, &full.alignment.alignment, 4);
+        // nprocs comes from the call.
+        assert_eq!(full.distribution.nprocs, 4);
+        assert_eq!(alone.nprocs, 4);
         assert_eq!(
             format!("{}", full.best().distribution),
             format!("{}", alone.best().distribution)

@@ -1,13 +1,12 @@
 //! Search over (grid shape, per-axis layout) candidates.
 //!
-//! For small template ranks the candidate space — ordered factorisations of
-//! the processor count times a handful of layouts per axis — is small enough
-//! to enumerate exhaustively. When it is not (many processors, deep
-//! templates, long block-size candidate lists), the solver falls back to a
-//! per-grid beam search: starting from all-`Block`, axes are refined one at
-//! a time keeping the `beam_width` cheapest partial configurations.
+//! The candidate space — ordered factorisations of the processor count times
+//! a handful of layouts per axis — is enumerated in full. It stays small:
+//! the 2-D programs of EXPERIMENTS E16 peak at 96 candidates at 4 096
+//! processors, and a 3-D template of 513³ cells first passes 4 096
+//! candidates at 1 024 processors.
 
-use crate::cost::{DistribCostParams, DistributionCost, DistributionCostModel};
+use crate::cost::{DistributionCost, DistributionCostModel};
 use crate::distribution::ProgramDistribution;
 use crate::grid::enumerate_grids;
 use crate::layout::Layout;
@@ -15,36 +14,26 @@ use adg::Adg;
 use alignment_core::position::ProgramAlignment;
 use std::fmt;
 
-/// Configuration of the distribution search.
+/// Candidate block sizes for `BlockCyclic` layouts (besides the implicit
+/// `Block` and `Cyclic` endpoints).
+pub const BLOCK_SIZES: [usize; 3] = [2, 4, 8];
+
+/// How many ranked distributions a [`DistributionReport`] keeps.
+pub const TOP_K: usize = 8;
+
+/// Configuration of the distribution search: the processor count. The
+/// candidate space ([`BLOCK_SIZES`]) and the report length ([`TOP_K`]) are
+/// fixed.
 #[derive(Debug, Clone)]
 pub struct SolveConfig {
     /// Total number of physical processors to distribute over.
     pub nprocs: usize,
-    /// Candidate block sizes for `BlockCyclic` layouts (besides the implicit
-    /// `Block` and `Cyclic` endpoints).
-    pub block_sizes: Vec<usize>,
-    /// Maximum number of full candidates to price exhaustively; beyond this
-    /// the solver switches to beam search.
-    pub max_exhaustive: usize,
-    /// Beam width of the fallback search.
-    pub beam_width: usize,
-    /// How many ranked distributions to keep in the report.
-    pub top_k: usize,
-    /// Machine parameters of the cost model.
-    pub params: DistribCostParams,
 }
 
 impl SolveConfig {
-    /// The default search for a given processor count.
+    /// The search for a given processor count.
     pub fn new(nprocs: usize) -> Self {
-        SolveConfig {
-            nprocs,
-            block_sizes: vec![2, 4, 8],
-            max_exhaustive: 4096,
-            beam_width: 4,
-            top_k: 8,
-            params: DistribCostParams::default(),
-        }
+        SolveConfig { nprocs }
     }
 }
 
@@ -64,12 +53,10 @@ pub struct DistributionReport {
     pub nprocs: usize,
     /// Template extents the candidates cover.
     pub template_extents: Vec<i64>,
-    /// Ranked candidates, ascending cost (at most `top_k`).
+    /// Ranked candidates, ascending cost (at most [`TOP_K`]).
     pub ranked: Vec<RankedDistribution>,
-    /// Number of candidates priced.
+    /// Number of candidates priced: the whole signature space.
     pub candidates_evaluated: usize,
-    /// Whether the whole candidate space was enumerated.
-    pub exhaustive: bool,
 }
 
 impl DistributionReport {
@@ -84,15 +71,8 @@ impl fmt::Display for DistributionReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "distribution report: {} processors, template {:?}, {} candidates ({})",
-            self.nprocs,
-            self.template_extents,
-            self.candidates_evaluated,
-            if self.exhaustive {
-                "exhaustive"
-            } else {
-                "beam"
-            }
+            "distribution report: {} processors, template {:?}, {} candidates",
+            self.nprocs, self.template_extents, self.candidates_evaluated,
         )?;
         for (i, r) in self.ranked.iter().enumerate() {
             writeln!(
@@ -150,7 +130,7 @@ impl SignatureSpace {
             .iter()
             .map(|grid| {
                 (0..t)
-                    .map(|ax| axis_layout_candidates(extents[ax], grid[ax], &config.block_sizes))
+                    .map(|ax| axis_layout_candidates(extents[ax], grid[ax], &BLOCK_SIZES))
                     .collect()
             })
             .collect();
@@ -166,15 +146,16 @@ impl SignatureSpace {
     }
 }
 
-/// Search the (grid, layout) space for the cheapest distributions of an
-/// aligned program over `config.nprocs` processors.
+/// Price every (grid, layout) candidate of an aligned program over
+/// `config.nprocs` processors and rank them, cheapest first. The whole
+/// signature space is enumerated, so the report's best is the model's
+/// optimum.
 pub fn solve_distribution(
     adg: &Adg,
     alignment: &ProgramAlignment,
     config: &SolveConfig,
 ) -> DistributionReport {
-    let model =
-        DistributionCostModel::with_max_points(adg, alignment, config.params.max_points_per_edge);
+    let model = DistributionCostModel::new(adg, alignment);
     let extents = model.template_extents();
     solve_distribution_pooled(std::slice::from_ref(&model), &extents, config)
 }
@@ -193,69 +174,43 @@ pub fn solve_distribution_pooled(
     assert!(!models.is_empty(), "need at least one cost model");
     let _span = trace::span("distrib.solve");
     trace::count("distrib.solves", 1);
-    let t = extents.len();
     let space = SignatureSpace::enumerate(extents, config);
     trace::record_value("distrib.signature_space", space.total_candidates as f64);
-    let exhaustive = space.total_candidates <= config.max_exhaustive;
 
     let mut ranked: Vec<RankedDistribution> = Vec::new();
-    let mut evaluated = 0usize;
-    let pooled_cost = |dist: &ProgramDistribution| -> DistributionCost {
-        models
-            .iter()
-            .map(|m| m.cost(dist, &config.params))
-            .fold(DistributionCost::default(), |a, b| a.plus(&b))
-    };
-    let mut consider = |dist: ProgramDistribution, cost: DistributionCost| {
-        ranked.push(RankedDistribution {
-            distribution: dist,
-            cost,
-        });
-    };
-
     for (grid, candidates) in space.grids.iter().zip(&space.per_grid_layouts) {
-        if exhaustive {
-            for layouts in cartesian(candidates) {
-                let dist = ProgramDistribution::new(extents, grid, &layouts);
-                let cost = pooled_cost(&dist);
-                evaluated += 1;
-                consider(dist, cost);
-            }
-        } else {
-            // Beam search: refine one axis at a time from all-Block.
-            let mut beam: Vec<Vec<Layout>> = vec![vec![Layout::Block; t]];
-            for ax in 0..t {
-                let mut next: Vec<(f64, Vec<Layout>)> = Vec::new();
-                for base in &beam {
-                    for &candidate in &candidates[ax] {
-                        let mut layouts = base.clone();
-                        layouts[ax] = candidate;
-                        let dist = ProgramDistribution::new(extents, grid, &layouts);
-                        let cost = pooled_cost(&dist);
-                        evaluated += 1;
-                        next.push((cost.total(), layouts));
-                        consider(dist, cost);
-                    }
-                }
-                next.sort_by(|a, b| a.0.total_cmp(&b.0));
-                next.dedup_by(|a, b| a.1 == b.1);
-                let beam_width = config.beam_width.max(1);
-                trace::count(
-                    "distrib.beam_pruned",
-                    next.len().saturating_sub(beam_width) as u64,
-                );
-                next.truncate(beam_width);
-                beam = next.into_iter().map(|(_, l)| l).collect();
-            }
+        for layouts in cartesian(candidates) {
+            let distribution = ProgramDistribution::new(extents, grid, &layouts);
+            let cost = models
+                .iter()
+                .map(|m| m.cost(&distribution))
+                .fold(DistributionCost::default(), |a, b| a.plus(&b));
+            ranked.push(RankedDistribution { distribution, cost });
         }
     }
+    let evaluated = ranked.len();
+    rank_distributions(&mut ranked);
+    ranked.truncate(TOP_K);
 
-    // Rank cheapest-first; among equal costs prefer the most compact grid
-    // (smallest maximum dimension — squarer grids keep future communication
-    // surfaces small), then break remaining ties deterministically on the
-    // shape so golden tests are stable across runs and platforms. The key is
-    // computed once per candidate (totals are non-negative, so their bit
-    // patterns order like the floats themselves).
+    trace::count("distrib.candidates_evaluated", evaluated as u64);
+    DistributionReport {
+        nprocs: config.nprocs,
+        template_extents: extents.to_vec(),
+        ranked,
+        candidates_evaluated: evaluated,
+    }
+}
+
+/// Rank candidates cheapest-first and drop repeated distributions. Among
+/// equal costs the most compact grid wins (smallest maximum dimension —
+/// squarer grids keep future communication surfaces small), then remaining
+/// ties break deterministically on the shape so golden tests are stable
+/// across runs and platforms. The phase pipeline ranks its pool-priced
+/// reports with this rule too, so a single-phase program's `best()` is the
+/// static choice.
+pub fn rank_distributions(ranked: &mut Vec<RankedDistribution>) {
+    // The key is computed once per candidate (totals are non-negative, so
+    // their bit patterns order like the floats themselves).
     ranked.sort_by_cached_key(|r| {
         let grid = r.distribution.grid();
         (
@@ -266,16 +221,6 @@ pub fn solve_distribution_pooled(
         )
     });
     ranked.dedup_by(|a, b| a.distribution == b.distribution);
-    ranked.truncate(config.top_k.max(1));
-
-    trace::count("distrib.candidates_evaluated", evaluated as u64);
-    DistributionReport {
-        nprocs: config.nprocs,
-        template_extents: extents.to_vec(),
-        ranked,
-        candidates_evaluated: evaluated,
-        exhaustive,
-    }
 }
 
 /// Cartesian product of per-axis candidate lists.
@@ -311,7 +256,8 @@ mod tests {
             assert!(pair[0].cost.total() <= pair[1].cost.total() + 1e-12);
         }
         assert_eq!(report.nprocs, 16);
-        assert!(report.exhaustive);
+        let space = SignatureSpace::enumerate(&report.template_extents, &SolveConfig::new(16));
+        assert_eq!(report.candidates_evaluated, space.total_candidates);
     }
 
     #[test]
@@ -325,27 +271,6 @@ mod tests {
             16,
             "{}",
             best.distribution
-        );
-    }
-
-    #[test]
-    fn beam_search_matches_exhaustive_on_small_space() {
-        let (adg, result) = align_program(
-            &align_ir::programs::stencil2d(24, 4),
-            &PipelineConfig::default(),
-        );
-        let exhaustive = solve_distribution(&adg, &result.alignment, &SolveConfig::new(8));
-        let mut cfg = SolveConfig::new(8);
-        cfg.max_exhaustive = 0; // force beam
-        let beam = solve_distribution(&adg, &result.alignment, &cfg);
-        assert!(!beam.exhaustive);
-        // Beam must find a solution at least as described (same cost as the
-        // exhaustive optimum on this small, well-behaved space).
-        assert!(
-            beam.best().cost.total() <= exhaustive.best().cost.total() + 1e-9,
-            "beam {} vs exhaustive {}",
-            beam.best().cost.total(),
-            exhaustive.best().cost.total()
         );
     }
 

@@ -180,25 +180,17 @@ impl std::error::Error for LayoutDpError {}
 ///
 /// [`DpPricer::price`] is the exact per-cell query the DP always made; any
 /// `FnMut(usize, ArrayId, SigId, SigId) -> f64` closure is a pricer via the
-/// blanket impl. [`DpPricer::prefill`] lets a memoising pricer see a
-/// layer's **complete query set up front**: the transition loop enumerates
-/// every (previous state, candidate) pair unconditionally, so the distinct
-/// `(array, src, dst)` cells it will ask about are known before the loop
-/// runs, and a pricer can price them together (the pipeline's compiles each
-/// distinct side of the layer's moves once and combines two per cell) while
-/// keeping its hit/miss accounting — and therefore every trace counter —
-/// bitwise-identical to on-demand pricing. The DP then prices each distinct
-/// cell exactly once, reports the collapsed duplicate queries through
-/// [`DpPricer::note_repeat_queries`], and runs the transition loop over the
-/// resulting price table.
+/// blanket impl. The transition loop enumerates every (previous state,
+/// candidate) pair unconditionally, so the DP first collects a layer's
+/// distinct `(array, src, dst)` cells, prices each of them exactly once into
+/// a table, reports the collapsed duplicate queries through
+/// [`DpPricer::note_repeat_queries`] (so a memoising pricer's hit/miss
+/// accounting — and therefore every trace counter — stays bitwise-identical
+/// to per-query pricing), and runs the transition loop over that table.
 pub trait DpPricer {
     /// Exact price (in simulated elements) of moving `array` into phase
     /// `phase` from resting signature `src` to signature `dst`.
     fn price(&mut self, phase: usize, array: ArrayId, src: SigId, dst: SigId) -> f64;
-
-    /// Announce the deduplicated query set of one layer before its
-    /// transition loop. Default: ignore.
-    fn prefill(&mut self, _phase: usize, _cells: &[(ArrayId, SigId, SigId)]) {}
 
     /// An upper bound on [`DpPricer::price`] for any move of `array`
     /// (any phase, any signature pair). Used by dominance pruning to bound
@@ -401,7 +393,6 @@ pub fn solve_layout_dp_with(
     let mut rows: Vec<(ArrayId, SigId)> = Vec::new();
     let mut row_index: HashMap<(ArrayId, SigId), usize> = HashMap::new();
     let mut parts: Vec<StatePartition> = Vec::new();
-    let mut cells: Vec<(ArrayId, SigId, SigId)> = Vec::new();
     let mut flat: Vec<f64> = Vec::new();
     let mut bound_cache: HashMap<ArrayId, f64> = HashMap::new();
 
@@ -427,7 +418,6 @@ pub fn solve_layout_dp_with(
             &mut rows,
             &mut row_index,
             &mut parts,
-            &mut cells,
             &mut flat,
             &mut bound_cache,
         );
@@ -464,7 +454,7 @@ pub fn solve_layout_dp_with(
 }
 
 /// One layer of the DP: assemble the layer's distinct `(array, src)` pricing
-/// rows across all states, prefill + price each distinct `(row, candidate)`
+/// rows across all states, price each distinct `(row, candidate)`
 /// cell exactly once into a flat table, prune provably-dominated states,
 /// then run the transition loop over the table.
 #[allow(clippy::too_many_arguments)]
@@ -481,7 +471,6 @@ fn structured_layer(
     rows: &mut Vec<(ArrayId, SigId)>,
     row_index: &mut HashMap<(ArrayId, SigId), usize>,
     parts: &mut Vec<StatePartition>,
-    cells: &mut Vec<(ArrayId, SigId, SigId)>,
     flat: &mut Vec<f64>,
     bound_cache: &mut HashMap<ArrayId, f64>,
 ) -> Vec<DpState> {
@@ -509,18 +498,11 @@ fn structured_layer(
         parts.push((pr, ca));
     }
 
-    // Hand the memoising pricer the complete distinct query set, then price
-    // each cell exactly once. The pricer books one hit-or-miss per cell
-    // here, exactly as a per-query loop's first query of each cell would.
-    cells.clear();
-    for &(a, src) in rows.iter() {
-        for &sig in &layer.sigs {
-            cells.push((a, src, sig));
-        }
-    }
+    // Price each distinct cell exactly once. The pricer books one
+    // hit-or-miss per cell here, exactly as a per-query loop's first query
+    // of each cell would.
     {
         let _span = trace::span("phases.dp.price");
-        move_cost.prefill(b, cells);
         flat.clear();
         flat.resize(rows.len() * k_count, 0.0);
         for (r, &(a, src)) in rows.iter().enumerate() {
@@ -924,10 +906,9 @@ mod tests {
     }
 
     /// A table-backed pricer that records the DP's hooks, for exercising
-    /// prefill + dominance the way the pipeline's `MovePricer` does.
+    /// repeat reporting + dominance the way the pipeline's `MovePricer` does.
     struct TablePricer {
         price_calls: usize,
-        prefilled_cells: usize,
         repeats: u64,
         bound: f64,
     }
@@ -940,9 +921,6 @@ mod tests {
             } else {
                 (src as f64 - dst as f64).abs()
             }
-        }
-        fn prefill(&mut self, _phase: usize, cells: &[(ArrayId, SigId, SigId)]) {
-            self.prefilled_cells += cells.len();
         }
         fn move_bound(&mut self, _array: ArrayId) -> f64 {
             self.bound
@@ -973,7 +951,6 @@ mod tests {
         ];
         let mut table = TablePricer {
             price_calls: 0,
-            prefilled_cells: 0,
             repeats: 0,
             bound: 2.0,
         };
@@ -994,7 +971,6 @@ mod tests {
         .unwrap();
         assert_eq!(hooked.chosen, reference.chosen);
         assert_eq!(hooked.cost.to_bits(), reference.cost.to_bits());
-        assert!(table.prefilled_cells > 0, "the DP prefills");
         assert!(
             table.repeats > 0,
             "duplicate queries were collapsed and reported"
@@ -1031,7 +1007,6 @@ mod tests {
             .collect();
         let mut exact_pricer = TablePricer {
             price_calls: 0,
-            prefilled_cells: 0,
             repeats: 0,
             bound: 3.0,
         };
@@ -1045,7 +1020,6 @@ mod tests {
         .unwrap();
         let mut pruned_pricer = TablePricer {
             price_calls: 0,
-            prefilled_cells: 0,
             repeats: 0,
             bound: 3.0,
         };

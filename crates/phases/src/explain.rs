@@ -461,7 +461,6 @@ mod tests {
         let a = align_then_distribute_dynamic(&program, 8, &DynamicConfig::default());
         let mut forced = DynamicConfig::default();
         forced.boundaries = Some(vec![]);
-        forced.coalesce_phases = false;
         let b = align_then_distribute_dynamic(&program, 8, &forced);
         assert!(a.phases.len() > 1, "fft_like must split");
         assert_eq!(b.phases.len(), 1, "forced single phase");

@@ -44,28 +44,31 @@ use alignment_core::pipeline::{AlignmentResult, PipelineConfig};
 use alignment_core::position::PortAlignment;
 use commsim::{simulate, RestingOwners, RestingPlacement, SimOptions, SimReport, TrafficScratch};
 use distrib::{
-    align_then_distribute, distribute_alignment, solve_distribution_pooled, DistributionCost,
-    DistributionCostModel, DistributionReport, FullPipelineConfig, FullPipelineResult, Layout,
-    ProgramDistribution, RankedDistribution, SolveConfig,
+    align_then_distribute, distribute_alignment, rank_distributions, solve_distribution_pooled,
+    DistributionCost, DistributionCostModel, DistributionReport, FullPipelineConfig,
+    FullPipelineResult, Layout, ProgramDistribution, RankedDistribution, SolveConfig,
 };
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
-/// Configuration of the dynamic pipeline.
+/// Safety bound on the candidate layer size per phase, applied (by
+/// ascending model cost) before the DP; every phase's model optimum is
+/// exempt — it stays in every layer even past the cap, so "staying put" on a
+/// favourite is always priced (layers therefore hold at most this many
+/// candidates plus one per phase).
+pub const MAX_CANDIDATES_PER_PHASE: usize = 12;
+
+/// Configuration of the dynamic pipeline. The distribution search per phase
+/// is [`SolveConfig::new`] at the run's processor count, and detected
+/// boundaries the chosen path does not use are always coalesced away:
+/// identical layout and identical covering template on both sides, no
+/// array paying any redistribution — the equal-cover requirement makes
+/// every merge exactly cost-neutral.
 #[derive(Debug, Clone)]
 pub struct DynamicConfig {
     /// Alignment configuration (used for each atom and for the static
     /// baseline).
     pub alignment: PipelineConfig,
-    /// Distribution search per phase, minus the processor count. `None` keys
-    /// every knob off [`SolveConfig::new`].
-    pub distribution: Option<SolveConfig>,
-    /// Safety bound on the candidate layer size per phase, applied (by
-    /// ascending model cost) before the DP; every phase's model optimum is
-    /// exempt — it stays in every layer even past the cap, so "staying put"
-    /// on a favourite is always priced (layers are therefore bounded by
-    /// `cap + #phases`).
-    pub max_candidates_per_phase: usize,
     /// Explicit phase boundaries — indices into the **distributable atom**
     /// sequence ([`Program::distributable_atoms`]) — overriding detection.
     /// `None` runs [`detect_boundaries`].
@@ -80,36 +83,15 @@ pub struct DynamicConfig {
     /// against sampling noise flip-flopping layouts). Search-only — the
     /// returned plan is re-priced exactly, without the margin.
     pub switch_margin: f64,
-    /// DAG-driven boundary selection: when true (the default), detected
-    /// boundaries the chosen path does not use — identical layout and
-    /// identical covering template on both sides, no array paying any
-    /// redistribution — are coalesced away and the adjacent phases merged.
-    /// The equal-cover requirement makes every merge exactly cost-neutral.
-    pub coalesce_phases: bool,
 }
 
 impl Default for DynamicConfig {
     fn default() -> Self {
         DynamicConfig {
             alignment: PipelineConfig::default(),
-            distribution: None,
-            max_candidates_per_phase: 12,
             boundaries: None,
             sim: SimOptions::default(),
             switch_margin: 0.0,
-            coalesce_phases: true,
-        }
-    }
-}
-
-impl DynamicConfig {
-    fn solve_config(&self, nprocs: usize) -> SolveConfig {
-        match &self.distribution {
-            Some(cfg) => SolveConfig {
-                nprocs,
-                ..cfg.clone()
-            },
-            None => SolveConfig::new(nprocs),
         }
     }
 }
@@ -470,12 +452,6 @@ struct MovePricer<'a> {
     program: &'a Program,
     sim: SimOptions,
     memo: HashMap<(usize, ArrayId, SigId, SigId), RedistCost>,
-    /// Cells priced ahead of demand by [`MovePricer::prefill`] and not yet
-    /// queried. The first `price` of such a cell books a **miss** (as the
-    /// on-demand order would have) and clears the flag; later
-    /// queries book hits — so `phases.pricer.{hits,misses}` are
-    /// bitwise-identical whether or not prefill ran.
-    fresh: HashSet<(usize, ArrayId, SigId, SigId)>,
     endpoints: HashMap<(usize, ArrayId), Endpoints>,
     /// The distinct resting spots seen so far, by content.
     spots: Vec<Spot<'a>>,
@@ -523,7 +499,6 @@ impl<'a> MovePricer<'a> {
             program,
             sim,
             memo: HashMap::new(),
-            fresh: HashSet::new(),
             endpoints: HashMap::new(),
             spots: Vec::new(),
             sides: Vec::new(),
@@ -574,13 +549,7 @@ impl<'a> MovePricer<'a> {
     /// `src` to the destination phase's signature `dst`.
     fn price(&mut self, q: usize, array: ArrayId, src: SigId, dst: SigId) -> RedistCost {
         if let Some(c) = self.memo.get(&(q, array, src, dst)) {
-            if self.fresh.remove(&(q, array, src, dst)) {
-                // Prefilled, first query: on-demand pricing would have missed
-                // here.
-                trace::count("phases.pricer.misses", 1);
-            } else {
-                trace::count("phases.pricer.hits", 1);
-            }
+            trace::count("phases.pricer.hits", 1);
             return *c;
         }
         trace::count("phases.pricer.misses", 1);
@@ -632,32 +601,11 @@ impl<'a> MovePricer<'a> {
             ),
         }
     }
-
-    /// Price the missing cells of one DP layer's query set — the layer's
-    /// matrix of moves — ahead of demand: with every side compiled once a
-    /// cell costs well under a microsecond. The priced cells enter the memo
-    /// flagged *fresh* so [`MovePricer::price`]'s hit/miss accounting stays
-    /// bitwise-identical to on-demand pricing.
-    fn prefill(&mut self, q: usize, cells: &[(ArrayId, SigId, SigId)]) {
-        for &(array, src, dst) in cells {
-            let key = (q, array, src, dst);
-            if !self.memo.contains_key(&key) {
-                let ends = self.endpoints(q, array);
-                let cost = self.cell(ends, src, dst);
-                self.memo.insert(key, cost);
-                self.fresh.insert(key);
-            }
-        }
-    }
 }
 
 impl DpPricer for MovePricer<'_> {
     fn price(&mut self, phase: usize, array: ArrayId, src: SigId, dst: SigId) -> f64 {
         MovePricer::price(self, phase, array, src, dst).elements()
-    }
-
-    fn prefill(&mut self, phase: usize, cells: &[(ArrayId, SigId, SigId)]) {
-        MovePricer::prefill(self, phase, cells);
     }
 
     fn move_bound(&mut self, array: ArrayId) -> f64 {
@@ -694,16 +642,9 @@ fn search_phases(
     atom_ranges: &[(usize, usize)],
     solve_cfg: &SolveConfig,
 ) -> (Vec<PhaseResult>, Vec<Sig>) {
-    let params = solve_cfg.params;
     let models: Vec<DistributionCostModel<'_>> = atoms
         .iter()
-        .map(|a| {
-            DistributionCostModel::with_max_points(
-                &a.adg,
-                &a.alignment.alignment,
-                params.max_points_per_edge,
-            )
-        })
+        .map(|a| DistributionCostModel::new(&a.adg, &a.alignment.alignment))
         .collect();
     let mut searched: Vec<(Vec<Vec<i64>>, DistributionReport)> = atom_ranges
         .iter()
@@ -733,7 +674,7 @@ fn search_phases(
                 let dist = instantiate(sig, &report.template_extents);
                 let cost = models[lo..hi]
                     .iter()
-                    .map(|m| m.cost(&dist, &params))
+                    .map(|m| m.cost(&dist))
                     .fold(DistributionCost::default(), |a, b| a.plus(&b));
                 RankedDistribution {
                     distribution: dist,
@@ -741,7 +682,7 @@ fn search_phases(
                 }
             })
             .collect();
-        sort_ranked(&mut ranked);
+        rank_distributions(&mut ranked);
         report.ranked = ranked;
     }
     drop(models);
@@ -779,22 +720,6 @@ fn cover_of(templates: &[Vec<i64>]) -> Vec<i64> {
     cover
 }
 
-/// Rank candidates cheapest-first with the same ordering key as
-/// `solve_distribution` (so a single-phase program's `best()` matches the
-/// static choice), deduplicating identical instances.
-fn sort_ranked(ranked: &mut Vec<RankedDistribution>) {
-    ranked.sort_by_cached_key(|r| {
-        let grid = r.distribution.grid();
-        (
-            r.cost.total().max(0.0).to_bits(),
-            grid.iter().copied().max().unwrap_or(1),
-            grid,
-            r.distribution.to_string(),
-        )
-    });
-    ranked.dedup_by(|a, b| a.distribution == b.distribution);
-}
-
 /// Arrays priced at each boundary: next use is the following phase, and
 /// referenced somewhere before.
 fn build_live(
@@ -819,24 +744,20 @@ fn build_live(
         .collect()
 }
 
-/// Candidate layers from the pool-priced reports: the `cap` cheapest by
-/// model cost, plus every phase's favourite (and any `forced` signatures —
-/// used after coalescing to keep the already-chosen signature in its
-/// layer). `costs` are **in-phase simulated elements** under `sim` — the
+/// Candidate layers from the pool-priced reports: the
+/// [`MAX_CANDIDATES_PER_PHASE`] cheapest by model cost, plus every phase's
+/// favourite. `costs` are **in-phase simulated elements** under `sim` — the
 /// same accounting [`simulate_dynamic`] replays, via the per-atom placement
 /// caches — so the DP minimises end-to-end simulated traffic.
 fn build_layers(
     phases: &[PhaseResult],
     pool: &[Sig],
-    cap: usize,
-    forced: &[Sig],
     sim: SimOptions,
 ) -> (Vec<PhaseCandidates>, Vec<Arc<Vec<commsim::PlacementCache>>>) {
     let retained: Vec<Sig> = phases
         .iter()
         .filter_map(|p| p.report.ranked.first())
         .map(|r| sig_of(&r.distribution))
-        .chain(forced.iter().cloned())
         .collect();
     // The caches are kept so `simulate_dynamic` can replay the chosen plan
     // by owner lookups instead of re-walking every position.
@@ -848,14 +769,14 @@ fn build_layers(
                 .iter()
                 .map(|a| commsim::PlacementCache::new(&a.adg, &a.alignment.alignment, sim))
                 .collect();
-            let layer = layer_from_report(p, pool, cap, &retained, &caches);
+            let layer = layer_from_report(p, pool, &retained, &caches);
             (layer, Arc::new(caches))
         })
         .unzip()
 }
 
-/// One phase's candidate layer: the `cap` cheapest of its pool-priced
-/// ranking plus every `retained` signature, with in-phase simulated-element
+/// One phase's candidate layer: the [`MAX_CANDIDATES_PER_PHASE`] cheapest of
+/// its pool-priced ranking plus every `retained` signature, with in-phase simulated-element
 /// costs. Placements depend on the alignment, not the candidate, so the
 /// per-atom placement caches (`caches`, in atom order) are built once and
 /// every candidate is priced by owner lookups alone
@@ -864,7 +785,6 @@ fn build_layers(
 fn layer_from_report(
     p: &PhaseResult,
     pool: &[Sig],
-    cap: usize,
     retained: &[Sig],
     caches: &[commsim::PlacementCache],
 ) -> PhaseCandidates {
@@ -878,7 +798,9 @@ fn layer_from_report(
         .ranked
         .iter()
         .enumerate()
-        .filter(|(i, r)| *i < cap || retained.contains(&sig_of(&r.distribution)))
+        .filter(|(i, r)| {
+            *i < MAX_CANDIDATES_PER_PHASE || retained.contains(&sig_of(&r.distribution))
+        })
         .map(|(_, r)| r)
         .collect();
     PhaseCandidates {
@@ -952,16 +874,14 @@ fn build_dp_inputs(atoms: Vec<AtomAnalysis>, nprocs: usize, config: &DynamicConf
         None => detect_boundaries(&atoms),
     };
     let atom_ranges = align_ir::ast::cut_ranges(atoms.len(), &boundaries);
-    let solve_cfg = config.solve_config(nprocs);
     let (phases, sig_pool) = {
         let _span = trace::span("phases.search");
-        search_phases(atoms, &atom_ranges, &solve_cfg)
+        search_phases(atoms, &atom_ranges, &SolveConfig::new(nprocs))
     };
     let phase_refs: Vec<BTreeSet<ArrayId>> = phases.iter().map(|p| p.referenced()).collect();
-    let cap = config.max_candidates_per_phase.max(1);
     let (layers, phase_caches) = {
         let _span = trace::span("phases.layers");
-        build_layers(&phases, &sig_pool, cap, &[], config.sim)
+        build_layers(&phases, &sig_pool, config.sim)
     };
     DpInputs {
         phases,
@@ -1092,7 +1012,6 @@ pub fn try_align_then_distribute_dynamic(
 
     // Stages 2+3: boundaries, per-phase signature search, shared pool,
     // candidate layers — then the per-array layout-state DP.
-    let solve_cfg = config.solve_config(nprocs);
     let DpInputs {
         phases,
         sig_pool,
@@ -1101,7 +1020,6 @@ pub fn try_align_then_distribute_dynamic(
         phase_caches,
     } = build_dp_inputs(atoms, nprocs, config);
     let live = build_live(program, &phase_refs);
-    let cap = config.max_candidates_per_phase.max(1);
     let mut pricer = MovePricer::new(&phases, &sig_pool, program, config.sim);
     let plan = solve_layout_dp(&layers, &phase_refs, config.switch_margin, &mut pricer)?;
     let peak_dp_layer_width = plan.states_per_layer.iter().copied().max().unwrap_or(0);
@@ -1119,34 +1037,19 @@ pub fn try_align_then_distribute_dynamic(
     // on both sides, no array paying anything — a cost-neutral merge by
     // construction). The DP decided which seams are real; the rest disappear
     // from the plan.
-    let (phases, live, layers, phase_caches, chosen_sigs, chosen, steps) = if config.coalesce_phases
-    {
-        let _span = trace::span("phases.coalesce");
-        coalesce(
-            phases,
-            live,
-            layers,
-            phase_caches,
-            chosen_sigs,
-            plan.chosen,
-            steps,
-            &sig_pool,
-            &solve_cfg,
-            program,
-            cap,
-            config.sim,
-        )
-    } else {
-        (
-            phases,
-            live,
-            layers,
-            phase_caches,
-            chosen_sigs,
-            plan.chosen,
-            steps,
-        )
-    };
+    let (phases, live, layers, phase_caches, chosen_sigs, chosen, steps) = coalesce(
+        phases,
+        live,
+        layers,
+        phase_caches,
+        chosen_sigs,
+        plan.chosen,
+        steps,
+        &sig_pool,
+        nprocs,
+        program,
+        config.sim,
+    );
 
     // Exact plan pricing on the final structure: in-phase simulated traffic
     // plus every per-array step — the same accounting `simulate_dynamic`
@@ -1209,21 +1112,22 @@ fn static_baseline(
     seed: Option<(Adg, AlignmentResult)>,
 ) -> (FullPipelineResult, f64) {
     let _span = trace::span("phases.static_baseline");
-    let full_config = FullPipelineConfig {
-        alignment: config.alignment,
-        distribution: config.distribution.clone(),
-    };
     let static_result = match seed {
         Some((adg, alignment)) => {
-            let distribution =
-                distribute_alignment(&adg, &alignment.alignment, nprocs, &full_config);
+            let distribution = distribute_alignment(&adg, &alignment.alignment, nprocs);
             FullPipelineResult {
                 adg,
                 alignment,
                 distribution,
             }
         }
-        None => align_then_distribute(program, nprocs, &full_config),
+        None => align_then_distribute(
+            program,
+            nprocs,
+            &FullPipelineConfig {
+                alignment: config.alignment,
+            },
+        ),
     };
     let static_planned_cost = simulate(
         &static_result.adg,
@@ -1260,9 +1164,8 @@ fn coalesce(
     chosen: Vec<usize>,
     steps: Vec<Vec<RedistStep>>,
     pool: &[Sig],
-    solve_cfg: &SolveConfig,
+    nprocs: usize,
     program: &Program,
-    cap: usize,
     sim: SimOptions,
 ) -> (
     Vec<PhaseResult>,
@@ -1273,6 +1176,7 @@ fn coalesce(
     Vec<usize>,
     Vec<Vec<RedistStep>>,
 ) {
+    let _span = trace::span("phases.coalesce");
     // Group consecutive phases separated only by unused boundaries.
     let mut groups: Vec<Vec<usize>> = vec![vec![0]];
     for b in 0..phases.len().saturating_sub(1) {
@@ -1323,14 +1227,14 @@ fn coalesce(
             new_chosen.push(chosen[group[0]]);
             continue;
         }
-        let merged = merge_phase_group(members, solve_cfg.nprocs);
+        let merged = merge_phase_group(members, nprocs);
         // The merged phase's atoms are the members' atoms in order, so its
         // caches are the members' caches in order.
         let caches: Vec<commsim::PlacementCache> = member_caches
             .into_iter()
             .flat_map(Arc::unwrap_or_clone)
             .collect();
-        let layer = layer_from_report(&merged, pool, cap, &[pool[sig].clone()], &caches);
+        let layer = layer_from_report(&merged, pool, &[pool[sig].clone()], &caches);
         new_chosen.push(
             layer
                 .sigs
@@ -1388,9 +1292,8 @@ fn merge_phase_group(members: Vec<PhaseResult>, nprocs: usize) -> PhaseResult {
             cost,
         })
         .collect();
-    sort_ranked(&mut ranked);
+    rank_distributions(&mut ranked);
     let candidates_evaluated = members.iter().map(|m| m.report.candidates_evaluated).sum();
-    let exhaustive = members.iter().all(|m| m.report.exhaustive);
     let mut atoms: Vec<AtomAnalysis> = Vec::new();
     let mut atom_templates: Vec<Vec<i64>> = Vec::new();
     for p in members {
@@ -1407,7 +1310,6 @@ fn merge_phase_group(members: Vec<PhaseResult>, nprocs: usize) -> PhaseResult {
             template_extents: cover,
             ranked,
             candidates_evaluated,
-            exhaustive,
         },
     }
 }
@@ -1599,7 +1501,6 @@ mod tests {
     #[test]
     fn explicit_boundaries_override_detection() {
         let mut cfg = DynamicConfig::default();
-        cfg.coalesce_phases = false;
         cfg.boundaries = Some(vec![]);
         let one = align_then_distribute_dynamic(&programs::fft_like(16, 4), 4, &cfg);
         assert_eq!(one.phases.len(), 1);
@@ -1653,10 +1554,7 @@ mod tests {
             // Bounded by the cap plus the always-retained favourites (one
             // per phase, plus at most one forced signature per phase after
             // coalescing).
-            assert!(
-                layer.dists.len()
-                    <= result.config.max_candidates_per_phase + 2 * result.phases.len()
-            );
+            assert!(layer.dists.len() <= MAX_CANDIDATES_PER_PHASE + 2 * result.phases.len());
             // The phase's own model optimum is always retained.
             let best = phase.report.best().distribution.grid();
             assert!(

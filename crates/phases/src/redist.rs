@@ -1,14 +1,13 @@
 //! Pricing inter-phase redistribution.
 //!
 //! When the chosen distribution changes between phases, every array alive
-//! across the boundary must be re-laid-out. This module prices that step
-//! consistently with the intra-phase model ([`distrib::DistribCostParams`]):
+//! across the boundary must be re-laid-out. This module prices that step in
+//! the elements the communication simulator counts:
 //!
 //! * **point-to-point moves** — elements whose owner changes between the two
 //!   (alignment, distribution) pairs. This covers BLOCK ↔ CYCLIC remaps and
 //!   transpose-style all-to-alls alike, because the underlying owner
 //!   comparison ([`commsim::redistribution_traffic`]) is exact (sampled);
-//!   each move is weighted by the all-to-all routing factor;
 //! * **replication spread** — a previously single position becoming
 //!   replicated broadcasts the object down a tree, one stage per
 //!   `log2(grid)` doubling along each newly replicated axis;
@@ -19,7 +18,6 @@ use alignment_core::position::PortAlignment;
 use commsim::{
     redistribution_traffic, EdgeTraffic, RestingPlacement, SimOptions, TemplateDistribution,
 };
-use distrib::DistribCostParams;
 
 /// The modelled cost of redistributing one object between phases.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -36,15 +34,6 @@ pub struct RedistCost {
 }
 
 impl RedistCost {
-    /// The scalar the layered-DAG search minimises, in the same units as
-    /// [`distrib::DistributionCost::total`]: moved elements carry the
-    /// all-to-all routing factor (a redistribution is general communication),
-    /// spreads pay one hop cost per tree stage.
-    pub fn total(&self, params: &DistribCostParams) -> f64 {
-        self.moved * params.general_factor
-            + self.broadcast * self.stages * params.broadcast_hop_cost
-    }
-
     /// True when the boundary needs no communication at all.
     pub fn is_zero(&self) -> bool {
         self.moved == 0.0 && self.broadcast == 0.0
@@ -173,7 +162,7 @@ mod tests {
         let d = block(&[32, 32], &[2, 2]);
         let c = price_redistribution(&[32, 32], &a, &d, &a, &d, SimOptions::default());
         assert!(c.is_zero(), "{c}");
-        assert_eq!(c.total(&DistribCostParams::default()), 0.0);
+        assert_eq!(c.elements(), 0.0);
     }
 
     #[test]
@@ -184,8 +173,7 @@ mod tests {
         let c = price_redistribution(&[32, 32], &a, &rows, &a, &cols, SimOptions::default());
         // 3/4 of the elements change owner in a 4-way row->column flip.
         assert!(c.moved > 0.6 * 32.0 * 32.0, "{c}");
-        let params = DistribCostParams::default();
-        assert!((c.total(&params) - c.moved * params.general_factor).abs() < 1e-9);
+        assert_eq!(c.elements(), c.moved, "a flip spreads nothing: {c}");
     }
 
     #[test]
@@ -223,6 +211,7 @@ mod tests {
         let c = price_redistribution(&[32], &single, &d, &replicated, &d, SimOptions::default());
         assert_eq!(c.broadcast, 32.0, "{c}");
         assert_eq!(c.stages, 3.0, "log2(8) stages: {c}");
+        assert_eq!(c.elements(), 32.0, "a spread moves its elements once: {c}");
         // Collapse in the other direction is free.
         let back = price_redistribution(&[32], &replicated, &d, &single, &d, SimOptions::default());
         assert!(back.is_zero(), "{back}");

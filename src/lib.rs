@@ -75,9 +75,8 @@ pub mod prelude {
     };
     pub use distrib::{
         align_then_distribute, distribute_alignment, solve_distribution, AxisDistribution,
-        DistribCostParams, DistributionCost, DistributionCostModel, DistributionReport,
-        FullPipelineConfig, FullPipelineResult, Layout, ProgramDistribution, RankedDistribution,
-        SolveConfig,
+        DistributionCost, DistributionCostModel, DistributionReport, FullPipelineConfig,
+        FullPipelineResult, Layout, ProgramDistribution, RankedDistribution, SolveConfig,
     };
     pub use phases::{
         align_then_distribute_dynamic, explain, explain_diff, simulate_dynamic, simulate_static,

@@ -110,12 +110,11 @@ fn drained_pricer_hits_fail_the_gate_naming_the_counters() {
 #[test]
 fn explain_diff_deltas_are_bitwise_on_every_phase_workload_pair() {
     // For every workload: a = the default plan, b = a forced single-phase
-    // plan (no seams, no coalescing). The structured diff's cost delta
+    // plan (no seams). The structured diff's cost delta
     // must reproduce planned_cost(a) - planned_cost(b) bit for bit, and
     // the self-diff must be identically zero.
     let mut single_phase = DynamicConfig::default();
     single_phase.boundaries = Some(vec![]);
-    single_phase.coalesce_phases = false;
     for (name, program) in programs::phase_workloads() {
         let a = align_then_distribute_dynamic(&program, 8, &DynamicConfig::default());
         let b = align_then_distribute_dynamic(&program, 8, &single_phase);

@@ -33,7 +33,14 @@ fn golden_figure1_on_16_processors() {
     // Template covers A's rows exactly and V's reach on axis 1.
     assert_eq!(full.distribution.template_extents[0], 32);
     assert!(full.distribution.template_extents[1] >= 64);
-    assert!(full.distribution.exhaustive);
+    let space = distrib::SignatureSpace::enumerate(
+        &full.distribution.template_extents,
+        &SolveConfig::new(16),
+    );
+    assert_eq!(
+        full.distribution.candidates_evaluated,
+        space.total_candidates
+    );
 }
 
 #[test]
@@ -93,7 +100,7 @@ fn golden_stencil2d_on_16_processors() {
         &[Layout::Cyclic, Layout::Cyclic],
     );
     let model = DistributionCostModel::new(&full.adg, &full.alignment.alignment);
-    let cyclic_cost = model.cost(&all_cyclic, &DistribCostParams::default());
+    let cyclic_cost = model.cost(&all_cyclic);
     assert!(
         cyclic_cost.total() > best.cost.total(),
         "cyclic {} vs best {}",
@@ -271,4 +278,41 @@ fn report_ranking_is_consistent_and_bounded() {
             r.distribution
         );
     }
+}
+
+/// The search prices the whole signature space however large it is: a 3-D
+/// template at the smallest power-of-two processor count whose space holds
+/// more than 4 096 (grid, layout) candidates evaluates every one of them.
+#[test]
+fn large_signature_space_is_enumerated_in_full() {
+    use align_ir::builder::{add, rng};
+    let n = 512;
+    let mut b = ProgramBuilder::new("cube_shift");
+    let a = b.array("A", &[n, n, n]);
+    let c = b.array("B", &[n, n, n]);
+    let near = b.sec_ref(a, vec![rng(1, n - 1), rng(1, n - 1), rng(1, n - 1)]);
+    let far = b.sec_ref(a, vec![rng(2, n), rng(2, n), rng(2, n)]);
+    let lhs = align_ir::Section::new(vec![rng(1, n - 1), rng(1, n - 1), rng(1, n - 1)]);
+    b.assign(c, lhs, add(near, far));
+    let (adg, aligned) = align_program(&b.finish(), &PipelineConfig::default());
+    let extents = DistributionCostModel::new(&adg, &aligned.alignment).template_extents();
+    assert_eq!(extents.len(), 3, "{extents:?}");
+
+    let space = |p: usize| distrib::SignatureSpace::enumerate(&extents, &SolveConfig::new(p));
+    let nprocs = (0..16)
+        .map(|k| 1usize << k)
+        .find(|&p| space(p).total_candidates > 4096)
+        .expect("some power of two outgrows 4 096 candidates");
+    let total = space(nprocs).total_candidates;
+    let start = std::time::Instant::now();
+    let report = solve_distribution(&adg, &aligned.alignment, &SolveConfig::new(nprocs));
+    eprintln!(
+        "template {extents:?} on {nprocs} processors: {total} candidates in {:.1} ms",
+        start.elapsed().as_secs_f64() * 1e3
+    );
+    assert_eq!(report.candidates_evaluated, total);
+    assert_eq!(
+        report.best().distribution.grid().iter().product::<usize>(),
+        nprocs
+    );
 }

@@ -53,9 +53,6 @@ fn planned_cost_equals_simulated_cost_on_every_phase_workload() {
     for (name, program) in programs::phase_workloads() {
         let mut cfg = DynamicConfig::default();
         cfg.sim = SimOptions::exact();
-        // The contract is about pricing accounting, not candidate count;
-        // a lean layer keeps the exact simulations affordable.
-        cfg.max_candidates_per_phase = 4;
         let result = align_then_distribute_dynamic(&program, 8, &cfg);
         let sim = simulate_dynamic(&result, SimOptions::exact());
         assert!(
@@ -199,7 +196,8 @@ fn chosen_candidates_are_well_formed() {
         // Bounded by the cap plus the retained favourites and forced
         // signatures (at most two per phase).
         assert!(
-            layer.dists.len() <= result.config.max_candidates_per_phase + 2 * result.phases.len()
+            layer.dists.len()
+                <= phases::pipeline::MAX_CANDIDATES_PER_PHASE + 2 * result.phases.len()
         );
         assert_eq!(dist.grid().iter().product::<usize>(), 8);
         assert_eq!(format!("{}", layer.dists[chosen]), format!("{dist}"));
