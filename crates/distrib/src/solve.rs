@@ -204,23 +204,39 @@ pub fn solve_distribution_pooled(
 /// Rank candidates cheapest-first and drop repeated distributions. Among
 /// equal costs the most compact grid wins (smallest maximum dimension —
 /// squarer grids keep future communication surfaces small), then remaining
-/// ties break deterministically on the shape so golden tests are stable
-/// across runs and platforms. The phase pipeline ranks its pool-priced
-/// reports with this rule too, so a single-phase program's `best()` is the
-/// static choice.
+/// ties break deterministically on the grid and then on the per-axis
+/// layouts (`layout_rank`), so golden tests are stable across runs and
+/// platforms. The phase pipeline ranks its pool-priced reports with this
+/// rule too, so a single-phase program's `best()` is the static choice.
 pub fn rank_distributions(ranked: &mut Vec<RankedDistribution>) {
-    // The key is computed once per candidate (totals are non-negative, so
-    // their bit patterns order like the floats themselves).
-    ranked.sort_by_cached_key(|r| {
-        let grid = r.distribution.grid();
-        (
-            r.cost.total().max(0.0).to_bits(),
-            grid.iter().copied().max().unwrap_or(1),
-            grid,
-            r.distribution.to_string(),
-        )
+    // Totals are non-negative, so their bit patterns order like the floats
+    // themselves; the key is read straight from each candidate's axes, so
+    // ranking allocates nothing per candidate.
+    fn grid(d: &ProgramDistribution) -> impl Iterator<Item = usize> + '_ {
+        d.axes.iter().map(|a| a.nprocs)
+    }
+    fn layouts(d: &ProgramDistribution) -> impl Iterator<Item = usize> + '_ {
+        d.axes.iter().map(|a| layout_rank(a.layout))
+    }
+    ranked.sort_by(|a, b| {
+        let (da, db) = (&a.distribution, &b.distribution);
+        (a.cost.total().max(0.0).to_bits())
+            .cmp(&b.cost.total().max(0.0).to_bits())
+            .then_with(|| grid(da).max().cmp(&grid(db).max()))
+            .then_with(|| grid(da).cmp(grid(db)))
+            .then_with(|| layouts(da).cmp(layouts(db)))
     });
     ranked.dedup_by(|a, b| a.distribution == b.distribution);
+}
+
+/// The order ties between equally cheap layouts of one grid break in:
+/// `BLOCK` < `CYCLIC(2)` < `CYCLIC(4)` < `CYCLIC(8)` < `CYCLIC`.
+fn layout_rank(layout: Layout) -> usize {
+    match layout {
+        Layout::Block => 0,
+        Layout::BlockCyclic(b) => b,
+        Layout::Cyclic => usize::MAX,
+    }
 }
 
 /// Cartesian product of per-axis candidate lists.
