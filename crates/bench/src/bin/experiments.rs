@@ -20,7 +20,7 @@ use alignment_core::stride::{solve_strides, solve_strides_with};
 use alignment_core::{CostModel, ProgramAlignment};
 use bench::{random_loop_program, RandomProgramConfig, Table};
 use commsim::{simulate, Machine, SimOptions};
-use distrib::{solve_distribution, DistributionCostModel, ProgramDistribution, SolveConfig};
+use distrib::{solve_distribution, template_extents, ProgramDistribution, SolveConfig};
 use phases::{align_then_distribute_dynamic, simulate_dynamic, simulate_static, DynamicConfig};
 use std::collections::HashSet;
 use std::time::Instant;
@@ -785,7 +785,7 @@ fn e16() {
         "workload",
         "P",
         "best distribution",
-        "model cost",
+        "elements",
         "candidates",
         "solve (ms)",
     ]);
@@ -800,37 +800,29 @@ fn e16() {
                 name.to_string(),
                 p.to_string(),
                 report.best().distribution.to_string(),
-                format!("{:.0}", report.best().cost.total()),
+                format!("{:.0}", report.best().elements),
                 report.candidates_evaluated.to_string(),
                 format!("{ms:.1}"),
             ]);
         }
     }
     println!("{t}");
-    println!("The search enumerates every (grid, layout) candidate and stays under");
-    println!("100 candidates and a few ms to 4096 processors; once the grid outgrows the");
-    println!("template, extra processors stop helping — the model charges the");
-    println!("idle-processor imbalance.");
+    println!("The search enumerates every (grid, layout) candidate, each priced by the");
+    println!("exact elements it moves, and stays under 100 candidates to 4096");
+    println!("processors. Idle processors are not priced: once the grid outgrows the");
+    println!("template, the count stops changing and ties go to the squarest grid.");
 }
 
 // --- E17: block-size sensitivity ----------------------------------------------------------------
 
 fn e17() {
-    let mut t = Table::new(&[
-        "workload",
-        "layout",
-        "shift",
-        "general",
-        "imbalance",
-        "total",
-    ]);
+    let mut t = Table::new(&["workload", "layout", "moved", "broadcast", "total"]);
     for (name, program, nprocs) in [
         ("stencil2d(64) P=16", programs::stencil2d(64, 4), 16usize),
         ("example1(256) P=8", programs::example1(256), 8),
     ] {
         let (adg, result) = align_program(&program, &PipelineConfig::default());
-        let model = DistributionCostModel::new(&adg, &result.alignment);
-        let extents = model.template_extents();
+        let extents = template_extents(&adg, &result.alignment);
         let rank = extents.len();
         let grid: Vec<usize> = match rank {
             1 => vec![nprocs],
@@ -849,21 +841,20 @@ fn e17() {
                 b => distrib::Layout::BlockCyclic(b),
             };
             let dist = ProgramDistribution::new(&extents, &grid, &vec![layout; rank]);
-            let cost = model.cost(&dist);
+            let sim = simulate(&adg, &result.alignment, &dist, SimOptions::exact());
             t.row(vec![
                 name.to_string(),
                 dist.to_string(),
-                format!("{:.0}", cost.shift),
-                format!("{:.0}", cost.general),
-                format!("{:.0}", cost.imbalance),
-                format!("{:.0}", cost.total()),
+                format!("{:.0}", sim.total.element_moves),
+                format!("{:.0}", sim.total.broadcast_elements),
+                format!("{:.0}", sim.total_elements()),
             ]);
         }
     }
     println!("{t}");
-    println!("Nearest-neighbour workloads degrade monotonically as the block shrinks");
-    println!("towards CYCLIC (every shift crosses an ownership boundary); the imbalance");
-    println!("term is what keeps pure BLOCK honest on ragged extents.");
+    println!("Exact counts. Nearest-neighbour workloads degrade monotonically as the");
+    println!("block shrinks towards CYCLIC (every shift crosses an ownership boundary);");
+    println!("an aligned program moves nothing under any layout.");
 }
 
 // --- E18: dynamic redistribution ----------------------------------------------------------------
@@ -1369,11 +1360,12 @@ fn e27() {
     // `planner_bound` workloads, solved exactly as an op solves them. Per
     // case: what the per-atom placement caches stand for (sampled iteration
     // points that can move data, and the sampled elements of the stored
-    // traversals) against what they hold (stored traversals, live heap
-    // bytes), and the `commsim` spans of one traced solve.
+    // traversals) against what they hold (runs, distinct stored traversals,
+    // live heap bytes), and the `commsim` spans of one traced solve.
     let mut t = Table::new(&[
         "case",
         "iteration points",
+        "runs",
         "stored traversals",
         "sampled elements stood for",
         "retained KB",
@@ -1410,14 +1402,15 @@ fn e27() {
                 .map(|a| PlacementCache::new(&a.adg, &a.alignment.alignment, cfg.sim))
                 .collect();
             let retained = bench::alloc::stats().current_bytes - live_before;
-            let (points, runs, samples) = caches.iter().fold((0, 0, 0), |acc, c| {
+            let (points, runs, stored, samples) = caches.iter().fold((0, 0, 0, 0), |acc, c| {
                 let f = c.footprint();
-                (acc.0 + f.0, acc.1 + f.1, acc.2 + f.2)
+                (acc.0 + f.0, acc.1 + f.1, acc.2 + f.2, acc.3 + f.3)
             });
             t.row(vec![
                 case.name.clone(),
                 points.to_string(),
                 runs.to_string(),
+                stored.to_string(),
                 samples.to_string(),
                 format!("{:.1}", retained as f64 / 1024.0),
                 span_ms("commsim.cache.build"),
@@ -1440,13 +1433,14 @@ fn e27() {
     println!("index; everywhere else consecutive iteration points place the object at");
     println!("the same template cells, and the cache stores that traversal once with a");
     println!("repeat count (`commsim.iterations_collapsed` counts the folded points) —");
-    println!("the traversal, not its samples: the third column is what a stored");
-    println!("traversal stands for, and the cache holds nothing per element (E34).");
-    println!("Eight of the nine cases collapse to one traversal per edge that moves");
-    println!("data (`figure1` and `lookup_table` align perfectly and store nothing);");
+    println!("the traversal, not its samples: the fifth column is what the stored");
+    println!("traversals stand for, and the cache holds nothing per element (E34).");
+    println!("Eight of the nine cases collapse to one run per edge that moves data");
+    println!("(`figure1` and `lookup_table` align perfectly and store nothing);");
     println!("`example5`, whose strides follow the loop index, is the mobile one and");
-    println!("keeps a traversal per point. Reports, layer costs and every pre-existing");
-    println!("counter are bit-identical to the per-point walk");
+    println!("keeps a run per point; runs that place an object alike share one stored");
+    println!("traversal, priced once per candidate. Reports, layer costs and every");
+    println!("pre-existing counter are bit-identical to the per-point walk");
     println!("(`tests/placement_collapse.rs`).");
 }
 

@@ -9,7 +9,8 @@
 //! Checked per (program, options, machine): `simulate` equals the reference
 //! edge by edge and field by field to the bit, `PlacementCache::price` equals
 //! `simulate` likewise, `PlacementCache::total_elements` equals the
-//! per-element unrolled sum, and the sampling counters of a walk and of a
+//! per-element unrolled sum — both also in one workspace reused across every
+//! machine and option set — and the sampling counters of a walk and of a
 //! cache build equal the reference's.
 
 use adg::{build_adg, Adg, EdgeId};
@@ -18,7 +19,7 @@ use align_ir::{programs, Affine, LivId, Program};
 use alignment_core::pipeline::{align_program, PipelineConfig};
 use alignment_core::position::{OffsetAlign, PortAlignment, ProgramAlignment};
 use bench::{random_loop_program, RandomProgramConfig};
-use commsim::{simulate, EdgeTraffic, Machine, PlacementCache, SimOptions};
+use commsim::{simulate, EdgeTraffic, Machine, PlacementCache, SimOptions, TrafficScratch};
 use std::collections::HashSet;
 
 /// `[elements_priced, sampling_events, iterations_collapsed]`.
@@ -252,6 +253,7 @@ fn check(
     machines: &[(&'static str, Machine)],
 ) -> f64 {
     let mut moved = 0.0;
+    let mut scratch = TrafficScratch::default();
     for (on, opts) in options() {
         let mut cache = None;
         let build = delta(|| cache = Some(PlacementCache::new(adg, alignment, opts)));
@@ -275,6 +277,14 @@ fn check(
                     cache.total_elements(machine).to_bits(),
                     want.unrolled_elements.to_bits(),
                     "{label}: total_elements against the unrolled sum"
+                );
+                let reused = cache.price_with(machine, &mut scratch);
+                same_bits(&label, "price_with total", &reused.total, &walked.total);
+                same_edges(&label, &reused.per_edge, &walked.per_edge);
+                assert_eq!(
+                    cache.total_elements_with(machine, &mut scratch).to_bits(),
+                    want.unrolled_elements.to_bits(),
+                    "{label}: total_elements_with against the unrolled sum"
                 );
             });
 

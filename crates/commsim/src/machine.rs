@@ -40,6 +40,14 @@ pub trait TemplateDistribution {
     /// that grid dimension, which a single linear id cannot express.
     fn grid_dims(&self) -> Vec<usize>;
 
+    /// [`TemplateDistribution::grid_dims`] written into a caller's buffer,
+    /// for pricing loops that reuse one. Implementors that hold their grid
+    /// should override this so it does not allocate.
+    fn grid_dims_into(&self, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(self.grid_dims());
+    }
+
     /// Owner coordinate of template cell `c` along axis `axis` alone.
     /// Composing per-axis coordinates mixed-radix (axis 0 most significant)
     /// must agree with [`TemplateDistribution::owner`].
@@ -141,6 +149,11 @@ impl TemplateDistribution for Machine {
 
     fn grid_dims(&self) -> Vec<usize> {
         self.grid.clone()
+    }
+
+    fn grid_dims_into(&self, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend_from_slice(&self.grid);
     }
 
     fn owner_coord(&self, axis: usize, c: i64) -> usize {

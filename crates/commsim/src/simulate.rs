@@ -5,7 +5,8 @@ use crate::machine::TemplateDistribution;
 use adg::{Adg, Edge, EdgeId};
 use align_ir::{Affine, LivId};
 use alignment_core::position::{OffsetAlign, PortAlignment, ProgramAlignment};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 
 /// Knobs bounding the cost of a simulation run.
 ///
@@ -176,7 +177,8 @@ pub fn simulate<D: TemplateDistribution + ?Sized>(
 ) -> SimReport {
     let _span = trace::span("commsim.simulate");
     let sampling_before = trace::counter("commsim.sampling_events");
-    let mut traversals = Traversals::new(machine);
+    let mut scratch = TrafficScratch::default();
+    let mut traversals = Traversals::new(machine, &mut scratch);
     let mut report = SimReport {
         processors: traversals.nprocs,
         ..SimReport::default()
@@ -205,7 +207,7 @@ fn simulate_edge<D: TemplateDistribution + ?Sized>(
     edge: &Edge,
     alignment: &ProgramAlignment,
     opts: SimOptions,
-    traversals: &mut Traversals<'_, D>,
+    traversals: &mut Traversals<'_, '_, D>,
 ) -> EdgeTraffic {
     let mut traffic = EdgeTraffic::default();
     let Some(walk) = EdgeWalk::new(adg, edge, alignment, opts) else {
@@ -234,7 +236,7 @@ fn simulate_edge<D: TemplateDistribution + ?Sized>(
 /// object's extents and the two position evaluators at that point. Two equal
 /// placements traverse the same element lattice over the same template
 /// cells, so they move the same elements under every distribution.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PointPlacement {
     extents: Vec<i64>,
     src: PosEval,
@@ -471,6 +473,7 @@ fn for_each_sampled_index(extents: &[i64], lattice: &SampleLattice, mut visit: i
 /// instead: one array read/write per insert, `begin` is O(1), and the
 /// distinct-pair count (the only output) is identical. Machines too large
 /// for the dense matrix spill to the hash set.
+#[derive(Debug)]
 struct PairSet {
     /// `nprocs + 1`: receiver `usize::MAX` (a broadcast) maps to the extra
     /// last column.
@@ -566,28 +569,24 @@ impl TraversalCounts {
     }
 }
 
-/// The traversal evaluator [`simulate`] and [`PlacementCache`] share, with
-/// the workspace one call of either needs: the machine's shape is asked for
-/// once, both sides of every traversal are compiled into the same buffers.
-struct Traversals<'m, D: ?Sized> {
+/// The traversal evaluator [`simulate`] and [`PlacementCache`] share, over
+/// a caller's workspace: the machine's shape is asked for once, both sides
+/// of every traversal are compiled into the same buffers.
+struct Traversals<'m, 's, D: ?Sized> {
     machine: &'m D,
-    dims: Vec<usize>,
     nprocs: usize,
-    scratch: TrafficScratch,
-    /// Built by the first traversal that has to be evaluated.
-    pairs: Option<PairSet>,
+    scratch: &'s mut TrafficScratch,
     /// Traversals evaluated element by element so far.
     evaluated: u64,
 }
 
-impl<'m, D: TemplateDistribution + ?Sized> Traversals<'m, D> {
-    fn new(machine: &'m D) -> Self {
+impl<'m, 's, D: TemplateDistribution + ?Sized> Traversals<'m, 's, D> {
+    fn new(machine: &'m D, scratch: &'s mut TrafficScratch) -> Self {
+        machine.grid_dims_into(&mut scratch.dims);
         Traversals {
             machine,
-            dims: machine.grid_dims(),
             nprocs: machine.num_processors(),
-            scratch: TrafficScratch::default(),
-            pairs: None,
+            scratch,
             evaluated: 0,
         }
     }
@@ -606,7 +605,11 @@ impl<'m, D: TemplateDistribution + ?Sized> Traversals<'m, D> {
             return counts;
         }
         self.evaluated += 1;
-        let pairs = self.pairs.get_or_insert_with(|| PairSet::new(self.nprocs));
+        let pairs = &mut self.scratch.pairs;
+        if pairs.as_ref().is_none_or(|p| p.stride != self.nprocs + 1) {
+            *pairs = Some(PairSet::new(self.nprocs));
+        }
+        let pairs = pairs.as_mut().expect("built above");
         evaluated_counts(placement, lattice, dst_replicated, self.machine, pairs)
     }
 
@@ -618,13 +621,18 @@ impl<'m, D: TemplateDistribution + ?Sized> Traversals<'m, D> {
         dst_replicated: bool,
     ) -> Option<TraversalCounts> {
         let PointPlacement { extents, src, dst } = placement;
-        let TrafficScratch { sides, product } = &mut self.scratch;
+        let TrafficScratch {
+            sides,
+            product,
+            dims,
+            ..
+        } = &mut *self.scratch;
         let [from, to] = sides;
-        from.fill(src, self.machine, &self.dims, self.nprocs, extents, lattice)?;
+        from.fill(src, self.machine, dims, self.nprocs, extents, lattice)?;
         if dst_replicated {
             return Some(from.broadcast());
         }
-        to.fill(dst, self.machine, &self.dims, self.nprocs, extents, lattice)?;
+        to.fill(dst, self.machine, dims, self.nprocs, extents, lattice)?;
         // Both sides share the machine, and `owner_flat` pins replicated and
         // missing axes to coordinate 0 exactly as the compiler does, so
         // "moved" is flat-id inequality: no axis is exempt.
@@ -691,7 +699,7 @@ use crate::machine::REPLICATED_COORD;
 /// Two equal evaluators produce equal coordinates at every element index —
 /// the element loops use this to prove a perfectly aligned traversal moves
 /// nothing without enumerating it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PosEval {
     /// Per template axis: the offset at this iteration point.
     base: Vec<i64>,
@@ -738,9 +746,12 @@ impl PosEval {
 /// traversal itself, not what it visits: the object's extents, the two
 /// position evaluators, the sampling lattice and the number of iteration
 /// points it stands for — a few dozen bytes, whatever the object's size.
-/// [`PlacementCache::price`] then gets each traversal's moved, distinct-pair
-/// and broadcast counts the way [`simulate`] does, from the per-axis owner
-/// classes of its two sides, touching no element; a traversal whose owner
+/// Equal traversals are stored once: the build interns them by content (a
+/// hash, not a scan — a mobile program has many runs), and each edge keeps
+/// only its runs as `(traversal, repeat)` pairs. [`PlacementCache::price`]
+/// then gets each distinct traversal's moved, distinct-pair and broadcast
+/// counts once per candidate, the way [`simulate`] does, from the per-axis
+/// owner classes of its two sides, touching no element; a traversal whose owner
 /// map does not compile (a skewed alignment, a grid axis wider than
 /// [`RestingOwners`] tabulates) is evaluated element by element over its
 /// lattice on demand, counted by `commsim.cache.evaluated_traversals`.
@@ -754,6 +765,8 @@ impl PosEval {
 /// sampling counter: the build booked every point's.
 #[derive(Debug, Clone)]
 pub struct PlacementCache {
+    /// The distinct traversals, in order of first use.
+    traversals: Vec<CachedTraversal>,
     /// The edges with at least one traversal that can move data.
     edges: Vec<CachedEdge>,
 }
@@ -763,20 +776,59 @@ struct CachedEdge {
     id: EdgeId,
     /// Iteration-sampling scale × the edge's control weight.
     weight: f64,
-    /// Destination replicated while the source is not: every element is a
-    /// broadcast.
-    dst_replicated: bool,
-    iterations: Vec<CachedIteration>,
+    /// `(traversal, repeat)` of each run of consecutive sampled iteration
+    /// points that share one traversal, in iteration order (`repeat` at
+    /// least 1).
+    runs: Vec<(usize, u64)>,
 }
 
-/// One traversal and the run of consecutive sampled iteration points that
-/// share it.
+/// One distinct traversal: where the object sits, how its elements are
+/// sampled, and whether the destination replicates it (every element is
+/// then a broadcast).
 #[derive(Debug, Clone)]
-struct CachedIteration {
+struct CachedTraversal {
     placement: PointPlacement,
     lattice: SampleLattice,
-    /// Length of the run (at least 1).
-    repeat: u64,
+    dst_replicated: bool,
+}
+
+/// Finds a cache's stored traversals by content while it is built: a
+/// traversal's hash leads to the last one stored with that hash, and each
+/// stored traversal to the one stored before it with the same hash.
+#[derive(Default)]
+struct TraversalIndex {
+    last: HashMap<u64, usize>,
+    previous: Vec<Option<usize>>,
+}
+
+impl TraversalIndex {
+    /// The index of the traversal in `stored`, appended if it is new.
+    fn intern(
+        &mut self,
+        stored: &mut Vec<CachedTraversal>,
+        placement: &PointPlacement,
+        lattice: &SampleLattice,
+        dst_replicated: bool,
+    ) -> usize {
+        let hash =
+            BuildHasherDefault::<DefaultHasher>::default().hash_one((placement, dst_replicated));
+        let mut at = self.last.get(&hash).copied();
+        while let Some(i) = at {
+            let t = &stored[i];
+            if t.dst_replicated == dst_replicated && t.placement == *placement {
+                return i;
+            }
+            at = self.previous[i];
+        }
+        stored.push(CachedTraversal {
+            placement: placement.clone(),
+            lattice: lattice.clone(),
+            dst_replicated,
+        });
+        let i = stored.len() - 1;
+        self.previous.push(self.last.insert(hash, i));
+        i
+    }
 }
 
 /// `acc` after adding `s` to it `n` times, bit for bit, in time
@@ -825,120 +877,142 @@ impl PlacementCache {
     pub fn new(adg: &Adg, alignment: &ProgramAlignment, opts: SimOptions) -> Self {
         let _span = trace::span("commsim.cache.build");
         trace::count("commsim.cache.builds", 1);
+        let mut traversals = Vec::new();
+        let mut index = TraversalIndex::default();
         let mut edges = Vec::new();
         for (eid, edge) in adg.edges() {
             let Some(walk) = EdgeWalk::new(adg, edge, alignment, opts) else {
                 continue;
             };
-            let mut iterations: Vec<CachedIteration> = Vec::new();
+            let mut runs: Vec<(usize, u64)> = Vec::new();
             walk.for_each_run(|placement, lattice, fresh, times| {
                 if fresh {
-                    iterations.push(CachedIteration {
-                        placement: placement.clone(),
-                        lattice: lattice.clone(),
-                        repeat: 0,
-                    });
+                    let t = index.intern(&mut traversals, placement, lattice, walk.dst_replicated);
+                    runs.push((t, 0));
                 }
-                let run = iterations.last_mut();
-                run.expect("a repeated run follows the run it repeats")
-                    .repeat += times;
+                let run = runs.last_mut();
+                run.expect("a repeated run follows the run it repeats").1 += times;
             });
-            if !iterations.is_empty() {
+            if !runs.is_empty() {
                 edges.push(CachedEdge {
                     id: eid,
                     weight: walk.iter_stride as f64 * edge.control_weight,
-                    dst_replicated: walk.dst_replicated,
-                    iterations,
+                    runs,
                 });
             }
         }
-        PlacementCache { edges }
+        PlacementCache { traversals, edges }
     }
 
-    /// `(iteration points, stored traversals, sampled elements stood for)`:
-    /// what the cache stands for against what it holds (experiment E27's
-    /// columns). The third is Σ sampled elements of the stored traversals —
-    /// what a cache that stored coordinates would hold one entry each for;
-    /// this one holds none.
+    /// `(iteration points, runs, distinct traversals, sampled elements
+    /// stood for)`: what the cache stands for against what it holds
+    /// (experiment E27's columns). The last is Σ sampled elements of the
+    /// distinct traversals — what a cache that stored coordinates would
+    /// hold one entry each for; this one holds none.
     #[doc(hidden)]
-    pub fn footprint(&self) -> (usize, usize, usize) {
-        let mut totals = (0, 0, 0);
-        for run in self.edges.iter().flat_map(|edge| &edge.iterations) {
-            totals.0 += run.repeat as usize;
-            totals.1 += 1;
-            totals.2 += run.lattice.size.sampled as usize;
-        }
-        totals
+    pub fn footprint(&self) -> (usize, usize, usize, usize) {
+        let runs = self.edges.iter().flat_map(|edge| &edge.runs);
+        (
+            runs.clone().map(|&(_, repeat)| repeat as usize).sum(),
+            runs.count(),
+            self.traversals.len(),
+            (self.traversals.iter())
+                .map(|t| t.lattice.size.sampled as usize)
+                .sum(),
+        )
     }
 
-    /// One pricing of the cache: `body` asks `Traversals` for the counts of
-    /// the stored traversals.
-    fn pricing<D: TemplateDistribution + ?Sized, T>(
+    /// Count every distinct traversal under `machine`, once each, into
+    /// `scratch`'s count buffer.
+    fn count_traversals<D: TemplateDistribution + ?Sized>(
+        &self,
         machine: &D,
-        body: impl FnOnce(&mut Traversals<'_, D>) -> T,
-    ) -> T {
+        scratch: &mut TrafficScratch,
+    ) {
         trace::count("commsim.cache.prices", 1);
-        let mut traversals = Traversals::new(machine);
-        let out = body(&mut traversals);
+        let mut counts = std::mem::take(&mut scratch.counts);
+        counts.clear();
+        let mut traversals = Traversals::new(machine, scratch);
+        counts.extend(
+            (self.traversals.iter())
+                .map(|t| traversals.counts(&t.placement, &t.lattice, t.dst_replicated)),
+        );
         if traversals.evaluated > 0 {
             trace::count("commsim.cache.evaluated_traversals", traversals.evaluated);
         }
-        out
+        scratch.counts = counts;
     }
 
     /// Price one candidate distribution: identical traffic to running
     /// [`simulate`] with the same options the cache was built with.
     pub fn price<D: TemplateDistribution + ?Sized>(&self, machine: &D) -> SimReport {
+        self.price_with(machine, &mut TrafficScratch::default())
+    }
+
+    /// [`PlacementCache::price`] in a caller's workspace, reused across
+    /// calls.
+    pub fn price_with<D: TemplateDistribution + ?Sized>(
+        &self,
+        machine: &D,
+        scratch: &mut TrafficScratch,
+    ) -> SimReport {
         let _span = trace::span("commsim.cache.price");
-        Self::pricing(machine, |traversals| {
-            let mut report = SimReport {
-                processors: traversals.nprocs,
-                ..SimReport::default()
-            };
-            for edge in &self.edges {
-                let mut traffic = EdgeTraffic::default();
-                for run in &edge.iterations {
-                    let per_point = traversals
-                        .counts(&run.placement, &run.lattice, edge.dst_replicated)
-                        .traffic(run.lattice.size.scale);
-                    // The walk accumulates per iteration point, so a run adds
-                    // its traversal's traffic once per point it stands for.
-                    traffic.add_run(&per_point, |moved| moved * edge.weight, run.repeat);
-                }
-                if !traffic.is_zero() {
-                    report.per_edge.push((edge.id, traffic));
-                }
-                report.total.add(&traffic);
+        self.count_traversals(machine, scratch);
+        let mut report = SimReport {
+            processors: machine.num_processors(),
+            ..SimReport::default()
+        };
+        for edge in &self.edges {
+            let mut traffic = EdgeTraffic::default();
+            for &(t, repeat) in &edge.runs {
+                let scale = self.traversals[t].lattice.size.scale;
+                let per_point = scratch.counts[t].traffic(scale);
+                // The walk accumulates per iteration point, so a run adds
+                // its traversal's traffic once per point it stands for.
+                traffic.add_run(&per_point, |moved| moved * edge.weight, repeat);
             }
-            report
-        })
+            if !traffic.is_zero() {
+                report.per_edge.push((edge.id, traffic));
+            }
+            report.total.add(&traffic);
+        }
+        report
     }
 
     /// Total elements moved under one candidate — what ranking needs: no
     /// per-edge breakdown, and one sum per edge over the samples of all its
     /// iteration points, weighted once.
     pub fn total_elements<D: TemplateDistribution + ?Sized>(&self, machine: &D) -> f64 {
+        self.total_elements_with(machine, &mut TrafficScratch::default())
+    }
+
+    /// [`PlacementCache::total_elements`] in a caller's workspace, reused
+    /// across calls: a search that hands every candidate the same one
+    /// allocates nothing per candidate.
+    pub fn total_elements_with<D: TemplateDistribution + ?Sized>(
+        &self,
+        machine: &D,
+        scratch: &mut TrafficScratch,
+    ) -> f64 {
         let _span = trace::span("commsim.cache.price");
-        Self::pricing(machine, |traversals| {
-            let mut total = 0.0;
-            for edge in &self.edges {
-                // The per-iteration walk adds `scale` once per moved sample
-                // of every point, in order; within a run those are
-                // consecutive additions of one value.
-                let mut edge_elems = 0.0;
-                for run in &edge.iterations {
-                    let counts =
-                        traversals.counts(&run.placement, &run.lattice, edge.dst_replicated);
-                    edge_elems = repeat_add(
-                        edge_elems,
-                        run.lattice.size.scale,
-                        (counts.moved + counts.broadcast) * run.repeat,
-                    );
-                }
-                total += edge_elems * edge.weight;
+        self.count_traversals(machine, scratch);
+        let mut total = 0.0;
+        for edge in &self.edges {
+            // The per-iteration walk adds `scale` once per moved sample of
+            // every point, in order; within a run those are consecutive
+            // additions of one value.
+            let mut edge_elems = 0.0;
+            for &(t, repeat) in &edge.runs {
+                let counts = scratch.counts[t];
+                edge_elems = repeat_add(
+                    edge_elems,
+                    self.traversals[t].lattice.size.scale,
+                    (counts.moved + counts.broadcast) * repeat,
+                );
             }
-            total
-        })
+            total += edge_elems * edge.weight;
+        }
+        total
     }
 }
 
@@ -992,20 +1066,31 @@ struct AxisOwners {
     table: usize,
 }
 
-/// Reusable workspace of [`RestingOwners::traffic`]; one per caller, handed
-/// to every call, so pricing a layer of moves allocates nothing per move.
+/// Reusable workspace of [`RestingOwners::traffic`] and of pricing a
+/// [`PlacementCache`]; one per caller, handed to every call, so pricing a
+/// layer of moves or a space of candidates allocates nothing per move or
+/// candidate.
 #[derive(Debug, Default)]
 pub struct TrafficScratch {
     /// The two sides of a traversal priced in place (`Traversals`).
     sides: [RestingOwners; 2],
     product: ClassProduct,
+    /// The grid of the machine being priced.
+    dims: Vec<usize>,
+    /// Distinct-pair marks of the traversals evaluated element by element,
+    /// built by the first one.
+    pairs: Option<PairSet>,
+    /// Each distinct traversal's counts in one pricing of a cache.
+    counts: Vec<TraversalCounts>,
 }
 
 /// Workspace of the class product ([`RestingOwners::moved_to`]).
 #[derive(Debug, Default)]
 struct ClassProduct {
-    /// Joint histogram of one body axis, zero between uses.
-    joint: Vec<u32>,
+    /// Joint histogram of one body axis, zero between uses — or, when the
+    /// histogram would have more cells than the axis has positions, the
+    /// positions' runs of equal cells, sorted.
+    joint: Vec<u64>,
     /// `(source contribution, destination contribution, positions)` of every
     /// class of every body axis, axis after axis.
     classes: Vec<(u32, u32, u32)>,
@@ -1016,9 +1101,9 @@ struct ClassProduct {
 }
 
 impl RestingOwners {
-    /// Widest grid axis compiled. Two sides' owner coordinates along one
-    /// body axis are classed in a dense `g × g` table, so this caps the
-    /// workspace at 4 MiB; wider axes take the per-element evaluation.
+    /// Widest grid axis compiled: a `g × g` cell index of two sides' owner
+    /// coordinates along one body axis stays far inside 32 bits. Wider axes
+    /// take the per-element evaluation.
     const MAX_AXIS_OWNERS: usize = 1 << 10;
 
     /// Compile the side `alignment` ∘ `distribution` of moving an object
@@ -1244,21 +1329,48 @@ impl RestingOwners {
                 (_, 0) => classes.extend(self.classes(s).map(|(oc, n)| (oc, 0, n))),
                 (0, _) => classes.extend(dst.classes(d).map(|(oc, n)| (0, oc, n))),
                 (gs, gd) => {
-                    if joint.len() < gs * gd {
-                        joint.resize(gs * gd, 0);
-                    }
                     let cell = |a: u32, b: u32| a as usize * gd + b as usize;
+                    let (ws, wd) = (s.weight as u32, d.weight as u32);
                     let positions = || self.coords(s).iter().zip(dst.coords(d));
-                    for (&a, &b) in positions() {
-                        joint[cell(a, b)] += 1;
-                    }
-                    // Second pass: collect each class at its first position
-                    // and leave the table zero for the next axis.
-                    for (&a, &b) in positions() {
-                        let n = std::mem::take(&mut joint[cell(a, b)]);
-                        if n > 0 {
-                            let (ws, wd) = (s.weight as u32, d.weight as u32);
-                            classes.push((a * ws, b * wd, n));
+                    if gs * gd > s.count {
+                        // More coordinate pairs than positions: class the
+                        // positions by sorting their cells, in the same
+                        // buffer, rather than tabulating every pair. Runs of
+                        // equal neighbours (a block layout's) are merged
+                        // first, as `cell << 32 | positions`, into a buffer
+                        // sized to hold exactly the runs.
+                        let cells = || positions().map(|(&a, &b)| cell(a, b) as u64);
+                        let runs = 1 + cells().zip(cells().skip(1)).filter(|(x, y)| x != y).count();
+                        joint.clear();
+                        joint.reserve(runs);
+                        for c in cells() {
+                            match joint.last_mut() {
+                                Some(run) if *run >> 32 == c => *run += 1,
+                                _ => joint.push(c << 32 | 1),
+                            }
+                        }
+                        joint.sort_unstable();
+                        for class in joint.chunk_by(|x, y| x >> 32 == y >> 32) {
+                            let c = (class[0] >> 32) as usize;
+                            let n: u64 = class.iter().map(|run| run & u64::from(u32::MAX)).sum();
+                            classes.push(((c / gd) as u32 * ws, (c % gd) as u32 * wd, n as u32));
+                        }
+                        joint.clear();
+                    } else {
+                        if joint.len() < gs * gd {
+                            joint.resize(gs * gd, 0);
+                        }
+                        for (&a, &b) in positions() {
+                            joint[cell(a, b)] += 1;
+                        }
+                        // Second pass: collect each class at its first
+                        // position and leave the table zero for the next
+                        // axis.
+                        for (&a, &b) in positions() {
+                            let n = std::mem::take(&mut joint[cell(a, b)]);
+                            if n > 0 {
+                                classes.push((a * ws, b * wd, n as u32));
+                            }
                         }
                     }
                 }
@@ -1808,15 +1920,16 @@ mod tests {
                     let mut unrolled = 0.0;
                     for edge in &cache.edges {
                         let mut edge_elems = 0.0;
-                        for run in &edge.iterations {
+                        for &(t, repeat) in &edge.runs {
+                            let run = &cache.traversals[t];
                             let counts = evaluated_counts(
                                 &run.placement,
                                 &run.lattice,
-                                edge.dst_replicated,
+                                run.dst_replicated,
                                 machine,
                                 &mut pairs,
                             );
-                            for _ in 0..run.repeat * (counts.moved + counts.broadcast) {
+                            for _ in 0..repeat * (counts.moved + counts.broadcast) {
                                 edge_elems += run.lattice.size.scale;
                             }
                         }
@@ -1845,9 +1958,8 @@ mod tests {
             .edges
             .iter()
             .map(|e| {
-                e.iterations
-                    .iter()
-                    .map(|it| (it.repeat, it.lattice.size.sampled))
+                (e.runs.iter())
+                    .map(|&(t, repeat)| (repeat, cache.traversals[t].lattice.size.sampled))
                     .collect()
             })
             .collect()
@@ -1928,6 +2040,57 @@ mod tests {
             assert!(edge_runs.iter().all(|&(repeat, _)| repeat == 1));
         }
         assert_eq!(collapsed(), before);
+    }
+
+    #[test]
+    fn equal_traversals_of_different_loops_are_stored_once() {
+        // The same shifted statement in `loops` sequential loops: one run
+        // per loop and edge, but the runs of one edge's statement place the
+        // object identically, so the cache stores each traversal once and
+        // prices it once per candidate — to the same traffic.
+        use align_ir::builder::{add, rng, ProgramBuilder};
+        let program = |loops: usize| {
+            let mut b = ProgramBuilder::new("repeated_shift");
+            let a = b.array("A", &[16, 16]);
+            for _ in 0..loops {
+                b.begin_loop(1, 3);
+                let near = b.sec_ref(a, vec![rng(1, 16), rng(1, 15)]);
+                let far = b.sec_ref(a, vec![rng(1, 16), rng(2, 16)]);
+                let lhs = align_ir::Section::new(vec![rng(1, 16), rng(1, 15)]);
+                b.assign(a, lhs, add(near, far));
+                b.end_loop();
+            }
+            let adg = build_adg(&b.finish());
+            let mut alignment = identity(&adg, 2);
+            for (pid, port) in adg.ports() {
+                if port.label.contains("2:16") {
+                    alignment.ports[pid.0].offsets[1] = OffsetAlign::Fixed(Affine::constant(1));
+                }
+            }
+            (adg, alignment)
+        };
+        let (adg, alignment) = program(1);
+        let (_, one_runs, one_stored, _) =
+            PlacementCache::new(&adg, &alignment, SimOptions::exact()).footprint();
+        assert!(one_stored > 0 && one_stored <= one_runs);
+        let (adg, alignment) = program(4);
+        let cache = PlacementCache::new(&adg, &alignment, SimOptions::exact());
+        let (points, runs, stored, _) = cache.footprint();
+        assert_eq!(
+            (runs, stored),
+            (4 * one_runs, one_stored),
+            "{points} points"
+        );
+        let m = Machine::new(vec![2, 2], vec![8, 8]);
+        let direct = simulate(&adg, &alignment, &m, SimOptions::exact());
+        assert!(direct.total_elements() > 0.0);
+        let mut scratch = TrafficScratch::default();
+        let cached = cache.price_with(&m, &mut scratch);
+        assert_eq!(format!("{direct:?}"), format!("{cached:?}"));
+        assert_eq!(
+            cache.total_elements_with(&m, &mut scratch).to_bits(),
+            direct.total_elements().to_bits()
+        );
     }
 
     #[test]
@@ -2124,6 +2287,36 @@ mod tests {
         // compares owner coordinates in the source grid's radix, so a
         // replicated source compiles across differently-shaped grids too.
         assert_eq!(compiled_hits, 512 + 128, "fast-path coverage");
+
+        // A 64 × 97 object moved from a 32 × 1 grid to a 1 × 32 one, as
+        // the planner's transposed plans of `reduction_tree(64, 64)` move
+        // it: with the destination transposed, body axis 0 has 32 owner
+        // coordinates on both sides, 1 024 cells for 64 positions, and is
+        // classed by sorting.
+        let extents = [64, 97];
+        let rows = Machine::block_distribution(vec![32, 1], &[64, 97]);
+        let cols = Machine::block_distribution(vec![1, 32], &[97, 64]);
+        for (da, dst_align) in [("identity", &aligns[0].1), ("transpose", &aligns[1].1)] {
+            for (oi, &opts) in options.iter().enumerate() {
+                let label = format!("identity->{da} on 32x1->1x32 opts{oi}");
+                let src_eval = PosEval::new(&aligns[0].1, &[]);
+                let dst_eval = PosEval::new(dst_align, &[]);
+                let budget = opts.element_budget(64 * 97);
+                let reference = redistribution_evaluated(
+                    &extents, &src_eval, &rows, &dst_eval, &cols, false, budget,
+                );
+                let compiled = redistribution_compiled(
+                    &extents, &src_eval, &rows, &dst_eval, &cols, false, budget,
+                )
+                .expect("both sides compile");
+                assert!(
+                    compiled.element_moves == reference.element_moves
+                        && compiled.messages == reference.messages
+                        && compiled.broadcast_elements == reference.broadcast_elements,
+                    "{label}: compiled {compiled:?} != evaluated {reference:?}"
+                );
+            }
+        }
 
         // A skewed alignment (two body axes on one template axis) is the
         // documented fallback: the owner coordinate is not a function of a
@@ -2448,7 +2641,7 @@ mod tests {
                             machine,
                             &mut pairs,
                         );
-                        let compiled = Traversals::new(machine)
+                        let compiled = Traversals::new(machine, &mut TrafficScratch::default())
                             .compiled(&placement, &lattice, dst_replicated)
                             .unwrap_or_else(|| panic!("{label}: separable scenario fell back"));
                         compiled_hits += 1;

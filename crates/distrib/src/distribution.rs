@@ -122,6 +122,11 @@ impl TemplateDistribution for ProgramDistribution {
         self.grid()
     }
 
+    fn grid_dims_into(&self, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(self.axes.iter().map(|a| a.nprocs));
+    }
+
     fn owner_coord(&self, axis: usize, c: i64) -> usize {
         self.axes[axis].owner(c)
     }

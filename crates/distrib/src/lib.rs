@@ -14,22 +14,18 @@
 //! 3. [`distribution`] — [`ProgramDistribution`], a whole-template
 //!    distribution that plugs straight into the `commsim` simulator via its
 //!    `TemplateDistribution` trait;
-//! 4. [`cost`] — a machine-level cost model translating the alignment
-//!    phase's residual shift/broadcast/general communication into element
-//!    moves under a concrete distribution, plus a load-imbalance term;
-//! 5. [`solve`] — exhaustive search over (grid, layout) candidates,
+//! 4. [`solve`] — exhaustive search over (grid, layout) candidates, each
+//!    priced by the exact elements it moves (`commsim::PlacementCache`),
 //!    producing a ranked [`DistributionReport`];
-//! 6. [`pipeline`] — [`align_then_distribute`], the combined two-phase
+//! 5. [`pipeline`] — [`align_then_distribute`], the combined two-phase
 //!    driver.
 
-pub mod cost;
 pub mod distribution;
 pub mod grid;
 pub mod layout;
 pub mod pipeline;
 pub mod solve;
 
-pub use cost::{DistributionCost, DistributionCostModel};
 pub use distribution::ProgramDistribution;
 pub use grid::{count_grids, enumerate_grids};
 pub use layout::{AxisDistribution, Layout};
@@ -37,6 +33,6 @@ pub use pipeline::{
     align_then_distribute, distribute_alignment, FullPipelineConfig, FullPipelineResult,
 };
 pub use solve::{
-    rank_distributions, solve_distribution, solve_distribution_pooled, DistributionReport,
-    RankedDistribution, SignatureSpace, SolveConfig,
+    rank_distributions, rank_signature_space, solve_distribution, solve_distribution_pooled,
+    template_extents, DistributionReport, RankedDistribution, SignatureSpace, SolveConfig,
 };

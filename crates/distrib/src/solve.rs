@@ -5,13 +5,19 @@
 //! the 2-D programs of EXPERIMENTS E16 peak at 96 candidates at 4 096
 //! processors, and a 3-D template of 513³ cells first passes 4 096
 //! candidates at 1 024 processors.
+//!
+//! A candidate is ranked by the elements it moves, counted by `commsim`'s
+//! [`PlacementCache`]: the number every plan is priced in. Load imbalance
+//! and broadcast fan-out are not priced (ARCHITECTURE.md says where that is
+//! blind).
 
-use crate::cost::{DistributionCost, DistributionCostModel};
 use crate::distribution::ProgramDistribution;
 use crate::grid::enumerate_grids;
 use crate::layout::Layout;
 use adg::Adg;
 use alignment_core::position::ProgramAlignment;
+use alignment_core::CostModel;
+use commsim::{PlacementCache, SimOptions, TrafficScratch};
 use std::fmt;
 
 /// Candidate block sizes for `BlockCyclic` layouts (besides the implicit
@@ -20,6 +26,10 @@ pub const BLOCK_SIZES: [usize; 3] = [2, 4, 8];
 
 /// How many ranked distributions a [`DistributionReport`] keeps.
 pub const TOP_K: usize = 8;
+
+/// Iteration points per edge a template's extents are measured on
+/// ([`template_extents`]).
+pub const TEMPLATE_POINTS_PER_EDGE: usize = 128;
 
 /// Configuration of the distribution search: the processor count. The
 /// candidate space ([`BLOCK_SIZES`]) and the report length ([`TOP_K`]) are
@@ -42,18 +52,19 @@ impl SolveConfig {
 pub struct RankedDistribution {
     /// The distribution.
     pub distribution: ProgramDistribution,
-    /// Its modelled cost.
-    pub cost: DistributionCost,
+    /// Elements it moves, summed over the caches it was priced on.
+    pub elements: f64,
 }
 
-/// The solver's output: candidates ranked by modelled cost, cheapest first.
+/// The solver's output: candidates ranked by elements moved, cheapest
+/// first.
 #[derive(Debug, Clone)]
 pub struct DistributionReport {
     /// Processor count the search distributed over.
     pub nprocs: usize,
     /// Template extents the candidates cover.
     pub template_extents: Vec<i64>,
-    /// Ranked candidates, ascending cost (at most [`TOP_K`]).
+    /// Ranked candidates, ascending elements (at most [`TOP_K`]).
     pub ranked: Vec<RankedDistribution>,
     /// Number of candidates priced: the whole signature space.
     pub candidates_evaluated: usize,
@@ -77,11 +88,10 @@ impl fmt::Display for DistributionReport {
         for (i, r) in self.ranked.iter().enumerate() {
             writeln!(
                 f,
-                "  #{:<2} {}  [total {:.1}: {}]",
+                "  #{:<2} {}  [{:.1} elements]",
                 i + 1,
                 r.distribution,
-                r.cost.total(),
-                r.cost
+                r.elements
             )?;
         }
         Ok(())
@@ -146,59 +156,82 @@ impl SignatureSpace {
     }
 }
 
+/// The template extents a distribution of an aligned program covers,
+/// measured on at most [`TEMPLATE_POINTS_PER_EDGE`] iteration points per
+/// edge ([`CostModel::template_extents`]).
+pub fn template_extents(adg: &Adg, alignment: &ProgramAlignment) -> Vec<i64> {
+    let _span = trace::span("distrib.template_extents");
+    CostModel::new(adg).template_extents(alignment, TEMPLATE_POINTS_PER_EDGE)
+}
+
 /// Price every (grid, layout) candidate of an aligned program over
-/// `config.nprocs` processors and rank them, cheapest first. The whole
-/// signature space is enumerated, so the report's best is the model's
-/// optimum.
+/// `config.nprocs` processors by the exact elements it moves and rank them,
+/// cheapest first. The whole signature space is enumerated, so the report's
+/// best is the exact optimum.
 pub fn solve_distribution(
     adg: &Adg,
     alignment: &ProgramAlignment,
     config: &SolveConfig,
 ) -> DistributionReport {
-    let model = DistributionCostModel::new(adg, alignment);
-    let extents = model.template_extents();
-    solve_distribution_pooled(std::slice::from_ref(&model), &extents, config)
+    let cache = PlacementCache::new(adg, alignment, SimOptions::exact());
+    let extents = template_extents(adg, alignment);
+    solve_distribution_pooled(std::slice::from_ref(&cache), &extents, config)
 }
 
-/// Search the (grid, layout) space once for a *pool* of cost models sharing
-/// one template: each candidate is priced by every model (on the shared
-/// `extents`) and the models' costs summed. The phase pipeline uses this to
-/// search a whole phase — all its atoms — with a **single** enumeration of
-/// the signature space on the phase's covering template, instead of
-/// re-enumerating the same grids and layouts per atom.
+/// Search the (grid, layout) space once for a *pool* of placement caches
+/// sharing one template: each candidate is priced on every cache (on the
+/// shared `extents`) and the elements summed. The phase pipeline uses this
+/// to search a whole phase — all its atoms — with a **single** enumeration
+/// of the signature space on the phase's covering template.
 pub fn solve_distribution_pooled(
-    models: &[DistributionCostModel<'_>],
+    caches: &[PlacementCache],
     extents: &[i64],
     config: &SolveConfig,
 ) -> DistributionReport {
-    assert!(!models.is_empty(), "need at least one cost model");
-    let _span = trace::span("distrib.solve");
-    trace::count("distrib.solves", 1);
-    let space = SignatureSpace::enumerate(extents, config);
-    trace::record_value("distrib.signature_space", space.total_candidates as f64);
-
-    let mut ranked: Vec<RankedDistribution> = Vec::new();
-    for (grid, candidates) in space.grids.iter().zip(&space.per_grid_layouts) {
-        for layouts in cartesian(candidates) {
-            let distribution = ProgramDistribution::new(extents, grid, &layouts);
-            let cost = models
-                .iter()
-                .map(|m| m.cost(&distribution))
-                .fold(DistributionCost::default(), |a, b| a.plus(&b));
-            ranked.push(RankedDistribution { distribution, cost });
-        }
-    }
+    let mut ranked = rank_signature_space(caches, extents, config);
     let evaluated = ranked.len();
-    rank_distributions(&mut ranked);
     ranked.truncate(TOP_K);
-
-    trace::count("distrib.candidates_evaluated", evaluated as u64);
     DistributionReport {
         nprocs: config.nprocs,
         template_extents: extents.to_vec(),
         ranked,
         candidates_evaluated: evaluated,
     }
+}
+
+/// Every candidate of the signature space on `extents`, priced by the
+/// elements it moves summed over `caches` and ranked by
+/// [`rank_distributions`] — the whole space, which
+/// [`solve_distribution_pooled`] cuts to [`TOP_K`]. One workspace serves
+/// every candidate and cache.
+pub fn rank_signature_space(
+    caches: &[PlacementCache],
+    extents: &[i64],
+    config: &SolveConfig,
+) -> Vec<RankedDistribution> {
+    assert!(!caches.is_empty(), "need at least one placement cache");
+    let _span = trace::span("distrib.solve");
+    trace::count("distrib.solves", 1);
+    let space = SignatureSpace::enumerate(extents, config);
+    trace::record_value("distrib.signature_space", space.total_candidates as f64);
+
+    let mut scratch = TrafficScratch::default();
+    let mut ranked: Vec<RankedDistribution> = Vec::with_capacity(space.total_candidates);
+    for (grid, candidates) in space.grids.iter().zip(&space.per_grid_layouts) {
+        for layouts in cartesian(candidates) {
+            let distribution = ProgramDistribution::new(extents, grid, &layouts);
+            let elements = (caches.iter())
+                .map(|c| c.total_elements_with(&distribution, &mut scratch))
+                .sum();
+            ranked.push(RankedDistribution {
+                distribution,
+                elements,
+            });
+        }
+    }
+    trace::count("distrib.candidates_evaluated", ranked.len() as u64);
+    rank_distributions(&mut ranked);
+    ranked
 }
 
 /// Rank candidates cheapest-first and drop repeated distributions. Among
@@ -220,8 +253,8 @@ pub fn rank_distributions(ranked: &mut Vec<RankedDistribution>) {
     }
     ranked.sort_by(|a, b| {
         let (da, db) = (&a.distribution, &b.distribution);
-        (a.cost.total().max(0.0).to_bits())
-            .cmp(&b.cost.total().max(0.0).to_bits())
+        (a.elements.max(0.0).to_bits())
+            .cmp(&b.elements.max(0.0).to_bits())
             .then_with(|| grid(da).max().cmp(&grid(db).max()))
             .then_with(|| grid(da).cmp(grid(db)))
             .then_with(|| layouts(da).cmp(layouts(db)))
@@ -260,7 +293,99 @@ fn cartesian(axes: &[Vec<Layout>]) -> Vec<Vec<Layout>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adg::build_adg;
+    use align_ir::programs;
     use alignment_core::pipeline::{align_program, PipelineConfig};
+    use alignment_core::position::OffsetAlign;
+
+    fn identity(adg: &Adg, t: usize) -> ProgramAlignment {
+        let ranks: Vec<usize> = adg.port_ids().map(|p| adg.port(p).rank).collect();
+        ProgramAlignment::identity(t, &ranks)
+    }
+
+    /// Exact elements `alignment` moves under `dist`.
+    fn elements(adg: &Adg, alignment: &ProgramAlignment, dist: &ProgramDistribution) -> f64 {
+        PlacementCache::new(adg, alignment, SimOptions::exact()).total_elements(dist)
+    }
+
+    #[test]
+    fn aligned_program_on_any_distribution_moves_nothing() {
+        // example1 aligned: no residual communication, so every
+        // distribution moves nothing and the ranking is decided by ties.
+        let (adg, result) = align_program(&programs::example1(64), &PipelineConfig::default());
+        let extents = template_extents(&adg, &result.alignment);
+        for layout in [Layout::Block, Layout::Cyclic, Layout::BlockCyclic(4)] {
+            let d = ProgramDistribution::new(&extents, &[4], &[layout]);
+            assert_eq!(elements(&adg, &result.alignment, &d), 0.0, "{layout}");
+        }
+    }
+
+    #[test]
+    fn block_beats_cyclic_for_unit_shifts() {
+        // Shift B's section-value port by one cell (the edge misalignment
+        // example1 exists to create): block layouts only move boundary
+        // elements, cyclic moves everything.
+        use align_ir::Affine;
+        let adg = build_adg(&programs::example1(64));
+        let mut a = identity(&adg, 1);
+        let (pid, _) = adg
+            .ports()
+            .find(|(_, p)| p.label.contains("B(2:"))
+            .expect("section def port for B");
+        a.ports[pid.0].offsets[0] = OffsetAlign::Fixed(Affine::constant(1));
+        let ext = template_extents(&adg, &a);
+        let block = elements(
+            &adg,
+            &a,
+            &ProgramDistribution::new(&ext, &[4], &[Layout::Block]),
+        );
+        let cyclic = elements(
+            &adg,
+            &a,
+            &ProgramDistribution::new(&ext, &[4], &[Layout::Cyclic]),
+        );
+        assert!(
+            block > 0.0 && block < cyclic / 4.0,
+            "block {block} vs cyclic {cyclic}"
+        );
+    }
+
+    #[test]
+    fn single_processor_grid_is_communication_free() {
+        let adg = build_adg(&programs::figure1(16));
+        let a = identity(&adg, 2);
+        let ext = template_extents(&adg, &a);
+        let d = ProgramDistribution::new(&ext, &[1, 1], &[Layout::Block, Layout::Block]);
+        assert_eq!(elements(&adg, &a, &d), 0.0);
+    }
+
+    #[test]
+    fn template_is_measured_on_128_points_per_edge() {
+        // One edge over `do k = 1, 32; do j = 1, 32`, its tail sliding to
+        // cell `k - j`: every 8th of the 1 024 points (`j` in {1, 9, 17,
+        // 25}) plus the last is measured, so the template reaches `k - j`
+        // down to -24, not the nest's -31.
+        use adg::NodeKind;
+        use align_ir::triplet::AffineTriplet;
+        use align_ir::{Affine, ArrayId, IterationSpace, LivId, Triplet, WeightPoly};
+        let (k, j) = (LivId(0), LivId(1));
+        let space = IterationSpace::single_loop(k, 1, 32, 1)
+            .enter_loop(j, AffineTriplet::constant(Triplet::range(1, 32)));
+        let mut g = Adg::new("nest");
+        let src = g.add_node(NodeKind::Source { array: ArrayId(0) }, space.clone());
+        let dst = g.add_node(NodeKind::Sink { array: ArrayId(0) }, space.clone());
+        let d = g.add_port(src, 0, vec![], None, true, "d");
+        let u = g.add_port(dst, 0, vec![], None, false, "u");
+        g.add_edge(d, u, WeightPoly::constant(1), space, 1.0);
+        let mut a = ProgramAlignment::identity(1, &[0, 0]);
+        a.ports[d.0].offsets[0] = OffsetAlign::Fixed(Affine::new(0, [(k, 1), (j, -1)]));
+
+        assert_eq!(template_extents(&g, &a), vec![56]);
+        assert_eq!(
+            CostModel::new(&g).template_extents(&a, usize::MAX),
+            vec![63]
+        );
+    }
 
     #[test]
     fn report_is_ranked_ascending() {
@@ -269,7 +394,7 @@ mod tests {
         let report = solve_distribution(&adg, &result.alignment, &SolveConfig::new(16));
         assert!(!report.ranked.is_empty());
         for pair in report.ranked.windows(2) {
-            assert!(pair[0].cost.total() <= pair[1].cost.total() + 1e-12);
+            assert!(pair[0].elements <= pair[1].elements);
         }
         assert_eq!(report.nprocs, 16);
         let space = SignatureSpace::enumerate(&report.template_extents, &SolveConfig::new(16));
@@ -297,7 +422,7 @@ mod tests {
             &PipelineConfig::default(),
         );
         let report = solve_distribution(&adg, &result.alignment, &SolveConfig::new(1));
-        assert_eq!(report.best().cost.total(), 0.0);
+        assert_eq!(report.best().elements, 0.0);
     }
 
     #[test]

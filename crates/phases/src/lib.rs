@@ -52,9 +52,9 @@ pub use dynamic::{
 };
 pub use explain::{explain, explain_diff, PhaseDelta, PlanDiff, StepDelta};
 pub use pipeline::{
-    align_then_distribute_dynamic, layout_dp_problem, simulate_dynamic, simulate_static,
-    try_align_then_distribute_dynamic, DynamicConfig, DynamicPipelineResult, DynamicSimReport,
-    LayoutDpProblem, PhaseResult, Sig, SolveSummary,
+    align_then_distribute_dynamic, layout_dp_problem, layout_dp_problem_over_whole_space,
+    simulate_dynamic, simulate_static, try_align_then_distribute_dynamic, DynamicConfig,
+    DynamicPipelineResult, DynamicSimReport, LayoutDpProblem, PhaseResult, Sig, SolveSummary,
 };
 pub use redist::{price_redistribution, price_resting, RedistCost};
 pub use segment::{

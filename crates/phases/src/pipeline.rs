@@ -12,9 +12,11 @@
 //! atoms never re-enumerate the same grids — and every phase prices the
 //! shared signature pool so "staying put" is always a comparable option.
 //!
-//! The decision layer is exact: each candidate's in-phase cost is its
-//! **simulated element traffic** (every atom played through `commsim` under
-//! the candidate instantiated on the phase's covering template), and the
+//! Every decision is priced in one number: each candidate's in-phase cost
+//! is its **simulated element traffic** (every atom played through
+//! `commsim` under the candidate instantiated on the phase's covering
+//! template, through placement caches built once per atom), the same
+//! number ranks the search, the pool and the layers, and the
 //! per-array layout-state DP ([`crate::dynamic::solve_layout_dp`]) prices a
 //! transition into a phase as the exact redistribution of just the arrays
 //! that phase touches, each from the layout chosen by the phase that
@@ -40,19 +42,21 @@ use crate::redist::{price_resting, spread_stages, RedistCost};
 use crate::segment::{analyze_atoms, detect_boundaries, AtomAnalysis};
 use adg::{Adg, NodeKind, PortId};
 use align_ir::{ArrayId, Program};
-use alignment_core::pipeline::{AlignmentResult, PipelineConfig};
+use alignment_core::pipeline::{align_program, AlignmentResult, PipelineConfig};
 use alignment_core::position::PortAlignment;
-use commsim::{simulate, RestingOwners, RestingPlacement, SimOptions, SimReport, TrafficScratch};
+use commsim::{
+    PlacementCache, RestingOwners, RestingPlacement, SimOptions, SimReport, TrafficScratch,
+};
 use distrib::{
-    align_then_distribute, distribute_alignment, rank_distributions, solve_distribution_pooled,
-    DistributionCost, DistributionCostModel, DistributionReport, FullPipelineConfig,
-    FullPipelineResult, Layout, ProgramDistribution, RankedDistribution, SolveConfig,
+    rank_distributions, rank_signature_space, solve_distribution_pooled, template_extents,
+    DistributionReport, FullPipelineResult, Layout, ProgramDistribution, RankedDistribution,
+    SolveConfig,
 };
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
 /// Safety bound on the candidate layer size per phase, applied (by
-/// ascending model cost) before the DP; every phase's model optimum is
+/// ascending elements) before the DP; every phase's optimum is
 /// exempt — it stays in every layer even past the cap, so "staying put" on a
 /// favourite is always priced (layers therefore hold at most this many
 /// candidates plus one per phase).
@@ -73,9 +77,10 @@ pub struct DynamicConfig {
     /// sequence ([`Program::distributable_atoms`]) — overriding detection.
     /// `None` runs [`detect_boundaries`].
     pub boundaries: Option<Vec<usize>>,
-    /// Sampling bounds for all plan pricing (in-phase simulation and
-    /// redistribution pricing). [`DynamicDistribution::planned_cost`] is
-    /// exact when this is [`SimOptions::exact`].
+    /// Sampling bounds for all pricing: the candidate search, in-phase
+    /// simulation, redistribution pricing and the static baseline. The
+    /// default is [`SimOptions::exact`], under which every count, and
+    /// [`DynamicDistribution::planned_cost`], is exact.
     pub sim: SimOptions,
     /// Hysteresis of the layout-state DP: during the search an array's
     /// layout switch is charged this many extra elements, so a switch must
@@ -90,7 +95,7 @@ impl Default for DynamicConfig {
         DynamicConfig {
             alignment: PipelineConfig::default(),
             boundaries: None,
-            sim: SimOptions::default(),
+            sim: SimOptions::exact(),
             switch_margin: 0.0,
         }
     }
@@ -115,9 +120,9 @@ pub struct PhaseResult {
     /// `report.template_extents`).
     pub atom_templates: Vec<Vec<i64>>,
     /// The phase-level report: one signature-space search over all the
-    /// phase's atoms (shared enumeration), re-priced over the shared pool,
-    /// ranked ascending by model cost on the phase's covering template.
-    /// `best()` is the phase's model optimum.
+    /// phase's atoms (shared enumeration), re-ranked over the shared pool,
+    /// ascending by in-phase elements on the phase's covering template.
+    /// `best()` is the phase's optimum.
     pub report: DistributionReport,
 }
 
@@ -261,13 +266,14 @@ pub struct DynamicPipelineResult {
     pub live: Vec<Vec<(ArrayId, String, Vec<i64>)>>,
     /// The shared signature pool all phases price.
     pub pool: Vec<Sig>,
-    /// The candidate layer of each phase the DP chose from (model-capped,
-    /// with every phase's favourite retained; `costs` are in-phase
-    /// simulated elements).
+    /// The candidate layer of each phase the DP chose from (capped, with
+    /// every phase's favourite retained; `costs` are in-phase simulated
+    /// elements).
     pub layers: Vec<PhaseCandidates>,
     /// The chosen dynamic distribution, priced exactly.
     pub dynamic: DynamicDistribution,
-    /// The whole-program static solution, for comparison.
+    /// The whole-program static solution, for comparison: the exact argmin
+    /// of the whole-program signature space under [`DynamicConfig::sim`].
     pub static_result: FullPipelineResult,
     /// Simulated element traffic of the static solution under
     /// [`DynamicConfig::sim`] — the number [`DynamicDistribution::planned_cost`]
@@ -278,7 +284,7 @@ pub struct DynamicPipelineResult {
     /// The configuration used (needed to re-price or simulate).
     pub config: DynamicConfig,
     /// Per-phase, per-atom placement caches built under [`DynamicConfig::sim`]
-    /// during the candidate-layer pass. [`simulate_dynamic`] replays the plan
+    /// for the candidate search. [`simulate_dynamic`] replays the plan
     /// through them (owner lookups only) whenever it is asked for the same
     /// options — the caches reproduce [`simulate`] exactly, so the report is
     /// unchanged, just cheaper.
@@ -306,21 +312,13 @@ struct SimCacheStore {
 }
 
 impl DynamicPipelineResult {
-    /// Model cost of the best *static* distribution
-    /// ([`distrib::DistributionCost::total`] units — **not** comparable to
-    /// [`DynamicDistribution::planned_cost`], which is simulated elements;
-    /// compare against [`DynamicPipelineResult::static_planned_cost`]).
-    pub fn static_model_cost(&self) -> f64 {
-        self.static_result.best().cost.total()
-    }
-
     /// Total number of distributable atoms across all phases.
     pub fn num_atoms(&self) -> usize {
         self.phases.iter().map(|p| p.atoms.len()).sum()
     }
 
     /// Per-phase, per-atom placement caches for `opts`: the caches retained
-    /// from the candidate-layer pass when the options match
+    /// from the candidate search when the options match
     /// [`DynamicConfig::sim`], otherwise built once per distinct options and
     /// memoised in the shared store. Either way [`simulate_dynamic`] prices
     /// by owner lookups instead of re-walking every position per call.
@@ -631,81 +629,109 @@ impl DpPricer for MovePricer<'_> {
 
 /// Group the atoms into phases and rank each phase's candidates: search the
 /// signature space **once per phase** over all its atoms on the phase's
-/// covering template (shared enumeration — no per-atom re-search), pool
-/// every phase's top-ranked signatures (dedup'd in first-seen order), and
-/// re-price each report over that shared pool — each pool signature
-/// instantiated on the phase's cover and priced by summing the phase's
-/// per-atom model costs. Every atom's cost model is built once and serves
-/// both the search and the re-pricing. Returns the phases and the pool.
+/// covering template (shared enumeration — no per-atom re-search), pricing
+/// each candidate by the exact elements the phase's atoms move. Each atom's
+/// placement cache is built here, once, under `sim`, and returned for the
+/// layers, coalescing and the replay. Every phase's `pool_depth` top-ranked
+/// signatures are pooled (dedup'd in first-seen order) and each phase's report is
+/// re-ranked over that shared pool from the prices its search took; only a
+/// pool signature outside the phase's space (another rank or block size) is
+/// priced again, counted by `phases.pool.outside_space`. Returns the
+/// phases, the pool and each phase's caches.
 fn search_phases(
     atoms: Vec<AtomAnalysis>,
     atom_ranges: &[(usize, usize)],
     solve_cfg: &SolveConfig,
-) -> (Vec<PhaseResult>, Vec<Sig>) {
-    let models: Vec<DistributionCostModel<'_>> = atoms
-        .iter()
-        .map(|a| DistributionCostModel::new(&a.adg, &a.alignment.alignment))
-        .collect();
-    let mut searched: Vec<(Vec<Vec<i64>>, DistributionReport)> = atom_ranges
+    sim: SimOptions,
+    pool_depth: usize,
+) -> (Vec<PhaseResult>, Vec<Sig>, Vec<Arc<Vec<PlacementCache>>>) {
+    struct Searched {
+        atoms: Vec<AtomAnalysis>,
+        atom_templates: Vec<Vec<i64>>,
+        caches: Vec<PlacementCache>,
+        cover: Vec<i64>,
+        space: Vec<RankedDistribution>,
+    }
+    let mut atoms = atoms.into_iter();
+    let searched: Vec<Searched> = atom_ranges
         .iter()
         .map(|&(lo, hi)| {
-            let atom_templates: Vec<Vec<i64>> = models[lo..hi]
-                .iter()
-                .map(|m| m.template_extents())
+            let atoms: Vec<AtomAnalysis> = atoms.by_ref().take(hi - lo).collect();
+            let analyses = || atoms.iter().map(|a| (&a.adg, &a.alignment.alignment));
+            let caches: Vec<PlacementCache> = analyses()
+                .map(|(adg, alignment)| PlacementCache::new(adg, alignment, sim))
+                .collect();
+            let atom_templates: Vec<Vec<i64>> = analyses()
+                .map(|(adg, alignment)| template_extents(adg, alignment))
                 .collect();
             let cover = cover_of(&atom_templates);
-            let report = solve_distribution_pooled(&models[lo..hi], &cover, solve_cfg);
-            (atom_templates, report)
+            let space = rank_signature_space(&caches, &cover, solve_cfg);
+            Searched {
+                atoms,
+                atom_templates,
+                caches,
+                cover,
+                space,
+            }
         })
         .collect();
 
     let mut pool: Vec<Sig> = Vec::new();
-    for r in searched.iter().flat_map(|(_, report)| &report.ranked) {
+    for r in searched
+        .iter()
+        .flat_map(|p| p.space.iter().take(pool_depth))
+    {
         let sig = sig_of(&r.distribution);
         if !pool.contains(&sig) {
             pool.push(sig);
         }
     }
 
-    for (&(lo, hi), (_, report)) in atom_ranges.iter().zip(&mut searched) {
-        let mut ranked: Vec<RankedDistribution> = pool
-            .iter()
-            .map(|sig| {
-                let dist = instantiate(sig, &report.template_extents);
-                let cost = models[lo..hi]
-                    .iter()
-                    .map(|m| m.cost(&dist))
-                    .fold(DistributionCost::default(), |a, b| a.plus(&b));
-                RankedDistribution {
-                    distribution: dist,
-                    cost,
-                }
-            })
-            .collect();
-        rank_distributions(&mut ranked);
-        report.ranked = ranked;
-    }
-    drop(models);
-
-    let mut atoms = atoms.into_iter();
-    let phases = atom_ranges
+    let mut scratch = TrafficScratch::default();
+    let (phases, caches) = atom_ranges
         .iter()
         .zip(searched)
-        .map(|(&(lo, hi), (atom_templates, report))| {
-            let atoms: Vec<AtomAnalysis> = atoms.by_ref().take(hi - lo).collect();
-            PhaseResult {
-                atom_range: (lo, hi),
+        .map(|(&atom_range, p)| {
+            let mut ranked: Vec<RankedDistribution> = pool
+                .iter()
+                .map(|sig| {
+                    let distribution = instantiate(sig, &p.cover);
+                    let searched = p.space.iter().find(|r| r.distribution == distribution);
+                    let elements = searched.map_or_else(
+                        || {
+                            trace::count("phases.pool.outside_space", 1);
+                            (p.caches.iter())
+                                .map(|c| c.total_elements_with(&distribution, &mut scratch))
+                                .sum()
+                        },
+                        |r| r.elements,
+                    );
+                    RankedDistribution {
+                        distribution,
+                        elements,
+                    }
+                })
+                .collect();
+            rank_distributions(&mut ranked);
+            let phase = PhaseResult {
+                atom_range,
                 range: (
-                    atoms.first().map_or(0, |a| a.stmt_index),
-                    atoms.last().map_or(0, |a| a.stmt_index + 1),
+                    p.atoms.first().map_or(0, |a| a.stmt_index),
+                    p.atoms.last().map_or(0, |a| a.stmt_index + 1),
                 ),
-                atoms,
-                atom_templates,
-                report,
-            }
+                atoms: p.atoms,
+                atom_templates: p.atom_templates,
+                report: DistributionReport {
+                    nprocs: solve_cfg.nprocs,
+                    template_extents: p.cover,
+                    ranked,
+                    candidates_evaluated: p.space.len(),
+                },
+            };
+            (phase, Arc::new(p.caches))
         })
-        .collect();
-    (phases, pool)
+        .unzip();
+    (phases, pool, caches)
 }
 
 /// The elementwise-max cover of a set of template extents.
@@ -744,49 +770,32 @@ fn build_live(
         .collect()
 }
 
-/// Candidate layers from the pool-priced reports: the
-/// [`MAX_CANDIDATES_PER_PHASE`] cheapest by model cost, plus every phase's
-/// favourite. `costs` are **in-phase simulated elements** under `sim` — the
-/// same accounting [`simulate_dynamic`] replays, via the per-atom placement
-/// caches — so the DP minimises end-to-end simulated traffic.
-fn build_layers(
-    phases: &[PhaseResult],
-    pool: &[Sig],
-    sim: SimOptions,
-) -> (Vec<PhaseCandidates>, Vec<Arc<Vec<commsim::PlacementCache>>>) {
+/// Candidate layers from the pool-ranked reports: the `cap` cheapest
+/// ([`MAX_CANDIDATES_PER_PHASE`] in a solve), plus every phase's favourite.
+/// `costs` are the reports' **in-phase simulated elements** under `sim` —
+/// the same accounting [`simulate_dynamic`] replays, via the per-atom
+/// placement caches — so the DP minimises end-to-end simulated traffic.
+fn build_layers(phases: &[PhaseResult], pool: &[Sig], cap: usize) -> Vec<PhaseCandidates> {
     let retained: Vec<Sig> = phases
         .iter()
         .filter_map(|p| p.report.ranked.first())
         .map(|r| sig_of(&r.distribution))
         .collect();
-    // The caches are kept so `simulate_dynamic` can replay the chosen plan
-    // by owner lookups instead of re-walking every position.
     phases
         .iter()
-        .map(|p| {
-            let caches: Vec<commsim::PlacementCache> = p
-                .atoms
-                .iter()
-                .map(|a| commsim::PlacementCache::new(&a.adg, &a.alignment.alignment, sim))
-                .collect();
-            let layer = layer_from_report(p, pool, &retained, &caches);
-            (layer, Arc::new(caches))
-        })
-        .unzip()
+        .map(|p| layer_from_report(p, pool, &retained, cap))
+        .collect()
 }
 
-/// One phase's candidate layer: the [`MAX_CANDIDATES_PER_PHASE`] cheapest of
-/// its pool-priced ranking plus every `retained` signature, with in-phase simulated-element
-/// costs. Placements depend on the alignment, not the candidate, so the
-/// per-atom placement caches (`caches`, in atom order) are built once and
-/// every candidate is priced by owner lookups alone
-/// ([`commsim::PlacementCache`] reproduces `simulate()` exactly, so these
-/// costs equal the final plan pricing).
+/// One phase's candidate layer: the `cap` cheapest of its pool-ranked
+/// report plus every `retained` signature, with the
+/// in-phase simulated elements the search priced them at (placement caches
+/// reproduce `simulate()` exactly, so these equal the final plan pricing).
 fn layer_from_report(
     p: &PhaseResult,
     pool: &[Sig],
     retained: &[Sig],
-    caches: &[commsim::PlacementCache],
+    cap: usize,
 ) -> PhaseCandidates {
     let sig_id = |sig: &Sig| -> SigId {
         pool.iter()
@@ -798,21 +807,11 @@ fn layer_from_report(
         .ranked
         .iter()
         .enumerate()
-        .filter(|(i, r)| {
-            *i < MAX_CANDIDATES_PER_PHASE || retained.contains(&sig_of(&r.distribution))
-        })
+        .filter(|(i, r)| *i < cap || retained.contains(&sig_of(&r.distribution)))
         .map(|(_, r)| r)
         .collect();
     PhaseCandidates {
-        costs: keep
-            .iter()
-            .map(|r| {
-                caches
-                    .iter()
-                    .map(|c| c.total_elements(&r.distribution))
-                    .sum()
-            })
-            .collect(),
+        costs: keep.iter().map(|r| r.elements).collect(),
         sigs: keep
             .iter()
             .map(|r| sig_id(&sig_of(&r.distribution)))
@@ -854,8 +853,8 @@ fn build_steps(
 /// Everything the layout DP consumes, computed by stages 2+3 of the
 /// pipeline from the per-atom analyses: the pooled per-phase candidate
 /// reports, the shared signature pool, per-phase reference sets, the
-/// simulated candidate layers, and the per-atom placement caches retained
-/// from the layer pass.
+/// simulated candidate layers, and the per-atom placement caches they were
+/// priced with.
 struct DpInputs {
     phases: Vec<PhaseResult>,
     sig_pool: Vec<Sig>,
@@ -866,22 +865,34 @@ struct DpInputs {
 
 /// Boundaries from the per-atom signatures, then one signature-space search
 /// per phase (shared enumeration over all the phase's atoms), the
-/// cross-phase pool with pool-priced reports, and the candidate layers
-/// (model-capped, favourites retained, in-phase costs simulated).
-fn build_dp_inputs(atoms: Vec<AtomAnalysis>, nprocs: usize, config: &DynamicConfig) -> DpInputs {
+/// cross-phase pool with pool-ranked reports, and the candidate layers
+/// (capped, favourites retained, in-phase costs simulated) — or, with
+/// `whole_space`, every phase's whole space pooled and kept in every layer.
+fn build_dp_inputs(
+    atoms: Vec<AtomAnalysis>,
+    nprocs: usize,
+    config: &DynamicConfig,
+    whole_space: bool,
+) -> DpInputs {
+    let (pool_depth, cap) = if whole_space {
+        (usize::MAX, usize::MAX)
+    } else {
+        (distrib::solve::TOP_K, MAX_CANDIDATES_PER_PHASE)
+    };
     let boundaries = match &config.boundaries {
         Some(b) => b.clone(),
         None => detect_boundaries(&atoms),
     };
     let atom_ranges = align_ir::ast::cut_ranges(atoms.len(), &boundaries);
-    let (phases, sig_pool) = {
+    let (phases, sig_pool, phase_caches) = {
         let _span = trace::span("phases.search");
-        search_phases(atoms, &atom_ranges, &SolveConfig::new(nprocs))
+        let cfg = SolveConfig::new(nprocs);
+        search_phases(atoms, &atom_ranges, &cfg, config.sim, pool_depth)
     };
     let phase_refs: Vec<BTreeSet<ArrayId>> = phases.iter().map(|p| p.referenced()).collect();
-    let (layers, phase_caches) = {
+    let layers = {
         let _span = trace::span("phases.layers");
-        build_layers(&phases, &sig_pool, config.sim)
+        build_layers(&phases, &sig_pool, cap)
     };
     DpInputs {
         phases,
@@ -940,6 +951,26 @@ pub fn layout_dp_problem(
     nprocs: usize,
     config: &DynamicConfig,
 ) -> LayoutDpProblem {
+    capture_layout_dp(program, nprocs, config, false)
+}
+
+/// [`layout_dp_problem`] with nothing cut: every phase's whole signature
+/// space is pooled, and every layer keeps the whole pool. The reference the
+/// capped layers are checked against; it grows with the space squared.
+pub fn layout_dp_problem_over_whole_space(
+    program: &Program,
+    nprocs: usize,
+    config: &DynamicConfig,
+) -> LayoutDpProblem {
+    capture_layout_dp(program, nprocs, config, true)
+}
+
+fn capture_layout_dp(
+    program: &Program,
+    nprocs: usize,
+    config: &DynamicConfig,
+    whole_space: bool,
+) -> LayoutDpProblem {
     let atoms = analyze_atoms(program, &config.alignment);
     let DpInputs {
         phases,
@@ -947,7 +978,7 @@ pub fn layout_dp_problem(
         phase_refs,
         layers,
         phase_caches: _,
-    } = build_dp_inputs(atoms, nprocs, config);
+    } = build_dp_inputs(atoms, nprocs, config, whole_space);
     LayoutDpProblem {
         program: program.clone(),
         config: config.clone(),
@@ -1005,7 +1036,7 @@ pub fn try_align_then_distribute_dynamic(
     // Stage 0+1: one analysis per atom — shared with the static baseline
     // below, which for a single-atom program IS the whole-program alignment
     // (the atom's standalone program equals the program), so the baseline
-    // reuses it instead of aligning a second time.
+    // reuses it, and its phase's ranking, instead of solving a second time.
     let atoms = analyze_atoms(program, &config.alignment);
     let static_seed =
         (atoms.len() == 1).then(|| (atoms[0].adg.clone(), atoms[0].alignment.clone()));
@@ -1018,7 +1049,7 @@ pub fn try_align_then_distribute_dynamic(
         phase_refs,
         layers,
         phase_caches,
-    } = build_dp_inputs(atoms, nprocs, config);
+    } = build_dp_inputs(atoms, nprocs, config, false);
     let live = build_live(program, &phase_refs);
     let mut pricer = MovePricer::new(&phases, &sig_pool, program, config.sim);
     let plan = solve_layout_dp(&layers, &phase_refs, config.switch_margin, &mut pricer)?;
@@ -1076,8 +1107,16 @@ pub fn try_align_then_distribute_dynamic(
         planned_cost,
     };
 
-    let (static_result, static_planned_cost) =
-        static_baseline(program, nprocs, config, static_seed);
+    let single = static_seed.map(|(adg, alignment)| {
+        let report = phases[0].report.clone();
+        (adg, alignment, report, &phase_caches[0][0])
+    });
+    let (static_result, static_planned_cost, static_cache) =
+        static_baseline(program, nprocs, config, single);
+    let mut sim_caches = SimCacheStore::default();
+    sim_caches
+        .static_adg
+        .extend(static_cache.map(|c| (config.sim, c)));
 
     let summary = SolveSummary::from_run(
         &counters_at_entry,
@@ -1097,46 +1136,57 @@ pub fn try_align_then_distribute_dynamic(
         summary,
         config: config.clone(),
         phase_caches,
-        sim_caches: Arc::new(Mutex::new(SimCacheStore::default())),
+        sim_caches: Arc::new(Mutex::new(sim_caches)),
     })
 }
 
-/// The static baseline over the whole program, simulated under the same
-/// options the plan is priced with. A single-atom program's baseline
-/// alignment is the atom's own (`seed`, already computed) — only the
-/// distribution search runs then.
+/// A single-atom program's static baseline, already solved: the atom's
+/// ADG and alignment, its phase's ranking and its placement cache.
+type SingleAtomBaseline<'a> = (Adg, AlignmentResult, DistributionReport, &'a PlacementCache);
+
+/// The static baseline over the whole program: the exact argmin of its
+/// signature space, priced under the same options as the plan, and the
+/// whole-program placement cache when one was built. A single-atom
+/// program's whole program is its atom, whose phase ranked that space on
+/// the same ADG, alignment, template and options (`single`), so the
+/// baseline reads that ranking; otherwise the program is aligned whole and
+/// one placement cache ranks its space and prices the choice.
 fn static_baseline(
     program: &Program,
     nprocs: usize,
     config: &DynamicConfig,
-    seed: Option<(Adg, AlignmentResult)>,
-) -> (FullPipelineResult, f64) {
+    single: Option<SingleAtomBaseline<'_>>,
+) -> (FullPipelineResult, f64, Option<Arc<PlacementCache>>) {
     let _span = trace::span("phases.static_baseline");
-    let static_result = match seed {
-        Some((adg, alignment)) => {
-            let distribution = distribute_alignment(&adg, &alignment.alignment, nprocs);
-            FullPipelineResult {
+    let priced = |cache: &PlacementCache, report: &DistributionReport| {
+        cache.price(&report.best().distribution).total_elements()
+    };
+    match single {
+        Some((adg, alignment, distribution, cache)) => {
+            let cost = priced(cache, &distribution);
+            let result = FullPipelineResult {
                 adg,
                 alignment,
                 distribution,
-            }
+            };
+            (result, cost, None)
         }
-        None => align_then_distribute(
-            program,
-            nprocs,
-            &FullPipelineConfig {
-                alignment: config.alignment,
-            },
-        ),
-    };
-    let static_planned_cost = simulate(
-        &static_result.adg,
-        &static_result.alignment.alignment,
-        &static_result.best().distribution,
-        config.sim,
-    )
-    .total_elements();
-    (static_result, static_planned_cost)
+        None => {
+            let (adg, alignment) = align_program(program, &config.alignment);
+            let cache = PlacementCache::new(&adg, &alignment.alignment, config.sim);
+            let extents = template_extents(&adg, &alignment.alignment);
+            let cfg = SolveConfig::new(nprocs);
+            let distribution =
+                solve_distribution_pooled(std::slice::from_ref(&cache), &extents, &cfg);
+            let cost = priced(&cache, &distribution);
+            let result = FullPipelineResult {
+                adg,
+                alignment,
+                distribution,
+            };
+            (result, cost, Some(Arc::new(cache)))
+        }
+    }
 }
 
 /// Merge adjacent phases across boundaries the chosen path does not use:
@@ -1149,10 +1199,10 @@ fn static_baseline(
 /// smaller phase's atoms on a different block structure.
 ///
 /// Only the merged groups are rebuilt: their reports are the signature-wise
-/// sums of the members' pool-priced rankings (same cover ⇒ same candidate
-/// instances ⇒ model costs add; no re-search, no new cost models), and
-/// their layers are re-priced on the members' placement caches with the
-/// chosen signature forced in.
+/// sums of the members' pool-ranked reports (same cover ⇒ same candidate
+/// instances ⇒ elements add; nothing is searched or priced again), their
+/// layers are cut from those with the chosen signature forced in, and
+/// their caches are the members' caches in order.
 /// Untouched phases keep their reports, layers and chosen indices.
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
 fn coalesce(
@@ -1230,11 +1280,12 @@ fn coalesce(
         let merged = merge_phase_group(members, nprocs);
         // The merged phase's atoms are the members' atoms in order, so its
         // caches are the members' caches in order.
-        let caches: Vec<commsim::PlacementCache> = member_caches
+        let caches: Vec<PlacementCache> = member_caches
             .into_iter()
             .flat_map(Arc::unwrap_or_clone)
             .collect();
-        let layer = layer_from_report(&merged, pool, &[pool[sig].clone()], &caches);
+        let forced = [pool[sig].clone()];
+        let layer = layer_from_report(&merged, pool, &forced, MAX_CANDIDATES_PER_PHASE);
         new_chosen.push(
             layer
                 .sigs
@@ -1258,9 +1309,9 @@ fn coalesce(
 }
 
 /// Merge a run of phases that share one covering template into a single
-/// [`PhaseResult`]. The members' pool-priced rankings are over identical
+/// [`PhaseResult`]. The members' pool-ranked reports are over identical
 /// candidate instances (same cover), so the merged ranking is their
-/// signature-wise sum — no re-search and no new cost models.
+/// signature-wise sum of elements — nothing is searched or priced again.
 fn merge_phase_group(members: Vec<PhaseResult>, nprocs: usize) -> PhaseResult {
     let atom_range = (
         members.first().unwrap().atom_range.0,
@@ -1271,27 +1322,15 @@ fn merge_phase_group(members: Vec<PhaseResult>, nprocs: usize) -> PhaseResult {
         members.iter().map(|p| p.range.1).max().unwrap(),
     );
     let cover = members[0].report.template_extents.clone();
-    let mut summed: Vec<(Sig, DistributionCost)> = members[0]
-        .report
-        .ranked
-        .iter()
-        .map(|r| (sig_of(&r.distribution), r.cost))
-        .collect();
+    let mut ranked: Vec<RankedDistribution> = members[0].report.ranked.clone();
     for m in &members[1..] {
         for r in &m.report.ranked {
-            let sig = sig_of(&r.distribution);
-            if let Some(entry) = summed.iter_mut().find(|(s, _)| *s == sig) {
-                entry.1 = entry.1.plus(&r.cost);
+            let same = ranked.iter_mut().find(|s| s.distribution == r.distribution);
+            if let Some(entry) = same {
+                entry.elements += r.elements;
             }
         }
     }
-    let mut ranked: Vec<RankedDistribution> = summed
-        .into_iter()
-        .map(|(sig, cost)| RankedDistribution {
-            distribution: instantiate(&sig, &cover),
-            cost,
-        })
-        .collect();
     rank_distributions(&mut ranked);
     let candidates_evaluated = members.iter().map(|m| m.report.candidates_evaluated).sum();
     let mut atoms: Vec<AtomAnalysis> = Vec::new();
@@ -1418,6 +1457,7 @@ pub fn simulate_static(result: &DynamicPipelineResult, opts: SimOptions) -> SimR
 mod tests {
     use super::*;
     use align_ir::programs;
+    use commsim::simulate;
 
     #[test]
     fn fft_like_plans_two_phases_and_redistributes() {
@@ -1604,6 +1644,23 @@ mod tests {
             result.dynamic.planned_cost,
             sim.total_elements()
         );
+    }
+
+    #[test]
+    fn pool_signatures_outside_a_phase_space_are_priced_on_its_caches() {
+        // One phase per atom: the coarse phase's 16 × 16 cover admits fewer
+        // block sizes than the fine phases' 32 × 32 one (no CYCLIC(8) on a
+        // two-way axis), so the fine phases pool signatures outside its
+        // space, priced on its caches — and the plan still prices as it
+        // replays.
+        let program = programs::multigrid_vcycle(32, 4, 4);
+        let mut cfg = DynamicConfig::default();
+        cfg.boundaries = Some((1..program.distributable_atoms().len()).collect());
+        let before = trace::counter("phases.pool.outside_space");
+        let result = align_then_distribute_dynamic(&program, 4, &cfg);
+        assert!(trace::counter("phases.pool.outside_space") > before);
+        let replayed = simulate_dynamic(&result, cfg.sim).total_elements();
+        assert_eq!(result.dynamic.planned_cost, replayed);
     }
 
     #[test]

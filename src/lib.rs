@@ -74,9 +74,9 @@ pub mod prelude {
         simulate, Machine, PlacementCache, SimOptions, SimReport, TemplateDistribution,
     };
     pub use distrib::{
-        align_then_distribute, distribute_alignment, solve_distribution, AxisDistribution,
-        DistributionCost, DistributionCostModel, DistributionReport, FullPipelineConfig,
-        FullPipelineResult, Layout, ProgramDistribution, RankedDistribution, SolveConfig,
+        align_then_distribute, distribute_alignment, solve_distribution, template_extents,
+        AxisDistribution, DistributionReport, FullPipelineConfig, FullPipelineResult, Layout,
+        ProgramDistribution, RankedDistribution, SolveConfig,
     };
     pub use phases::{
         align_then_distribute_dynamic, explain, explain_diff, simulate_dynamic, simulate_static,

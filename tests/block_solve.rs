@@ -34,14 +34,19 @@ fn chain(stages: usize) -> Program {
 }
 
 /// One solve's observable alignment work: the bits of `planned_cost`,
-/// `static_planned_cost` and `static_model_cost()`; the count and FNV-1a
+/// `static_planned_cost` and the elements the static choice was ranked at;
+/// the count and FNV-1a
 /// fold of every port's per-axis offset in every atom's alignment; and the
 /// deltas of `align.ladder_engaged`, `align.offset_lp_failed` and
 /// `lp.l1.primal_fallback`.
 type Pinned = ([u64; 3], (usize, u64), [u64; 3]);
 
 /// The nine `lp_bound` + `planner_bound` benchmark cases at their benchmark
-/// processor counts, and `stage_chain` at 4 and 32 atoms.
+/// processor counts, and `stage_chain` at 4 and 32 atoms. Re-pinned when
+/// distributions came to be ranked by exact elements under exact default
+/// options: the third column moved on every row, and `fft_like`'s and
+/// `reduction_tree`'s planned and static costs moved; no offset fold and no
+/// ladder counter did.
 fn cases() -> Vec<(&'static str, Program, usize, Pinned)> {
     vec![
         (
@@ -52,7 +57,7 @@ fn cases() -> Vec<(&'static str, Program, usize, Pinned)> {
                 [
                     0x4096_4000_0000_0000,
                     0x4099_c000_0000_0000,
-                    0x409e_4800_0000_0000,
+                    0x4099_c000_0000_0000,
                 ],
                 (214, 0xf591_3346_602c_b3ad),
                 [0, 0, 0],
@@ -66,7 +71,7 @@ fn cases() -> Vec<(&'static str, Program, usize, Pinned)> {
                 [
                     0x409c_0000_0000_0000,
                     0x40b2_0000_0000_0000,
-                    0x40b1_7000_0000_0000,
+                    0x40b2_0000_0000_0000,
                 ],
                 (348, 0x80e6_7ca4_0ddb_8583),
                 [0, 0, 0],
@@ -83,7 +88,7 @@ fn cases() -> Vec<(&'static str, Program, usize, Pinned)> {
                 [
                     0x4052_8000_0000_0000,
                     0x4052_8000_0000_0000,
-                    0x40b3_cf56_5af4_3f4a,
+                    0x4052_8000_0000_0000,
                 ],
                 (40, 0x91eb_ca7f_b46f_1a66),
                 [0, 0, 0],
@@ -97,7 +102,7 @@ fn cases() -> Vec<(&'static str, Program, usize, Pinned)> {
                 [
                     0x4092_c000_0000_0000,
                     0x4092_c000_0000_0000,
-                    0x4095_1800_0000_0000,
+                    0x4092_c000_0000_0000,
                 ],
                 (124, 0xf606_857f_e888_1ea9),
                 [0, 0, 0],
@@ -107,11 +112,7 @@ fn cases() -> Vec<(&'static str, Program, usize, Pinned)> {
             "figure1-100",
             programs::figure1(100),
             8,
-            (
-                [0, 0, 0x40d3_e423_f5b9_cae7],
-                (60, 0x1770_8034_f949_2e21),
-                [0, 0, 0],
-            ),
+            ([0, 0, 0], (60, 0x1770_8034_f949_2e21), [0, 0, 0]),
         ),
         (
             "fft_like-128-40",
@@ -119,9 +120,9 @@ fn cases() -> Vec<(&'static str, Program, usize, Pinned)> {
             16,
             (
                 [
-                    0x40cc_0000_0000_0000,
-                    0x40f3_d800_0000_0000,
-                    0x40e3_d800_0000_0000,
+                    0x40ce_0000_0000_0000,
+                    0x40e4_0000_0000_0000,
+                    0x40e4_0000_0000_0000,
                 ],
                 (112, 0xdd78_acc4_f9e6_28b7),
                 [0, 0, 0],
@@ -133,9 +134,9 @@ fn cases() -> Vec<(&'static str, Program, usize, Pinned)> {
             32,
             (
                 [
-                    0x4108_deff_ffff_f547,
-                    0x4117_df00_0000_0014,
-                    0x4108_d9c6_87d6_343e,
+                    0x40c7_9d00_0000_0000,
+                    0x40f3_1000_0000_0000,
+                    0x40f3_1000_0000_0000,
                 ],
                 (272, 0x19c4_284b_5832_d7f8),
                 [0, 0, 0],
@@ -149,7 +150,7 @@ fn cases() -> Vec<(&'static str, Program, usize, Pinned)> {
                 [
                     0x4059_0000_0000_0000,
                     0x4059_0000_0000_0000,
-                    0x40f8_8940_0000_007b,
+                    0x4059_0000_0000_0000,
                 ],
                 (72, 0x96b7_4092_925a_4a95),
                 [0, 0, 0],
@@ -169,7 +170,7 @@ fn cases() -> Vec<(&'static str, Program, usize, Pinned)> {
                 [
                     0x409c_0000_0000_0000,
                     0x40a8_0000_0000_0000,
-                    0x40a7_4000_0000_0000,
+                    0x40a8_0000_0000_0000,
                 ],
                 (232, 0x2664_ed8a_466a_5a15),
                 [0, 0, 0],
@@ -183,7 +184,7 @@ fn cases() -> Vec<(&'static str, Program, usize, Pinned)> {
                 [
                     0x40c5_0000_0000_0000,
                     0x40d8_0000_0000_0000,
-                    0x40d7_4000_0000_0000,
+                    0x40d8_0000_0000_0000,
                 ],
                 (1856, 0xde6f_599c_ef11_ffc9),
                 [0, 0, 0],
@@ -222,7 +223,7 @@ fn pinned_plans_offsets_and_ladder_counters() {
             [
                 result.dynamic.planned_cost.to_bits(),
                 result.static_planned_cost.to_bits(),
-                result.static_model_cost().to_bits(),
+                result.static_result.best().elements.to_bits(),
             ],
             fold_offsets(&result),
             [

@@ -36,7 +36,11 @@ fn chain(stages: usize) -> Program {
 type Pinned = (u64, (usize, u64), [u64; 4]);
 
 /// The nine `lp_bound` + `planner_bound` benchmark cases and `stage_chain`
-/// at 4 and 32 atoms.
+/// at 4 and 32 atoms. Re-pinned when distributions came to be ranked by
+/// exact elements under exact default options: no sampling events remain,
+/// `commsim.elements_priced` counts exact traversals, the static baseline
+/// of a one-atom program prices nothing again, and the plans of `fft_like`
+/// and `reduction_tree` moved.
 fn cases() -> Vec<(&'static str, Program, usize, Pinned)> {
     const NO_STEPS: (usize, u64) = (0, 0xcbf2_9ce4_8422_2325);
     vec![
@@ -62,47 +66,51 @@ fn cases() -> Vec<(&'static str, Program, usize, Pinned)> {
             8,
             // Re-pinned when pin-and-re-solve kept this program's axis-0
             // offset mobile (358 elements before): the counters did not move.
-            (0x4052_8000_0000_0000, NO_STEPS, [0, 0, 522_160, 0]),
+            (0x4052_8000_0000_0000, NO_STEPS, [0, 0, 261_080, 0]),
         ),
         (
             "stencil2d-32-4",
             programs::stencil2d(32, 4),
             8,
-            (0x4092_c000_0000_0000, NO_STEPS, [0, 0, 195_872, 0]),
+            (0x4092_c000_0000_0000, NO_STEPS, [0, 0, 97_936, 0]),
         ),
         (
             "figure1-100",
             programs::figure1(100),
             8,
-            (0, NO_STEPS, [0, 0, 3_120_400, 1208]),
+            (0, NO_STEPS, [0, 0, 6_090_200, 0]),
         ),
         (
             "fft_like-128-40",
             programs::fft_like(128, 40),
             16,
             (
-                0x40cc_0000_0000_0000,
-                (4, 0xb855_767f_9dce_13f5),
-                [1, 144, 7_204_864, 1759],
+                0x40ce_0000_0000_0000,
+                (4, 0xea3d_767f_9dce_13f5),
+                [1, 144, 28_758_016, 0],
             ),
         ),
         (
             "reduction_tree-64-64",
             programs::reduction_tree(64, 64),
             32,
-            (0x4108_deff_ffff_f547, NO_STEPS, [3, 432, 7_196_960, 4539]),
+            (
+                0x40c7_9d00_0000_0000,
+                (12, 0x974d_3cda_1d10_6495),
+                [3, 468, 28_320_896, 0],
+            ),
         ),
         (
             "figure4",
             programs::figure4_default(),
             8,
-            (0x4059_0000_0000_0000, NO_STEPS, [0, 0, 4_775_024, 2008]),
+            (0x4059_0000_0000_0000, NO_STEPS, [0, 0, 20_180_400, 0]),
         ),
         (
             "lookup_table-2048-512-40",
             programs::lookup_table(2048, 512, 40),
             16,
-            (0, NO_STEPS, [0, 0, 418_816, 0]),
+            (0, NO_STEPS, [0, 0, 209_408, 0]),
         ),
         (
             "stage_chain-4",
@@ -129,6 +137,7 @@ fn cases() -> Vec<(&'static str, Program, usize, Pinned)> {
 
 #[test]
 fn pinned_plans_costs_and_counters() {
+    let mut mismatches = Vec::new();
     for (name, program, nprocs, pinned) in cases() {
         let before = CounterSnapshot::now();
         let result = align_then_distribute_dynamic(&program, nprocs, &DynamicConfig::default());
@@ -154,13 +163,16 @@ fn pinned_plans_costs_and_counters() {
             ]
             .map(|counter| delta.get(counter)),
         );
-        assert_eq!(got, pinned, "{name}");
+        if got != pinned {
+            mismatches.push(format!("{name}: got {got:?}, pinned {pinned:?}"));
+        }
         assert_eq!(
             delta.get("commsim.redist.evaluated_cells"),
             0,
             "{name}: a move was priced element by element"
         );
     }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
 
 /// A layer is a matrix over a dozen sides per resting spot, and later layers

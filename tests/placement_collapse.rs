@@ -163,9 +163,11 @@ fn fold_bits(values: impl Iterator<Item = f64>) -> (usize, u64) {
 }
 
 /// The nine `lp_bound` + `planner_bound` benchmark cases: every candidate
-/// layer cost (`PlacementCache::total_elements` sums — `reduction_tree`'s
-/// carry the rounding of 250 000 additions of 3.897…, so any reordering
-/// shows) and the exact replay of the chosen plan, bit for bit.
+/// layer cost (`PlacementCache::total_elements` sums) and the exact replay
+/// of the chosen plan, bit for bit. Re-pinned when distributions came to be
+/// ranked by exact elements under exact default options: `example5`'s and
+/// `fft_like`'s layer costs became exact counts, and `reduction_tree`'s plan
+/// moved (111 616 → 12 090 elements, 12 → 25 layer costs).
 #[test]
 fn layer_costs_and_exact_replay_keep_their_bits() {
     // (name, program, P, #layer costs, fold of their bits, exact replay bits)
@@ -193,7 +195,7 @@ fn layer_costs_and_exact_replay_keep_their_bits() {
             5,
             // Re-pinned when pin-and-re-solve kept this program's axis-0
             // offset mobile (the ladder's `static` rung gave 358).
-            0x5984_13d9_252b_e94f,
+            0xc09a_2bd9_252b_e94f,
             0x4052_8000_0000_0000, // 74
         ),
         (
@@ -217,16 +219,16 @@ fn layer_costs_and_exact_replay_keep_their_bits() {
             programs::fft_like(128, 40),
             16,
             24,
-            0x7c47_ffd7_003c_2305,
+            0x2412_3fd7_003c_2305,
             0x40ce_0000_0000_0000, // 15360
         ),
         (
             "reduction_tree-64-64",
             programs::reduction_tree(64, 64),
             32,
-            12,
-            0xa043_7680_ebce_b2ae,
-            0x40fb_4000_0000_0000, // 111616
+            25,
+            0x9712_ff55_662f_817f,
+            0x40c7_9d00_0000_0000, // 12090
         ),
         (
             "figure4",
@@ -245,17 +247,20 @@ fn layer_costs_and_exact_replay_keep_their_bits() {
             0, // 0
         ),
     ];
+    let mut mismatches = Vec::new();
     for (name, program, nprocs, count, costs, exact) in cases {
         let result = align_then_distribute_dynamic(&program, nprocs, &DynamicConfig::default());
         let layer_costs = result.layers.iter().flat_map(|l| l.costs.iter().copied());
-        assert_eq!(
-            fold_bits(layer_costs),
-            (count, costs),
-            "{name}: layer costs"
-        );
+        let (got_count, got_costs) = fold_bits(layer_costs);
         let replay = simulate_dynamic(&result, SimOptions::exact()).total_elements();
-        assert_eq!(replay.to_bits(), exact, "{name}: exact replay {replay}");
+        if (got_count, got_costs, replay.to_bits()) != (count, costs, exact) {
+            mismatches.push(format!(
+                "{name}: got {got_count} {got_costs:#x} {:#x} ({replay}), pinned {count} {costs:#x} {exact:#x}",
+                replay.to_bits()
+            ));
+        }
     }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
 
 /// A trapezoidal nest whose one mobile offset follows the *outer* induction
