@@ -1,7 +1,8 @@
 //! The placement cache in isolation: build one cache per atom and price the
-//! phase's candidate distributions on it — the work `phases::build_layers`
-//! does per phase — on atoms and candidates captured from real solves. The
-//! capture (analysis, search, DP) happens once outside the timed region.
+//! phase's candidate distributions on it — the work a phase's signature
+//! search does per candidate — on atoms and candidates captured from real
+//! solves under the default, exact, options. The capture (analysis, search,
+//! DP) happens once outside the timed region.
 //!
 //! `fft_like` and `reduction_tree` are not mobile in their loops, so every
 //! trip places its object identically and the cache stores one traversal

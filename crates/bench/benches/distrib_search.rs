@@ -1,12 +1,13 @@
 //! The distribution layer on its own: one `solve_distribution` per sample —
-//! template extents measured, the cost model built, every (grid, layout)
-//! candidate priced and ranked — on a whole program's alignment, computed
-//! once outside the timed region (the static baseline's view of the
-//! program). `reduction_tree` and `fft_like` carry the large extents and
-//! long loops of the benchmark's `planner_bound`; `stage_chain` at 32 atoms
-//! (included by path, so it is the program `size_sweep` times) has many
-//! edges of small extent; `lookup_table` is the control whose gather edges
-//! leave almost nothing to measure or price.
+//! template extents measured, an exact placement cache built, every (grid,
+//! layout) candidate priced by the elements it moves and ranked — on a
+//! whole program's alignment, computed once outside the timed region (the
+//! static baseline's view of the program). `reduction_tree` and `fft_like`
+//! carry the large extents and long loops of the benchmark's
+//! `planner_bound`; `stage_chain` at 32 atoms (included by path, so it is
+//! the program `size_sweep` times) has many edges of small extent;
+//! `lookup_table` is the control whose gather edges leave almost nothing to
+//! measure or price.
 
 use alignment_core::pipeline::{align_program, PipelineConfig};
 use bench::BenchGroup;

@@ -809,8 +809,9 @@ fn e16() {
     println!("{t}");
     println!("The search enumerates every (grid, layout) candidate, each priced by the");
     println!("exact elements it moves, and stays under 100 candidates to 4096");
-    println!("processors. Idle processors are not priced: once the grid outgrows the");
-    println!("template, the count stops changing and ties go to the squarest grid.");
+    println!("processors. Idle processors are not priced: past the template's size the");
+    println!("count stops falling, and the cheapest grid can leave most processors idle");
+    println!("(1x4096 for stencil2d and fft_like).");
 }
 
 // --- E17: block-size sensitivity ----------------------------------------------------------------

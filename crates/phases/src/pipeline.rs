@@ -1388,13 +1388,13 @@ impl DynamicSimReport {
 /// total equals `result.dynamic.planned_cost`.
 pub fn simulate_dynamic(result: &DynamicPipelineResult, opts: SimOptions) -> DynamicSimReport {
     let chosen_sigs: Vec<Sig> = result.dynamic.per_phase.iter().map(sig_of).collect();
-    // Replay each phase through per-atom placement caches — the ones
-    // retained from the candidate-layer pass when `opts` matches the plan's
-    // own options, otherwise built once per distinct options and shared
-    // across calls. The caches reproduce `simulate` exactly (same sampling,
-    // same traffic), priced by owner-table lookups instead of re-walking
-    // every position per call.
+    // Replay each phase through per-atom placement caches — the ones the
+    // search priced with when `opts` matches the plan's own options,
+    // otherwise built once per distinct options and shared across calls —
+    // in one workspace. The caches reproduce `simulate` exactly (same
+    // sampling, same traffic) without re-walking every position per call.
     let phase_caches = result.phase_caches_for(opts);
+    let mut scratch = TrafficScratch::default();
     let per_phase: Vec<SimReport> = result
         .phases
         .iter()
@@ -1407,11 +1407,12 @@ pub fn simulate_dynamic(result: &DynamicPipelineResult, opts: SimOptions) -> Dyn
                 ..SimReport::default()
             };
             for cache in phase_caches[i].iter() {
-                merged.merge(cache.price(&dist));
+                merged.merge(cache.price_with(&dist, &mut scratch));
             }
             merged
         })
         .collect();
+    drop(scratch);
     let redist_elements: Vec<f64> = (0..result.phases.len().saturating_sub(1))
         .map(|b| {
             result.live[b]
@@ -1481,7 +1482,7 @@ mod tests {
     fn standalone_simulation_prices_through_caches_unchanged() {
         // The standalone `simulate_dynamic` / `simulate_static` entry
         // points replay through placement caches — the set retained from
-        // the candidate-layer pass for the plan's own options, lazily-built
+        // the candidate search for the plan's own options, lazily-built
         // memoised ones for any other options. The reports must equal a
         // direct cache-free `commsim::simulate` of the same placements, and
         // repeat calls must price through the existing caches without
@@ -1595,7 +1596,7 @@ mod tests {
             // per phase, plus at most one forced signature per phase after
             // coalescing).
             assert!(layer.dists.len() <= MAX_CANDIDATES_PER_PHASE + 2 * result.phases.len());
-            // The phase's own model optimum is always retained.
+            // The phase's own optimum is always retained.
             let best = phase.report.best().distribution.grid();
             assert!(
                 layer.dists.iter().any(|d| d.grid() == best),
