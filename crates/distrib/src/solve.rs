@@ -8,8 +8,8 @@
 //!
 //! A candidate is ranked by the elements it moves, counted by `commsim`'s
 //! [`PlacementCache`]: the number every plan is priced in. Load imbalance
-//! and broadcast fan-out are not priced (ARCHITECTURE.md says where that is
-//! blind).
+//! and broadcast fan-out are not priced; ARCHITECTURE.md ("The objective")
+//! says where that is blind.
 
 use crate::distribution::ProgramDistribution;
 use crate::grid::enumerate_grids;

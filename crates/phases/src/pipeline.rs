@@ -632,12 +632,13 @@ impl DpPricer for MovePricer<'_> {
 /// covering template (shared enumeration — no per-atom re-search), pricing
 /// each candidate by the exact elements the phase's atoms move. Each atom's
 /// placement cache is built here, once, under `sim`, and returned for the
-/// layers, coalescing and the replay. Every phase's `pool_depth` top-ranked
-/// signatures are pooled (dedup'd in first-seen order) and each phase's report is
-/// re-ranked over that shared pool from the prices its search took; only a
-/// pool signature outside the phase's space (another rank or block size) is
-/// priced again, counted by `phases.pool.outside_space`. Returns the
-/// phases, the pool and each phase's caches.
+/// layers, coalescing and the replay. Every phase's `pool_depth`
+/// top-ranked signatures are pooled (dedup'd in first-seen order) and each
+/// phase's report is re-ranked over that shared pool from the prices its
+/// search took; only a pool signature outside the phase's space (another
+/// rank or block size) is priced again, counted by
+/// `phases.pool.outside_space`. Returns the phases, the pool and each
+/// phase's caches.
 fn search_phases(
     atoms: Vec<AtomAnalysis>,
     atom_ranges: &[(usize, usize)],
@@ -788,9 +789,9 @@ fn build_layers(phases: &[PhaseResult], pool: &[Sig], cap: usize) -> Vec<PhaseCa
 }
 
 /// One phase's candidate layer: the `cap` cheapest of its pool-ranked
-/// report plus every `retained` signature, with the
-/// in-phase simulated elements the search priced them at (placement caches
-/// reproduce `simulate()` exactly, so these equal the final plan pricing).
+/// report plus every `retained` signature, with the in-phase simulated
+/// elements the search priced them at (placement caches reproduce
+/// `simulate()` exactly, so these equal the final plan pricing).
 fn layer_from_report(
     p: &PhaseResult,
     pool: &[Sig],

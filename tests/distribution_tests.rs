@@ -20,9 +20,7 @@ fn golden_figure1_on_16_processors() {
     let best = full.best();
     // The alignment is communication-free (mobile V), so every candidate
     // moves nothing. Load balance is not priced, so the tie goes to the most
-    // compact grid, BLOCK on 4x4. (Pinned at 16x1 while a model charged
-    // load imbalance: V's mobile positions stretch the column axis to a
-    // ragged 95 cells.)
+    // compact grid, BLOCK on 4x4.
     assert_eq!(
         best.distribution.grid(),
         vec![4, 4],
