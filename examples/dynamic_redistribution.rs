@@ -39,8 +39,9 @@ fn main() {
         result.static_planned_cost
     );
 
-    // Validate the plan end to end in the communication simulator.
-    let opts = SimOptions::default();
+    // Validate the plan end to end in the communication simulator, under
+    // the options it was priced with (exact by default).
+    let opts = result.config.sim;
     let dynamic = simulate_dynamic(&result, opts);
     let fixed = simulate_static(&result, opts);
     println!(
