@@ -492,8 +492,8 @@ pub fn multi_array_pipeline(n: i64, trips: i64) -> Program {
 
 /// A reduction-heavy kernel with batched, irregular extents whose arrays
 /// disagree about the phase boundary — the workload the per-array
-/// layout-state DP exists for, and a stress test of the imbalance term
-/// (the batch axis `m = 3n/2 + 1` divides into no processor count evenly).
+/// layout-state DP exists for, with ragged blocks (the batch axis
+/// `m = 3n/2 + 1` divides into no processor count evenly).
 ///
 /// ```fortran
 /// real A(n,m), B(n,m), S(n)            ! m = 3n/2 + 1 (ragged batches)

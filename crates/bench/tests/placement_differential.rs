@@ -11,7 +11,9 @@
 //! `simulate` likewise, `PlacementCache::total_elements` equals the
 //! per-element unrolled sum — both also in one workspace reused across every
 //! machine and option set — and the sampling counters of a walk and of a
-//! cache build equal the reference's.
+//! cache build equal the reference's. A last check ranks generated
+//! programs' signature spaces, whose candidates share per-axis stay tables,
+//! against `simulate` candidate by candidate.
 
 use adg::{build_adg, Adg, EdgeId};
 use align_ir::builder::{add, rng, ProgramBuilder};
@@ -20,6 +22,7 @@ use alignment_core::pipeline::{align_program, PipelineConfig};
 use alignment_core::position::{OffsetAlign, PortAlignment, ProgramAlignment};
 use bench::{random_loop_program, RandomProgramConfig};
 use commsim::{simulate, EdgeTraffic, Machine, PlacementCache, SimOptions, TrafficScratch};
+use distrib::{rank_signature_space, template_extents, SolveConfig};
 use std::collections::HashSet;
 
 /// `[elements_priced, sampling_events, iterations_collapsed]`.
@@ -411,4 +414,78 @@ fn traversals_that_do_not_compile_are_evaluated_and_right() {
     let before = evaluated();
     check("compiles", &adg, &alignment, &machines(2));
     assert_eq!(evaluated(), before, "a separable traversal is not");
+}
+
+/// Candidates checked per space, spread over the ranking.
+const CANDIDATES_PER_SPACE: usize = 24;
+
+// Seeded two-dimensional programs: the `stage_chain` chains the benchmark's
+// `size_sweep` plans.
+#[allow(dead_code)]
+#[path = "../../../benchmark/src/workloads.rs"]
+mod benchmark_workloads;
+
+/// A ranking reads each candidate's elements from stay tables that every
+/// candidate sharing an axis's owner map shares; each must still be what
+/// `simulate` counts for that candidate alone — on generated programs of
+/// one and two dimensions, under exact and sampled options, on two
+/// processor counts.
+#[test]
+fn generated_spaces_rank_like_simulate() {
+    use benchmark_workloads::{stage_chain, StageChain};
+    let mut programs: Vec<Program> = (0..64)
+        .map(|seed| {
+            random_loop_program(RandomProgramConfig {
+                array_size: 48,
+                trips: 9,
+                statements: 3,
+                max_shift: 4,
+                allow_skew: seed % 4 != 0,
+                seed,
+                ..RandomProgramConfig::default()
+            })
+        })
+        .collect();
+    programs.extend((1..=8).map(|seed| {
+        stage_chain(StageChain {
+            n: 16,
+            trips: 3,
+            arrays: 2,
+            stages: 2,
+            seed,
+        })
+    }));
+    let (mut checked, mut two_d) = (0, 0);
+    for program in &programs {
+        let (adg, alignment) = aligned(program);
+        let extents = template_extents(&adg, &alignment);
+        for (on, opts) in [
+            ("exact", SimOptions::exact()),
+            ("sampled(64,7)", SimOptions::sampled(64, 7)),
+        ] {
+            let cache = PlacementCache::new(&adg, &alignment, opts);
+            for nprocs in [8, 12] {
+                let caches = std::slice::from_ref(&cache);
+                let ranked = rank_signature_space(caches, &extents, &SolveConfig::new(nprocs));
+                let every = ranked.len().div_ceil(CANDIDATES_PER_SPACE);
+                for r in ranked.iter().step_by(every) {
+                    let want = simulate(&adg, &alignment, &r.distribution, opts).total_elements();
+                    assert_eq!(
+                        r.elements.to_bits(),
+                        want.to_bits(),
+                        "{} / {on} / {}: ranked {} != simulated {want}",
+                        program.name,
+                        r.distribution,
+                        r.elements
+                    );
+                    checked += 1;
+                    two_d += usize::from(extents.len() == 2);
+                }
+            }
+        }
+    }
+    assert!(
+        checked > 1000 && two_d > 500,
+        "only {checked} candidates checked, {two_d} of them on two axes"
+    );
 }

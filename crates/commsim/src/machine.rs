@@ -52,6 +52,16 @@ pub trait TemplateDistribution {
     /// Composing per-axis coordinates mixed-radix (axis 0 most significant)
     /// must agree with [`TemplateDistribution::owner`].
     fn owner_coord(&self, axis: usize, c: i64) -> usize;
+
+    /// `(grid extent, block size)` of axis `axis`'s block-cyclic owner map,
+    /// `floor(c / block) mod grid`: two axes with equal keys have equal
+    /// [`TemplateDistribution::owner_coord`] maps, so what a placement
+    /// cache tabulates per axis under one serves the other. `None` (the
+    /// default) when the map is not block-cyclic; pricing then compiles
+    /// every traversal afresh.
+    fn axis_key(&self, _axis: usize) -> Option<(usize, i64)> {
+        None
+    }
 }
 
 /// A distributed-memory machine: a Cartesian grid of processors, one grid
@@ -158,6 +168,10 @@ impl TemplateDistribution for Machine {
 
     fn owner_coord(&self, axis: usize, c: i64) -> usize {
         self.owner_axis(axis, c)
+    }
+
+    fn axis_key(&self, axis: usize) -> Option<(usize, i64)> {
+        Some((self.grid[axis], self.block[axis] as i64))
     }
 }
 

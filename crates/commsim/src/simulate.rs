@@ -7,6 +7,7 @@ use align_ir::{Affine, LivId};
 use alignment_core::position::{OffsetAlign, PortAlignment, ProgramAlignment};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Knobs bounding the cost of a simulation run.
 ///
@@ -756,6 +757,16 @@ impl PosEval {
 /// [`RestingOwners`] tabulates) is evaluated element by element over its
 /// lattice on demand, counted by `commsim.cache.evaluated_traversals`.
 ///
+/// Ranking needs less: [`PlacementCache::total_elements_with`] counts only
+/// the samples that move. Where a traversal is *separable* — on every grid
+/// axis each side is fixed or driven by one body axis, the same one on
+/// both sides — that is `sampled − Π stays`, one stay count per grid axis
+/// the two sides disagree on, and each stay count depends on the traversal
+/// and on that one axis's owner map only
+/// ([`TemplateDistribution::axis_key`]), so it is tabulated once per
+/// (axis, owner map) in the caller's [`TrafficScratch`] and read back by
+/// every candidate sharing the axis. The rest take the class product.
+///
 /// The cache mirrors [`simulate`]'s sampling exactly (same iteration
 /// strides, same element lattice, same scales, same order of additions), so
 /// for any distribution `d`: `cache.price(&d)` reports the **identical**
@@ -765,11 +776,22 @@ impl PosEval {
 /// sampling counter: the build booked every point's.
 #[derive(Debug, Clone)]
 pub struct PlacementCache {
+    /// Tags the stay tables a [`TrafficScratch`] holds for this cache.
+    id: u64,
     /// The distinct traversals, in order of first use.
     traversals: Vec<CachedTraversal>,
     /// The edges with at least one traversal that can move data.
     edges: Vec<CachedEdge>,
+    /// The stay factors of every separable traversal, traversal after
+    /// traversal ([`Stay::factors`]).
+    factors: Vec<AxisFactor>,
+    /// Per template axis: how many factors lie on it — the rows of each of
+    /// its stay tables ([`AxisTables`]).
+    rows: Vec<usize>,
 }
+
+/// Where the next [`PlacementCache`] takes its id from; 0 tags no cache.
+static NEXT_CACHE_ID: AtomicU64 = AtomicU64::new(1);
 
 #[derive(Debug, Clone)]
 struct CachedEdge {
@@ -790,6 +812,144 @@ struct CachedTraversal {
     placement: PointPlacement,
     lattice: SampleLattice,
     dst_replicated: bool,
+    /// How the samples that stay put factor per grid axis; `None` when the
+    /// traversal is not separable.
+    stay: Option<Stay>,
+}
+
+/// The samples of a separable traversal that stay put: `fixed` times the
+/// stay count of each of its factors.
+#[derive(Debug, Clone, Copy)]
+struct Stay {
+    /// Sampled positions of the body axes no factor reads: the product of
+    /// their counts (such a body axis drives no grid axis, or one both
+    /// sides place identically).
+    fixed: u64,
+    /// `PlacementCache::factors[factors]`.
+    factors: (usize, usize),
+}
+
+/// One grid axis on which the two sides of a separable traversal can put a
+/// sample on different owner coordinates.
+///
+/// A traversal is separable when, on every grid axis, each side is either
+/// fixed (a constant cell, or pinned: replicated or beyond the alignment's
+/// template) or driven by one body axis, and a body axis that drives a grid
+/// axis drives that same one on both sides (no transpose, no skew). Then a
+/// sample stays put exactly when it stays put on every grid axis, and each
+/// of those events reads one body axis only: the samples that stay are the
+/// product of one count per grid axis and of the untouched body axes'
+/// counts. Sampled position `j` of the driving body axis sits at template
+/// cell `c + s·(1 + j·step)` on a side `(c, s)`; a fixed side has `s = 0`,
+/// and a factor no body axis drives has one position.
+#[derive(Debug, Clone, Copy)]
+struct AxisFactor {
+    /// The grid axis.
+    axis: usize,
+    /// Row of the factor in each of its axis's stay tables.
+    row: usize,
+    src: (i64, i64),
+    dst: (i64, i64),
+    /// Lattice stride of the driving body axis.
+    step: i64,
+    /// Sampled positions of the driving body axis.
+    count: u64,
+}
+
+impl AxisFactor {
+    /// Positions whose two cells have the same owner coordinate under
+    /// `owner`.
+    fn stay(&self, owner: impl Fn(i64) -> usize) -> u64 {
+        let cell = |(c, s): (i64, i64), at: i64| c + s * at;
+        (0..self.count as i64)
+            .map(|j| 1 + j * self.step)
+            .filter(|&at| owner(cell(self.src, at)) == owner(cell(self.dst, at)))
+            .count() as u64
+    }
+}
+
+/// One side of a traversal on grid axis `t`: `Some((c, s, by))`, the
+/// sample at index `i` of body axis `by` sitting at cell `c + s·i` (`s = 0`
+/// and no body axis when the side is fixed). `None` when two body axes
+/// drive the axis (a skew).
+fn axis_side(eval: &PosEval, t: usize) -> Option<(i64, i64, Option<usize>)> {
+    let c = eval.base.get(t).copied().unwrap_or(REPLICATED_COORD);
+    if c == REPLICATED_COORD {
+        // Pinned: the owner is coordinate 0's.
+        return Some((0, 0, None));
+    }
+    let mut by = None;
+    for (b, &(tb, stride)) in eval.terms.iter().enumerate() {
+        if tb == t && stride != 0 && by.replace((b, stride)).is_some() {
+            return None;
+        }
+    }
+    Some(by.map_or((c, 0, None), |(b, stride)| (c, stride, Some(b))))
+}
+
+/// Append the stay factors of one traversal to `factors` and return how
+/// its stays factor, or `None` (leaving `factors` as it was) when it is not
+/// separable.
+fn separate(
+    placement: &PointPlacement,
+    lattice: &SampleLattice,
+    factors: &mut Vec<AxisFactor>,
+) -> Option<Stay> {
+    let PointPlacement { extents, src, dst } = placement;
+    let body = extents.len();
+    let count = |b: usize| {
+        let (e, s) = (extents[b], lattice.strides[b]);
+        (((e + s - 1) / s) as u64).max(1)
+    };
+    let start = factors.len();
+    // Bit `b`: body axis `b` is read by a factor.
+    let read = (|| {
+        if body > 64 || src.terms.len() != body || dst.terms.len() != body {
+            return None;
+        }
+        // Bit `b`: body axis `b` drives a grid axis.
+        let (mut driving, mut read) = (0u64, 0u64);
+        for t in 0..src.base.len().max(dst.base.len()) {
+            let (sc, ss, sb) = axis_side(src, t)?;
+            let (dc, ds, db) = axis_side(dst, t)?;
+            let by = match (sb, db) {
+                (Some(a), Some(b)) if a != b => return None,
+                (a, b) => a.or(b),
+            };
+            if let Some(b) = by {
+                if driving >> b & 1 == 1 {
+                    // It drives another grid axis too (a transpose).
+                    return None;
+                }
+                driving |= 1 << b;
+            }
+            if (sc, ss) == (dc, ds) {
+                // Both sides put every position on the same cell.
+                continue;
+            }
+            read |= by.map_or(0, |b| 1 << b);
+            factors.push(AxisFactor {
+                axis: t,
+                row: 0,
+                src: (sc, ss),
+                dst: (dc, ds),
+                step: by.map_or(1, |b| lattice.strides[b]),
+                count: by.map_or(1, count),
+            });
+        }
+        Some(read)
+    })();
+    let Some(read) = read else {
+        factors.truncate(start);
+        return None;
+    };
+    Some(Stay {
+        fixed: (0..body)
+            .filter(|&b| read >> b & 1 == 0)
+            .map(count)
+            .product(),
+        factors: (start, factors.len()),
+    })
 }
 
 /// Finds a cache's stored traversals by content while it is built: a
@@ -824,6 +984,7 @@ impl TraversalIndex {
             placement: placement.clone(),
             lattice: lattice.clone(),
             dst_replicated,
+            stay: None,
         });
         let i = stored.len() - 1;
         self.previous.push(self.last.insert(hash, i));
@@ -901,7 +1062,33 @@ impl PlacementCache {
                 });
             }
         }
-        PlacementCache { traversals, edges }
+        Self::from_parts(traversals, edges)
+    }
+
+    /// A cache of the given traversals and edges: each traversal's stays
+    /// factored, the factors numbered per grid axis, a fresh id.
+    fn from_parts(mut traversals: Vec<CachedTraversal>, edges: Vec<CachedEdge>) -> Self {
+        // A replicated destination broadcasts every sample: nothing to
+        // factor.
+        let mut factors = Vec::new();
+        for t in traversals.iter_mut().filter(|t| !t.dst_replicated) {
+            t.stay = separate(&t.placement, &t.lattice, &mut factors);
+        }
+        let mut rows = Vec::new();
+        for factor in &mut factors {
+            if rows.len() <= factor.axis {
+                rows.resize(factor.axis + 1, 0);
+            }
+            factor.row = rows[factor.axis];
+            rows[factor.axis] += 1;
+        }
+        PlacementCache {
+            id: NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed),
+            traversals,
+            edges,
+            factors,
+            rows,
+        }
     }
 
     /// `(iteration points, runs, distinct traversals, sampled elements
@@ -920,6 +1107,40 @@ impl PlacementCache {
                 .map(|t| t.lattice.size.sampled as usize)
                 .sum(),
         )
+    }
+
+    /// The moved and broadcast samples of every distinct traversal under
+    /// `machine`, once each, into `scratch`'s `moved` buffer: from the
+    /// stay tables where the traversal is separable and `machine` keys its
+    /// axes, from the class product otherwise.
+    fn count_moved<D: TemplateDistribution + ?Sized>(
+        &self,
+        machine: &D,
+        scratch: &mut TrafficScratch,
+    ) {
+        trace::count("commsim.cache.prices", 1);
+        let mut moved = std::mem::take(&mut scratch.moved);
+        let mut tables = std::mem::take(&mut scratch.tables);
+        moved.clear();
+        let mut traversals = Traversals::new(machine, scratch);
+        let tabulated = tables.select(self, machine, &traversals.scratch.dims);
+        moved.extend(self.traversals.iter().map(|t| {
+            let sampled = t.lattice.size.sampled as u64;
+            match t.stay {
+                // Every sample is broadcast.
+                _ if t.dst_replicated => sampled,
+                Some(stay) if tabulated => sampled - tables.stay(&stay, &self.factors),
+                _ => {
+                    let counts = traversals.counts(&t.placement, &t.lattice, false);
+                    counts.moved + counts.broadcast
+                }
+            }
+        }));
+        if traversals.evaluated > 0 {
+            trace::count("commsim.cache.evaluated_traversals", traversals.evaluated);
+        }
+        scratch.moved = moved;
+        scratch.tables = tables;
     }
 
     /// Count every distinct traversal under `machine`, once each, into
@@ -988,14 +1209,15 @@ impl PlacementCache {
 
     /// [`PlacementCache::total_elements`] in a caller's workspace, reused
     /// across calls: a search that hands every candidate the same one
-    /// allocates nothing per candidate.
+    /// allocates nothing per candidate, and each candidate reads the
+    /// per-axis stay tables earlier candidates of this cache filled there.
     pub fn total_elements_with<D: TemplateDistribution + ?Sized>(
         &self,
         machine: &D,
         scratch: &mut TrafficScratch,
     ) -> f64 {
         let _span = trace::span("commsim.cache.price");
-        self.count_traversals(machine, scratch);
+        self.count_moved(machine, scratch);
         let mut total = 0.0;
         for edge in &self.edges {
             // The per-iteration walk adds `scale` once per moved sample of
@@ -1003,11 +1225,10 @@ impl PlacementCache {
             // additions of one value.
             let mut edge_elems = 0.0;
             for &(t, repeat) in &edge.runs {
-                let counts = scratch.counts[t];
                 edge_elems = repeat_add(
                     edge_elems,
                     self.traversals[t].lattice.size.scale,
-                    (counts.moved + counts.broadcast) * repeat,
+                    scratch.moved[t] * repeat,
                 );
             }
             total += edge_elems * edge.weight;
@@ -1082,6 +1303,84 @@ pub struct TrafficScratch {
     pairs: Option<PairSet>,
     /// Each distinct traversal's counts in one pricing of a cache.
     counts: Vec<TraversalCounts>,
+    /// Each distinct traversal's moved and broadcast samples in one
+    /// [`PlacementCache::total_elements_with`].
+    moved: Vec<u64>,
+    /// The stay tables of the cache last ranked in this workspace.
+    tables: AxisTables,
+}
+
+/// The stay counts of one [`PlacementCache`]'s factors, tabulated per
+/// (grid axis, owner map) as candidates ask for them: a column holds one
+/// count per factor on the axis (`PlacementCache::rows`), and every
+/// candidate whose axis has that owner map reads it.
+#[derive(Debug, Default)]
+struct AxisTables {
+    /// The cache the columns belong to (`PlacementCache::id`; 0: none).
+    cache: u64,
+    /// `(grid axis, owner map, first entry)` of every column.
+    keys: Vec<(usize, (usize, i64), usize)>,
+    /// The columns, one after the other.
+    stays: Vec<u64>,
+    /// Per grid axis of the candidate being priced: where its column
+    /// starts, or `None` when every position stays on it (one processor
+    /// along the axis, or an axis the candidate does not distribute).
+    columns: Vec<Option<usize>>,
+}
+
+impl AxisTables {
+    /// Point `columns` at `machine`'s owner maps, tabulating those not
+    /// seen yet. False when an axis has no [`TemplateDistribution::axis_key`].
+    fn select<D: TemplateDistribution + ?Sized>(
+        &mut self,
+        cache: &PlacementCache,
+        machine: &D,
+        dims: &[usize],
+    ) -> bool {
+        if self.cache != cache.id {
+            self.cache = cache.id;
+            self.keys.clear();
+            self.stays.clear();
+        }
+        self.columns.clear();
+        for (t, &rows) in cache.rows.iter().enumerate() {
+            if rows == 0 || dims.get(t).is_none_or(|&g| g == 1) {
+                self.columns.push(None);
+                continue;
+            }
+            let Some(key) = machine.axis_key(t) else {
+                return false;
+            };
+            let found = self
+                .keys
+                .iter()
+                .rev()
+                .find(|&&(a, k, _)| a == t && k == key);
+            let start = match found {
+                Some(&(_, _, start)) => start,
+                None => {
+                    let start = self.stays.len();
+                    self.keys.push((t, key, start));
+                    let owner = |c| machine.owner_coord(t, c);
+                    let on_axis = cache.factors.iter().filter(|f| f.axis == t);
+                    self.stays.extend(on_axis.map(|f| f.stay(owner)));
+                    trace::count("commsim.cache.axis_tables", rows as u64);
+                    start
+                }
+            };
+            self.columns.push(Some(start));
+        }
+        true
+    }
+
+    /// The samples of a traversal that stay put under the selected
+    /// columns.
+    fn stay(&self, stay: &Stay, factors: &[AxisFactor]) -> u64 {
+        let (from, to) = stay.factors;
+        (factors[from..to].iter()).fold(stay.fixed, |n, f| {
+            n * self.columns[f.axis].map_or(f.count, |at| self.stays[at + f.row])
+        })
+    }
 }
 
 /// Workspace of the class product ([`RestingOwners::moved_to`]).
@@ -2654,5 +2953,195 @@ mod tests {
         // 4² rank-2 align pairs + 2² rank-1 pairs, each on 4 machines and 2
         // sampling options.
         assert_eq!(compiled_hits, (16 + 4) * 4 * 2, "fast-path coverage");
+    }
+
+    #[test]
+    fn tabulated_stays_equal_the_per_element_count() {
+        // One traversal at a time, as a one-run cache: the elements
+        // `total_elements` reads from the stay tables (or, for a traversal
+        // that is not separable, from the class product — or element by
+        // element where that does not compile either: a skew) must be the
+        // per-element comparison's, to the bit.
+        use align_ir::Affine;
+        use alignment_core::position::OffsetAlign;
+        // A rank-`rank` object on the 2-D template, shifted.
+        let shifted = |rank: usize, shift: [i64; 2]| {
+            let mut a = PortAlignment::identity(rank, 2);
+            for (t, &d) in shift.iter().enumerate() {
+                a.offsets[t] = OffsetAlign::Fixed(Affine::constant(d));
+            }
+            a
+        };
+        let plain = PortAlignment::identity(2, 2);
+        let mut transposed = plain.clone();
+        transposed.axis_map = vec![1, 0];
+        let mut skewed = plain.clone();
+        skewed.axis_map = vec![0, 0];
+        let mut strided = shifted(2, [1, 0]);
+        strided.strides[1] = Affine::constant(2);
+        let mut replicated = PortAlignment::identity(1, 2);
+        replicated.offsets[1] = OffsetAlign::Replicated;
+        let mut moved_replica = replicated.clone();
+        moved_replica.offsets[0] = OffsetAlign::Fixed(Affine::constant(3));
+        let on_axis_1 = {
+            let mut a = PortAlignment::identity(1, 2);
+            a.axis_map = vec![1];
+            a
+        };
+        // Body axis 0 sits at cell 5 of axis 0 and at cell 0 of axis 1.
+        let mut collapsed = on_axis_1.clone();
+        collapsed.strides[0] = Affine::constant(0);
+        collapsed.offsets[0] = OffsetAlign::Fixed(Affine::constant(5));
+        let exact = SimOptions::exact();
+        let coarse = SimOptions::sampled(24, 512);
+        let block = Machine::new(vec![2, 4], vec![4, 3]);
+        let cases: Vec<(
+            &str,
+            &PortAlignment,
+            PortAlignment,
+            Machine,
+            SimOptions,
+            bool,
+        )> = vec![
+            (
+                "shift",
+                &plain,
+                shifted(2, [1, -2]),
+                block.clone(),
+                exact,
+                true,
+            ),
+            ("transpose", &plain, transposed, block.clone(), exact, false),
+            ("skew", &plain, skewed, block.clone(), exact, false),
+            (
+                "stride 2",
+                &plain,
+                strided.clone(),
+                block.clone(),
+                exact,
+                true,
+            ),
+            (
+                "lattice stride 3",
+                &plain,
+                strided,
+                block.clone(),
+                coarse,
+                true,
+            ),
+            (
+                "replicated destination",
+                &on_axis_1,
+                replicated.clone(),
+                block.clone(),
+                exact,
+                true,
+            ),
+            (
+                "replicated source",
+                &replicated,
+                moved_replica,
+                block.clone(),
+                exact,
+                true,
+            ),
+            (
+                "fixed against driven",
+                &on_axis_1,
+                collapsed,
+                Machine::cyclic(vec![2, 4]),
+                exact,
+                true,
+            ),
+            (
+                "moved across axes",
+                &on_axis_1,
+                shifted(1, [0, 0]),
+                Machine::cyclic(vec![2, 4]),
+                exact,
+                false,
+            ),
+            (
+                "cover above the template",
+                &plain,
+                shifted(2, [1, 1]),
+                Machine::new(vec![2, 2, 2], vec![4, 3, 1]),
+                exact,
+                true,
+            ),
+            (
+                "g = 1",
+                &plain,
+                shifted(2, [1, 1]),
+                Machine::new(vec![1, 8], vec![5, 2]),
+                exact,
+                true,
+            ),
+            (
+                "g over 1 024",
+                &plain,
+                shifted(2, [0, 1]),
+                Machine::cyclic(vec![1, 1500]),
+                exact,
+                true,
+            ),
+        ];
+        let counter = |name| trace::counter(name);
+        for (label, src, dst, machine, opts, separable) in cases {
+            let extents: Vec<i64> = vec![13, 9][..src.rank()].to_vec();
+            let total = extents.iter().product::<i64>() as usize;
+            let lattice = SampleLattice::new(&extents, opts.element_budget(total));
+            let dst_replicated = dst.offsets.iter().any(OffsetAlign::is_replicated)
+                && !src.offsets.iter().any(OffsetAlign::is_replicated);
+            let placement = PointPlacement {
+                src: PosEval::new(src, &[]),
+                dst: PosEval::new(&dst, &[]),
+                extents,
+            };
+            let want = evaluated_counts(
+                &placement,
+                &lattice,
+                dst_replicated,
+                &machine,
+                &mut PairSet::new(machine.num_processors()),
+            );
+            let scale = lattice.size.scale;
+            let cache = PlacementCache::from_parts(
+                vec![CachedTraversal {
+                    placement,
+                    lattice,
+                    dst_replicated,
+                    stay: None,
+                }],
+                vec![CachedEdge {
+                    id: EdgeId(0),
+                    weight: 1.0,
+                    runs: vec![(0, 1)],
+                }],
+            );
+            let stay = cache.traversals[0].stay;
+            assert_eq!(
+                stay.is_some(),
+                separable && !dst_replicated,
+                "{label}: separable"
+            );
+            let before = counter("commsim.cache.evaluated_traversals");
+            let got = cache.total_elements(&machine);
+            let wanted = repeat_add(0.0, scale, want.moved + want.broadcast);
+            assert_eq!(
+                got.to_bits(),
+                wanted.to_bits(),
+                "{label}: {got} != {wanted}"
+            );
+            assert_eq!(
+                counter("commsim.cache.evaluated_traversals") - before,
+                u64::from(label == "skew"),
+                "{label}: traversals evaluated element by element"
+            );
+            assert!(
+                want.moved + want.broadcast > 0,
+                "{label}: the case moves data"
+            );
+        }
     }
 }

@@ -64,23 +64,6 @@ impl ProgramDistribution {
         (id, locals)
     }
 
-    /// Per-processor load imbalance: the busiest processor's cell count over
-    /// the average, minus one. Zero means perfectly balanced. The template
-    /// is a Cartesian product, so the busiest processor is busiest along
-    /// every axis simultaneously — per-axis ratios compound multiplicatively.
-    pub fn imbalance(&self) -> f64 {
-        let mut ratio = 1.0;
-        for axis in &self.axes {
-            let avg = axis.extent as f64 / axis.nprocs as f64;
-            let max = (0..axis.nprocs)
-                .map(|p| axis.local_count(p))
-                .max()
-                .unwrap_or(0) as f64;
-            ratio *= max / avg;
-        }
-        ratio - 1.0
-    }
-
     /// The equivalent commsim [`Machine`] (same grid, the layouts' effective
     /// block sizes). Owner maps agree cell-for-cell, so existing Machine
     /// consumers can price a chosen distribution unchanged.
@@ -129,6 +112,11 @@ impl TemplateDistribution for ProgramDistribution {
 
     fn owner_coord(&self, axis: usize, c: i64) -> usize {
         self.axes[axis].owner(c)
+    }
+
+    fn axis_key(&self, axis: usize) -> Option<(usize, i64)> {
+        let axis = &self.axes[axis];
+        Some((axis.nprocs, axis.block_size()))
     }
 }
 
@@ -197,16 +185,6 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 32 * 48);
-    }
-
-    #[test]
-    fn imbalance_zero_when_divisible() {
-        let d = ProgramDistribution::new(&[64, 64], &[4, 4], &[Layout::Block, Layout::Cyclic]);
-        assert_eq!(d.imbalance(), 0.0);
-        // 33 cells over 4 block-distributed procs: blocks of 9, busiest has 9
-        // vs average 8.25.
-        let skew = ProgramDistribution::new(&[33], &[4], &[Layout::Block]);
-        assert!(skew.imbalance() > 0.05, "{}", skew.imbalance());
     }
 
     #[test]

@@ -132,29 +132,6 @@ impl AxisDistribution {
         count += rem;
         count
     }
-
-    /// Exact fraction of cells `c` in `0..extent` whose owner changes when
-    /// the axis is shifted by `d` (the machine-level price of a unit of
-    /// grid-metric distance `|d|` from the alignment cost model). `Block`
-    /// layouts make small shifts nearly free (only block-boundary cells
-    /// move); `Cyclic` makes every nonzero shift move everything.
-    pub fn moved_fraction(&self, d: i64) -> f64 {
-        if d == 0 || self.nprocs == 1 {
-            return 0.0;
-        }
-        let period = self.period();
-        if d.rem_euclid(period) == 0 {
-            return 0.0;
-        }
-        // Owners are periodic with `period`, so counting over one period (or
-        // the whole axis when shorter) is exact for full periods and a close
-        // estimate otherwise.
-        let span = self.extent.min(period).max(1);
-        let moved = (0..span)
-            .filter(|&c| self.owner(c + d) != self.owner(c))
-            .count();
-        moved as f64 / span as f64
-    }
 }
 
 impl fmt::Display for AxisDistribution {
@@ -245,23 +222,6 @@ mod tests {
             let total: i64 = (0..4).map(|p| d.local_count(p)).sum();
             assert_eq!(total, 50, "{layout}");
         }
-    }
-
-    #[test]
-    fn moved_fraction_extremes() {
-        let block = AxisDistribution::new(64, 4, Layout::Block);
-        assert_eq!(block.moved_fraction(0), 0.0);
-        // A one-cell shift under Block moves only boundary cells: 1/16.
-        assert!((block.moved_fraction(1) - 1.0 / 16.0).abs() < 1e-12);
-        let cyclic = AxisDistribution::new(64, 4, Layout::Cyclic);
-        assert_eq!(cyclic.moved_fraction(1), 1.0);
-        // A shift by the full period is owner-preserving.
-        assert_eq!(cyclic.moved_fraction(4), 0.0);
-        // One processor never communicates with itself.
-        assert_eq!(
-            AxisDistribution::new(64, 1, Layout::Cyclic).moved_fraction(5),
-            0.0
-        );
     }
 
     #[test]

@@ -203,7 +203,10 @@ pub fn solve_distribution_pooled(
 /// elements it moves summed over `caches` and ranked by
 /// [`rank_distributions`] — the whole space, which
 /// [`solve_distribution_pooled`] cuts to [`TOP_K`]. One workspace serves
-/// every candidate and cache.
+/// every candidate and cache. Pricing runs cache by cache, so the stay
+/// tables a cache fills in the workspace serve every candidate before the
+/// next cache replaces them; each candidate still adds its caches'
+/// elements in cache order.
 pub fn rank_signature_space(
     caches: &[PlacementCache],
     extents: &[i64],
@@ -215,18 +218,21 @@ pub fn rank_signature_space(
     let space = SignatureSpace::enumerate(extents, config);
     trace::record_value("distrib.signature_space", space.total_candidates as f64);
 
-    let mut scratch = TrafficScratch::default();
     let mut ranked: Vec<RankedDistribution> = Vec::with_capacity(space.total_candidates);
     for (grid, candidates) in space.grids.iter().zip(&space.per_grid_layouts) {
-        for layouts in cartesian(candidates) {
-            let distribution = ProgramDistribution::new(extents, grid, &layouts);
-            let elements = (caches.iter())
-                .map(|c| c.total_elements_with(&distribution, &mut scratch))
-                .sum();
-            ranked.push(RankedDistribution {
-                distribution,
-                elements,
-            });
+        ranked.extend(
+            cartesian(candidates)
+                .iter()
+                .map(|layouts| RankedDistribution {
+                    distribution: ProgramDistribution::new(extents, grid, layouts),
+                    elements: 0.0,
+                }),
+        );
+    }
+    let mut scratch = TrafficScratch::default();
+    for cache in caches {
+        for r in &mut ranked {
+            r.elements += cache.total_elements_with(&r.distribution, &mut scratch);
         }
     }
     trace::count("distrib.candidates_evaluated", ranked.len() as u64);

@@ -168,30 +168,6 @@ fn whole_template_owner_matches_axis_owners() {
     }
 }
 
-#[test]
-fn moved_fraction_is_a_fraction_and_periodic() {
-    let mut rng = Rng::new(2026);
-    for _ in 0..100 {
-        let extent = rng.range_i64(4, 128);
-        let g = rng.range_usize(2, 7);
-        let layout = match rng.range_usize(0, 3) {
-            0 => Layout::Block,
-            1 => Layout::Cyclic,
-            _ => Layout::BlockCyclic(rng.range_usize(1, 9)),
-        };
-        let d = AxisDistribution::new(extent, g, layout);
-        let shift = rng.range_i64(-20, 20);
-        let f = d.moved_fraction(shift);
-        assert!(
-            (0.0..=1.0).contains(&f),
-            "extent={extent} g={g} {layout} d={shift}: {f}"
-        );
-        // Shifting by a whole owner period changes no owners.
-        assert_eq!(d.moved_fraction(d.period()), 0.0);
-        assert_eq!(d.moved_fraction(0), 0.0);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Consistency with the simulator.
 // ---------------------------------------------------------------------------

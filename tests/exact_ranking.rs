@@ -159,28 +159,34 @@ fn reduction_tree_and_its_transpose_plan_to_equal_costs() {
 
 /// The 3-D shifted stencil of `tests/distribution_tests.rs`: a sampled
 /// ranker prices a sixth of its 615 candidates at 0 elements at P = 16; the
-/// exact one finds the one that moves least.
+/// exact one finds the one that moves least. At P = 1 024 the space has
+/// 4 701 candidates, priced from per-axis stay tables.
 #[test]
 fn cube_shift_picks_the_exact_optimum() {
     let n = 512;
-    let mut b = ProgramBuilder::new("cube_shift");
-    let a = b.array("A", &[n, n, n]);
-    let c = b.array("B", &[n, n, n]);
-    let near = b.sec_ref(a, vec![rng(1, n - 1), rng(1, n - 1), rng(1, n - 1)]);
-    let far = b.sec_ref(a, vec![rng(2, n), rng(2, n), rng(2, n)]);
-    let lhs = Section::new(vec![rng(1, n - 1), rng(1, n - 1), rng(1, n - 1)]);
-    b.assign(c, lhs, add(near, far));
-    let result = align_then_distribute_dynamic(&b.finish(), 16, &DynamicConfig::default());
-    let best = result.static_result.best();
-    assert_eq!(
-        best.distribution.grid(),
-        vec![2, 2, 4],
-        "{}",
-        best.distribution
-    );
-    assert_eq!(best.distribution.layouts(), vec![Layout::Block; 3]);
-    assert_eq!(result.static_planned_cost, 1_302_031.0);
-    assert_eq!(result.dynamic.planned_cost, 1_302_031.0);
+    for (nprocs, grid, cost) in [
+        (16, [2, 2, 4], 1_302_031.0),
+        (1024, [8, 8, 16], 7_440_895.0),
+    ] {
+        let mut b = ProgramBuilder::new("cube_shift");
+        let a = b.array("A", &[n, n, n]);
+        let c = b.array("B", &[n, n, n]);
+        let near = b.sec_ref(a, vec![rng(1, n - 1), rng(1, n - 1), rng(1, n - 1)]);
+        let far = b.sec_ref(a, vec![rng(2, n), rng(2, n), rng(2, n)]);
+        let lhs = Section::new(vec![rng(1, n - 1), rng(1, n - 1), rng(1, n - 1)]);
+        b.assign(c, lhs, add(near, far));
+        let result = align_then_distribute_dynamic(&b.finish(), nprocs, &DynamicConfig::default());
+        let best = result.static_result.best();
+        let label = format!("P = {nprocs}: {}", best.distribution);
+        assert_eq!(best.distribution.grid(), grid, "{label}");
+        assert_eq!(
+            best.distribution.layouts(),
+            vec![Layout::Block; 3],
+            "{label}"
+        );
+        assert_eq!(result.static_planned_cost, cost, "{label}");
+        assert_eq!(result.dynamic.planned_cost, cost, "{label}");
+    }
 }
 
 /// What the benchmark checks on every `size_sweep` plan, over twenty seeds.
